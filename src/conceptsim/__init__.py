@@ -48,6 +48,7 @@ from .model import (
     PatternStatus,
     ValidatedNetwork,
     element_parents,
+    pattern_need,
     pattern_state,
     validate_network,
 )

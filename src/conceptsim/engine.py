@@ -12,13 +12,14 @@ while error inhibition targets it latches off until the next clamp change.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Mapping, Sequence
 
 from . import oracle as _oracle
 from .errors import BadParams, NonBottomClamp, TooLarge
-from .model import ConceptId, ValidatedNetwork, pattern_state
+from .model import ConceptId, ValidatedNetwork
 
 
 class ErrorRouting(Enum):
@@ -52,6 +53,7 @@ class EngineParams:
       theta < w_self < w_ff  self-input holds an active unit but is weaker than evidence
       w_err > w_self         one routed error can shut a self-sustained unit whose dendrites are silent
       w_lat >= 0, 0 < tau <= 1, max_sweeps >= 1
+      every weight, theta and tau finite
 
     The default w_err exceeds w_ff + w_self - theta, so a single routed error
     also shuts a unit whose dendrite is still fully driven; that is what lets
@@ -68,6 +70,9 @@ class EngineParams:
     error_routing: ErrorRouting = ErrorRouting.SPLIT
 
     def validate(self) -> None:
+        for name in ("w_ff", "w_self", "w_lat", "w_err", "theta", "tau"):
+            if not math.isfinite(getattr(self, name)):
+                raise BadParams(f"{name} is not finite")
         if not self.w_ff > self.theta:
             raise BadParams("w_ff <= theta")
         if not self.theta < self.w_self:
@@ -114,24 +119,40 @@ def dendrite_values(
     net: ValidatedNetwork, activation: Sequence[int]
 ) -> dict[tuple[ConceptId, int], int]:
     """Dendritic conjunctions: 1 iff every element of the pattern is active."""
+    active = _active_bits(activation)
     out: dict[tuple[ConceptId, int], int] = {}
     for c in net.non_bottom:
-        for k, pat in enumerate(net.patterns_of(c)):
-            out[(c, k)] = int(all(activation[e] for e in pat.elements))
+        for k, mask in enumerate(net.masks[c]):
+            out[(c, k)] = int(mask & active == mask)
     return out
+
+
+def _active_bits(activation: Sequence[int]) -> int:
+    """The active units as a bitmask over concept ids."""
+    bits = 0
+    for i, a in enumerate(activation):
+        if a:
+            bits |= 1 << i
+    return bits
 
 
 def _applicable(
     net: ValidatedNetwork, activation: Sequence[int], tau: float
 ) -> dict[tuple[ConceptId, int], bool]:
-    """Applicability of every pattern of every *active* concept."""
-    active_set = {i for i, a in enumerate(activation) if a}
+    """Applicability of every pattern of every *active* concept.
+
+    Bit test against the exact integer threshold: Complete, or at least
+    model.pattern_need(size, tau) elements present.
+    """
+    active = _active_bits(activation)
+    needs = net.pattern_needs(tau)
     states: dict[tuple[ConceptId, int], bool] = {}
     for c in net.non_bottom:
         if not activation[c]:
             continue
-        for k, pat in enumerate(net.patterns_of(c)):
-            states[(c, k)] = pattern_state(pat, active_set, tau).applicable
+        for k, (mask, need) in enumerate(zip(net.masks[c], needs[c])):
+            hit = mask & active
+            states[(c, k)] = hit == mask or hit.bit_count() >= need
     return states
 
 
@@ -186,6 +207,8 @@ def route_errors(
                 routed[c] = total
         return routed
     applicable = _applicable(net, activation, tau)
+    # commission errors per layer; each charges every active concept one layer up
+    commissions: dict[int, int] = {}
     for e in range(net.n_concepts):
         if omission[e]:
             blamed = {
@@ -196,9 +219,12 @@ def route_errors(
             for owner in blamed:
                 routed[owner] += 1
         elif commission[e]:
-            for c in net.layers.get(net.layer_of[e] + 1, ()):
-                if activation[c]:
-                    routed[c] += 1
+            layer = net.layer_of[e]
+            commissions[layer] = commissions.get(layer, 0) + 1
+    for layer, count in commissions.items():
+        for c in net.layers.get(layer + 1, ()):
+            if activation[c]:
+                routed[c] += count
     return routed
 
 
@@ -247,7 +273,7 @@ class Engine:
             net._check(cid)
             if net.layer_of[cid] != 0:
                 raise NonBottomClamp(f"{net.name(cid)!r} is not a layer-0 concept")
-            if value not in (0, 1):
+            if type(value) is not int or value not in (0, 1):
                 raise ValueError(f"clamp value for {net.name(cid)!r} must be 0 or 1")
         self.clamp = dict(clamp)
         self.rejected.clear()
@@ -271,17 +297,25 @@ class Engine:
         newly_latched: list[ConceptId] = []
         for layer in range(1, net.max_layer + 1):
             ids = net.layers.get(layer, ())
+            # the layer below is final for this sweep; dendrites read only it
+            below = 0
+            for e in net.layers.get(layer - 1, ()):
+                if act[e]:
+                    below |= 1 << e
+            # active units of this layer, kept current through the sequential update
+            layer_active = sum(act[d] for d in ids)
             for c in ids:
                 prev = act[c]
                 if c in self.rejected:
                     act[c] = 0
+                    layer_active -= prev
                     continue
                 dendrite = 0
-                for pat in net.patterns_of(c):
-                    if all(act[e] for e in pat.elements):
+                for mask in net.masks[c]:
+                    if mask & below == mask:
                         dendrite = 1
                         break
-                lateral = sum(act[d] for d in ids if d != c)
+                lateral = layer_active - prev
                 drive = (
                     p.w_ff * dendrite
                     + p.w_self * prev
@@ -290,6 +324,7 @@ class Engine:
                     - p.theta
                 )
                 act[c] = 1 if drive > 0 else 0
+                layer_active += act[c] - prev
                 if prev == 1 and act[c] == 0 and self.routed[c] > 0:
                     newly_latched.append(c)
 

@@ -26,9 +26,13 @@ from .errors import (
 from .model import ConceptId, ConceptSpec, NetworkSpec, ValidatedNetwork
 
 
+def _reject_constant(name: str):
+    raise ParseError(f"non-finite number {name} is not valid JSON")
+
+
 def _load_json(text: str):
     try:
-        return json.loads(text)
+        return json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as e:
         raise ParseError(f"line {e.lineno}, column {e.colno}: {e.msg}") from None
 

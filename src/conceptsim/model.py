@@ -14,9 +14,11 @@ circuit dynamics alike) is built on this evaluation.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
+from math import ceil
 from typing import AbstractSet, Mapping
 
 from .errors import (
@@ -103,7 +105,8 @@ class ValidatedNetwork:
 
     Concept ids are dense and assigned in file order. parent_index maps every
     element id to the (owner id, pattern ordinal) pairs whose pattern contains
-    it, sorted by owner then ordinal.
+    it, sorted by owner then ordinal. masks parallels patterns: bit e of
+    masks[c][k] is set iff concept e is an element of pattern k of concept c.
     """
 
     spec: NetworkSpec
@@ -113,13 +116,17 @@ class ValidatedNetwork:
     layers: Mapping[int, tuple[ConceptId, ...]]
     parent_index: Mapping[ConceptId, tuple[tuple[ConceptId, int], ...]]
     name_to_id: Mapping[str, ConceptId]
+    masks: tuple[tuple[int, ...], ...]
     warnings: tuple[str, ...] = ()
+    _needs: dict[float | Fraction, tuple[tuple[int, ...], ...]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     @property
     def n_concepts(self) -> int:
         return len(self.names)
 
-    @property
+    @cached_property
     def max_layer(self) -> int:
         return max(self.layer_of, default=0)
 
@@ -127,7 +134,7 @@ class ValidatedNetwork:
     def bottom(self) -> tuple[ConceptId, ...]:
         return self.layers.get(0, ())
 
-    @property
+    @cached_property
     def non_bottom(self) -> tuple[ConceptId, ...]:
         return tuple(c for c in range(self.n_concepts) if self.layer_of[c] > 0)
 
@@ -148,6 +155,20 @@ class ValidatedNetwork:
     def patterns_of(self, cid: ConceptId) -> tuple[Pattern, ...]:
         self._check(cid)
         return self.patterns[cid]
+
+    def pattern_needs(self, tau: float | Fraction) -> tuple[tuple[int, ...], ...]:
+        """pattern_need of every pattern under tau, parallel to masks.
+
+        Computed once per distinct pattern size on the first call with a given
+        tau and remembered, so hot loops never build a Fraction.
+        """
+        needs = self._needs.get(tau)
+        if needs is None:
+            sizes = {len(p) for pats in self.patterns for p in pats}
+            by_size = {size: pattern_need(size, tau) for size in sizes}
+            needs = tuple(tuple(by_size[len(p)] for p in pats) for pats in self.patterns)
+            self._needs[tau] = needs
+        return needs
 
     def _check(self, cid: ConceptId) -> None:
         if not 0 <= cid < self.n_concepts:
@@ -176,6 +197,18 @@ def pattern_state(
     return PatternState(status, fraction)
 
 
+def pattern_need(size: int, tau: float | Fraction = DEFAULT_TAU) -> int:
+    """Smallest present count k with Fraction(k, size) >= tau: ceil(tau * size), exactly.
+
+    A pattern with mask m is then Complete when m & active == m, and
+    applicable when it is Complete or (m & active).bit_count() >= the need;
+    this is pattern_state's comparison in integers. A tau <= 0 gives a need
+    <= 0 (always applicable), a tau > 1 a need above size (only Complete
+    counts). A non-finite tau raises ValueError or OverflowError.
+    """
+    return ceil(Fraction(tau) * size)
+
+
 def validate_network(spec: NetworkSpec) -> ValidatedNetwork:
     """Check every structural invariant and build the index structures.
 
@@ -199,16 +232,19 @@ def validate_network(spec: NetworkSpec) -> ValidatedNetwork:
     layer_of = tuple(c.layer for c in spec.concepts)
     warnings: list[str] = []
     resolved: list[tuple[Pattern, ...]] = []
+    masks: list[tuple[int, ...]] = []
     for cid, c in enumerate(spec.concepts):
         if c.layer == 0:
             if c.patterns:
                 raise BottomWithPatterns(f"layer-0 concept {c.name!r} must not carry patterns")
             resolved.append(())
+            masks.append(())
             continue
         if not c.patterns:
             raise NonBottomWithoutPatterns(f"concept {c.name!r} on layer {c.layer} has no patterns")
         seen: list[frozenset[ConceptId]] = []
         pats: list[Pattern] = []
+        pat_masks: list[int] = []
         for k, elems in enumerate(c.patterns):
             where = f"concept {c.name!r} pattern {k}"
             if not elems:
@@ -216,10 +252,13 @@ def validate_network(spec: NetworkSpec) -> ValidatedNetwork:
             if len(set(elems)) != len(elems):
                 raise DuplicateElement(f"{where} lists an element twice")
             ids = []
+            mask = 0
             for ename in elems:
                 if ename not in name_to_id:
                     raise DanglingReference(f"{where} references unknown concept {ename!r}")
-                ids.append(name_to_id[ename])
+                eid = name_to_id[ename]
+                ids.append(eid)
+                mask |= 1 << eid
             for eid in ids:
                 if layer_of[eid] != c.layer - 1:
                     raise LayerViolation(
@@ -233,7 +272,9 @@ def validate_network(spec: NetworkSpec) -> ValidatedNetwork:
             if len(members) == 1:
                 warnings.append(f"{where} has a single element; it can never be applicable-incomplete")
             pats.append(Pattern(members))
+            pat_masks.append(mask)
         resolved.append(tuple(pats))
+        masks.append(tuple(pat_masks))
 
     layers: dict[int, tuple[ConceptId, ...]] = {}
     for lay in sorted(set(layer_of)):
@@ -259,6 +300,7 @@ def validate_network(spec: NetworkSpec) -> ValidatedNetwork:
         parent_index=parent_index,
         name_to_id=name_to_id,
         warnings=tuple(warnings),
+        masks=tuple(masks),
     )
 
 

@@ -7,6 +7,13 @@ concept below the top layer is explained by an applicable pattern of some
 inferred concept. This module enumerates all interpretations exhaustively and
 serves as the ground truth the circuit dynamics are tested against; it knows
 nothing about weights, inhibition, or time.
+
+The enumeration tests every candidate with integer bit operations: active sets
+and patterns are int bitmasks over concept ids, and each pattern's threshold
+is the exact integer count model.pattern_need(size, tau), so the verdicts are
+those of the Fraction-based pattern_state. Only the survivors get a full
+ConsistencyReport, built by interpretation_consistent, which stays the slow,
+readable statement of the rule.
 """
 from __future__ import annotations
 
@@ -132,6 +139,41 @@ def interpretation_consistent(
     )
 
 
+#: (concept id, ((pattern mask, need), ...)) for one candidate concept
+_Rule = tuple[ConceptId, tuple[tuple[int, int], ...]]
+
+
+def _subsets(rules: list[_Rule]) -> list[tuple[int, tuple[_Rule, ...]]]:
+    """(bitmask of the chosen concepts, chosen rules) for every subset of rules,
+    in binary counting order with rules[0] as the lowest bit."""
+    out: list[tuple[int, tuple[_Rule, ...]]] = [(0, ())]
+    for rule in rules:
+        bit = 1 << rule[0]
+        out += [(bits | bit, chosen + (rule,)) for bits, chosen in out]
+    return out
+
+
+def _bits_consistent(chosen: tuple[_Rule, ...], active: int, below_top: int) -> bool:
+    """interpretation_consistent(...).consistent, on bitmasks.
+
+    A consistent concept has only Complete and Off patterns, so the applicable
+    patterns that explain elements are exactly the Complete ones.
+    """
+    explained = 0
+    for _, patterns in chosen:
+        complete = False
+        for mask, need in patterns:
+            hit = mask & active
+            if hit == mask:
+                complete = True
+                explained |= mask
+            elif hit.bit_count() >= need:
+                return False
+        if not complete:
+            return False
+    return not active & below_top & ~explained
+
+
 def enumerate_interpretations(
     net: ValidatedNetwork,
     clamped: AbstractSet[ConceptId],
@@ -143,18 +185,39 @@ def enumerate_interpretations(
     Iterates every subset of the non-bottom concepts; raises TooLarge beyond
     the configured limit rather than sampling silently. Order: descending
     size, then ascending id tuple.
+
+    Each subset is filtered with bit tests on the induced active set: every
+    chosen concept needs a pattern m with m & active == m (Complete) and none
+    with fewer present but (m & active).bit_count() >= pattern_need(size, tau)
+    (ApplicableIncomplete), and every active concept below the top layer must
+    lie in a Complete pattern of a chosen concept. The thresholds are computed
+    once per distinct pattern size, never per candidate. Survivors are then
+    reported through interpretation_consistent, so the result is the one the
+    Fraction-based rule gives.
     """
     candidates = net.non_bottom
     if len(candidates) > limit:
         raise TooLarge(
             f"{len(candidates)} non-bottom concepts exceed the enumeration limit of {limit}"
         )
+    clamp_bits = 0
+    for e in clamped:
+        net._check(e)
+        clamp_bits |= 1 << e
+    needs = net.pattern_needs(tau)
+    rules = [(c, tuple(zip(net.masks[c], needs[c]))) for c in candidates]
+    below_top = sum(1 << c for c in range(net.n_concepts) if net.layer_of[c] < net.max_layer)
+    # each subset joins one subset of the low half with one of the high half;
+    # listing the halves' subsets holds 2 * 2^(k/2) entries in memory, not 2^k
+    half = len(rules) // 2
+    low, high = _subsets(rules[:half]), _subsets(rules[half:])
     consistent: list[ConsistencyReport] = []
-    for mask in range(1 << len(candidates)):
-        interp = frozenset(candidates[i] for i in range(len(candidates)) if mask >> i & 1)
-        report = interpretation_consistent(net, interp, clamped, tau)
-        if report.consistent:
-            consistent.append(report)
+    for high_bits, high_chosen in high:
+        for low_bits, low_chosen in low:
+            chosen = low_chosen + high_chosen
+            if _bits_consistent(chosen, clamp_bits | low_bits | high_bits, below_top):
+                interp = frozenset(c for c, _ in chosen)
+                consistent.append(interpretation_consistent(net, interp, clamped, tau))
     sets = [r.interpretation for r in consistent]
     out = [
         replace(r, maximal=not any(r.interpretation < other for other in sets))

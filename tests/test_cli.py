@@ -143,6 +143,23 @@ def test_run_bad_params_exit_1(capsys, salt, data_dir, tmp_path):
     assert "w_ff <= theta" in err
 
 
+@pytest.mark.parametrize("text, code, message", [
+    ('{"w_ff": Infinity}', 2, "non-finite number Infinity"),
+    ('{"w_lat": NaN}', 2, "non-finite number NaN"),
+    # valid JSON that reads as inf: a BadParams domain error
+    ('{"w_ff": 1e999}', 1, "w_ff is not finite"),
+])
+def test_run_non_finite_params_exit_code(capsys, salt, data_dir, tmp_path, text, code, message):
+    params = tmp_path / "params.json"
+    params.write_text(text)
+    got, _, err = run_cli(
+        capsys, "run", salt, str(data_dir / "scenarios" / "decoupling.json"),
+        "--params", str(params),
+    )
+    assert got == code
+    assert message in err
+
+
 def test_check_looking_white(capsys, salt):
     code, out, _ = run_cli(capsys, "check", salt, "--active", "looking,white")
     assert code == 0

@@ -56,6 +56,9 @@ def test_default_params_are_valid():
         (dict(tau=0.0), "tau"),
         (dict(tau=1.5), "tau"),
         (dict(max_sweeps=0), "max_sweeps"),
+        (dict(w_ff=float("inf")), "w_ff is not finite"),
+        (dict(w_lat=float("nan")), "w_lat is not finite"),
+        (dict(w_err=float("-inf")), "w_err is not finite"),
     ],
 )
 def test_bad_params_name_the_inequality(net, kwargs, message):
@@ -113,6 +116,14 @@ def test_apply_clamp_rejects_non_bottom_and_unknown(net, ids):
         eng.apply_clamp({ids["looking"]: 2})
 
 
+@pytest.mark.parametrize("value", [True, 1.0, False, 0.0])
+def test_apply_clamp_requires_int_values(net, ids, value):
+    """Like the scenario parser, a clamp value must be the int 0 or 1."""
+    eng = Engine(net, PARAMS)
+    with pytest.raises(ValueError, match="must be 0 or 1"):
+        eng.apply_clamp({ids["looking"]: value})
+
+
 # --- dendrites ---
 
 def test_dendrites_are_full_conjunctions(net, ids):
@@ -143,6 +154,18 @@ def test_first_sweep_winner_take_all(net, ids):
     assert eng.activation[ids["salt"]] == 1
     assert eng.activation[ids["sugar"]] == 0
     assert eng.omission == [0] * 7 and eng.commission == [0] * 7
+
+
+def test_latched_unit_stops_inhibiting_later_peers_within_the_sweep(net, ids):
+    """Lateral inhibition reads peers' current values: salt, latched and
+    forced to 0 earlier in the same layer update, no longer inhibits sugar."""
+    eng = Engine(net, PARAMS)
+    eng.apply_clamp({ids["looking"]: 1, ids["white"]: 1})
+    eng.activation[ids["salt"]] = 1
+    eng.rejected.add(ids["salt"])
+    eng.sweep()
+    assert eng.activation[ids["salt"]] == 0
+    assert eng.activation[ids["sugar"]] == 1
 
 
 def test_omission_error_when_applicable_pattern_misses_element(net, ids):

@@ -151,6 +151,21 @@ def test_params_error_routing_values():
         parse_params('{"max_sweeps": 2.5}')
 
 
+@pytest.mark.parametrize("text", [
+    '{"w_ff": Infinity}', '{"w_lat": NaN}', '{"theta": -Infinity}',
+])
+def test_params_reject_non_finite_literals(text):
+    with pytest.raises(ParseError, match="non-finite"):
+        parse_params(text)
+
+
+def test_every_format_rejects_non_finite_literals(net):
+    with pytest.raises(ParseError, match="non-finite"):
+        parse_network_file('{"concepts": [{"name": "a", "layer": NaN, "patterns": []}]}')
+    with pytest.raises(ParseError, match="non-finite"):
+        parse_scenario_file('{"phases": [{"clamp": {"looking": Infinity}, "hold": 1}]}', net)
+
+
 def test_params_round_trip():
     params = EngineParams(w_lat=0.25, max_sweeps=7, error_routing=ErrorRouting.ALL_GLOBAL)
     assert parse_params(serialize_params(params)) == params

@@ -1,4 +1,5 @@
 """Domain types: validation, pattern evaluation, parent index."""
+import math
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from conceptsim import (
     Pattern,
     PatternStatus,
     element_parents,
+    pattern_need,
     pattern_state,
     validate_network,
 )
@@ -137,6 +139,67 @@ def test_pattern_state_partitions_unit_interval(size, present, tau_num):
         assert state.status is PatternStatus.APPLICABLE_INCOMPLETE
     else:
         assert state.status is PatternStatus.OFF
+
+
+TAUS = st.one_of(
+    st.sampled_from([0.3, Fraction(2, 3), 0.5, 1.0, 0.0, -0.25, 1.5, 2 / 3, 0.1]),
+    st.floats(-1.0, 2.0, allow_nan=False),
+    st.fractions(Fraction(-1), Fraction(2)),
+)
+
+
+def bit_status(size, present, tau):
+    """The integer rule: Complete iff m & active == m, else applicable iff the
+    present count reaches pattern_need(size, tau)."""
+    mask = (1 << size) - 1
+    hit = mask & ((1 << present) - 1)
+    if hit == mask:
+        return PatternStatus.COMPLETE
+    if hit.bit_count() >= pattern_need(size, tau):
+        return PatternStatus.APPLICABLE_INCOMPLETE
+    return PatternStatus.OFF
+
+
+@given(size=st.integers(1, 8), present=st.integers(0, 8), tau=TAUS)
+def test_pattern_need_bit_test_matches_pattern_state(size, present, tau):
+    """Same status as pattern_state for every present count and any finite
+    tau, including tau <= 0 and tau > 1."""
+    present = min(present, size)
+    pat = Pattern(frozenset(range(size)))
+    assert bit_status(size, present, tau) is pattern_state(pat, set(range(present)), tau).status
+
+
+@pytest.mark.parametrize("size", range(1, 9))
+def test_pattern_need_is_exact_at_every_threshold(size):
+    """Taus one float step, or 1e-12, either side of each k/size: where float
+    arithmetic would round across the threshold."""
+    pat = Pattern(frozenset(range(size)))
+    for k in range(size + 1):
+        exact, tiny = Fraction(k, size), Fraction(1, 10**12)
+        for tau in (
+            k / size, math.nextafter(k / size, math.inf), math.nextafter(k / size, -math.inf),
+            exact, exact + tiny, exact - tiny,
+        ):
+            for present in range(size + 1):
+                state = pattern_state(pat, set(range(present)), tau)
+                assert bit_status(size, present, tau) is state.status
+
+
+@pytest.mark.parametrize("tau", [float("nan"), float("inf")])
+def test_pattern_need_rejects_non_finite_tau(tau):
+    with pytest.raises((ValueError, OverflowError)):
+        pattern_need(3, tau)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_masks_and_needs_parallel_patterns(seed):
+    net = random_network(seed)
+    for tau in (0.5, Fraction(2, 3)):
+        needs = net.pattern_needs(tau)
+        assert net.pattern_needs(tau) is needs
+        for c in range(net.n_concepts):
+            assert net.masks[c] == tuple(sum(1 << e for e in p.elements) for p in net.patterns[c])
+            assert needs[c] == tuple(pattern_need(len(p), tau) for p in net.patterns[c])
 
 
 def test_element_parents_unknown(net):
