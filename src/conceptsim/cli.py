@@ -105,7 +105,7 @@ def cmd_run(args) -> int:
             detail = ", ".join(f"{net.names[c]}: {verdicts[c].value}" for c in net.non_bottom)
             print(f"phase {i + 1}: {detail}")
     if args.trace:
-        Path(args.trace).write_text(write_trace_csv(trace), encoding="utf-8")
+        Path(args.trace).write_text(write_trace_csv(trace), encoding="utf-8", newline="")
     if args.render:
         print(render_ascii_timeline(trace))
     return 0
@@ -208,7 +208,9 @@ def cmd_compare(args) -> int:
 
 
 def cmd_render(args) -> int:
-    rows = read_trace_csv(Path(args.trace).read_text(encoding="utf-8"))
+    # newline="" keeps a \r inside a quoted name, as csv.reader needs
+    with open(args.trace, encoding="utf-8", newline="") as f:
+        rows = read_trace_csv(f.read())
     print(render_ascii_timeline(rows))
     return 0
 

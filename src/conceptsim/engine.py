@@ -244,6 +244,9 @@ class Engine:
         self.rejected: set[ConceptId] = set()
         self.clamp: dict[ConceptId, int] = {}
         self.sweep_count = 0
+        #: the observable state as of the last sweep or clamp; sweep() compares
+        #: against it, so a change made to the lists between sweeps goes unseen
+        self.state = self.snapshot()
 
     def snapshot(self) -> Snapshot:
         return Snapshot(
@@ -251,14 +254,6 @@ class Engine:
             omission=tuple(self.omission),
             commission=tuple(self.commission),
             rejected=frozenset(self.rejected),
-        )
-
-    def _key(self):
-        return (
-            tuple(self.activation),
-            tuple(self.omission),
-            tuple(self.commission),
-            frozenset(self.rejected),
         )
 
     def apply_clamp(self, clamp: Mapping[ConceptId, int]) -> None:
@@ -284,11 +279,11 @@ class Engine:
         self.sweep_count = 0
         for e in net.bottom:
             self.activation[e] = self.clamp.get(e, 0)
+        self.state = self.snapshot()
 
     def sweep(self) -> bool:
         """One full pass; returns whether the observable state changed."""
         net, p = self.net, self.params
-        before = self._key()
         act = self.activation
 
         for e in net.bottom:
@@ -335,41 +330,42 @@ class Engine:
         )
         self.rejected.update(newly_latched)
         self.sweep_count += 1
-        return self._key() != before
+        before, self.state = self.state, self.snapshot()
+        return self.state != before
 
     def run_to_fixed_point(self) -> tuple[tuple[Snapshot, ...], Termination, int | None]:
         """Sweep until nothing changes, a state recurs, or max_sweeps is hit."""
         snaps: list[Snapshot] = []
-        seen: dict = {self._key(): -1}
+        seen: dict[Snapshot, int] = {self.state: -1}
         termination = Termination.SWEEP_LIMIT
         cycle_start: int | None = None
         for i in range(self.params.max_sweeps):
             changed = self.sweep()
-            snaps.append(self.snapshot())
-            key = self._key()
+            state = self.state
+            snaps.append(state)
             if not changed:
                 termination = Termination.FIXED_POINT
                 break
-            if key in seen:
+            if state in seen:
                 termination = Termination.CYCLE
-                cycle_start = max(seen[key], 0)
+                cycle_start = max(seen[state], 0)
                 break
-            seen[key] = i
+            seen[state] = i
         return tuple(snaps), termination, cycle_start
 
     def run_fixed_sweeps(self, count: int) -> tuple[tuple[Snapshot, ...], Termination, int | None]:
         """Run exactly `count` sweeps, labelling how the segment ended."""
         snaps: list[Snapshot] = []
-        seen: dict = {self._key(): -1}
+        seen: dict[Snapshot, int] = {self.state: -1}
         cycle_start: int | None = None
         changed = True
         for i in range(count):
             changed = self.sweep()
-            snaps.append(self.snapshot())
-            key = self._key()
-            if changed and key in seen and cycle_start is None:
-                cycle_start = max(seen[key], 0)
-            seen[key] = i
+            state = self.state
+            snaps.append(state)
+            if changed and state in seen and cycle_start is None:
+                cycle_start = max(seen[state], 0)
+            seen[state] = i
         if not changed:
             termination = Termination.FIXED_POINT
         elif cycle_start is not None:

@@ -295,19 +295,67 @@ def _as_rows(trace: Union[Trace, Iterable[TraceRow]]) -> list[TraceRow]:
     return sorted(trace, key=TraceRow.sort_key)
 
 
+_HEADER_LINE = ",".join(CSV_HEADER) + "\n"
+
+
+def _csv_field(text: str) -> str:
+    r"""One CSV field: quoted, with quotes doubled, iff it holds , " \n or \r.
+
+    This is csv.writer's minimal quoting, except that csv.writer before
+    Python 3.13 leaves \r unquoted under the "\n" line terminator, and
+    csv.reader then refuses the line.
+    """
+    if "," in text or '"' in text or "\n" in text or "\r" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def write_trace_csv(trace: Union[Trace, Iterable[TraceRow]]) -> str:
     """Render rows as CSV with the fixed header, in canonical order."""
-    buf = StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_HEADER)
+    if isinstance(trace, Trace):
+        return _snapshots_csv(trace)
+    lines = [_HEADER_LINE]
     for row in _as_rows(trace):
-        writer.writerow((row.phase, row.sweep, row.kind.value, row.name, row.value))
-    return buf.getvalue()
+        lines.append(f"{row.phase},{row.sweep},{row.kind.value},{_csv_field(row.name)},{row.value}\n")
+    return "".join(lines)
+
+
+def _snapshots_csv(trace: Trace) -> str:
+    """write_trace_csv of a Trace, read straight from its snapshots.
+
+    Loops run phase, sweep, kind, name, with names sorted once: that is
+    TraceRow.sort_key's order, since names are unique.
+    """
+    net = trace.net
+    order = sorted(range(net.n_concepts), key=net.names.__getitem__)
+    error_units = [c for c in order if net.layer_of[c] < net.max_layer]
+    # cells[c][value] is the end of a line: "<name field>,<value>\n"
+    cells = [(f"{field},0\n", f"{field},1\n") for field in map(_csv_field, net.names)]
+    lines = [_HEADER_LINE]
+    for pi, phase in enumerate(trace.phases):
+        for si, snap in enumerate(phase.snapshots):
+            for kind, ids, values in (
+                (UnitKind.CONCEPT, order, snap.activation),
+                (UnitKind.OMISSION, error_units, snap.omission),
+                (UnitKind.COMMISSION, error_units, snap.commission),
+            ):
+                if ids:
+                    # every cell ends its line, so the prefix joins them into lines
+                    prefix = f"{pi},{si},{kind.value},"
+                    lines += (prefix, prefix.join([cells[c][values[c]] for c in ids]))
+    return "".join(lines)
 
 
 def read_trace_csv(text: str) -> list[TraceRow]:
     """Parse a trace CSV back into canonically sorted rows (lossless round-trip)."""
     reader = csv.reader(StringIO(text))
+    try:
+        return _read_rows(reader)
+    except csv.Error as e:
+        raise ParseError(f"line {reader.line_num}: {e}") from None
+
+
+def _read_rows(reader) -> list[TraceRow]:
     try:
         header = next(reader)
     except StopIteration:

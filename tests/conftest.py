@@ -17,6 +17,20 @@ CANONICAL_SPEC = NetworkSpec(concepts=(
     ConceptSpec("sugar", 1, (("tasting", "sweet"), ("looking", "white"))),
 ))
 
+#: names holding everything CSV quoting has to get right: , " \n \r \r\n, a
+#: leading space and non-ASCII letters
+AWKWARD_SPEC = NetworkSpec(concepts=(
+    ConceptSpec("a,b", 0),
+    ConceptSpec('say "hi"', 0),
+    ConceptSpec("line\nbreak", 0),
+    ConceptSpec("car\rriage", 0),
+    ConceptSpec(" lead", 0),
+    ConceptSpec("crème", 0),
+    ConceptSpec("x\r\ny", 1, (("a,b", 'say "hi"'), ("car\rriage", " lead"))),
+    ConceptSpec("ünder", 1, (("line\nbreak", "crème"), ("a,b", " lead"))),
+    ConceptSpec("\rtop", 2, (("x\r\ny", "ünder"),)),
+))
+
 
 @pytest.fixture(scope="session")
 def canonical_spec():
@@ -31,6 +45,16 @@ def net():
 @pytest.fixture(scope="session")
 def ids(net):
     return dict(net.name_to_id)
+
+
+@pytest.fixture(scope="session")
+def awkward_spec():
+    return AWKWARD_SPEC
+
+
+@pytest.fixture(scope="session")
+def awkward_net():
+    return validate_network(AWKWARD_SPEC)
 
 
 @pytest.fixture(scope="session")

@@ -4,18 +4,23 @@ Each function states its rule directly on sets, through the Fraction-based
 model.pattern_state, and runs in the obvious order with no precomputation:
 enumerate_reference builds a full ConsistencyReport for every one of the 2^k
 candidate interpretations, the way oracle.enumerate_interpretations did before
-it filtered candidates with bit tests.
+it filtered candidates with bit tests. write_trace_csv_reference is the trace
+writer as it was before it built lines itself: csv.writer over sorted rows.
 """
 from __future__ import annotations
 
+import csv
 from dataclasses import replace
+from io import StringIO
 
 from conceptsim import (
     DEFAULT_TAU,
     ErrorRouting,
+    TraceRow,
     interpretation_consistent,
     pattern_state,
 )
+from conceptsim.io import CSV_HEADER
 
 
 def enumerate_reference(net, clamped, tau=DEFAULT_TAU):
@@ -75,3 +80,15 @@ def route_errors_reference(net, activation, omission, commission, routing, tau):
                 blamed = net.layer_of[c] == net.layer_of[e] + 1
             routed[c] += blamed
     return routed
+
+
+def write_trace_csv_reference(rows):
+    """csv.writer's rendering of TraceRows in canonical order. It equals
+    write_trace_csv for every name without a \\r; before Python 3.13 it
+    leaves such a name unquoted, which csv.reader cannot read back."""
+    buf = StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(CSV_HEADER)
+    for row in sorted(rows, key=TraceRow.sort_key):
+        writer.writerow((row.phase, row.sweep, row.kind.value, row.name, row.value))
+    return buf.getvalue()

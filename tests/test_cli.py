@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from conceptsim import read_trace_csv, serialize_network
 from conceptsim.cli import main
 
 
@@ -243,6 +244,23 @@ def test_render_subcommand(capsys, salt, golden_dir):
     code, out, _ = run_cli(capsys, "render", str(golden_dir / "salt_rejection_trace.csv"))
     assert code == 0
     assert "salt" in out and "g" in out
+
+
+def test_run_trace_then_render_keeps_awkward_names(capsys, tmp_path, awkward_spec, awkward_net):
+    """Names with , " \\n \\r survive run --trace and render."""
+    net = awkward_net
+    net_path, scenario_path, trace_path = (tmp_path / n for n in ("net.json", "sc.json", "t.csv"))
+    net_path.write_text(serialize_network(awkward_spec), encoding="utf-8")
+    clamp = {net.names[e]: 1 for e in net.bottom}
+    scenario_path.write_text(json.dumps({"phases": [{"clamp": clamp, "hold": "converge"}]}))
+    code, _, _ = run_cli(capsys, "run", str(net_path), str(scenario_path), "--trace", str(trace_path))
+    assert code == 0
+    with open(trace_path, encoding="utf-8", newline="") as f:
+        assert {r.name for r in read_trace_csv(f.read())} == set(net.names)
+    code, out, _ = run_cli(capsys, "render", str(trace_path))
+    assert code == 0
+    for name in net.names:
+        assert name in out
 
 
 def test_stdout_is_deterministic(capsys, salt, data_dir):

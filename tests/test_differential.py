@@ -1,22 +1,42 @@
-"""The bitmask fast paths against the slow set-and-Fraction references."""
+"""The fast paths against slow references: bitmask pattern tests against the
+set-and-Fraction ones, and the trace writer that reads snapshots against the
+one that writes sorted TraceRows."""
+import itertools
 import random
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from conceptsim import (
+    ConceptSpec,
+    EngineParams,
     ErrorRouting,
+    NetworkSpec,
+    TraceRow,
+    UnitKind,
     enumerate_interpretations,
     error_flags,
     parse_network_file,
+    parse_scenario_file,
     predictions,
+    read_trace_csv,
     route_errors,
+    run_scenario,
+    trace_rows,
     validate_network,
+    write_trace_csv,
 )
 from conceptsim.errors import UnknownConcept
 
-from netgen import random_network
-from reference import enumerate_reference, predictions_reference, route_errors_reference
+from netgen import random_clamp, random_network
+from reference import (
+    enumerate_reference,
+    predictions_reference,
+    route_errors_reference,
+    write_trace_csv_reference,
+)
 
 TAUS = (0.5, 0.3, Fraction(2, 3), 1.0)
 
@@ -73,3 +93,89 @@ def test_seeded_clamps_are_not_vacuous():
         for clamped in all_clamps(net)
     )
     assert nonempty >= 50  # 66 of the 484 clamps at the time of writing
+
+
+# --- trace CSV: snapshots against sorted rows ---
+
+#: id order is the reverse of name order, and the top layer's only concept,
+#: which has no error units, sorts first
+REVERSED_SPEC = NetworkSpec(concepts=(
+    ConceptSpec("z", 0),
+    ConceptSpec("y", 0),
+    ConceptSpec("x", 0),
+    ConceptSpec("w", 0),
+    ConceptSpec("n", 1, (("z", "y"), ("x", "w"))),
+    ConceptSpec("m", 1, (("y", "x"),)),
+    ConceptSpec("a", 2, (("n", "m"),)),
+))
+
+
+def mixed_scenario(net, seed, phases=4):
+    """Seeded random clamps, each run to convergence or held 1-6 sweeps."""
+    rng = random.Random(seed)
+    return [(random_clamp(net, rng), rng.choice((None, rng.randint(1, 6)))) for _ in range(phases)]
+
+
+def assert_writers_agree(trace):
+    text = write_trace_csv(trace)
+    rows = trace_rows(trace)
+    assert text == write_trace_csv(rows)
+    assert read_trace_csv(text) == rows
+    if not any("\r" in name for name in trace.net.names):
+        assert text == write_trace_csv_reference(rows)
+
+
+@pytest.mark.parametrize("name", ["salt.json", "caramel.json"])
+@pytest.mark.parametrize("scenario", ["salt_rejection.json", "unexpected_sweet.json", "decoupling.json"])
+def test_trace_writers_agree_on_shipped_scenarios(data_dir, name, scenario):
+    net = validate_network(parse_network_file((data_dir / name).read_text()))
+    phases = parse_scenario_file((data_dir / "scenarios" / scenario).read_text(), net).resolve(net)
+    assert_writers_agree(run_scenario(net, EngineParams(), phases))
+
+
+@pytest.mark.parametrize("seed", range(50))
+def test_trace_writers_agree_on_seeded_networks(seed):
+    net = random_network(seed)
+    assert_writers_agree(run_scenario(net, EngineParams(), mixed_scenario(net, seed)))
+
+
+@pytest.fixture(scope="module")
+def reversed_net():
+    return validate_network(REVERSED_SPEC)
+
+
+@pytest.mark.parametrize("net_fixture", ["reversed_net", "awkward_net"])
+@pytest.mark.parametrize("seed", range(5))
+def test_trace_writers_agree_on_reordered_and_awkward_names(request, net_fixture, seed):
+    net = request.getfixturevalue(net_fixture)
+    phases = [({e: 1 for e in net.bottom}, None)] + mixed_scenario(net, seed)
+    assert_writers_agree(run_scenario(net, EngineParams(), phases))
+
+
+def test_seeded_traces_are_not_vacuous():
+    """The seeded traces above set non-bottom concepts and both error kinds,
+    so the writers are compared on 1 cells of every kind, not only on 0s."""
+    kinds = set()
+    for seed in range(50):
+        net = random_network(seed)
+        kinds |= {
+            row.kind
+            for row in trace_rows(run_scenario(net, EngineParams(), mixed_scenario(net, seed)))
+            if row.value and (row.kind is not UnitKind.CONCEPT or net.layer_of[net.id_of(row.name)])
+        }
+    assert kinds == set(UnitKind)
+
+
+# csv.writer refuses NUL before Python 3.11
+_NO_CR = st.text(min_size=1).filter(
+    lambda n: "\r" not in n and (sys.version_info >= (3, 11) or "\0" not in n)
+)
+
+
+@given(names=st.lists(_NO_CR, min_size=1, max_size=4, unique=True))
+def test_row_writer_matches_csv_writer_on_names_without_cr(names):
+    rows = [
+        TraceRow(i % 3, i % 2, kind, name, i // 3 % 2)
+        for i, (kind, name) in enumerate(itertools.product(UnitKind, names))
+    ]
+    assert write_trace_csv(rows) == write_trace_csv_reference(rows)

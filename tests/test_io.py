@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from conceptsim import io
 from conceptsim import (
     EngineParams,
     ErrorRouting,
@@ -229,6 +230,35 @@ def test_shuffled_csv_resorts_canonically(net, ids):
 def test_trace_csv_rejects_bad_input(text, error):
     with pytest.raises(error):
         read_trace_csv(text)
+
+
+def test_trace_csv_quotes_and_round_trips_awkward_names(awkward_net):
+    net = awkward_net
+    trace = run_scenario(net, EngineParams(), [({e: 1 for e in net.bottom}, None), ({}, 2)])
+    text = write_trace_csv(trace)
+    for field in ('"a,b"', '"say ""hi"""', '"line\nbreak"', '"car\rriage"', '"x\r\ny"', '"\rtop"'):
+        assert f"0,0,concept,{field}," in text
+    assert "0,0,concept, lead,1\n" in text and "0,0,concept,crème,1\n" in text
+    assert read_trace_csv(text) == trace_rows(trace)
+
+
+def test_unquoted_carriage_return_is_a_parse_error():
+    with pytest.raises(ParseError, match="line 2"):
+        read_trace_csv("phase,sweep,kind,name,value\n0,0,concept,a\rb,1\n")
+
+
+def test_trace_writer_reads_snapshots_not_rows(monkeypatch, data_dir, golden_dir):
+    """write_trace_csv(trace) neither builds TraceRows nor calls trace_rows."""
+    net = validate_network(parse_network_file((data_dir / "salt.json").read_text()))
+    scenario = (data_dir / "scenarios" / "salt_rejection.json").read_text()
+    trace = run_scenario(net, EngineParams(), parse_scenario_file(scenario, net).resolve(net))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("write_trace_csv(trace) fell back to TraceRows")
+
+    monkeypatch.setattr(io, "trace_rows", refuse)
+    monkeypatch.setattr(io, "TraceRow", refuse)
+    assert write_trace_csv(trace) == (golden_dir / "salt_rejection_trace.csv").read_text()
 
 
 def test_error_rows_only_below_the_top_layer(net):
