@@ -16,7 +16,6 @@ from .engine import (
     compare_with_oracle,
     dendrite_values,
     error_flags,
-    init_engine,
     predictions,
     read_verdicts,
     route_errors,

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from . import oracle as _oracle
 from .errors import BadParams, NonBottomClamp, TooLarge
@@ -89,9 +89,12 @@ class EngineParams:
             raise BadParams("max_sweeps < 1")
 
 
-@dataclass(frozen=True)
-class Snapshot:
-    """Unit values at the end of one sweep."""
+class Snapshot(NamedTuple):
+    """Unit values at the end of one sweep.
+
+    A named tuple, so it hashes and compares at C speed, and it equals a
+    plain tuple of the same four fields.
+    """
 
     activation: tuple[int, ...]
     omission: tuple[int, ...]
@@ -115,11 +118,38 @@ class Trace:
     phases: tuple[PhaseTrace, ...]
 
 
+#: bytes.translate tables between 0/1 values and the digits "0"/"1"
+_TO_DIGITS = bytes.maketrans(b"\0\1", b"01")
+_FROM_DIGITS = bytes.maketrans(b"01", b"\0\1")
+
+
+def _bits(values: Sequence[int]) -> int:
+    """0/1 values as a bitmask over their indices: bit i is values[i]."""
+    return int(b"0" + bytes(values)[::-1].translate(_TO_DIGITS), 2)
+
+
+def _values(bits: int, n: int) -> list[int]:
+    """The first n bits of a bitmask as a 0/1 list; _bits' inverse."""
+    # the sentinel bit n keeps leading zeros, and the slice drops it again
+    return list(bin(bits | 1 << n)[:2:-1].encode().translate(_FROM_DIGITS))
+
+
+def _ids(bits: int) -> list[int]:
+    """Indices of the set bits, ascending."""
+    digits = bin(bits)[:1:-1]
+    out: list[int] = []
+    i = digits.find("1")
+    while i >= 0:
+        out.append(i)
+        i = digits.find("1", i + 1)
+    return out
+
+
 def dendrite_values(
     net: ValidatedNetwork, activation: Sequence[int]
 ) -> dict[tuple[ConceptId, int], int]:
     """Dendritic conjunctions: 1 iff every element of the pattern is active."""
-    active = _active_bits(activation)
+    active = _bits(activation)
     out: dict[tuple[ConceptId, int], int] = {}
     for c in net.non_bottom:
         for k, mask in enumerate(net.masks[c]):
@@ -127,43 +157,72 @@ def dendrite_values(
     return out
 
 
-def _active_bits(activation: Sequence[int]) -> int:
-    """The active units as a bitmask over concept ids."""
-    bits = 0
-    for i, a in enumerate(activation):
-        if a:
-            bits |= 1 << i
-    return bits
-
-
 def _applicable(
-    net: ValidatedNetwork, activation: Sequence[int], tau: float
-) -> dict[tuple[ConceptId, int], bool]:
-    """Applicability of every pattern of every *active* concept.
+    net: ValidatedNetwork, active: int, tau: float
+) -> tuple[int, list[tuple[ConceptId, int]]]:
+    """Applicability of every pattern of every active concept, once.
 
-    Bit test against the exact integer threshold: Complete, or at least
-    model.pattern_need(size, tau) elements present.
+    A pattern with mask m applies when m & active == m (Complete) or at least
+    model.pattern_need(size, tau) of its elements are present. Returns pred,
+    the union of the applicable patterns (the elements predicted), and for
+    each active concept with an applicable pattern, (concept, the union of its
+    applicable patterns), which is what an omission blames.
     """
-    active = _active_bits(activation)
     needs = net.pattern_needs(tau)
-    states: dict[tuple[ConceptId, int], bool] = {}
-    for c in net.non_bottom:
-        if not activation[c]:
-            continue
-        for k, (mask, need) in enumerate(zip(net.masks[c], needs[c])):
+    pred = 0
+    owners: list[tuple[ConceptId, int]] = []
+    for c in _ids(active & net.non_bottom_mask):
+        union = 0
+        for mask, need in zip(net.masks[c], needs[c]):
             hit = mask & active
-            states[(c, k)] = hit == mask or hit.bit_count() >= need
-    return states
+            if hit == mask or hit.bit_count() >= need:
+                union |= mask
+        if union:
+            pred |= union
+            owners.append((c, union))
+    return pred, owners
+
+
+def _error_bits(net: ValidatedNetwork, active: int, pred: int) -> tuple[int, int]:
+    """Omission (predicted but inactive) and commission (active but
+    unpredicted, below the top layer) as bitmasks."""
+    return pred & ~active, active & ~pred & net.below_top
+
+
+def _route(
+    net: ValidatedNetwork,
+    active: int,
+    omission: int,
+    commission: int,
+    routing: ErrorRouting,
+    owners: list[tuple[ConceptId, int]],
+) -> list[int]:
+    """route_errors on bitmasks, with owners as _applicable returns them."""
+    routed = [0] * net.n_concepts
+    if not omission and not commission:
+        return routed
+    if routing is ErrorRouting.ALL_GLOBAL:
+        total = omission.bit_count() + commission.bit_count()
+        for c in _ids(active & net.non_bottom_mask):
+            routed[c] = total
+        return routed
+    # an omission charges each owner once per missing element it predicted
+    for owner, union in owners:
+        routed[owner] += (union & omission).bit_count()
+    # commission errors per layer; each charges every active concept one layer up
+    layer_mask = net.layer_mask
+    for layer in range(net.max_layer):
+        count = (commission & layer_mask[layer]).bit_count()
+        if count:
+            for c in _ids(active & layer_mask[layer + 1]):
+                routed[c] += count
+    return routed
 
 
 def predictions(net: ValidatedNetwork, activation: Sequence[int], tau: float) -> list[int]:
     """pred(e) = 1 iff some active concept has an applicable pattern containing e."""
-    pred = [0] * net.n_concepts
-    for (c, k), ok in _applicable(net, activation, tau).items():
-        if ok:
-            for e in net.patterns_of(c)[k].elements:
-                pred[e] = 1
-    return pred
+    pred, _ = _applicable(net, _bits(activation), tau)
+    return _values(pred, net.n_concepts)
 
 
 def error_flags(
@@ -176,16 +235,10 @@ def error_flags(
     error units, so they are exempt from commission errors; they can never be
     predicted, so omission needs no exemption.
     """
-    pred = predictions(net, activation, tau)
-    top = net.max_layer
-    omission = [0] * net.n_concepts
-    commission = [0] * net.n_concepts
-    for e in range(net.n_concepts):
-        if pred[e] and not activation[e]:
-            omission[e] = 1
-        elif activation[e] and not pred[e] and net.layer_of[e] < top:
-            commission[e] = 1
-    return omission, commission
+    active = _bits(activation)
+    pred, _ = _applicable(net, active, tau)
+    omission, commission = _error_bits(net, active, pred)
+    return _values(omission, net.n_concepts), _values(commission, net.n_concepts)
 
 
 def route_errors(
@@ -196,42 +249,23 @@ def route_errors(
     routing: ErrorRouting,
     tau: float,
 ) -> list[int]:
-    """How many error units inhibit each concept on the next sweep."""
-    routed = [0] * net.n_concepts
-    total = sum(omission) + sum(commission)
-    if total == 0:
-        return routed
-    if routing is ErrorRouting.ALL_GLOBAL:
-        for c in net.non_bottom:
-            if activation[c]:
-                routed[c] = total
-        return routed
-    applicable = _applicable(net, activation, tau)
-    # commission errors per layer; each charges every active concept one layer up
-    commissions: dict[int, int] = {}
-    for e in range(net.n_concepts):
-        if omission[e]:
-            blamed = {
-                owner
-                for owner, k in net.parent_index.get(e, ())
-                if activation[owner] and applicable.get((owner, k))
-            }
-            for owner in blamed:
-                routed[owner] += 1
-        elif commission[e]:
-            layer = net.layer_of[e]
-            commissions[layer] = commissions.get(layer, 0) + 1
-    for layer, count in commissions.items():
-        for c in net.layers.get(layer + 1, ()):
-            if activation[c]:
-                routed[c] += count
-    return routed
+    """How many error units inhibit each concept on the next sweep.
+
+    Under SPLIT an element flagged both ways counts as an omission only.
+    """
+    active = _bits(activation)
+    _, owners = _applicable(net, active, tau)
+    omitted, committed = _bits(omission), _bits(commission)
+    if routing is ErrorRouting.SPLIT:
+        committed &= ~omitted
+    return _route(net, active, omitted, committed, routing, owners)
 
 
 class Engine:
     """One deterministic simulation instance over a fixed network and parameters."""
 
     def __init__(self, net: ValidatedNetwork, params: EngineParams | None = None):
+        """Fresh engine: all activations zero, no errors, no latches, empty clamp."""
         params = params if params is not None else EngineParams()
         params.validate()
         self.net = net
@@ -250,10 +284,10 @@ class Engine:
 
     def snapshot(self) -> Snapshot:
         return Snapshot(
-            activation=tuple(self.activation),
-            omission=tuple(self.omission),
-            commission=tuple(self.commission),
-            rejected=frozenset(self.rejected),
+            tuple(self.activation),
+            tuple(self.omission),
+            tuple(self.commission),
+            frozenset(self.rejected),
         )
 
     def apply_clamp(self, clamp: Mapping[ConceptId, int]) -> None:
@@ -282,79 +316,81 @@ class Engine:
         self.state = self.snapshot()
 
     def sweep(self) -> bool:
-        """One full pass; returns whether the observable state changed."""
-        net, p = self.net, self.params
-        act = self.activation
+        """One full pass; returns whether the observable state changed.
 
+        The activation list and the active bitmask are kept in step through
+        the layer update, so applicability, predictions, errors and routing
+        are then computed once, on bits.
+        """
+        net, p = self.net, self.params
+        act, routed, rejected = self.activation, self.routed, self.rejected
+        masks, layer_mask = net.masks, net.layer_mask
+        w_ff, w_self, w_lat, w_err, theta = p.w_ff, p.w_self, p.w_lat, p.w_err, p.theta
+
+        clamped = self.clamp.get
         for e in net.bottom:
-            act[e] = self.clamp.get(e, 0)
+            act[e] = clamped(e, 0)
+        active = _bits(act)
 
         newly_latched: list[ConceptId] = []
         for layer in range(1, net.max_layer + 1):
-            ids = net.layers.get(layer, ())
             # the layer below is final for this sweep; dendrites read only it
-            below = 0
-            for e in net.layers.get(layer - 1, ()):
-                if act[e]:
-                    below |= 1 << e
+            below = active & layer_mask[layer - 1]
             # active units of this layer, kept current through the sequential update
-            layer_active = sum(act[d] for d in ids)
-            for c in ids:
+            layer_active = (active & layer_mask[layer]).bit_count()
+            for c in net.layers.get(layer, ()):
                 prev = act[c]
-                if c in self.rejected:
-                    act[c] = 0
-                    layer_active -= prev
-                    continue
-                dendrite = 0
-                for mask in net.masks[c]:
-                    if mask & below == mask:
-                        dendrite = 1
-                        break
-                lateral = layer_active - prev
-                drive = (
-                    p.w_ff * dendrite
-                    + p.w_self * prev
-                    - p.w_lat * lateral
-                    - p.w_err * self.routed[c]
-                    - p.theta
-                )
-                act[c] = 1 if drive > 0 else 0
-                layer_active += act[c] - prev
-                if prev == 1 and act[c] == 0 and self.routed[c] > 0:
-                    newly_latched.append(c)
+                if c in rejected:
+                    now = 0
+                else:
+                    dendrite = 0
+                    for mask in masks[c]:
+                        if mask & below == mask:
+                            dendrite = 1
+                            break
+                    drive = (
+                        w_ff * dendrite
+                        + w_self * prev
+                        - w_lat * (layer_active - prev)
+                        - w_err * routed[c]
+                        - theta
+                    )
+                    now = 1 if drive > 0 else 0
+                    if prev == 1 and now == 0 and routed[c] > 0:
+                        newly_latched.append(c)
+                if now != prev:
+                    act[c] = now
+                    active ^= 1 << c
+                    layer_active += now - prev
 
-        self.omission, self.commission = error_flags(net, act, p.tau)
+        pred, owners = _applicable(net, active, p.tau)
+        omission, commission = _error_bits(net, active, pred)
+        n = net.n_concepts
+        self.omission = _values(omission, n)
+        self.commission = _values(commission, n)
         # inhibition lands one sweep later
-        self.routed = route_errors(
-            net, act, self.omission, self.commission, p.error_routing, p.tau
-        )
-        self.rejected.update(newly_latched)
+        self.routed = _route(net, active, omission, commission, p.error_routing, owners)
+        rejected.update(newly_latched)
         self.sweep_count += 1
         before, self.state = self.state, self.snapshot()
         return self.state != before
 
     def run_to_fixed_point(self) -> tuple[tuple[Snapshot, ...], Termination, int | None]:
         """Sweep until nothing changes, a state recurs, or max_sweeps is hit."""
-        snaps: list[Snapshot] = []
-        seen: dict[Snapshot, int] = {self.state: -1}
-        termination = Termination.SWEEP_LIMIT
-        cycle_start: int | None = None
-        for i in range(self.params.max_sweeps):
-            changed = self.sweep()
-            state = self.state
-            snaps.append(state)
-            if not changed:
-                termination = Termination.FIXED_POINT
-                break
-            if state in seen:
-                termination = Termination.CYCLE
-                cycle_start = max(seen[state], 0)
-                break
-            seen[state] = i
-        return tuple(snaps), termination, cycle_start
+        return self._run(self.params.max_sweeps, stop=True)
 
     def run_fixed_sweeps(self, count: int) -> tuple[tuple[Snapshot, ...], Termination, int | None]:
         """Run exactly `count` sweeps, labelling how the segment ended."""
+        return self._run(count, stop=False)
+
+    def _run(self, count: int, stop: bool) -> tuple[tuple[Snapshot, ...], Termination, int | None]:
+        """Up to `count` sweeps; with stop, end at the first unchanged or recurring state.
+
+        The segment is a fixed point if its last sweep changed nothing, else a
+        cycle if some changed state recurred (cycle_start: the sweep where the
+        first recurring state was last seen, 0 for the starting state), else
+        it hit the sweep limit.
+        """
         snaps: list[Snapshot] = []
         seen: dict[Snapshot, int] = {self.state: -1}
         cycle_start: int | None = None
@@ -363,8 +399,10 @@ class Engine:
             changed = self.sweep()
             state = self.state
             snaps.append(state)
-            if changed and state in seen and cycle_start is None:
+            if changed and cycle_start is None and state in seen:
                 cycle_start = max(seen[state], 0)
+            if stop and (not changed or cycle_start is not None):
+                break
             seen[state] = i
         if not changed:
             termination = Termination.FIXED_POINT
@@ -373,11 +411,6 @@ class Engine:
         else:
             termination = Termination.SWEEP_LIMIT
         return tuple(snaps), termination, cycle_start
-
-
-def init_engine(net: ValidatedNetwork, params: EngineParams | None = None) -> Engine:
-    """Fresh engine: all activations zero, no errors, no latches, empty clamp."""
-    return Engine(net, params)
 
 
 def run_scenario(

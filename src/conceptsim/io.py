@@ -289,12 +289,6 @@ def trace_rows(trace: Trace) -> list[TraceRow]:
     return rows
 
 
-def _as_rows(trace: Union[Trace, Iterable[TraceRow]]) -> list[TraceRow]:
-    if isinstance(trace, Trace):
-        return trace_rows(trace)
-    return sorted(trace, key=TraceRow.sort_key)
-
-
 _HEADER_LINE = ",".join(CSV_HEADER) + "\n"
 
 
@@ -315,7 +309,7 @@ def write_trace_csv(trace: Union[Trace, Iterable[TraceRow]]) -> str:
     if isinstance(trace, Trace):
         return _snapshots_csv(trace)
     lines = [_HEADER_LINE]
-    for row in _as_rows(trace):
+    for row in sorted(trace, key=TraceRow.sort_key):
         lines.append(f"{row.phase},{row.sweep},{row.kind.value},{_csv_field(row.name)},{row.value}\n")
     return "".join(lines)
 
@@ -392,6 +386,14 @@ def _read_rows(reader) -> list[TraceRow]:
     return rows
 
 
+#: bits of a timeline cell's code, and the code of a phase separator
+_CELL_BIT = {UnitKind.CONCEPT: 1, UnitKind.OMISSION: 2, UnitKind.COMMISSION: 4}
+_SEPARATOR = 8
+#: bytes.translate table from a cell's code to its character: commission wins
+#: over omission, which wins over activity
+_CELL_CHARS = b".#ggoooo|".ljust(256, b"?")
+
+
 def render_ascii_timeline(trace: Union[Trace, Iterable[TraceRow]]) -> str:
     """One row per unit, one column per sweep, phases separated by '|'.
 
@@ -400,28 +402,67 @@ def render_ascii_timeline(trace: Union[Trace, Iterable[TraceRow]]) -> str:
     kinds of one concept collapse into one row without loss: omission implies
     inactive and commission implies active.
     """
-    rows = _as_rows(trace)
-    if not rows:
+    codes = _snapshot_codes(trace) if isinstance(trace, Trace) else _row_codes(trace)
+    if not codes:
         raise ValueError("cannot render an empty trace")
-    columns = sorted({(r.phase, r.sweep) for r in rows})
-    names = sorted({r.name for r in rows})
-    values = {(r.name, r.kind, (r.phase, r.sweep)): r.value for r in rows}
-    width = max(len(n) for n in names)
-    lines = []
-    for name in names:
-        cells = []
-        previous_phase = columns[0][0]
-        for col in columns:
-            if col[0] != previous_phase:
-                cells.append("|")
-                previous_phase = col[0]
-            if values.get((name, UnitKind.COMMISSION, col)):
-                cells.append("o")
-            elif values.get((name, UnitKind.OMISSION, col)):
-                cells.append("g")
-            elif values.get((name, UnitKind.CONCEPT, col)):
-                cells.append("#")
-            else:
-                cells.append(".")
-        lines.append(f"{name:<{width}} " + "".join(cells))
-    return "\n".join(lines)
+    width = max(map(len, codes))
+    return "\n".join(
+        f"{name:<{width}} " + codes[name].translate(_CELL_CHARS).decode("ascii")
+        for name in sorted(codes)
+    )
+
+
+def _snapshot_codes(trace: Trace) -> dict[str, bytes]:
+    """Each concept's line of cell codes, read straight from the snapshots.
+
+    A snapshot's column is built at C speed: bytes(values) holds one 0/1 byte
+    per concept, so as little-endian ints the three kinds combine with shifts
+    into one code byte per concept. The columns are joined, and a concept's
+    line is then every n-th byte.
+    """
+    net = trace.net
+    n = net.n_concepts
+    # top-layer concepts have no error units: keep only their concept bit
+    keep = int.from_bytes(
+        bytes(7 if layer < net.max_layer else 1 for layer in net.layer_of), "little"
+    )
+    columns: list[bytes] = []
+    for phase in trace.phases:
+        if columns and phase.snapshots:
+            columns.append(bytes([_SEPARATOR]) * n)
+        for snap in phase.snapshots:
+            code = (
+                int.from_bytes(bytes(snap.activation), "little")
+                | int.from_bytes(bytes(snap.omission), "little") << 1
+                | int.from_bytes(bytes(snap.commission), "little") << 2
+            ) & keep
+            columns.append(code.to_bytes(n, "little"))
+    if not columns:
+        return {}
+    joined = b"".join(columns)
+    return {name: joined[c::n] for c, name in enumerate(net.names)}
+
+
+def _row_codes(rows: Iterable[TraceRow]) -> dict[str, bytearray]:
+    """Each named unit's line of cell codes, from rows in any order.
+
+    A missing row reads as 0; of two rows for one cell, the later one counts.
+    """
+    rows = list(rows)
+    position: dict[tuple[int, int], int] = {}
+    template = bytearray()
+    previous = None
+    for phase, sweep in sorted({(r.phase, r.sweep) for r in rows}):
+        if template and phase != previous:
+            template.append(_SEPARATOR)
+        previous = phase
+        position[(phase, sweep)] = len(template)
+        template.append(0)
+    codes: dict[str, bytearray] = {}
+    for r in rows:
+        line = codes.get(r.name)
+        if line is None:
+            line = codes[r.name] = bytearray(template)
+        at, bit = position[(r.phase, r.sweep)], _CELL_BIT[r.kind]
+        line[at] = line[at] | bit if r.value else line[at] & ~bit
+    return codes

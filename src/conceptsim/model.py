@@ -138,6 +138,24 @@ class ValidatedNetwork:
     def non_bottom(self) -> tuple[ConceptId, ...]:
         return tuple(c for c in range(self.n_concepts) if self.layer_of[c] > 0)
 
+    @cached_property
+    def layer_mask(self) -> tuple[int, ...]:
+        """Per layer 0..max_layer, the bitmask of its concepts."""
+        masks = [0] * (self.max_layer + 1)
+        for c, layer in enumerate(self.layer_of):
+            masks[layer] |= 1 << c
+        return tuple(masks)
+
+    @cached_property
+    def non_bottom_mask(self) -> int:
+        """non_bottom as a bitmask."""
+        return ((1 << self.n_concepts) - 1) & ~self.layer_mask[0]
+
+    @cached_property
+    def below_top(self) -> int:
+        """The concepts below the top layer, which have error units, as a bitmask."""
+        return ((1 << self.n_concepts) - 1) & ~self.layer_mask[self.max_layer]
+
     def layer(self, cid: ConceptId) -> int:
         self._check(cid)
         return self.layer_of[cid]
@@ -222,6 +240,10 @@ def validate_network(spec: NetworkSpec) -> ValidatedNetwork:
     for cid, c in enumerate(spec.concepts):
         if not isinstance(c.name, str) or not c.name:
             raise ValidationError(f"concept {cid}: name must be a non-empty string")
+        if "\0" in c.name:
+            # CSV readers refuse NUL (Python 3.10's csv module among them), so a
+            # trace holding it could be written but not read back
+            raise ValidationError(f"concept {cid}: name {c.name!r} contains NUL")
         if c.name in name_to_id:
             raise DuplicateName(f"concept name {c.name!r} appears more than once")
         if type(c.layer) is not int or c.layer < 0:

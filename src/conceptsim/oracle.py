@@ -58,7 +58,6 @@ class ConsistencyReport:
 
 
 def effective_active(
-    net: ValidatedNetwork,
     interpretation: AbstractSet[ConceptId],
     clamped: AbstractSet[ConceptId],
 ) -> frozenset[ConceptId]:
@@ -105,7 +104,7 @@ def unexpected_elements(
     predicts and explains). Concepts on the top occupied layer are exempt:
     nothing exists above them to explain them.
     """
-    active = effective_active(net, interpretation, clamped)
+    active = effective_active(interpretation, clamped)
     top = net.max_layer
     explained: set[ConceptId] = set()
     for c in interpretation:
@@ -123,7 +122,7 @@ def interpretation_consistent(
 ) -> ConsistencyReport:
     """Full verdict: per-concept local consistency plus the unexpected-element check."""
     interp = frozenset(interpretation)
-    active = effective_active(net, interp, clamped)
+    active = effective_active(interp, clamped)
     per: dict[ConceptId, ConceptCheck] = {}
     all_ok = True
     for c in sorted(interp):
@@ -206,7 +205,7 @@ def enumerate_interpretations(
         clamp_bits |= 1 << e
     needs = net.pattern_needs(tau)
     rules = [(c, tuple(zip(net.masks[c], needs[c]))) for c in candidates]
-    below_top = sum(1 << c for c in range(net.n_concepts) if net.layer_of[c] < net.max_layer)
+    below_top = net.below_top
     # each subset joins one subset of the low half with one of the high half;
     # listing the halves' subsets holds 2 * 2^(k/2) entries in memory, not 2^k
     half = len(rules) // 2

@@ -4,8 +4,12 @@ Each function states its rule directly on sets, through the Fraction-based
 model.pattern_state, and runs in the obvious order with no precomputation:
 enumerate_reference builds a full ConsistencyReport for every one of the 2^k
 candidate interpretations, the way oracle.enumerate_interpretations did before
-it filtered candidates with bit tests. write_trace_csv_reference is the trace
-writer as it was before it built lines itself: csv.writer over sorted rows.
+it filtered candidates with bit tests. ReferenceEngine sweeps on lists, with
+the references below for predictions and routing, and keeps the two run loops
+that Engine now shares. write_trace_csv_reference is the trace writer as it
+was before it built lines itself: csv.writer over sorted rows, and
+render_ascii_timeline_reference the renderer as it was before it read
+snapshots: a dict entry per cell of the sorted rows.
 """
 from __future__ import annotations
 
@@ -15,10 +19,16 @@ from io import StringIO
 
 from conceptsim import (
     DEFAULT_TAU,
+    Engine,
     ErrorRouting,
+    PhaseTrace,
+    Termination,
+    Trace,
     TraceRow,
+    UnitKind,
     interpretation_consistent,
     pattern_state,
+    trace_rows,
 )
 from conceptsim.io import CSV_HEADER
 
@@ -92,3 +102,127 @@ def write_trace_csv_reference(rows):
     for row in sorted(rows, key=TraceRow.sort_key):
         writer.writerow((row.phase, row.sweep, row.kind.value, row.name, row.value))
     return buf.getvalue()
+
+
+class ReferenceEngine(Engine):
+    """Engine with the sweep spelled out on lists: every dendrite, lateral
+    sum, prediction and routed count is recomputed from the activation list."""
+
+    def sweep(self):
+        net, p, act = self.net, self.params, self.activation
+        for e in net.bottom:
+            act[e] = self.clamp.get(e, 0)
+        newly_latched = []
+        for layer in range(1, net.max_layer + 1):
+            ids = net.layers.get(layer, ())
+            for c in ids:
+                prev = act[c]
+                if c in self.rejected:
+                    act[c] = 0
+                    continue
+                dendrite = int(any(all(act[e] for e in pat.elements) for pat in net.patterns_of(c)))
+                lateral = sum(act[d] for d in ids if d != c)
+                drive = (
+                    p.w_ff * dendrite
+                    + p.w_self * prev
+                    - p.w_lat * lateral
+                    - p.w_err * self.routed[c]
+                    - p.theta
+                )
+                act[c] = 1 if drive > 0 else 0
+                if prev == 1 and act[c] == 0 and self.routed[c] > 0:
+                    newly_latched.append(c)
+        pred = predictions_reference(net, act, p.tau)
+        self.omission = [int(pred[e] and not act[e]) for e in range(net.n_concepts)]
+        self.commission = [
+            int(act[e] and not pred[e] and net.layer_of[e] < net.max_layer)
+            for e in range(net.n_concepts)
+        ]
+        self.routed = route_errors_reference(
+            net, act, self.omission, self.commission, p.error_routing, p.tau
+        )
+        self.rejected.update(newly_latched)
+        self.sweep_count += 1
+        before, self.state = self.state, self.snapshot()
+        return self.state != before
+
+    def run_to_fixed_point(self):
+        snaps = []
+        seen = {self.state: -1}
+        termination = Termination.SWEEP_LIMIT
+        cycle_start = None
+        for i in range(self.params.max_sweeps):
+            changed = self.sweep()
+            state = self.state
+            snaps.append(state)
+            if not changed:
+                termination = Termination.FIXED_POINT
+                break
+            if state in seen:
+                termination = Termination.CYCLE
+                cycle_start = max(seen[state], 0)
+                break
+            seen[state] = i
+        return tuple(snaps), termination, cycle_start
+
+    def run_fixed_sweeps(self, count):
+        snaps = []
+        seen = {self.state: -1}
+        cycle_start = None
+        changed = True
+        for i in range(count):
+            changed = self.sweep()
+            state = self.state
+            snaps.append(state)
+            if changed and state in seen and cycle_start is None:
+                cycle_start = max(seen[state], 0)
+            seen[state] = i
+        if not changed:
+            termination = Termination.FIXED_POINT
+        elif cycle_start is not None:
+            termination = Termination.CYCLE
+        else:
+            termination = Termination.SWEEP_LIMIT
+        return tuple(snaps), termination, cycle_start
+
+
+def run_scenario_reference(net, params, phases):
+    """run_scenario on a ReferenceEngine."""
+    engine = ReferenceEngine(net, params)
+    out = []
+    for clamp, hold in phases:
+        engine.apply_clamp(clamp)
+        if hold is None:
+            snaps, termination, cycle_start = engine.run_to_fixed_point()
+        else:
+            snaps, termination, cycle_start = engine.run_fixed_sweeps(hold)
+        out.append(PhaseTrace(dict(clamp), snaps, termination, cycle_start))
+    return Trace(net, tuple(out))
+
+
+def render_ascii_timeline_reference(trace):
+    rows = trace_rows(trace) if isinstance(trace, Trace) else sorted(trace, key=TraceRow.sort_key)
+    if not rows:
+        raise ValueError("cannot render an empty trace")
+    columns = sorted({(r.phase, r.sweep) for r in rows})
+    names = sorted({r.name for r in rows})
+    values = {(r.name, r.kind, (r.phase, r.sweep)): r.value for r in rows}
+    width = max(len(n) for n in names)
+    lines = []
+    for name in names:
+        cells = []
+        previous_phase = columns[0][0]
+        for col in columns:
+            if col[0] != previous_phase:
+                cells.append("|")
+                previous_phase = col[0]
+            if values.get((name, UnitKind.COMMISSION, col)):
+                cells.append("o")
+            elif values.get((name, UnitKind.OMISSION, col)):
+                cells.append("g")
+            elif values.get((name, UnitKind.CONCEPT, col)):
+                cells.append("#")
+            else:
+                cells.append(".")
+        lines.append(f"{name:<{width}} " + "".join(cells))
+    return "\n".join(lines)

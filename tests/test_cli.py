@@ -47,6 +47,15 @@ def test_validate_dangling_reference_exits_1(capsys, tmp_path):
     assert "umami" in err
 
 
+@pytest.mark.parametrize("command", ["validate", "compare"])
+def test_nul_in_a_name_exits_1(capsys, tmp_path, command):
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps({"concepts": [{"name": "a\u0000b", "layer": 0, "patterns": []}]}))
+    code, out, err = run_cli(capsys, command, str(path))
+    assert code == 1 and out == ""
+    assert "ValidationError: concept 0: name 'a\\x00b' contains NUL" in err
+
+
 def test_validate_missing_file_exits_2(capsys):
     code, _, err = run_cli(capsys, "validate", "no_such_file.json")
     assert code == 2

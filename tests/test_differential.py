@@ -1,6 +1,6 @@
-"""The fast paths against slow references: bitmask pattern tests against the
-set-and-Fraction ones, and the trace writer that reads snapshots against the
-one that writes sorted TraceRows."""
+"""The fast paths against slow references: bitmask pattern tests and the
+bitmask sweep against the set-and-Fraction ones, and the trace writer and
+renderer that read snapshots against the ones that read sorted TraceRows."""
 import itertools
 import random
 import sys
@@ -11,9 +11,11 @@ from hypothesis import given, strategies as st
 
 from conceptsim import (
     ConceptSpec,
+    Engine,
     EngineParams,
     ErrorRouting,
     NetworkSpec,
+    Termination,
     TraceRow,
     UnitKind,
     enumerate_interpretations,
@@ -22,6 +24,7 @@ from conceptsim import (
     parse_scenario_file,
     predictions,
     read_trace_csv,
+    render_ascii_timeline,
     route_errors,
     run_scenario,
     trace_rows,
@@ -32,9 +35,12 @@ from conceptsim.errors import UnknownConcept
 
 from netgen import random_clamp, random_network
 from reference import (
+    ReferenceEngine,
     enumerate_reference,
     predictions_reference,
+    render_ascii_timeline_reference,
     route_errors_reference,
+    run_scenario_reference,
     write_trace_csv_reference,
 )
 
@@ -179,3 +185,163 @@ def test_row_writer_matches_csv_writer_on_names_without_cr(names):
         for i, (kind, name) in enumerate(itertools.product(UnitKind, names))
     ]
     assert write_trace_csv(rows) == write_trace_csv_reference(rows)
+
+
+# --- the bitmask sweep against the list-based reference ---
+
+#: every routing under every tau
+SWEEP_PARAMS = [EngineParams(tau=tau, error_routing=routing) for routing in ErrorRouting for tau in TAUS]
+
+
+def assert_sweeps_agree(net, phases):
+    for params in SWEEP_PARAMS:
+        assert run_scenario(net, params, phases).phases == (
+            run_scenario_reference(net, params, phases).phases
+        ), params
+
+
+@pytest.mark.parametrize("name", ["salt.json", "caramel.json"])
+@pytest.mark.parametrize("scenario", ["salt_rejection.json", "unexpected_sweet.json", "decoupling.json"])
+def test_sweep_matches_reference_on_shipped_scenarios(data_dir, name, scenario):
+    net = validate_network(parse_network_file((data_dir / name).read_text()))
+    assert_sweeps_agree(
+        net, parse_scenario_file((data_dir / "scenarios" / scenario).read_text(), net).resolve(net)
+    )
+
+
+@pytest.mark.parametrize("seed", range(50))
+def test_sweep_matches_reference_on_seeded_networks(seed):
+    net = random_network(seed)
+    assert_sweeps_agree(net, mixed_scenario(net, seed))
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_sweep_matches_reference_on_awkward_names(awkward_net, seed):
+    assert_sweeps_agree(awkward_net, [({e: 1 for e in awkward_net.bottom}, None)] + mixed_scenario(awkward_net, seed))
+
+
+def engine_state(engine):
+    return engine.state, engine.activation, engine.omission, engine.commission, engine.routed, engine.rejected
+
+
+def write(engine, rng):
+    """One seeded write to the engine's state between sweeps."""
+    net = engine.net
+    kind = rng.randrange(4)
+    if kind == 0:
+        engine.activation[rng.randrange(net.n_concepts)] = rng.randint(0, 1)
+    elif kind == 1 and engine.rejected:
+        # lift a latch and switch the unit back on
+        c = rng.choice(sorted(engine.rejected))
+        engine.rejected.discard(c)
+        engine.activation[c] = 1
+    elif kind == 2:
+        engine.rejected.add(rng.choice(net.non_bottom))
+    else:
+        engine.clamp = random_clamp(net, rng)
+
+
+def runs_with_writes(seed):
+    """A seeded mix of single sweeps and runs on an Engine and a
+    ReferenceEngine, with the same writes to both before each: yields what
+    each returned, and its state after."""
+    net = random_network(seed)
+    rng = random.Random(seed)
+    params = SWEEP_PARAMS[seed % len(SWEEP_PARAMS)]
+    engines = Engine(net, params), ReferenceEngine(net, params)
+    clamp = random_clamp(net, rng)
+    for engine in engines:
+        engine.apply_clamp(clamp)
+    for _ in range(16):
+        state = rng.getstate()
+        for engine in engines:
+            rng.setstate(state)
+            write(engine, rng)
+        step = rng.choice(("sweep", "hold", "converge"))
+        hold = rng.randint(1, 4)
+        yield [
+            (
+                engine.sweep() if step == "sweep"
+                else engine.run_fixed_sweeps(hold) if step == "hold"
+                else engine.run_to_fixed_point(),
+                engine_state(engine),
+            )
+            for engine in engines
+        ]
+
+
+@pytest.mark.parametrize("seed", range(50))
+def test_sweep_rereads_state_written_between_sweeps(seed):
+    """Writes to activation, rejected and clamp between sweeps take effect in
+    the next sweep, and runs label what follows, exactly as on the reference."""
+    for fast, reference in runs_with_writes(seed):
+        assert fast == reference
+
+
+def test_sweeps_are_not_vacuous():
+    """The seeded runs above fire both error kinds, latch concepts and, after
+    writes, end in a cycle, so the sweeps are compared on every part of the
+    dynamics. Without writes no run cycles: a flip that is not a latch lowers
+    a Hopfield-style energy, so the state cannot recur."""
+    seen = set()
+    for seed in range(50):
+        net = random_network(seed)
+        for params in SWEEP_PARAMS:
+            for phase in run_scenario(net, params, mixed_scenario(net, seed)).phases:
+                for snap in phase.snapshots:
+                    seen |= {
+                        kind for kind, hit in (
+                            ("omission", any(snap.omission)),
+                            ("commission", any(snap.commission)),
+                            ("latch", bool(snap.rejected)),
+                        ) if hit
+                    }
+        for (result, _), _ in runs_with_writes(seed):
+            if isinstance(result, tuple) and result[1] is Termination.CYCLE:
+                seen.add("cycle")
+    assert seen == {"omission", "commission", "latch", "cycle"}
+
+
+# --- the timeline renderer against the one over sorted rows ---
+
+def assert_renderers_agree(trace, seed):
+    assert render_ascii_timeline(trace) == render_ascii_timeline_reference(trace)
+    rows = trace_rows(trace)
+    # rows in any order, with cells and whole columns missing
+    rng = random.Random(seed)
+    rows = rng.sample(rows, rng.randint(1, len(rows)))
+    assert render_ascii_timeline(rows) == render_ascii_timeline_reference(rows)
+
+
+def with_empty_phase(phases):
+    """A held phase of zero sweeps, which has no column, after the first."""
+    return phases[:1] + [({}, 0)] + phases[1:]
+
+
+@pytest.mark.parametrize("name", ["salt.json", "caramel.json"])
+@pytest.mark.parametrize("scenario", ["salt_rejection.json", "unexpected_sweet.json", "decoupling.json"])
+def test_renderers_agree_on_shipped_scenarios(data_dir, name, scenario):
+    net = validate_network(parse_network_file((data_dir / name).read_text()))
+    phases = parse_scenario_file((data_dir / "scenarios" / scenario).read_text(), net).resolve(net)
+    assert_renderers_agree(run_scenario(net, EngineParams(), phases), len(phases))
+
+
+@pytest.mark.parametrize("seed", range(50))
+def test_renderers_agree_on_seeded_networks(seed):
+    net = random_network(seed)
+    phases = with_empty_phase(mixed_scenario(net, seed))
+    assert_renderers_agree(run_scenario(net, EngineParams(), phases), seed)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_renderers_agree_on_awkward_names(awkward_net, seed):
+    phases = [({e: 1 for e in awkward_net.bottom}, None)] + mixed_scenario(awkward_net, seed)
+    assert_renderers_agree(run_scenario(awkward_net, EngineParams(), with_empty_phase(phases)), seed)
+
+
+def test_renderers_refuse_an_empty_trace(net):
+    empty = run_scenario(net, EngineParams(), [({}, 0)])
+    for render in (render_ascii_timeline, render_ascii_timeline_reference):
+        for trace in (empty, []):
+            with pytest.raises(ValueError, match="empty trace"):
+                render(trace)

@@ -12,7 +12,6 @@ from conceptsim import (
     Verdict,
     dendrite_values,
     error_flags,
-    init_engine,
     read_verdicts,
     run_scenario,
 )
@@ -66,8 +65,8 @@ def test_bad_params_name_the_inequality(net, kwargs, message):
         Engine(net, EngineParams(**kwargs))
 
 
-def test_init_engine_zero_state(net):
-    eng = init_engine(net, PARAMS)
+def test_new_engine_is_in_zero_state(net):
+    eng = Engine(net, PARAMS)
     assert eng.activation == [0] * 7
     assert eng.omission == [0] * 7 and eng.commission == [0] * 7
     assert eng.rejected == set() and eng.clamp == {}

@@ -25,6 +25,7 @@ from conceptsim.errors import (
     LayerViolation,
     NonBottomWithoutPatterns,
     UnknownConcept,
+    ValidationError,
 )
 
 from netgen import random_network
@@ -92,6 +93,12 @@ def test_empty_network_is_valid():
 def test_validation_errors(concepts, error):
     with pytest.raises(error):
         validate_network(NetworkSpec(concepts))
+
+
+def test_nul_in_a_name_is_a_validation_error():
+    """A trace CSV holding NUL cannot be read back on every Python version."""
+    with pytest.raises(ValidationError, match=r"'a\\x00b' contains NUL"):
+        validate_network(NetworkSpec((ConceptSpec("ok", 0), ConceptSpec("a\0b", 0))))
 
 
 def test_singleton_pattern_warns_but_validates():

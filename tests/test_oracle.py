@@ -29,10 +29,10 @@ def interp(net, *names):
 
 
 def test_effective_active_is_union(net, ids):
-    assert effective_active(net, {ids["salt"]}, {ids["looking"], ids["white"]}) == {
+    assert effective_active({ids["salt"]}, {ids["looking"], ids["white"]}) == {
         ids["looking"], ids["white"], ids["salt"],
     }
-    assert effective_active(net, set(), set()) == frozenset()
+    assert effective_active(set(), set()) == frozenset()
 
 
 def test_effective_active_three_layer():
@@ -42,7 +42,7 @@ def test_effective_active_three_layer():
         ConceptSpec("anchovy", 2, (("salt",),)),
     )))
     t, s = net.id_of("tasting"), net.id_of("salty")
-    got = effective_active(net, {net.id_of("salt"), net.id_of("anchovy")}, {t, s})
+    got = effective_active({net.id_of("salt"), net.id_of("anchovy")}, {t, s})
     assert got == {t, s, net.id_of("salt"), net.id_of("anchovy")}
 
 
