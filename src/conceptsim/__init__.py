@@ -1,5 +1,5 @@
 """conceptsim: deterministic simulation of concept hierarchies built from
-conditional bistable patterns, with an independent brute-force oracle."""
+conditional bistable patterns, with an independent declarative oracle."""
 
 from .engine import (
     Agreement,

@@ -29,7 +29,7 @@ from .io import (
     write_trace_csv,
 )
 from .model import ValidatedNetwork, pattern_state, validate_network
-from .oracle import concept_locally_consistent, enumerate_interpretations, oracle_verdicts
+from .oracle import enumerate_interpretations, oracle_verdicts
 
 
 def _load_network(path: str) -> ValidatedNetwork:
@@ -118,7 +118,6 @@ def cmd_check(args) -> int:
     if args.format == "json":
         payload = {}
         for c in net.non_bottom:
-            _, check = concept_locally_consistent(net, c, active)
             payload[net.names[c]] = {
                 "verdict": verdicts[c].value,
                 "patterns": [

@@ -505,7 +505,6 @@ COMPARE_BOTTOM_LIMIT = 16
 def compare_with_oracle(
     net: ValidatedNetwork,
     params: EngineParams | None = None,
-    limit: int = COMPARE_BOTTOM_LIMIT,
 ) -> AgreementReport:
     """Exhaustively compare single-phase dynamics against the oracle.
 
@@ -521,8 +520,10 @@ def compare_with_oracle(
     """
     params = params if params is not None else EngineParams()
     bottom = net.bottom
-    if len(bottom) > limit:
-        raise TooLarge(f"{len(bottom)} layer-0 concepts exceed the comparison limit of {limit}")
+    if len(bottom) > COMPARE_BOTTOM_LIMIT:
+        raise TooLarge(
+            f"{len(bottom)} layer-0 concepts exceed the comparison limit of {COMPARE_BOTTOM_LIMIT}"
+        )
     cases: list[CaseResult] = []
     for mask in range(1 << len(bottom)):
         clamped = frozenset(bottom[i] for i in range(len(bottom)) if mask >> i & 1)

@@ -101,27 +101,12 @@ def parse_network_file(text: str) -> NetworkSpec:
     return NetworkSpec(tuple(concepts))
 
 
-def serialize_network(spec: Union[NetworkSpec, ValidatedNetwork]) -> str:
-    """Canonical JSON for a network; element order inside patterns is preserved
-    for a NetworkSpec and sorted by id for a ValidatedNetwork."""
-    if isinstance(spec, ValidatedNetwork):
-        net = spec
-        concepts = [
-            {
-                "name": net.names[c],
-                "layer": net.layer_of[c],
-                "patterns": [
-                    [net.names[e] for e in sorted(pat.elements)]
-                    for pat in net.patterns_of(c)
-                ],
-            }
-            for c in range(net.n_concepts)
-        ]
-    else:
-        concepts = [
-            {"name": c.name, "layer": c.layer, "patterns": [list(p) for p in c.patterns]}
-            for c in spec.concepts
-        ]
+def serialize_network(spec: NetworkSpec) -> str:
+    """Canonical JSON for a network; element order inside patterns is preserved."""
+    concepts = [
+        {"name": c.name, "layer": c.layer, "patterns": [list(p) for p in c.patterns]}
+        for c in spec.concepts
+    ]
     return json.dumps({"concepts": concepts}, sort_keys=True, indent=2) + "\n"
 
 

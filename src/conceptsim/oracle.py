@@ -1,17 +1,21 @@
-"""Declarative, dynamics-free evaluation of the inference rule by brute force.
+"""Declarative, dynamics-free evaluation of the inference rule.
 
 An interpretation (a set of inferred non-bottom concepts) is consistent with a
 set of clamped layer-0 observations when every inferred concept has at least
 one Complete pattern and no ApplicableIncomplete pattern, and every active
 concept below the top layer is explained by an applicable pattern of some
-inferred concept. This module enumerates all interpretations exhaustively and
+inferred concept. This module enumerates every consistent interpretation and
 serves as the ground truth the circuit dynamics are tested against; it knows
 nothing about weights, inhibition, or time.
 
-The enumeration tests every candidate with integer bit operations: active sets
-and patterns are int bitmasks over concept ids, and each pattern's threshold
-is the exact integer count model.pattern_need(size, tau), so the verdicts are
-those of the Fraction-based pattern_state. Only the survivors get a full
+Every pattern of a layer-L concept lies on layer L-1, so whether a layer-L
+concept is consistent, and whether the active concepts of layer L-1 are
+explained, depends only on layers L-1 and L. The enumeration therefore builds
+interpretations one layer at a time, bottom up, and never lists the 2^k
+candidates. It tests patterns with integer bit operations: active sets and
+patterns are int bitmasks over concept ids, and each pattern's threshold is the
+exact integer count model.pattern_need(size, tau), so the verdicts are those of
+the Fraction-based pattern_state. Only the survivors get a full
 ConsistencyReport, built by interpretation_consistent, which stays the slow,
 readable statement of the rule.
 """
@@ -21,10 +25,10 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from typing import AbstractSet, Mapping
 
-from .errors import BottomConcept, TooLarge
+from .errors import BottomConcept, NonBottomClamp, TooLarge
 from .model import DEFAULT_TAU, ConceptId, ValidatedNetwork, pattern_state
 
-#: Refuse to enumerate beyond this many non-bottom concepts (2^k subsets).
+#: Refuse to enumerate beyond this many non-bottom concepts (up to 2^k choices).
 DEFAULT_ENUMERATION_LIMIT = 20
 
 
@@ -138,85 +142,82 @@ def interpretation_consistent(
     )
 
 
-#: (concept id, ((pattern mask, need), ...)) for one candidate concept
-_Rule = tuple[ConceptId, tuple[tuple[int, int], ...]]
-
-
-def _subsets(rules: list[_Rule]) -> list[tuple[int, tuple[_Rule, ...]]]:
-    """(bitmask of the chosen concepts, chosen rules) for every subset of rules,
-    in binary counting order with rules[0] as the lowest bit."""
-    out: list[tuple[int, tuple[_Rule, ...]]] = [(0, ())]
-    for rule in rules:
-        bit = 1 << rule[0]
-        out += [(bits | bit, chosen + (rule,)) for bits, chosen in out]
-    return out
-
-
-def _bits_consistent(chosen: tuple[_Rule, ...], active: int, below_top: int) -> bool:
-    """interpretation_consistent(...).consistent, on bitmasks.
-
-    A consistent concept has only Complete and Off patterns, so the applicable
-    patterns that explain elements are exactly the Complete ones.
-    """
-    explained = 0
-    for _, patterns in chosen:
-        complete = False
-        for mask, need in patterns:
-            hit = mask & active
-            if hit == mask:
-                complete = True
-                explained |= mask
-            elif hit.bit_count() >= need:
-                return False
-        if not complete:
-            return False
-    return not active & below_top & ~explained
-
-
 def enumerate_interpretations(
     net: ValidatedNetwork,
     clamped: AbstractSet[ConceptId],
     tau: float = DEFAULT_TAU,
-    limit: int = DEFAULT_ENUMERATION_LIMIT,
 ) -> list[ConsistencyReport]:
     """All consistent interpretations, largest first, maximal ones flagged.
 
-    Iterates every subset of the non-bottom concepts; raises TooLarge beyond
-    the configured limit rather than sampling silently. Order: descending
-    size, then ascending id tuple.
+    Raises TooLarge beyond DEFAULT_ENUMERATION_LIMIT non-bottom concepts
+    rather than sampling silently, and NonBottomClamp for a clamped id above
+    layer 0. Order: descending size, then ascending id tuple.
 
-    Each subset is filtered with bit tests on the induced active set: every
-    chosen concept needs a pattern m with m & active == m (Complete) and none
-    with fewer present but (m & active).bit_count() >= pattern_need(size, tau)
-    (ApplicableIncomplete), and every active concept below the top layer must
-    lie in a Complete pattern of a chosen concept. The thresholds are computed
-    once per distinct pattern size, never per candidate. Survivors are then
-    reported through interpretation_consistent, so the result is the one the
-    Fraction-based rule gives.
+    Interpretations are built one layer at a time, bottom up, with the clamp
+    as layer 0's active set. Every pattern of a layer-L concept lies on layer
+    L-1, so each condition of the rule that involves a layer-L concept reads
+    only layers L-1 and L. It is allowed (locally consistent) when, against
+    layer L-1's active set `below`, some pattern m has m & below == m and none
+    has fewer present but (m & below).bit_count() >= pattern_need(size, tau).
+    An active layer-(L-1) concept is explained only by an applicable pattern
+    of a chosen layer-L concept, and an allowed concept's applicable patterns
+    are its Complete ones. So a choice of allowed layer-L concepts is kept when
+    their Complete patterns cover `below`, and dropped as soon as the undecided
+    ones cannot. Survivors are reported through interpretation_consistent, so
+    the result is the one the Fraction-based rule gives.
     """
     candidates = net.non_bottom
-    if len(candidates) > limit:
+    if len(candidates) > DEFAULT_ENUMERATION_LIMIT:
         raise TooLarge(
-            f"{len(candidates)} non-bottom concepts exceed the enumeration limit of {limit}"
+            f"{len(candidates)} non-bottom concepts exceed the enumeration limit "
+            f"of {DEFAULT_ENUMERATION_LIMIT}"
         )
     clamp_bits = 0
     for e in clamped:
-        net._check(e)
+        if net.layer(e) != 0:
+            raise NonBottomClamp(f"{net.name(e)!r} is not a layer-0 concept")
         clamp_bits |= 1 << e
     needs = net.pattern_needs(tau)
-    rules = [(c, tuple(zip(net.masks[c], needs[c]))) for c in candidates]
-    below_top = net.below_top
-    # each subset joins one subset of the low half with one of the high half;
-    # listing the halves' subsets holds 2 * 2^(k/2) entries in memory, not 2^k
-    half = len(rules) // 2
-    low, high = _subsets(rules[:half]), _subsets(rules[half:])
     consistent: list[ConsistencyReport] = []
-    for high_bits, high_chosen in high:
-        for low_bits, low_chosen in low:
-            chosen = low_chosen + high_chosen
-            if _bits_consistent(chosen, clamp_bits | low_bits | high_bits, below_top):
-                interp = frozenset(c for c, _ in chosen)
-                consistent.append(interpretation_consistent(net, interp, clamped, tau))
+
+    def choose_layer(layer: int, below: int, chosen: int) -> None:
+        """Extend chosen, the bits of layers below `layer`, by every choice on
+        `layer` and above that explains below, the active set one layer down."""
+        if layer > net.max_layer:
+            interp = frozenset(c for c in candidates if chosen >> c & 1)
+            consistent.append(interpretation_consistent(net, interp, clamped, tau))
+            return
+        # (concept, union of its Complete patterns) for each allowed concept
+        allowed: list[tuple[ConceptId, int]] = []
+        for c in net.layers[layer]:
+            covers = 0
+            for mask, need in zip(net.masks[c], needs[c]):
+                hit = mask & below
+                if hit == mask:
+                    covers |= mask
+                elif hit.bit_count() >= need:
+                    break  # ApplicableIncomplete
+            else:
+                if covers:  # at least one Complete pattern
+                    allowed.append((c, covers))
+        # reach[i]: what allowed[i:] can still cover
+        reach = [0] * (len(allowed) + 1)
+        for i in reversed(range(len(allowed))):
+            reach[i] = reach[i + 1] | allowed[i][1]
+
+        def pick(i: int, layer_bits: int, covered: int) -> None:
+            if below & ~(covered | reach[i]):
+                return
+            if i == len(allowed):
+                choose_layer(layer + 1, layer_bits, chosen | layer_bits)
+                return
+            c, covers = allowed[i]
+            pick(i + 1, layer_bits | 1 << c, covered | covers)
+            pick(i + 1, layer_bits, covered)
+
+        pick(0, 0, 0)
+
+    choose_layer(1, clamp_bits, 0)
     sets = [r.interpretation for r in consistent]
     out = [
         replace(r, maximal=not any(r.interpretation < other for other in sets))
@@ -230,10 +231,9 @@ def oracle_verdicts(
     net: ValidatedNetwork,
     clamped: AbstractSet[ConceptId],
     tau: float = DEFAULT_TAU,
-    limit: int = DEFAULT_ENUMERATION_LIMIT,
 ) -> dict[ConceptId, OracleVerdict]:
     """Summarize the enumeration per concept: member of all, some, or none of the maximal sets."""
-    reports = enumerate_interpretations(net, clamped, tau, limit)
+    reports = enumerate_interpretations(net, clamped, tau)
     maximal = [r.interpretation for r in reports if r.maximal]
     verdicts: dict[ConceptId, OracleVerdict] = {}
     for c in net.non_bottom:

@@ -45,6 +45,31 @@ def random_network(seed: int) -> ValidatedNetwork:
     return validate_network(NetworkSpec(tuple(concepts)))
 
 
+#: (fewest, most) concepts per layer of a shuffled_network, bottom to top
+SHUFFLED_LAYER_SIZES = ((2, 3), (2, 2), (2, 2), (1, 2))
+
+
+def shuffled_network(seed: int) -> ValidatedNetwork:
+    """A 4-layer network declared in a seeded random order, so that ids do not
+    follow layer order; each concept above layer 0 has 1-2 patterns of size
+    1-3 drawn from the layer below."""
+    rng = random.Random(seed)
+    concepts: list[ConceptSpec] = []
+    below: list[str] = []
+    for layer, sizes in enumerate(SHUFFLED_LAYER_SIZES):
+        names = [f"u{layer}_{i}" for i in range(rng.randint(*sizes))]
+        for name in names:
+            patterns: list[tuple[str, ...]] = []
+            for _ in range(rng.randint(1, 2) if layer else 0):
+                pat = tuple(sorted(rng.sample(below, rng.randint(1, min(3, len(below))))))
+                if pat not in patterns:
+                    patterns.append(pat)
+            concepts.append(ConceptSpec(name, layer, tuple(patterns)))
+        below = names
+    rng.shuffle(concepts)
+    return validate_network(NetworkSpec(tuple(concepts)))
+
+
 def random_clamp(net: ValidatedNetwork, rng: random.Random) -> dict[int, int]:
     return {e: 1 for e in net.bottom if rng.random() < 0.5}
 

@@ -3,8 +3,8 @@
 Each function states its rule directly on sets, through the Fraction-based
 model.pattern_state, and runs in the obvious order with no precomputation:
 enumerate_reference builds a full ConsistencyReport for every one of the 2^k
-candidate interpretations, the way oracle.enumerate_interpretations did before
-it filtered candidates with bit tests. ReferenceEngine sweeps on lists, with
+candidate interpretations, the flat rule that oracle.enumerate_interpretations
+applies one layer at a time. ReferenceEngine sweeps on lists, with
 the references below for predictions and routing, and keeps the two run loops
 that Engine now shares. write_trace_csv_reference is the trace writer as it
 was before it built lines itself: csv.writer over sorted rows, and

@@ -209,6 +209,13 @@ def test_enumerate_empty_active(capsys, salt):
     assert out == "{}*\n"
 
 
+def test_enumerate_non_bottom_active_exits_1(capsys, salt):
+    code, out, err = run_cli(capsys, "enumerate", salt, "--active", "salt")
+    assert code == 1
+    assert out == ""
+    assert "NonBottomClamp" in err
+
+
 def test_enumerate_too_large_exits_1(capsys, tmp_path):
     concepts = [{"name": "e0", "layer": 0, "patterns": []},
                 {"name": "e1", "layer": 0, "patterns": []}]

@@ -33,7 +33,7 @@ from conceptsim import (
 )
 from conceptsim.errors import UnknownConcept
 
-from netgen import random_clamp, random_network
+from netgen import random_clamp, random_network, shuffled_network
 from reference import (
     ReferenceEngine,
     enumerate_reference,
@@ -68,6 +68,28 @@ def test_enumerate_matches_reference_on_seeded_networks(seed):
     for clamped in all_clamps(net):
         tau = rng.choice(TAUS + (0.0, 1.5))
         assert enumerate_interpretations(net, clamped, tau) == enumerate_reference(net, clamped, tau)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_enumerate_matches_reference_on_shuffled_four_layer_networks(seed):
+    """The layer-by-layer search against the flat filter on nets whose ids do
+    not follow layer order, so no step may assume that they do."""
+    net = shuffled_network(seed)
+    assert list(net.layer_of) != sorted(net.layer_of)
+    for clamped in all_clamps(net):
+        for tau in TAUS + (0.0, 1.5):
+            assert enumerate_interpretations(net, clamped, tau) == enumerate_reference(net, clamped, tau)
+
+
+def test_shuffled_clamps_are_not_vacuous():
+    """Some clamps of the shuffled nets admit a non-empty interpretation, which
+    reaches the top layer, since every active concept below it is explained."""
+    nonempty = sum(
+        any(r.interpretation for r in enumerate_interpretations(net, clamped))
+        for net in map(shuffled_network, range(20))
+        for clamped in all_clamps(net)
+    )
+    assert nonempty >= 15  # 23 of the 116 clamps at the time of writing
 
 
 def test_enumerate_rejects_unknown_clamped_id(net):

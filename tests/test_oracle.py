@@ -15,7 +15,7 @@ from conceptsim import (
     unexpected_elements,
     validate_network,
 )
-from conceptsim.errors import BottomConcept, TooLarge, UnknownConcept
+from conceptsim.errors import BottomConcept, NonBottomClamp, TooLarge, UnknownConcept
 
 from netgen import random_network
 
@@ -135,6 +135,13 @@ def test_enumerate_too_large():
     net = validate_network(NetworkSpec(tuple(concepts)))
     with pytest.raises(TooLarge):
         enumerate_interpretations(net, frozenset())
+
+
+@pytest.mark.parametrize("query", [enumerate_interpretations, oracle_verdicts])
+def test_non_bottom_clamp_is_refused(net, ids, query):
+    # the engine's apply_clamp refuses the same clamp with the same message
+    with pytest.raises(NonBottomClamp, match="'salt' is not a layer-0 concept"):
+        query(net, {ids["looking"], ids["salt"]})
 
 
 def test_oracle_verdicts_examples(net, ids):
