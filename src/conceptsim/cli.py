@@ -19,7 +19,7 @@ from .engine import (
     read_verdicts,
     run_scenario,
 )
-from .errors import ConceptNetError, NonBottomClamp, ParseError, UnknownElement
+from .errors import ConceptNetError, ParseError, UnknownElement
 from .io import (
     parse_network_file,
     parse_params,
@@ -43,13 +43,13 @@ def _load_params(path: str | None) -> EngineParams:
 
 
 def _resolve_active(net: ValidatedNetwork, text: str) -> frozenset[int]:
+    """The ids of comma-separated names. The oracle refuses names above
+    layer 0, so an unknown name wins over one above layer 0."""
     ids = set()
     for name in filter(None, text.split(",")):
         cid = net.name_to_id.get(name)
         if cid is None:
             raise UnknownElement(f"no concept named {name!r}")
-        if net.layer_of[cid] != 0:
-            raise NonBottomClamp(f"{name!r} is not a layer-0 concept")
         ids.add(cid)
     return frozenset(ids)
 

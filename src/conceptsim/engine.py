@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from . import oracle as _oracle
@@ -90,16 +91,35 @@ class EngineParams:
 
 
 class Snapshot(NamedTuple):
-    """Unit values at the end of one sweep.
+    """Unit values at the end of one sweep, as bitmasks over concept ids.
 
-    A named tuple, so it hashes and compares at C speed, and it equals a
-    plain tuple of the same four fields.
+    Bit c of active is concept c's activation, of omitted and committed its
+    error units, and of latched its latch; n is the number of concepts. A
+    named tuple of five ints hashes and compares at C speed. activation,
+    omission, commission and rejected are read-only views for reading by id.
     """
 
-    activation: tuple[int, ...]
-    omission: tuple[int, ...]
-    commission: tuple[int, ...]
-    rejected: frozenset[ConceptId]
+    active: int
+    omitted: int
+    committed: int
+    latched: int
+    n: int
+
+    @property
+    def activation(self) -> tuple[int, ...]:
+        return tuple(_bit_bytes(self.active, self.n))
+
+    @property
+    def omission(self) -> tuple[int, ...]:
+        return tuple(_bit_bytes(self.omitted, self.n))
+
+    @property
+    def commission(self) -> tuple[int, ...]:
+        return tuple(_bit_bytes(self.committed, self.n))
+
+    @property
+    def rejected(self) -> frozenset[ConceptId]:
+        return frozenset(_ids(self.latched))
 
 
 @dataclass(frozen=True)
@@ -128,10 +148,15 @@ def _bits(values: Sequence[int]) -> int:
     return int(b"0" + bytes(values)[::-1].translate(_TO_DIGITS), 2)
 
 
-def _values(bits: int, n: int) -> list[int]:
-    """The first n bits of a bitmask as a 0/1 list; _bits' inverse."""
+def _bit_bytes(bits: int, n: int) -> bytes:
+    """The first n bits of a bitmask, one 0/1 byte each; _bits' inverse."""
     # the sentinel bit n keeps leading zeros, and the slice drops it again
-    return list(bin(bits | 1 << n)[:2:-1].encode().translate(_FROM_DIGITS))
+    return bin(bits | 1 << n)[:2:-1].encode().translate(_FROM_DIGITS)
+
+
+def _values(bits: int, n: int) -> list[int]:
+    """The first n bits of a bitmask as a 0/1 list."""
+    return list(_bit_bytes(bits, n))
 
 
 def _ids(bits: int) -> list[int]:
@@ -262,7 +287,14 @@ def route_errors(
 
 
 class Engine:
-    """One deterministic simulation instance over a fixed network and parameters."""
+    """One deterministic simulation instance over a fixed network and parameters.
+
+    The state is four bitmasks over concept ids, as in Snapshot: active,
+    omitted, committed and latched, plus routed, the error count that
+    inhibits each concept on the next sweep. Writes to them between sweeps
+    take effect in the next sweep. activation, omission, commission and
+    rejected are read-only views of the bitmasks.
+    """
 
     def __init__(self, net: ValidatedNetwork, params: EngineParams | None = None):
         """Fresh engine: all activations zero, no errors, no latches, empty clamp."""
@@ -270,25 +302,38 @@ class Engine:
         params.validate()
         self.net = net
         self.params = params
-        n = net.n_concepts
-        self.activation: list[int] = [0] * n
-        self.omission: list[int] = [0] * n
-        self.commission: list[int] = [0] * n
-        self.routed: list[int] = [0] * n
-        self.rejected: set[ConceptId] = set()
-        self.clamp: dict[ConceptId, int] = {}
+        self.reset()
+
+    def reset(self) -> None:
+        """Return to exactly the state of a fresh Engine on the same net and params."""
+        self.active = self.omitted = self.committed = self.latched = 0
+        self.routed: list[int] = [0] * self.net.n_concepts
+        self.clamp = {}
         self.sweep_count = 0
-        #: the observable state as of the last sweep or clamp; sweep() compares
-        #: against it, so a change made to the lists between sweeps goes unseen
+        #: the observable state as of the last sweep or clamp; sweep() reports
+        #: a change against it, so a write between sweeps is not a change itself
         self.state = self.snapshot()
 
+    activation = property(lambda self: self.snapshot().activation)
+    omission = property(lambda self: self.snapshot().omission)
+    commission = property(lambda self: self.snapshot().commission)
+    rejected = property(lambda self: self.snapshot().rejected)
+
+    @property
+    def clamp(self) -> Mapping[ConceptId, int]:
+        """The current clamp, read-only. Assigning a mapping replaces it for
+        the next sweep, unchecked and within the phase; apply_clamp checks a
+        clamp and opens a phase."""
+        return MappingProxyType(self._clamp)
+
+    @clamp.setter
+    def clamp(self, clamp: Mapping[ConceptId, int]) -> None:
+        self._clamp = clamp = dict(clamp)
+        # layer 0 as the clamp sets it; unclamped units are 0
+        self._clamp_bits = sum(1 << e for e in self.net.bottom if clamp.get(e)) if clamp else 0
+
     def snapshot(self) -> Snapshot:
-        return Snapshot(
-            tuple(self.activation),
-            tuple(self.omission),
-            tuple(self.commission),
-            frozenset(self.rejected),
-        )
+        return Snapshot(self.active, self.omitted, self.committed, self.latched, self.net.n_concepts)
 
     def apply_clamp(self, clamp: Mapping[ConceptId, int]) -> None:
         """Open a new phase: replace the clamp, drop latches and error state.
@@ -304,43 +349,36 @@ class Engine:
                 raise NonBottomClamp(f"{net.name(cid)!r} is not a layer-0 concept")
             if type(value) is not int or value not in (0, 1):
                 raise ValueError(f"clamp value for {net.name(cid)!r} must be 0 or 1")
-        self.clamp = dict(clamp)
-        self.rejected.clear()
-        n = net.n_concepts
-        self.omission = [0] * n
-        self.commission = [0] * n
-        self.routed = [0] * n
+        self.clamp = clamp
+        self.omitted = self.committed = self.latched = 0
+        self.routed = [0] * net.n_concepts
         self.sweep_count = 0
-        for e in net.bottom:
-            self.activation[e] = self.clamp.get(e, 0)
+        self.active = self.active & ~net.layer_mask[0] | self._clamp_bits
         self.state = self.snapshot()
 
     def sweep(self) -> bool:
         """One full pass; returns whether the observable state changed.
 
-        The activation list and the active bitmask are kept in step through
-        the layer update, so applicability, predictions, errors and routing
-        are then computed once, on bits.
+        Layer 0 takes the clamp in one mask operation. The active bitmask is
+        kept current through the sequential layer update, so applicability,
+        predictions, errors and routing are then computed once, on bits.
         """
         net, p = self.net, self.params
-        act, routed, rejected = self.activation, self.routed, self.rejected
+        routed, latched = self.routed, self.latched
         masks, layer_mask = net.masks, net.layer_mask
         w_ff, w_self, w_lat, w_err, theta = p.w_ff, p.w_self, p.w_lat, p.w_err, p.theta
 
-        clamped = self.clamp.get
-        for e in net.bottom:
-            act[e] = clamped(e, 0)
-        active = _bits(act)
-
-        newly_latched: list[ConceptId] = []
+        active = self.active & ~layer_mask[0] | self._clamp_bits
+        newly_latched = 0
         for layer in range(1, net.max_layer + 1):
             # the layer below is final for this sweep; dendrites read only it
             below = active & layer_mask[layer - 1]
             # active units of this layer, kept current through the sequential update
             layer_active = (active & layer_mask[layer]).bit_count()
             for c in net.layers.get(layer, ()):
-                prev = act[c]
-                if c in rejected:
+                bit = 1 << c
+                prev = 1 if active & bit else 0
+                if latched & bit:
                     now = 0
                 else:
                     dendrite = 0
@@ -357,20 +395,17 @@ class Engine:
                     )
                     now = 1 if drive > 0 else 0
                     if prev == 1 and now == 0 and routed[c] > 0:
-                        newly_latched.append(c)
+                        newly_latched |= bit
                 if now != prev:
-                    act[c] = now
-                    active ^= 1 << c
+                    active ^= bit
                     layer_active += now - prev
 
         pred, owners = _applicable(net, active, p.tau)
-        omission, commission = _error_bits(net, active, pred)
-        n = net.n_concepts
-        self.omission = _values(omission, n)
-        self.commission = _values(commission, n)
+        self.omitted, self.committed = _error_bits(net, active, pred)
         # inhibition lands one sweep later
-        self.routed = _route(net, active, omission, commission, p.error_routing, owners)
-        rejected.update(newly_latched)
+        self.routed = _route(net, active, self.omitted, self.committed, p.error_routing, owners)
+        self.active = active
+        self.latched = latched | newly_latched
         self.sweep_count += 1
         before, self.state = self.state, self.snapshot()
         return self.state != before
@@ -448,9 +483,9 @@ def read_verdicts(trace: Trace, phase: int = -1) -> dict[ConceptId, Verdict]:
     verdicts: dict[ConceptId, Verdict] = {}
     if ph.termination is Termination.FIXED_POINT:
         for c in net.non_bottom:
-            if final.activation[c]:
+            if final.active >> c & 1:
                 verdicts[c] = Verdict.INFERRED
-            elif c in final.rejected:
+            elif final.latched >> c & 1:
                 verdicts[c] = Verdict.REJECTED
             else:
                 verdicts[c] = Verdict.INACTIVE
@@ -459,10 +494,14 @@ def read_verdicts(trace: Trace, phase: int = -1) -> dict[ConceptId, Verdict]:
             window = ph.snapshots[ph.cycle_start :]
         else:
             window = ph.snapshots[-2:]
+        # the concepts active anywhere in the window
+        active = 0
+        for s in window:
+            active |= s.active
         for c in net.non_bottom:
-            if c in final.rejected:
+            if final.latched >> c & 1:
                 verdicts[c] = Verdict.REJECTED
-            elif any(s.activation[c] for s in window):
+            elif active >> c & 1:
                 verdicts[c] = Verdict.UNSTABLE
             else:
                 verdicts[c] = Verdict.INACTIVE
@@ -509,7 +548,7 @@ def compare_with_oracle(
     """Exhaustively compare single-phase dynamics against the oracle.
 
     For every subset of layer-0 clamps, run the circuit from the zero state to
-    termination and classify:
+    termination (one Engine, reset before each clamp) and classify:
 
       AGREE         the inferred set is a maximal consistent interpretation,
                     or nothing is consistent and nothing was inferred
@@ -525,9 +564,10 @@ def compare_with_oracle(
             f"{len(bottom)} layer-0 concepts exceed the comparison limit of {COMPARE_BOTTOM_LIMIT}"
         )
     cases: list[CaseResult] = []
+    engine = Engine(net, params)
     for mask in range(1 << len(bottom)):
         clamped = frozenset(bottom[i] for i in range(len(bottom)) if mask >> i & 1)
-        engine = Engine(net, params)
+        engine.reset()
         engine.apply_clamp({e: 1 for e in sorted(clamped)})
         snaps, termination, _ = engine.run_to_fixed_point()
         reports = _oracle.enumerate_interpretations(net, clamped, params.tau)
@@ -537,7 +577,7 @@ def compare_with_oracle(
             inferred = None
             classification = Agreement.DISAGREE
         else:
-            inferred = frozenset(c for c in net.non_bottom if snaps[-1].activation[c])
+            inferred = frozenset(_ids(snaps[-1].active & net.non_bottom_mask))
             if not consistent:
                 classification = Agreement.AGREE if not inferred else Agreement.DISAGREE
             elif inferred in maximal:

@@ -13,7 +13,7 @@ from enum import Enum
 from io import StringIO
 from typing import Iterable, Mapping, Union
 
-from .engine import EngineParams, ErrorRouting, Trace
+from .engine import EngineParams, ErrorRouting, Trace, _bit_bytes
 from .errors import (
     EmptyScenario,
     NonBottomClamp,
@@ -265,11 +265,12 @@ def trace_rows(trace: Trace) -> list[TraceRow]:
     rows: list[TraceRow] = []
     for pi, phase in enumerate(trace.phases):
         for si, snap in enumerate(phase.snapshots):
+            activation, omission, commission = snap.activation, snap.omission, snap.commission
             for c in range(net.n_concepts):
-                rows.append(TraceRow(pi, si, UnitKind.CONCEPT, net.names[c], snap.activation[c]))
+                rows.append(TraceRow(pi, si, UnitKind.CONCEPT, net.names[c], activation[c]))
             for c in error_units:
-                rows.append(TraceRow(pi, si, UnitKind.OMISSION, net.names[c], snap.omission[c]))
-                rows.append(TraceRow(pi, si, UnitKind.COMMISSION, net.names[c], snap.commission[c]))
+                rows.append(TraceRow(pi, si, UnitKind.OMISSION, net.names[c], omission[c]))
+                rows.append(TraceRow(pi, si, UnitKind.COMMISSION, net.names[c], commission[c]))
     rows.sort(key=TraceRow.sort_key)
     return rows
 
@@ -310,15 +311,17 @@ def _snapshots_csv(trace: Trace) -> str:
     error_units = [c for c in order if net.layer_of[c] < net.max_layer]
     # cells[c][value] is the end of a line: "<name field>,<value>\n"
     cells = [(f"{field},0\n", f"{field},1\n") for field in map(_csv_field, net.names)]
+    n = net.n_concepts
     lines = [_HEADER_LINE]
     for pi, phase in enumerate(trace.phases):
         for si, snap in enumerate(phase.snapshots):
-            for kind, ids, values in (
-                (UnitKind.CONCEPT, order, snap.activation),
-                (UnitKind.OMISSION, error_units, snap.omission),
-                (UnitKind.COMMISSION, error_units, snap.commission),
+            for kind, ids, bits in (
+                (UnitKind.CONCEPT, order, snap.active),
+                (UnitKind.OMISSION, error_units, snap.omitted),
+                (UnitKind.COMMISSION, error_units, snap.committed),
             ):
                 if ids:
+                    values = _bit_bytes(bits, n)
                     # every cell ends its line, so the prefix joins them into lines
                     prefix = f"{pi},{si},{kind.value},"
                     lines += (prefix, prefix.join([cells[c][values[c]] for c in ids]))
@@ -400,10 +403,10 @@ def render_ascii_timeline(trace: Union[Trace, Iterable[TraceRow]]) -> str:
 def _snapshot_codes(trace: Trace) -> dict[str, bytes]:
     """Each concept's line of cell codes, read straight from the snapshots.
 
-    A snapshot's column is built at C speed: bytes(values) holds one 0/1 byte
-    per concept, so as little-endian ints the three kinds combine with shifts
-    into one code byte per concept. The columns are joined, and a concept's
-    line is then every n-th byte.
+    A snapshot's column is built at C speed: _bit_bytes spreads each bitmask
+    to one 0/1 byte per concept, so as little-endian ints the three kinds
+    combine with shifts into one code byte per concept. The columns are
+    joined, and a concept's line is then every n-th byte.
     """
     net = trace.net
     n = net.n_concepts
@@ -417,9 +420,9 @@ def _snapshot_codes(trace: Trace) -> dict[str, bytes]:
             columns.append(bytes([_SEPARATOR]) * n)
         for snap in phase.snapshots:
             code = (
-                int.from_bytes(bytes(snap.activation), "little")
-                | int.from_bytes(bytes(snap.omission), "little") << 1
-                | int.from_bytes(bytes(snap.commission), "little") << 2
+                int.from_bytes(_bit_bytes(snap.active, n), "little")
+                | int.from_bytes(_bit_bytes(snap.omitted, n), "little") << 1
+                | int.from_bytes(_bit_bytes(snap.committed, n), "little") << 2
             ) & keep
             columns.append(code.to_bytes(n, "little"))
     if not columns:

@@ -122,7 +122,7 @@ class ValidatedNetwork:
         default_factory=dict, init=False, repr=False, compare=False
     )
 
-    @property
+    @cached_property
     def n_concepts(self) -> int:
         return len(self.names)
 

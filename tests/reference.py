@@ -4,9 +4,11 @@ Each function states its rule directly on sets, through the Fraction-based
 model.pattern_state, and runs in the obvious order with no precomputation:
 enumerate_reference builds a full ConsistencyReport for every one of the 2^k
 candidate interpretations, the flat rule that oracle.enumerate_interpretations
-applies one layer at a time. ReferenceEngine sweeps on lists, with
-the references below for predictions and routing, and keeps the two run loops
-that Engine now shares. write_trace_csv_reference is the trace writer as it
+applies one layer at a time. ReferenceEngine keeps its state in lists and a
+set where Engine keeps bitmasks, sweeps with the references below for
+predictions and routing, keeps the two run loops that Engine now shares, and
+emits the same Snapshots. compare_reference builds a fresh ReferenceEngine for
+every clamp, where compare_with_oracle resets one Engine. write_trace_csv_reference is the trace writer as it
 was before it built lines itself: csv.writer over sorted rows, and
 render_ascii_timeline_reference the renderer as it was before it read
 snapshots: a dict entry per cell of the sorted rows.
@@ -19,13 +21,17 @@ from io import StringIO
 
 from conceptsim import (
     DEFAULT_TAU,
-    Engine,
+    Agreement,
+    AgreementReport,
+    CaseResult,
     ErrorRouting,
     PhaseTrace,
+    Snapshot,
     Termination,
     Trace,
     TraceRow,
     UnitKind,
+    enumerate_interpretations,
     interpretation_consistent,
     pattern_state,
     trace_rows,
@@ -104,9 +110,51 @@ def write_trace_csv_reference(rows):
     return buf.getvalue()
 
 
-class ReferenceEngine(Engine):
-    """Engine with the sweep spelled out on lists: every dendrite, lateral
-    sum, prediction and routed count is recomputed from the activation list."""
+def _mask(ids):
+    """Concept ids as a bitmask."""
+    return sum(1 << c for c in ids)
+
+
+class ReferenceEngine:
+    """The engine spelled out on lists and a set: every dendrite, lateral sum,
+    prediction and routed count is recomputed from the activation list, and
+    the two run loops are kept apart. It emits the same Snapshots as Engine."""
+
+    def __init__(self, net, params):
+        params.validate()
+        self.net, self.params = net, params
+        n = net.n_concepts
+        self.activation = [0] * n
+        self.omission = [0] * n
+        self.commission = [0] * n
+        self.routed = [0] * n
+        self.rejected = set()
+        self.clamp = {}
+        self.state = self.snapshot()
+
+    def snapshot(self):
+        def ones(values):
+            return _mask(i for i, v in enumerate(values) if v)
+
+        return Snapshot(
+            ones(self.activation),
+            ones(self.omission),
+            ones(self.commission),
+            _mask(self.rejected),
+            self.net.n_concepts,
+        )
+
+    def apply_clamp(self, clamp):
+        net = self.net
+        self.clamp = dict(clamp)
+        self.rejected.clear()
+        n = net.n_concepts
+        self.omission = [0] * n
+        self.commission = [0] * n
+        self.routed = [0] * n
+        for e in net.bottom:
+            self.activation[e] = self.clamp.get(e, 0)
+        self.state = self.snapshot()
 
     def sweep(self):
         net, p, act = self.net, self.params, self.activation
@@ -142,7 +190,6 @@ class ReferenceEngine(Engine):
             net, act, self.omission, self.commission, p.error_routing, p.tau
         )
         self.rejected.update(newly_latched)
-        self.sweep_count += 1
         before, self.state = self.state, self.snapshot()
         return self.state != before
 
@@ -198,6 +245,35 @@ def run_scenario_reference(net, params, phases):
             snaps, termination, cycle_start = engine.run_fixed_sweeps(hold)
         out.append(PhaseTrace(dict(clamp), snaps, termination, cycle_start))
     return Trace(net, tuple(out))
+
+
+def compare_reference(net, params):
+    """compare_with_oracle with a fresh ReferenceEngine for every clamp."""
+    bottom = net.bottom
+    cases = []
+    for mask in range(1 << len(bottom)):
+        clamped = frozenset(bottom[i] for i in range(len(bottom)) if mask >> i & 1)
+        engine = ReferenceEngine(net, params)
+        engine.apply_clamp({e: 1 for e in sorted(clamped)})
+        _, termination, _ = engine.run_to_fixed_point()
+        reports = enumerate_interpretations(net, clamped, params.tau)
+        consistent = [r.interpretation for r in reports]
+        maximal = tuple(r.interpretation for r in reports if r.maximal)
+        if termination is not Termination.FIXED_POINT:
+            inferred = None
+            classification = Agreement.DISAGREE
+        else:
+            inferred = frozenset(c for c in net.non_bottom if engine.activation[c])
+            if not consistent:
+                classification = Agreement.AGREE if not inferred else Agreement.DISAGREE
+            elif inferred in maximal:
+                classification = Agreement.AGREE
+            elif any(inferred < s for s in consistent):
+                classification = Agreement.TIE_SELECTED
+            else:
+                classification = Agreement.DISAGREE
+        cases.append(CaseResult(clamped, termination, inferred, classification, maximal))
+    return AgreementReport(tuple(cases))
 
 
 def render_ascii_timeline_reference(trace):

@@ -216,6 +216,23 @@ def test_enumerate_non_bottom_active_exits_1(capsys, salt):
     assert "NonBottomClamp" in err
 
 
+@pytest.mark.parametrize("command", ["check", "enumerate"])
+def test_non_bottom_active_exits_1(capsys, salt, command):
+    code, out, err = run_cli(capsys, command, salt, "--active", "looking,salt")
+    assert (code, out) == (1, "")
+    assert err == "error: NonBottomClamp: 'salt' is not a layer-0 concept\n"
+
+
+@pytest.mark.parametrize("command", ["check", "enumerate"])
+@pytest.mark.parametrize("active", ["salt,umami", "umami,salt"])
+def test_unknown_active_wins_over_non_bottom(capsys, salt, command, active):
+    """Names resolve before the oracle sees the clamp, so an unknown name is
+    reported first, in either order, and a name above layer 0 after it."""
+    code, out, err = run_cli(capsys, command, salt, "--active", active)
+    assert (code, out) == (1, "")
+    assert err == "error: UnknownElement: no concept named 'umami'\n"
+
+
 def test_enumerate_too_large_exits_1(capsys, tmp_path):
     concepts = [{"name": "e0", "layer": 0, "patterns": []},
                 {"name": "e1", "layer": 0, "patterns": []}]

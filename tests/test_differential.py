@@ -7,7 +7,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from conceptsim import (
     ConceptSpec,
@@ -18,6 +18,7 @@ from conceptsim import (
     Termination,
     TraceRow,
     UnitKind,
+    compare_with_oracle,
     enumerate_interpretations,
     error_flags,
     parse_network_file,
@@ -36,6 +37,7 @@ from conceptsim.errors import UnknownConcept
 from netgen import random_clamp, random_network, shuffled_network
 from reference import (
     ReferenceEngine,
+    compare_reference,
     enumerate_reference,
     predictions_reference,
     render_ascii_timeline_reference,
@@ -79,6 +81,40 @@ def test_enumerate_matches_reference_on_shuffled_four_layer_networks(seed):
     for clamped in all_clamps(net):
         for tau in TAUS + (0.0, 1.5):
             assert enumerate_interpretations(net, clamped, tau) == enumerate_reference(net, clamped, tau)
+
+
+@st.composite
+def layered_networks(draw):
+    """A net of 1-4 concepts on layer 0 and at most 6 above, on 1-3 layers;
+    each concept above layer 0 has 1-2 distinct patterns of 1-3 elements from
+    the layer below, and the concepts are declared in a drawn order. At most
+    6 concepts above layer 0 keep enumerate_reference at 64 candidates."""
+    sizes = [draw(st.integers(1, 4))] + draw(
+        st.lists(st.integers(1, 3), min_size=1, max_size=3).filter(lambda upper: sum(upper) <= 6)
+    )
+    concepts = []
+    below = []
+    for layer, size in enumerate(sizes):
+        names = [f"u{layer}_{i}" for i in range(size)]
+        for name in names:
+            patterns = draw(
+                st.lists(
+                    st.frozensets(st.sampled_from(below), min_size=1, max_size=3),
+                    min_size=1, max_size=2, unique=True,
+                )
+            ) if layer else []
+            concepts.append(ConceptSpec(name, layer, tuple(tuple(sorted(p)) for p in patterns)))
+        below = names
+    return validate_network(NetworkSpec(tuple(draw(st.permutations(concepts)))))
+
+
+@given(data=st.data(), net=layered_networks(), tau=st.sampled_from(TAUS + (0.0, 1.5)))
+@settings(max_examples=100, deadline=None)
+def test_enumerate_matches_reference_on_generated_networks(data, net, tau):
+    """The layer-by-layer search equals the flat filter, in content and order,
+    on generated layered nets and clamps."""
+    clamped = data.draw(st.frozensets(st.sampled_from(net.bottom)), label="clamped")
+    assert enumerate_interpretations(net, clamped, tau) == enumerate_reference(net, clamped, tau)
 
 
 def test_shuffled_clamps_are_not_vacuous():
@@ -243,23 +279,43 @@ def test_sweep_matches_reference_on_awkward_names(awkward_net, seed):
 
 
 def engine_state(engine):
-    return engine.state, engine.activation, engine.omission, engine.commission, engine.routed, engine.rejected
+    """The state as of the last sweep or clamp, the live state and the
+    inhibition due on the next sweep."""
+    return engine.state, engine.snapshot(), engine.routed
 
 
 def write(engine, rng):
-    """One seeded write to the engine's state between sweeps."""
+    """One seeded write to the engine's state between sweeps: through the
+    bitmasks on an Engine, and through the lists and the set on a
+    ReferenceEngine, which draw the same write from the same rng state."""
     net = engine.net
+    on_lists = isinstance(engine, ReferenceEngine)
     kind = rng.randrange(4)
     if kind == 0:
-        engine.activation[rng.randrange(net.n_concepts)] = rng.randint(0, 1)
+        # set a unit on or off
+        value, c = rng.randint(0, 1), rng.randrange(net.n_concepts)
+        if on_lists:
+            engine.activation[c] = value
+        else:
+            engine.active = engine.active & ~(1 << c) | value << c
     elif kind == 1 and engine.rejected:
         # lift a latch and switch the unit back on
         c = rng.choice(sorted(engine.rejected))
-        engine.rejected.discard(c)
-        engine.activation[c] = 1
+        if on_lists:
+            engine.rejected.discard(c)
+            engine.activation[c] = 1
+        else:
+            engine.latched &= ~(1 << c)
+            engine.active |= 1 << c
     elif kind == 2:
-        engine.rejected.add(rng.choice(net.non_bottom))
+        # add a latch
+        c = rng.choice(net.non_bottom)
+        if on_lists:
+            engine.rejected.add(c)
+        else:
+            engine.latched |= 1 << c
     else:
+        # replace the clamp within the phase
         engine.clamp = random_clamp(net, rng)
 
 
@@ -294,8 +350,9 @@ def runs_with_writes(seed):
 
 @pytest.mark.parametrize("seed", range(50))
 def test_sweep_rereads_state_written_between_sweeps(seed):
-    """Writes to activation, rejected and clamp between sweeps take effect in
-    the next sweep, and runs label what follows, exactly as on the reference."""
+    """Writes to the active and latched bitmasks and to the clamp between
+    sweeps take effect in the next sweep, and runs label what follows, exactly
+    as the same writes do on the reference's lists."""
     for fast, reference in runs_with_writes(seed):
         assert fast == reference
 
@@ -310,18 +367,89 @@ def test_sweeps_are_not_vacuous():
         net = random_network(seed)
         for params in SWEEP_PARAMS:
             for phase in run_scenario(net, params, mixed_scenario(net, seed)).phases:
+                assert phase.termination is not Termination.CYCLE, (seed, params)
                 for snap in phase.snapshots:
                     seen |= {
                         kind for kind, hit in (
-                            ("omission", any(snap.omission)),
-                            ("commission", any(snap.commission)),
-                            ("latch", bool(snap.rejected)),
+                            ("omission", snap.omitted),
+                            ("commission", snap.committed),
+                            ("latch", snap.latched),
                         ) if hit
                     }
         for (result, _), _ in runs_with_writes(seed):
             if isinstance(result, tuple) and result[1] is Termination.CYCLE:
                 seen.add("cycle")
     assert seen == {"omission", "commission", "latch", "cycle"}
+
+
+# --- compare: one reset Engine against a fresh ReferenceEngine per clamp ---
+
+def reset_state(engine):
+    return engine.state, engine.snapshot(), engine.routed, dict(engine.clamp), engine.sweep_count
+
+
+def left_mid_run(net, params, seed):
+    """One Engine, before each clamp of all_clamps(net) left after 1-3 sweeps
+    on a seeded clamp: yields the engine and the clamp."""
+    rng = random.Random(seed)
+    engine = Engine(net, params)
+    for i, clamped in enumerate(all_clamps(net)):
+        engine.apply_clamp(random_clamp(net, rng))
+        engine.run_fixed_sweeps(1 + i % 3)
+        yield engine, {e: 1 for e in sorted(clamped)}
+
+
+@pytest.mark.parametrize("routing", ErrorRouting)
+@pytest.mark.parametrize("seed", range(50))
+def test_reset_equals_a_fresh_engine(seed, routing):
+    """reset() on an engine left mid-run gives a fresh Engine's state, and
+    the next clamp's run gives a fresh Engine's snapshots."""
+    net = random_network(seed)
+    params = EngineParams(error_routing=routing)
+    for engine, clamp in left_mid_run(net, params, seed):
+        engine.reset()
+        fresh = Engine(net, params)
+        assert reset_state(engine) == reset_state(fresh)
+        engine.apply_clamp(clamp)
+        fresh.apply_clamp(clamp)
+        assert engine.run_to_fixed_point() == fresh.run_to_fixed_point()
+        assert reset_state(engine) == reset_state(fresh)
+
+
+def test_reset_is_not_vacuous():
+    """The states that the test above resets hold latches, both error kinds,
+    pending inhibition and active concepts above layer 0."""
+    seen = set()
+    for seed in range(50):
+        net = random_network(seed)
+        for routing in ErrorRouting:
+            for engine, _ in left_mid_run(net, EngineParams(error_routing=routing), seed):
+                seen |= {
+                    kind for kind, hit in (
+                        ("omission", engine.omitted),
+                        ("commission", engine.committed),
+                        ("latch", engine.latched),
+                        ("routed", any(engine.routed)),
+                        ("active", engine.active & net.non_bottom_mask),
+                    ) if hit
+                }
+    assert seen == {"omission", "commission", "latch", "routed", "active"}
+
+
+@pytest.mark.parametrize("routing", ErrorRouting)
+@pytest.mark.parametrize("seed", range(50))
+def test_compare_matches_reference_on_seeded_networks(seed, routing):
+    net = random_network(seed)
+    params = EngineParams(error_routing=routing)
+    assert compare_with_oracle(net, params).cases == compare_reference(net, params).cases
+
+
+@pytest.mark.parametrize("routing", ErrorRouting)
+@pytest.mark.parametrize("name", ["salt.json", "caramel.json"])
+def test_compare_matches_reference_on_shipped_networks(data_dir, name, routing):
+    net = validate_network(parse_network_file((data_dir / name).read_text()))
+    params = EngineParams(error_routing=routing)
+    assert compare_with_oracle(net, params).cases == compare_reference(net, params).cases
 
 
 # --- the timeline renderer against the one over sorted rows ---

@@ -67,9 +67,43 @@ def test_bad_params_name_the_inequality(net, kwargs, message):
 
 def test_new_engine_is_in_zero_state(net):
     eng = Engine(net, PARAMS)
-    assert eng.activation == [0] * 7
-    assert eng.omission == [0] * 7 and eng.commission == [0] * 7
-    assert eng.rejected == set() and eng.clamp == {}
+    assert eng.active == eng.omitted == eng.committed == eng.latched == 0
+    assert eng.routed == [0] * 7 and eng.clamp == {}
+    assert eng.state == eng.snapshot() == Snapshot(0, 0, 0, 0, 7)
+
+
+def test_views_read_the_bitmasks(net, ids):
+    """activation, omission, commission and rejected are read-only views of
+    the bitmasks, on the engine as on a snapshot."""
+    eng = Engine(net, PARAMS)
+    eng.apply_clamp({ids["looking"]: 1, ids["white"]: 1, ids["tasting"]: 1})
+    eng.run_fixed_sweeps(2)
+    for view in (eng, eng.snapshot()):
+        assert view.activation == tuple(eng.active >> c & 1 for c in range(7))
+        assert view.omission == tuple(eng.omitted >> c & 1 for c in range(7))
+        assert view.commission == tuple(eng.committed >> c & 1 for c in range(7))
+        assert view.rejected == frozenset(c for c in range(7) if eng.latched >> c & 1)
+    assert eng.omission[ids["sweet"]] == 1 and eng.rejected == {ids["salt"]}
+    for name in ("activation", "omission", "commission", "rejected"):
+        with pytest.raises(AttributeError):
+            setattr(eng, name, ())
+    with pytest.raises(TypeError):
+        eng.clamp[ids["salty"]] = 1
+
+
+def test_clamp_assigned_between_sweeps_is_read_by_the_next_sweep(net, ids):
+    """Assigning clamp replaces layer 0's input within the phase: latches and
+    errors stay, and the next sweep reads the new clamp."""
+    eng = Engine(net, PARAMS)
+    eng.apply_clamp({ids["looking"]: 1, ids["white"]: 1, ids["tasting"]: 1})
+    eng.run_to_fixed_point()
+    latched = eng.latched
+    eng.clamp = {ids["tasting"]: 1, ids["salty"]: 1}
+    assert eng.clamp == {ids["tasting"]: 1, ids["salty"]: 1}
+    eng.sweep()
+    assert eng.active & eng.net.layer_mask[0] == 1 << ids["tasting"] | 1 << ids["salty"]
+    assert eng.latched == latched  # salt stays latched: no new phase
+    assert eng.activation[ids["salt"]] == 0
 
 
 # --- clamping ---
@@ -96,10 +130,10 @@ def test_apply_clamp_clears_latches_and_errors(net, ids):
     eng = Engine(net, PARAMS)
     eng.apply_clamp({ids["looking"]: 1, ids["white"]: 1, ids["tasting"]: 1})
     eng.run_to_fixed_point()
-    assert eng.rejected  # salt and sugar latched
+    assert eng.latched  # salt and sugar latched
     eng.apply_clamp({ids["tasting"]: 1, ids["salty"]: 1})
-    assert eng.rejected == set()
-    assert eng.omission == [0] * 7 and eng.commission == [0] * 7
+    assert eng.latched == 0
+    assert eng.omitted == eng.committed == 0
     _, term, _ = eng.run_to_fixed_point()
     assert term is Termination.FIXED_POINT
     assert eng.activation[ids["salt"]] == 1  # hypothesis reopened after clamp change
@@ -152,7 +186,7 @@ def test_first_sweep_winner_take_all(net, ids):
     assert changed
     assert eng.activation[ids["salt"]] == 1
     assert eng.activation[ids["sugar"]] == 0
-    assert eng.omission == [0] * 7 and eng.commission == [0] * 7
+    assert eng.omitted == eng.committed == 0
 
 
 def test_latched_unit_stops_inhibiting_later_peers_within_the_sweep(net, ids):
@@ -160,8 +194,8 @@ def test_latched_unit_stops_inhibiting_later_peers_within_the_sweep(net, ids):
     forced to 0 earlier in the same layer update, no longer inhibits sugar."""
     eng = Engine(net, PARAMS)
     eng.apply_clamp({ids["looking"]: 1, ids["white"]: 1})
-    eng.activation[ids["salt"]] = 1
-    eng.rejected.add(ids["salt"])
+    eng.active |= 1 << ids["salt"]
+    eng.latched |= 1 << ids["salt"]
     eng.sweep()
     assert eng.activation[ids["salt"]] == 0
     assert eng.activation[ids["sugar"]] == 1
@@ -182,7 +216,7 @@ def test_no_errors_when_pattern_complete(net, ids):
     eng.apply_clamp({ids["tasting"]: 1, ids["salty"]: 1})
     eng.sweep()
     assert eng.activation[ids["salt"]] == 1
-    assert eng.omission == [0] * 7 and eng.commission == [0] * 7
+    assert eng.omitted == eng.committed == 0
 
 
 # --- full scenarios, frozen sweep by sweep ---
@@ -385,12 +419,10 @@ def test_determinism_bit_identical(seed):
 def test_read_verdicts_on_synthetic_cycle(net, ids):
     """Cycle termination marks non-latched, non-quiescent concepts Unstable."""
     n = net.n_concepts
-    base = [0] * n
-    on = base.copy()
-    on[ids["salt"]] = 1
+    sugar = 1 << ids["sugar"]
     snapshots = (
-        Snapshot(tuple(on), (0,) * n, (0,) * n, frozenset({ids["sugar"]})),
-        Snapshot(tuple(base), (0,) * n, (0,) * n, frozenset({ids["sugar"]})),
+        Snapshot(1 << ids["salt"], 0, 0, sugar, n),
+        Snapshot(0, 0, 0, sugar, n),
     )
     trace = Trace(net, (PhaseTrace({}, snapshots, Termination.CYCLE, 0),))
     verdicts = read_verdicts(trace)
