@@ -302,6 +302,11 @@ class Engine:
         params.validate()
         self.net = net
         self.params = params
+        #: per layer, the last layer-below mask seen and the dendrite mask it
+        #: gave, a pure function of the net and that mask, so reset() and
+        #: writes between sweeps leave it valid; no pattern is empty, so an
+        #: empty layer below completes none
+        self._dendrite_memo = [(0, 0)] * (net.max_layer + 1)
         self.reset()
 
     def reset(self) -> None:
@@ -309,7 +314,6 @@ class Engine:
         self.active = self.omitted = self.committed = self.latched = 0
         self.routed: list[int] = [0] * self.net.n_concepts
         self.clamp = {}
-        self.sweep_count = 0
         #: the observable state as of the last sweep or clamp; sweep() reports
         #: a change against it, so a write between sweeps is not a change itself
         self.state = self.snapshot()
@@ -352,40 +356,59 @@ class Engine:
         self.clamp = clamp
         self.omitted = self.committed = self.latched = 0
         self.routed = [0] * net.n_concepts
-        self.sweep_count = 0
         self.active = self.active & ~net.layer_mask[0] | self._clamp_bits
         self.state = self.snapshot()
+
+    def _dendrites(self, layer: int, below: int) -> int:
+        """The concepts of a layer with a Complete pattern on below, the final
+        mask of the layer under it, as a bitmask.
+
+        Each layer remembers the last below and its answer, and on a new below
+        rechecks only the owners of patterns that hold a changed element.
+        """
+        last, dend = self._dendrite_memo[layer]
+        if below != last:
+            net = self.net
+            for c in {c for e in _ids(below ^ last) for c, _ in net.parent_index[e]}:
+                for mask in net.masks[c]:
+                    if mask & below == mask:
+                        dend |= 1 << c
+                        break
+                else:
+                    dend &= ~(1 << c)
+            self._dendrite_memo[layer] = (below, dend)
+        return dend
 
     def sweep(self) -> bool:
         """One full pass; returns whether the observable state changed.
 
-        Layer 0 takes the clamp in one mask operation. The active bitmask is
-        kept current through the sequential layer update, so applicability,
-        predictions, errors and routing are then computed once, on bits.
+        Layer 0 takes the clamp in one mask operation. With theta >= 0 the
+        layer update visits only the active units and those with a Complete
+        pattern: any other unit has a drive of at most 0 - theta, so it stays
+        off and cannot latch. The active bitmask is kept current through the
+        sequential update, so applicability, predictions, errors and routing
+        are then computed once, on bits.
         """
         net, p = self.net, self.params
         routed, latched = self.routed, self.latched
-        masks, layer_mask = net.masks, net.layer_mask
+        layer_mask = net.layer_mask
         w_ff, w_self, w_lat, w_err, theta = p.w_ff, p.w_self, p.w_lat, p.w_err, p.theta
 
         active = self.active & ~layer_mask[0] | self._clamp_bits
         newly_latched = 0
         for layer in range(1, net.max_layer + 1):
             # the layer below is final for this sweep; dendrites read only it
-            below = active & layer_mask[layer - 1]
+            dend = self._dendrites(layer, active & layer_mask[layer - 1])
             # active units of this layer, kept current through the sequential update
             layer_active = (active & layer_mask[layer]).bit_count()
-            for c in net.layers.get(layer, ()):
+            visit = layer_mask[layer] if theta < 0 else (dend | active) & layer_mask[layer]
+            for c in _ids(visit):
                 bit = 1 << c
                 prev = 1 if active & bit else 0
                 if latched & bit:
                     now = 0
                 else:
-                    dendrite = 0
-                    for mask in masks[c]:
-                        if mask & below == mask:
-                            dendrite = 1
-                            break
+                    dendrite = 1 if dend & bit else 0
                     drive = (
                         w_ff * dendrite
                         + w_self * prev
@@ -406,7 +429,6 @@ class Engine:
         self.routed = _route(net, active, self.omitted, self.committed, p.error_routing, owners)
         self.active = active
         self.latched = latched | newly_latched
-        self.sweep_count += 1
         before, self.state = self.state, self.snapshot()
         return self.state != before
 

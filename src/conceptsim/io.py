@@ -13,7 +13,7 @@ from enum import Enum
 from io import StringIO
 from typing import Iterable, Mapping, Union
 
-from .engine import EngineParams, ErrorRouting, Trace, _bit_bytes
+from .engine import EngineParams, ErrorRouting, Trace, _bit_bytes, _ids
 from .errors import (
     EmptyScenario,
     NonBottomClamp,
@@ -304,28 +304,48 @@ def _snapshots_csv(trace: Trace) -> str:
     """write_trace_csv of a Trace, read straight from its snapshots.
 
     Loops run phase, sweep, kind, name, with names sorted once: that is
-    TraceRow.sort_key's order, since names are unique.
+    TraceRow.sort_key's order, since names are unique. Each kind keeps its
+    block of lines as a bytearray, one NUL + "<name field>,<value>\n" per
+    unit; a 0 and a 1 have the same length, so a unit's digit sits at a fixed
+    offset, and each snapshot flips only the digits that changed since the
+    last. NUL stands for the line prefix, since validate_network refuses NUL
+    in names. Each block is decoded on its own, so no whole-output bytes
+    object is ever held next to the text.
     """
     net = trace.net
     order = sorted(range(net.n_concepts), key=net.names.__getitem__)
     error_units = [c for c in order if net.layer_of[c] < net.max_layer]
-    # cells[c][value] is the end of a line: "<name field>,<value>\n"
-    cells = [(f"{field},0\n", f"{field},1\n") for field in map(_csv_field, net.names)]
-    n = net.n_concepts
-    lines = [_HEADER_LINE]
+    fields = [_csv_field(name).encode() for name in net.names]
+
+    def template(ids: list[int]) -> tuple[bytearray, list[int]]:
+        """A block of 0 lines for ids, and each id's digit offset in it."""
+        block, at = bytearray(), [0] * net.n_concepts
+        for c in ids:
+            block += b"\0" + fields[c] + b","
+            at[c] = len(block)
+            block += b"0\n"
+        return block, at
+
+    # (kind, block, digit offsets, the units that have that kind)
+    kinds = [(UnitKind.CONCEPT, *template(order), (1 << net.n_concepts) - 1)]
+    if error_units:
+        omissions, error_at = template(error_units)
+        kinds += [
+            (UnitKind.OMISSION, omissions, error_at, net.below_top),
+            (UnitKind.COMMISSION, bytearray(omissions), error_at, net.below_top),
+        ]
+    shown = [0] * len(kinds)  # the bits each block holds now
+    blocks = [_HEADER_LINE]
     for pi, phase in enumerate(trace.phases):
         for si, snap in enumerate(phase.snapshots):
-            for kind, ids, bits in (
-                (UnitKind.CONCEPT, order, snap.active),
-                (UnitKind.OMISSION, error_units, snap.omitted),
-                (UnitKind.COMMISSION, error_units, snap.committed),
-            ):
-                if ids:
-                    values = _bit_bytes(bits, n)
-                    # every cell ends its line, so the prefix joins them into lines
-                    prefix = f"{pi},{si},{kind.value},"
-                    lines += (prefix, prefix.join([cells[c][values[c]] for c in ids]))
-    return "".join(lines)
+            masks = (snap.active, snap.omitted, snap.committed)
+            for i, (kind, block, at, units) in enumerate(kinds):
+                bits = masks[i] & units
+                for c in _ids(bits ^ shown[i]):
+                    block[at[c]] ^= 1  # "0" <-> "1"
+                shown[i] = bits
+                blocks.append(block.replace(b"\0", f"{pi},{si},{kind.value},".encode()).decode())
+    return "".join(blocks)
 
 
 def read_trace_csv(text: str) -> list[TraceRow]:

@@ -78,3 +78,22 @@ def random_scenario(net: ValidatedNetwork, seed: int, phases: int = 3):
     """(clamp, hold=None) pairs over random bottom subsets."""
     rng = random.Random(seed)
     return [(random_clamp(net, rng), None) for _ in range(phases)]
+
+
+def synth_network(sizes: tuple[int, ...], seed: int) -> ValidatedNetwork:
+    """A net shaped like the benchmark's synthetic ones: sizes[i] concepts on
+    layer i, each above layer 0 with 2-3 distinct patterns of 3-4 elements
+    from the layer below."""
+    rng = random.Random(seed)
+    concepts = [ConceptSpec(f"u0_{i}", 0) for i in range(sizes[0])]
+    for layer in range(1, len(sizes)):
+        below = [f"u{layer - 1}_{i}" for i in range(sizes[layer - 1])]
+        for i in range(sizes[layer]):
+            patterns: list[tuple[str, ...]] = []
+            want = rng.randint(2, 3)
+            while len(patterns) < want:
+                pat = tuple(sorted(rng.sample(below, rng.randint(3, 4))))
+                if pat not in patterns:
+                    patterns.append(pat)
+            concepts.append(ConceptSpec(f"u{layer}_{i}", layer, tuple(patterns)))
+    return validate_network(NetworkSpec(tuple(concepts)))

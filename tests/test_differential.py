@@ -247,8 +247,17 @@ def test_row_writer_matches_csv_writer_on_names_without_cr(names):
 
 # --- the bitmask sweep against the list-based reference ---
 
-#: every routing under every tau
-SWEEP_PARAMS = [EngineParams(tau=tau, error_routing=routing) for routing in ErrorRouting for tau in TAUS]
+#: the parameters the sweep's skip rule rests on: theta at 0, theta below 0
+#: (where the whole layer is walked) and no lateral inhibition, as in
+#: data/params/no_lateral.json
+EDGE_PARAMS = [{"theta": 0.0}, {"theta": -0.3}, {"w_lat": 0.0}]
+
+#: every routing under every tau and under every edge above
+SWEEP_PARAMS = [
+    EngineParams(error_routing=routing, **params)
+    for routing in ErrorRouting
+    for params in [{"tau": tau} for tau in TAUS] + EDGE_PARAMS
+]
 
 
 def assert_sweeps_agree(net, phases):
@@ -382,10 +391,45 @@ def test_sweeps_are_not_vacuous():
     assert seen == {"omission", "commission", "latch", "cycle"}
 
 
+def switched_on_without_a_complete_pattern(net, trace):
+    """How often a concept that was off turns on in a sweep whose final
+    layer below completes none of its patterns. run_scenario writes nothing
+    between sweeps and a clamp leaves layers above 0 as they are, so the
+    previous snapshot, across phases, holds each sweep's starting state."""
+    count = 0
+    before = 0
+    for phase in trace.phases:
+        for snap in phase.snapshots:
+            for c in net.non_bottom:
+                if snap.active >> c & 1 and not before >> c & 1 and not any(
+                    mask & snap.active == mask for mask in net.masks[c]
+                ):
+                    count += 1
+            before = snap.active
+    return count
+
+
+def test_skip_rule_edges_are_not_vacuous():
+    """Under theta < 0 some concept switches on with no Complete pattern, so
+    the sweeps above compare the whole-layer walk; under theta >= 0 none
+    does, which is the premise of visiting only active units and units with
+    a Complete pattern."""
+    switched = {False: 0, True: 0}
+    for seed in range(50):
+        net = random_network(seed)
+        for params in SWEEP_PARAMS:
+            count = switched_on_without_a_complete_pattern(
+                net, run_scenario(net, params, mixed_scenario(net, seed))
+            )
+            switched[params.theta < 0] += count
+    assert switched[False] == 0
+    assert switched[True] > 0
+
+
 # --- compare: one reset Engine against a fresh ReferenceEngine per clamp ---
 
 def reset_state(engine):
-    return engine.state, engine.snapshot(), engine.routed, dict(engine.clamp), engine.sweep_count
+    return engine.state, engine.snapshot(), engine.routed, dict(engine.clamp)
 
 
 def left_mid_run(net, params, seed):

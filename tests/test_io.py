@@ -1,14 +1,22 @@
 """Strict parsers, canonical serializers, trace CSV, ASCII rendering."""
 import json
+import random
+import tracemalloc
 
 import pytest
 
 from conceptsim import io
 from conceptsim import (
+    ConceptSpec,
     EngineParams,
     ErrorRouting,
+    NetworkSpec,
+    PhaseTrace,
     ScenarioPhase,
     ScenarioSpec,
+    Snapshot,
+    Termination,
+    Trace,
     UnitKind,
     parse_network_file,
     parse_params,
@@ -32,6 +40,8 @@ from conceptsim.errors import (
     UnknownElement,
     UnknownField,
 )
+
+from netgen import synth_network
 
 
 # --- network files ---
@@ -265,6 +275,85 @@ def test_error_rows_only_below_the_top_layer(net):
     rows = trace_rows(quiescent_trace(net))
     error_names = {r.name for r in rows if r.kind is not UnitKind.CONCEPT}
     assert error_names == {"looking", "tasting", "white", "salty", "sweet"}
+
+
+# --- trace CSV on hand-built traces: snapshots against rows ---
+
+def hand_built(net, *phases):
+    """A Trace whose phases hold the given (active, omitted, committed) masks."""
+    n = net.n_concepts
+    return Trace(net, tuple(
+        PhaseTrace({}, tuple(Snapshot(a, o, c, 0, n) for a, o, c in snaps), Termination.SWEEP_LIMIT)
+        for snaps in phases
+    ))
+
+
+def assert_csv_from_snapshots_equals_rows(trace):
+    text = write_trace_csv(trace)
+    assert text == write_trace_csv(trace_rows(trace))
+    return text
+
+
+def test_trace_csv_flips_a_unit_across_a_phase_boundary(net, ids):
+    on = 1 << ids["salt"]
+    trace = hand_built(net, [(0, 0, 0), (on, 0, 0)], [(0, 0, 0)], [(on, 0, 0)])
+    text = assert_csv_from_snapshots_equals_rows(trace)
+    assert "0,1,concept,salt,1\n" in text and "1,0,concept,salt,0\n" in text
+    assert "2,0,concept,salt,1\n" in text
+
+
+def test_trace_csv_ignores_error_bits_of_top_layer_units(net, ids):
+    everything = (1 << net.n_concepts) - 1
+    text = assert_csv_from_snapshots_equals_rows(hand_built(net, [(0, everything, everything)]))
+    assert ",omission,salt," not in text and ",commission,sugar," not in text
+    assert "0,0,omission,looking,1\n" in text and "0,0,commission,sweet,1\n" in text
+
+
+def test_trace_csv_of_a_net_without_error_units():
+    one_layer = validate_network(NetworkSpec((ConceptSpec("b", 0), ConceptSpec("a", 0))))
+    text = assert_csv_from_snapshots_equals_rows(hand_built(one_layer, [(0b01, 0b11, 0b11), (0b10, 0b11, 0)]))
+    assert text == (
+        "phase,sweep,kind,name,value\n"
+        "0,0,concept,a,0\n0,0,concept,b,1\n"
+        "0,1,concept,a,1\n0,1,concept,b,0\n"
+    )
+
+
+@pytest.mark.parametrize("net_fixture", ["net", "awkward_net"])
+@pytest.mark.parametrize("seed", range(10))
+def test_trace_csv_of_arbitrary_masks(request, net_fixture, seed):
+    """Random masks in every kind, top-layer error bits included, over phases
+    of 0-4 sweeps, on the canonical net and on names such as crème and ünder."""
+    net = request.getfixturevalue(net_fixture)
+    rng = random.Random(seed)
+    n = net.n_concepts
+    phases = [
+        [tuple(rng.getrandbits(n) for _ in range(3)) for _ in range(rng.randint(0, 4))]
+        for _ in range(rng.randint(1, 4))
+    ]
+    trace = hand_built(net, *phases)
+    assert read_trace_csv(assert_csv_from_snapshots_equals_rows(trace)) == trace_rows(trace)
+
+
+def test_trace_csv_peak_memory_stays_near_the_text_size():
+    """Writing holds the text and about one more copy of it at its peak, so
+    a writer that builds the whole output as bytes and decodes it (about 3x
+    the text) fails."""
+    net = synth_network((200, 60, 20), seed=1)
+    rng = random.Random(1)
+
+    def half():
+        return {e: 1 for e in rng.sample(net.bottom, len(net.bottom) // 2)}
+
+    trace = run_scenario(net, EngineParams(), [(half(), None), (half(), 40), ({}, None)])
+    tracemalloc.start()
+    try:
+        text = write_trace_csv(trace)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(text) > 1_000_000
+    assert peak < 2.5 * len(text)
 
 
 # --- ASCII rendering ---
