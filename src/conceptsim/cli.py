@@ -11,35 +11,38 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .engine import (
-    Agreement,
-    EngineParams,
-    compare_with_oracle,
-    read_verdicts,
-    run_scenario,
-)
 from .errors import ConceptNetError, ParseError, UnknownElement
-from .io import (
-    parse_network_file,
-    parse_params,
-    parse_scenario_file,
-    read_trace_csv,
-    render_ascii_timeline,
-    write_trace_csv,
-)
-from .model import ValidatedNetwork, pattern_state, validate_network
-from .oracle import enumerate_interpretations, oracle_verdicts
+
+# Each command imports the modules it runs, so a one-shot call loads no more
+# of the package than it needs.
+if TYPE_CHECKING:
+    from .engine import EngineParams
+    from .model import ValidatedNetwork
+
+
+def _read(path: str, newline: str | None = None) -> str:
+    """An input file's text. Input files are UTF-8; any other bytes are a
+    ParseError that names the file."""
+    try:
+        with open(path, encoding="utf-8", newline=newline) as f:
+            return f.read()
+    except UnicodeDecodeError as e:
+        raise ParseError(f"{path}: not UTF-8 text ({e.reason})") from None
 
 
 def _load_network(path: str) -> ValidatedNetwork:
-    return validate_network(parse_network_file(Path(path).read_text(encoding="utf-8")))
+    from .io import parse_network_file
+    from .model import validate_network
+
+    return validate_network(parse_network_file(_read(path)))
 
 
 def _load_params(path: str | None) -> EngineParams:
-    if path is None:
-        return parse_params(None)
-    return parse_params(Path(path).read_text(encoding="utf-8"))
+    from .io import parse_params
+
+    return parse_params(None if path is None else _read(path))
 
 
 def _resolve_active(net: ValidatedNetwork, text: str) -> frozenset[int]:
@@ -82,8 +85,11 @@ def cmd_validate(args) -> int:
 
 
 def cmd_run(args) -> int:
+    from .engine import read_verdicts, run_scenario
+    from .io import parse_scenario_file, render_ascii_timeline, write_trace_csv
+
     net = _load_network(args.network)
-    scenario = parse_scenario_file(Path(args.scenario).read_text(encoding="utf-8"), net)
+    scenario = parse_scenario_file(_read(args.scenario), net)
     params = _load_params(args.params)
     trace = run_scenario(net, params, scenario.resolve(net))
     if args.format == "json":
@@ -112,6 +118,9 @@ def cmd_run(args) -> int:
 
 
 def cmd_check(args) -> int:
+    from .model import pattern_state
+    from .oracle import oracle_verdicts
+
     net = _load_network(args.network)
     active = _resolve_active(net, args.active)
     verdicts = oracle_verdicts(net, active)
@@ -144,6 +153,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
+    from .oracle import enumerate_interpretations
+
     net = _load_network(args.network)
     active = _resolve_active(net, args.active)
     reports = enumerate_interpretations(net, active)
@@ -164,6 +175,8 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    from .engine import Agreement, compare_with_oracle
+
     net = _load_network(args.network)
     params = _load_params(args.params)
     report = compare_with_oracle(net, params)
@@ -207,9 +220,10 @@ def cmd_compare(args) -> int:
 
 
 def cmd_render(args) -> int:
+    from .io import read_trace_csv, render_ascii_timeline
+
     # newline="" keeps a \r inside a quoted name, as csv.reader needs
-    with open(args.trace, encoding="utf-8", newline="") as f:
-        rows = read_trace_csv(f.read())
+    rows = read_trace_csv(_read(args.trace, newline=""))
     print(render_ascii_timeline(rows))
     return 0
 

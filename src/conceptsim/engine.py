@@ -18,9 +18,8 @@ from enum import Enum
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from . import oracle as _oracle
 from .errors import BadParams, NonBottomClamp, TooLarge
-from .model import ConceptId, ValidatedNetwork
+from .model import ConceptId, ValidatedNetwork, _bit_bytes, _bits, _ids
 
 
 class ErrorRouting(Enum):
@@ -138,36 +137,9 @@ class Trace:
     phases: tuple[PhaseTrace, ...]
 
 
-#: bytes.translate tables between 0/1 values and the digits "0"/"1"
-_TO_DIGITS = bytes.maketrans(b"\0\1", b"01")
-_FROM_DIGITS = bytes.maketrans(b"01", b"\0\1")
-
-
-def _bits(values: Sequence[int]) -> int:
-    """0/1 values as a bitmask over their indices: bit i is values[i]."""
-    return int(b"0" + bytes(values)[::-1].translate(_TO_DIGITS), 2)
-
-
-def _bit_bytes(bits: int, n: int) -> bytes:
-    """The first n bits of a bitmask, one 0/1 byte each; _bits' inverse."""
-    # the sentinel bit n keeps leading zeros, and the slice drops it again
-    return bin(bits | 1 << n)[:2:-1].encode().translate(_FROM_DIGITS)
-
-
 def _values(bits: int, n: int) -> list[int]:
     """The first n bits of a bitmask as a 0/1 list."""
     return list(_bit_bytes(bits, n))
-
-
-def _ids(bits: int) -> list[int]:
-    """Indices of the set bits, ascending."""
-    digits = bin(bits)[:1:-1]
-    out: list[int] = []
-    i = digits.find("1")
-    while i >= 0:
-        out.append(i)
-        i = digits.find("1", i + 1)
-    return out
 
 
 def dendrite_values(
@@ -579,6 +551,8 @@ def compare_with_oracle(
                     or error-driven rejection emptied a tie)
       DISAGREE      anything else, including non-convergence
     """
+    from . import oracle  # only compare needs it; a module, so patched attributes are seen
+
     params = params if params is not None else EngineParams()
     bottom = net.bottom
     if len(bottom) > COMPARE_BOTTOM_LIMIT:
@@ -592,7 +566,7 @@ def compare_with_oracle(
         engine.reset()
         engine.apply_clamp({e: 1 for e in sorted(clamped)})
         snaps, termination, _ = engine.run_to_fixed_point()
-        reports = _oracle.enumerate_interpretations(net, clamped, params.tau)
+        reports = oracle.enumerate_interpretations(net, clamped, params.tau)
         consistent = [r.interpretation for r in reports]
         maximal = tuple(r.interpretation for r in reports if r.maximal)
         if termination is not Termination.FIXED_POINT:

@@ -8,12 +8,12 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 from enum import Enum
 from io import StringIO
-from typing import Iterable, Mapping, Union
+from typing import TYPE_CHECKING, Iterable, Mapping, Union
 
-from .engine import EngineParams, ErrorRouting, Trace, _bit_bytes, _ids
 from .errors import (
     EmptyScenario,
     NonBottomClamp,
@@ -23,7 +23,10 @@ from .errors import (
     UnknownElement,
     UnknownField,
 )
-from .model import ConceptId, ConceptSpec, NetworkSpec, ValidatedNetwork
+from .model import ConceptId, ConceptSpec, NetworkSpec, ValidatedNetwork, _bit_bytes, _ids
+
+if TYPE_CHECKING:
+    from .engine import EngineParams, Trace
 
 
 def _reject_constant(name: str):
@@ -35,6 +38,11 @@ def _load_json(text: str):
         return json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as e:
         raise ParseError(f"line {e.lineno}, column {e.colno}: {e.msg}") from None
+    except ValueError:
+        # int() refuses more than sys.get_int_max_str_digits() digits
+        raise ParseError("an integer has too many digits") from None
+    except RecursionError:
+        raise ParseError("arrays or objects nested too deeply") from None
 
 
 def _require_object(value, path: str, allowed: frozenset[str], required: frozenset[str]):
@@ -69,8 +77,13 @@ def _require_nonneg_int(value, path: str) -> int:
 
 def _require_number(value, path: str) -> float:
     if type(value) not in (int, float):
-        raise TypeMismatch(f"{path} expected a number")
-    return float(value)
+        raise TypeMismatch(f"{path}: expected a number")
+    try:
+        return float(value)
+    except OverflowError:
+        # an int beyond the float range reads like 1e999: infinite, so
+        # EngineParams.validate refuses it as not finite
+        return math.inf if value > 0 else -math.inf
 
 
 # --- networks ---
@@ -191,6 +204,8 @@ def parse_params(text: str | None = None) -> EngineParams:
     Only syntax and field names are checked here; the numeric invariants are
     enforced when an engine is initialized.
     """
+    from .engine import EngineParams, ErrorRouting
+
     if text is None:
         return EngineParams()
     root = _load_json(text)
@@ -292,7 +307,7 @@ def _csv_field(text: str) -> str:
 
 def write_trace_csv(trace: Union[Trace, Iterable[TraceRow]]) -> str:
     """Render rows as CSV with the fixed header, in canonical order."""
-    if isinstance(trace, Trace):
+    if hasattr(trace, "phases"):  # a Trace, told apart without importing engine
         return _snapshots_csv(trace)
     lines = [_HEADER_LINE]
     for row in sorted(trace, key=TraceRow.sort_key):
@@ -376,7 +391,11 @@ def _read_rows(reader) -> list[TraceRow]:
         try:
             phase, sweep, value = int(phase_s), int(sweep_s), int(value_s)
         except ValueError:
-            raise ParseError(f"line {lineno}: phase, sweep and value must be integers") from None
+            phase = None
+        # int() also takes "+1", " 1", "1_0", "01" and non-ASCII digits; only
+        # the form str() writes back is accepted
+        if phase is None or (str(phase), str(sweep), str(value)) != (phase_s, sweep_s, value_s):
+            raise ParseError(f"line {lineno}: phase, sweep and value must be integers in ASCII digits")
         if phase < 0 or sweep < 0:
             raise SchemaMismatch(f"line {lineno}: negative phase or sweep index")
         if kind_s not in kinds:
@@ -410,7 +429,7 @@ def render_ascii_timeline(trace: Union[Trace, Iterable[TraceRow]]) -> str:
     kinds of one concept collapse into one row without loss: omission implies
     inactive and commission implies active.
     """
-    codes = _snapshot_codes(trace) if isinstance(trace, Trace) else _row_codes(trace)
+    codes = _snapshot_codes(trace) if hasattr(trace, "phases") else _row_codes(trace)
     if not codes:
         raise ValueError("cannot render an empty trace")
     width = max(map(len, codes))

@@ -19,7 +19,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 from math import ceil
-from typing import AbstractSet, Mapping
+from typing import AbstractSet, Mapping, Sequence
 
 from .errors import (
     BottomWithPatterns,
@@ -38,6 +38,46 @@ ConceptId = int
 
 #: Default applicability threshold: half of a pattern's elements, inclusive.
 DEFAULT_TAU = 0.5
+
+
+# --- bitmasks over concept ids ---
+
+#: bytes.translate tables between 0/1 values and the digits "0"/"1"
+_TO_DIGITS = bytes.maketrans(b"\0\1", b"01")
+_FROM_DIGITS = bytes.maketrans(b"01", b"\0\1")
+
+#: _ids peels masks with at most this many set bits one bit at a time, and
+#: scans the base-2 string of denser ones; peeling costs per set bit, the
+#: scan per bit of width, and they cross at about 16-24 set bits
+_PEEL_MAX = 16
+
+
+def _bits(values: Sequence[int]) -> int:
+    """0/1 values as a bitmask over their indices: bit i is values[i]."""
+    return int(b"0" + bytes(values)[::-1].translate(_TO_DIGITS), 2)
+
+
+def _bit_bytes(bits: int, n: int) -> bytes:
+    """The first n bits of a bitmask, one 0/1 byte each; _bits' inverse."""
+    # the sentinel bit n keeps leading zeros, and the slice drops it again
+    return bin(bits | 1 << n)[:2:-1].encode().translate(_FROM_DIGITS)
+
+
+def _ids(bits: int) -> list[int]:
+    """Indices of the set bits, ascending."""
+    out: list[int] = []
+    if bits.bit_count() <= _PEEL_MAX:
+        while bits:
+            low = bits & -bits
+            out.append(low.bit_length() - 1)
+            bits ^= low
+        return out
+    digits = bin(bits)[:1:-1]
+    i = digits.find("1")
+    while i >= 0:
+        out.append(i)
+        i = digits.find("1", i + 1)
+    return out
 
 
 class PatternStatus(Enum):

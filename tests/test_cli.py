@@ -301,3 +301,48 @@ def test_stdout_is_deterministic(capsys, salt, data_dir):
     _, first, _ = run_cli(capsys, *args)
     _, second, _ = run_cli(capsys, *args)
     assert first == second
+
+
+#: a command line per kind of input file, with the bad file in that place
+READ_SITES = {
+    "network": ("validate", "{bad}"),
+    "scenario": ("run", "{salt}", "{bad}"),
+    "params": ("compare", "{salt}", "--params", "{bad}"),
+    "trace": ("render", "{bad}"),
+}
+
+
+@pytest.mark.parametrize("site", sorted(READ_SITES))
+def test_input_that_is_not_utf8_exits_2(capsys, salt, tmp_path, site):
+    bad = tmp_path / "bad"
+    bad.write_bytes(b'{"concepts": [], "x": "\xff"}\n')
+    argv = [a.format(salt=salt, bad=bad) for a in READ_SITES[site]]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: ParseError: {bad}: not UTF-8 text (invalid start byte)\n"
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["run", "compare"])
+@pytest.mark.parametrize("text, message", [
+    ('{"w_ff": ' + "9" * 400 + "}", "w_ff is not finite"),
+    ('{"theta": -' + "9" * 400 + "}", "theta is not finite"),
+], ids=["w_ff_huge", "theta_huge_negative"])
+def test_params_int_beyond_float_range_exits_1(capsys, salt, data_dir, tmp_path, command, text, message):
+    """A huge int reads like 1e999: infinite, a BadParams domain error."""
+    params = tmp_path / "params.json"
+    params.write_text(text)
+    argv = [command, salt]
+    if command == "run":
+        argv.append(str(data_dir / "scenarios" / "decoupling.json"))
+    code, out, err = run_cli(capsys, *argv, "--params", str(params))
+    assert code == 1 and out == ""
+    assert err == f"error: BadParams: {message}\n"
+
+
+def test_render_non_canonical_integer_exits_2(capsys, tmp_path):
+    trace = tmp_path / "t.csv"
+    trace.write_text("phase,sweep,kind,name,value\n0,+1,concept,salt,1\n")
+    code, out, err = run_cli(capsys, "render", str(trace))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ParseError: line 2:")

@@ -170,6 +170,20 @@ def test_params_reject_non_finite_literals(text):
         parse_params(text)
 
 
+def test_params_number_message_names_the_field():
+    with pytest.raises(TypeMismatch, match=r"^\$\.w_ff: expected a number$"):
+        parse_params('{"w_ff": "1"}')
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"concepts": [{"name": "a", "layer": ' + "1" * 5000 + ', "patterns": []}]}', "too many digits"),
+    ('{"concepts": ' + "[" * 100_000 + "]" * 100_000 + "}", "nested too deeply"),
+], ids=["long_int", "deep_nesting"])
+def test_json_beyond_the_parser_limits_is_a_parse_error(text, message):
+    with pytest.raises(ParseError, match=message):
+        parse_network_file(text)
+
+
 def test_every_format_rejects_non_finite_literals(net):
     with pytest.raises(ParseError, match="non-finite"):
         parse_network_file('{"concepts": [{"name": "a", "layer": NaN, "patterns": []}]}')
@@ -240,6 +254,17 @@ def test_shuffled_csv_resorts_canonically(net, ids):
 def test_trace_csv_rejects_bad_input(text, error):
     with pytest.raises(error):
         read_trace_csv(text)
+
+
+@pytest.mark.parametrize("line", [
+    # anything but plain ASCII digits, though int() takes most of these
+    *(f"{p},0,concept,salt,1" for p in ("+1", " 1", "1 ", "1_0", "\u0663", "01", "-0", "")),
+    *(f"0,{s},concept,salt,1" for s in ("+0", "0_0", "\uff11", "00")),
+    *(f"0,0,concept,salt,{v}" for v in ("+1", " 1", "01", "1_", "\u0661", "-0", "")),
+])
+def test_trace_csv_refuses_non_canonical_integers(line):
+    with pytest.raises(ParseError, match="^line 2: "):
+        read_trace_csv(f"phase,sweep,kind,name,value\n{line}\n")
 
 
 def test_trace_csv_quotes_and_round_trips_awkward_names(awkward_net):

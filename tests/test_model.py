@@ -1,5 +1,6 @@
 """Domain types: validation, pattern evaluation, parent index."""
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -27,6 +28,8 @@ from conceptsim.errors import (
     UnknownConcept,
     ValidationError,
 )
+
+from conceptsim.model import _PEEL_MAX, _ids
 
 from netgen import random_network
 
@@ -232,3 +235,24 @@ def test_layers_partition_concepts(net):
     assert seen == list(range(net.n_concepts))
     for layer, layer_ids in net.layers.items():
         assert all(net.layer_of[c] == layer for c in layer_ids)
+
+
+def _sample_mask(rng: random.Random, width: int, k: int) -> int:
+    return sum(1 << i for i in rng.sample(range(width), k))
+
+
+def _id_masks() -> list[int]:
+    """Masks on both sides of _ids' peel/scan switch: empty, single and sparse
+    high bits, dense masks, and _PEEL_MAX - 1 .. _PEEL_MAX + 1 set bits."""
+    rng = random.Random(8)
+    masks = [0, *(1 << i for i in (0, 1, 63, 64, 1399))]
+    masks += [_sample_mask(rng, 1400, k) for k in (2, 5, 12, 70) for _ in range(3)]
+    masks += [(1 << 9) - 1, (1 << 1400) - 1, rng.getrandbits(1400), (1 << 1400) - 1 - (1 << 700)]
+    for k in (_PEEL_MAX - 1, _PEEL_MAX, _PEEL_MAX + 1):
+        masks += [(1 << k) - 1, _sample_mask(rng, 64, k), _sample_mask(rng, 1400, k) | 1 << 1399]
+    return masks
+
+
+@pytest.mark.parametrize("bits", _id_masks(), ids=lambda b: f"{b.bit_count()}of{b.bit_length()}")
+def test_ids_matches_a_bit_by_bit_scan(bits):
+    assert _ids(bits) == [i for i in range(bits.bit_length()) if bits >> i & 1]

@@ -1,0 +1,123 @@
+"""What a one-shot call loads: the lazy package and each command's modules."""
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import conceptsim
+from conceptsim import engine, io, model, oracle
+
+SRC = Path(conceptsim.__file__).resolve().parents[1]
+REPO = SRC.parent
+
+#: the public names, by the submodule that defines them
+PUBLIC = {
+    engine: (
+        "Agreement", "AgreementReport", "CaseResult", "Engine", "EngineParams", "ErrorRouting",
+        "PhaseTrace", "Snapshot", "Termination", "Trace", "Verdict", "compare_with_oracle",
+        "dendrite_values", "error_flags", "predictions", "read_verdicts", "route_errors",
+        "run_scenario",
+    ),
+    io: (
+        "ScenarioPhase", "ScenarioSpec", "TraceRow", "UnitKind", "parse_network_file",
+        "parse_params", "parse_scenario_file", "read_trace_csv", "render_ascii_timeline",
+        "serialize_network", "serialize_params", "serialize_scenario", "trace_rows",
+        "write_trace_csv",
+    ),
+    model: (
+        "DEFAULT_TAU", "ConceptId", "ConceptSpec", "NetworkSpec", "Pattern", "PatternState",
+        "PatternStatus", "ValidatedNetwork", "element_parents", "pattern_need", "pattern_state",
+        "validate_network",
+    ),
+    oracle: (
+        "ConceptCheck", "ConsistencyReport", "OracleVerdict", "concept_locally_consistent",
+        "effective_active", "enumerate_interpretations", "interpretation_consistent",
+        "oracle_verdicts", "unexpected_elements",
+    ),
+}
+
+#: runs cli.main on argv with stdout swallowed, then prints the exit code and
+#: the conceptsim submodules that were loaded
+CHILD = """
+import contextlib, io, json, sys
+from conceptsim.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("conceptsim."))]))
+"""
+
+BASE = ["conceptsim.cli", "conceptsim.errors", "conceptsim.io", "conceptsim.model"]
+WITH_ORACLE = sorted(BASE + ["conceptsim.oracle"])
+WITH_ENGINE = sorted(BASE + ["conceptsim.engine"])
+EVERYTHING = sorted(BASE + ["conceptsim.engine", "conceptsim.oracle"])
+
+#: the calls of perfbench's cli-small mix, and what each may load
+CALLS = [
+    pytest.param(("validate", "data/caramel.json"), 0, BASE, id="validate"),
+    pytest.param(
+        ("run", "data/salt.json", "data/scenarios/salt_rejection.json", "--render", "--trace",
+         "{tmp}/trace.csv"), 0, WITH_ENGINE, id="run-render-trace",
+    ),
+    pytest.param(
+        ("run", "data/salt.json", "data/scenarios/decoupling.json", "--format", "json"), 0,
+        WITH_ENGINE, id="run-json",
+    ),
+    pytest.param(("check", "data/salt.json", "--active", "looking,white,tasting"), 0, WITH_ORACLE, id="check"),
+    pytest.param(("enumerate", "data/caramel.json", "--active", "tasting,salty"), 0, WITH_ORACLE, id="enumerate"),
+    pytest.param(("compare", "data/salt.json", "--strict"), 0, EVERYTHING, id="compare"),
+    pytest.param(
+        ("compare", "data/caramel.json", "--format", "json", "--strict"), 1, EVERYTHING,
+        id="compare-json-disagree",
+    ),
+    pytest.param(("render", "tests/golden/salt_rejection_trace.csv"), 0, BASE, id="render"),
+]
+
+
+def child_env() -> dict[str, str]:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return env
+
+
+def run_child(code: str, *argv: str) -> str:
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *argv], cwd=REPO, env=child_env(),
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    return proc.stdout
+
+
+@pytest.mark.parametrize("argv, exit_code, loaded", CALLS)
+def test_each_command_loads_only_what_it_runs(tmp_path, argv, exit_code, loaded):
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    assert json.loads(run_child(CHILD, *argv)) == [exit_code, loaded]
+
+
+def test_import_conceptsim_loads_no_submodule():
+    code = "import sys, conceptsim; print(sorted(m for m in sys.modules if m.startswith('conceptsim')))"
+    assert run_child(code) == "['conceptsim']\n"
+
+
+def test_every_public_name_is_its_submodules_object():
+    assert sorted(conceptsim.__all__) == sorted(n for names in PUBLIC.values() for n in names)
+    for module, names in PUBLIC.items():
+        for name in names:
+            assert getattr(conceptsim, name) is getattr(module, name), name
+
+
+def test_star_import_and_submodule_attributes():
+    namespace: dict = {}
+    exec("from conceptsim import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(conceptsim.__all__)
+    assert conceptsim.engine is engine and conceptsim.oracle is oracle
+    assert set(conceptsim.__all__) <= set(dir(conceptsim))
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        conceptsim.no_such_name
+    with pytest.raises(ImportError):
+        exec("from conceptsim import no_such_name", {})
