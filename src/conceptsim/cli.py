@@ -57,31 +57,49 @@ def _resolve_active(net: ValidatedNetwork, text: str) -> frozenset[int]:
     return frozenset(ids)
 
 
-def _set_names(net: ValidatedNetwork, ids) -> str:
-    return "{" + ", ".join(sorted(net.names[c] for c in ids)) + "}"
+def _braces(names) -> str:
+    return "{" + ", ".join(names) + "}"
+
+
+def _sorted_names(net: ValidatedNetwork, ids) -> list[str]:
+    return sorted(net.names[c] for c in ids)
+
+
+def _print_result(args, payload, text) -> None:
+    """Print a command's result once built: the payload itself under
+    --format json, else the lines text(payload) derives from it."""
+    if args.format == "json":
+        print(json.dumps(payload, sort_keys=True, indent=2))
+    else:
+        for line in text(payload):
+            print(line)
+
+
+def _validate_text(shape):
+    yield (
+        f"{shape['concepts']} concepts, {shape['layers']} layers, "
+        f"{shape['patterns']} patterns, {len(shape['warnings'])} warnings"
+    )
+    for warning in shape["warnings"]:
+        yield f"warning: {warning}"
 
 
 def cmd_validate(args) -> int:
     net = _load_network(args.network)
-    n_patterns = sum(len(ps) for ps in net.patterns)
-    if args.format == "json":
-        print(json.dumps(
-            {
-                "concepts": net.n_concepts,
-                "layers": len(net.layers),
-                "patterns": n_patterns,
-                "warnings": list(net.warnings),
-            },
-            sort_keys=True, indent=2,
-        ))
-    else:
-        print(
-            f"{net.n_concepts} concepts, {len(net.layers)} layers, "
-            f"{n_patterns} patterns, {len(net.warnings)} warnings"
-        )
-        for warning in net.warnings:
-            print(f"warning: {warning}")
+    shape = {
+        "concepts": net.n_concepts,
+        "layers": len(net.layers),
+        "patterns": sum(len(ps) for ps in net.patterns),
+        "warnings": list(net.warnings),
+    }
+    _print_result(args, shape, _validate_text)
     return 0
+
+
+def _run_text(result):
+    for phase in result["phases"]:
+        detail = ", ".join(f"{name}: {verdict}" for name, verdict in phase["verdicts"].items())
+        yield f"phase {phase['phase']}: {detail}"
 
 
 def cmd_run(args) -> int:
@@ -92,29 +110,32 @@ def cmd_run(args) -> int:
     scenario = parse_scenario_file(_read(args.scenario), net)
     params = _load_params(args.params)
     trace = run_scenario(net, params, scenario.resolve(net))
-    if args.format == "json":
-        payload = []
-        for i, phase in enumerate(trace.phases):
-            verdicts = read_verdicts(trace, i)
-            payload.append(
-                {
-                    "phase": i + 1,
-                    "termination": phase.termination.value,
-                    "sweeps": len(phase.snapshots),
-                    "verdicts": {net.names[c]: verdicts[c].value for c in net.non_bottom},
-                }
-            )
-        print(json.dumps({"phases": payload}, sort_keys=True, indent=2))
-    else:
-        for i, _ in enumerate(trace.phases):
-            verdicts = read_verdicts(trace, i)
-            detail = ", ".join(f"{net.names[c]}: {verdicts[c].value}" for c in net.non_bottom)
-            print(f"phase {i + 1}: {detail}")
+    phases = []
+    for i, phase in enumerate(trace.phases):
+        verdicts = read_verdicts(trace, i)
+        phases.append({
+            "phase": i + 1,
+            "termination": phase.termination.value,
+            "sweeps": len(phase.snapshots),
+            # in net.non_bottom order, which the text keeps
+            "verdicts": {net.names[c]: verdicts[c].value for c in net.non_bottom},
+        })
+    _print_result(args, {"phases": phases}, _run_text)
     if args.trace:
         Path(args.trace).write_text(write_trace_csv(trace), encoding="utf-8", newline="")
     if args.render:
         print(render_ascii_timeline(trace))
     return 0
+
+
+def _check_text(concepts):
+    for name, concept in concepts.items():
+        yield f"{name}: {concept['verdict']}"
+        for k, pat in enumerate(concept["patterns"]):
+            line = f"  pattern {k} {_braces(pat['elements'])}: {pat['state']}"
+            if pat["state"] == "ApplicableIncomplete":
+                line += f", missing: {', '.join(pat['missing'])}"
+            yield line
 
 
 def cmd_check(args) -> int:
@@ -124,32 +145,27 @@ def cmd_check(args) -> int:
     net = _load_network(args.network)
     active = _resolve_active(net, args.active)
     verdicts = oracle_verdicts(net, active)
-    if args.format == "json":
-        payload = {}
-        for c in net.non_bottom:
-            payload[net.names[c]] = {
-                "verdict": verdicts[c].value,
-                "patterns": [
-                    {
-                        "elements": sorted(net.names[e] for e in pat.elements),
-                        "state": pattern_state(pat, active).status.value,
-                        "missing": sorted(net.names[e] for e in pat.elements - active),
-                    }
-                    for pat in net.patterns_of(c)
-                ],
-            }
-        print(json.dumps(payload, sort_keys=True, indent=2))
-    else:
-        for c in net.non_bottom:
-            print(f"{net.names[c]}: {verdicts[c].value}")
-            for k, pat in enumerate(net.patterns_of(c)):
-                state = pattern_state(pat, active)
-                line = f"  pattern {k} {_set_names(net, pat.elements)}: {state.status.value}"
-                if state.applicable and not state.complete:
-                    missing = sorted(net.names[e] for e in pat.elements - active)
-                    line += f", missing: {', '.join(missing)}"
-                print(line)
+    concepts = {
+        net.names[c]: {
+            "verdict": verdicts[c].value,
+            "patterns": [
+                {
+                    "elements": _sorted_names(net, pat.elements),
+                    "state": pattern_state(pat, active).status.value,
+                    "missing": _sorted_names(net, pat.elements - active),
+                }
+                for pat in net.patterns_of(c)
+            ],
+        }
+        for c in net.non_bottom
+    }
+    _print_result(args, concepts, _check_text)
     return 0
+
+
+def _enumerate_text(interpretations):
+    for r in interpretations:
+        yield _braces(r["interpretation"]) + ("*" if r["maximal"] else "")
 
 
 def cmd_enumerate(args) -> int:
@@ -157,21 +173,23 @@ def cmd_enumerate(args) -> int:
 
     net = _load_network(args.network)
     active = _resolve_active(net, args.active)
-    reports = enumerate_interpretations(net, active)
-    if args.format == "json":
-        payload = [
-            {
-                "interpretation": sorted(net.names[c] for c in r.interpretation),
-                "maximal": r.maximal,
-            }
-            for r in reports
-        ]
-        print(json.dumps(payload, sort_keys=True, indent=2))
-    else:
-        for r in reports:
-            star = "*" if r.maximal else ""
-            print(f"{_set_names(net, r.interpretation)}{star}")
+    interpretations = [
+        {"interpretation": _sorted_names(net, r.interpretation), "maximal": r.maximal}
+        for r in enumerate_interpretations(net, active)
+    ]
+    _print_result(args, interpretations, _enumerate_text)
     return 0
+
+
+def _compare_text(report):
+    yield (
+        f"{report['cases']} cases: AGREE {report['agree']}, "
+        f"TIE-SELECTED {report['tie_selected']}, DISAGREE {report['disagree']}"
+    )
+    for case in report["disagreements"]:
+        inferred = "unstable" if case["inferred"] is None else _braces(case["inferred"])
+        maximal = "[" + ", ".join(map(_braces, case["oracle_maximal"])) + "]"
+        yield f"DISAGREE clamp={_braces(case['clamp'])}: dynamics={inferred} oracle_maximal={maximal}"
 
 
 def cmd_compare(args) -> int:
@@ -180,43 +198,23 @@ def cmd_compare(args) -> int:
     net = _load_network(args.network)
     params = _load_params(args.params)
     report = compare_with_oracle(net, params)
-    agree = report.count(Agreement.AGREE)
-    tie = report.count(Agreement.TIE_SELECTED)
-    disagree = report.count(Agreement.DISAGREE)
-    if args.format == "json":
-        print(json.dumps(
+    result = {
+        "cases": len(report.cases),
+        "agree": report.count(Agreement.AGREE),
+        "tie_selected": report.count(Agreement.TIE_SELECTED),
+        "disagree": report.count(Agreement.DISAGREE),
+        "disagreements": [
             {
-                "cases": len(report.cases),
-                "agree": agree,
-                "tie_selected": tie,
-                "disagree": disagree,
-                "disagreements": [
-                    {
-                        "clamp": sorted(net.names[c] for c in case.clamp),
-                        "termination": case.termination.value,
-                        "inferred": None if case.inferred is None
-                        else sorted(net.names[c] for c in case.inferred),
-                        "oracle_maximal": [
-                            sorted(net.names[c] for c in m) for m in case.maximal
-                        ],
-                    }
-                    for case in report.disagreements
-                ],
-            },
-            sort_keys=True, indent=2,
-        ))
-    else:
-        print(f"{len(report.cases)} cases: AGREE {agree}, TIE-SELECTED {tie}, DISAGREE {disagree}")
-        for case in report.disagreements:
-            inferred = "unstable" if case.inferred is None else _set_names(net, case.inferred)
-            maximal = "[" + ", ".join(_set_names(net, m) for m in case.maximal) + "]"
-            print(
-                f"DISAGREE clamp={_set_names(net, case.clamp)}: "
-                f"dynamics={inferred} oracle_maximal={maximal}"
-            )
-    if args.strict and disagree:
-        return 1
-    return 0
+                "clamp": _sorted_names(net, case.clamp),
+                "termination": case.termination.value,
+                "inferred": None if case.inferred is None else _sorted_names(net, case.inferred),
+                "oracle_maximal": [_sorted_names(net, m) for m in case.maximal],
+            }
+            for case in report.disagreements
+        ],
+    }
+    _print_result(args, result, _compare_text)
+    return 1 if args.strict and result["disagree"] else 0
 
 
 def cmd_render(args) -> int:

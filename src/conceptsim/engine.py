@@ -409,7 +409,12 @@ class Engine:
         return self._run(self.params.max_sweeps, stop=True)
 
     def run_fixed_sweeps(self, count: int) -> tuple[tuple[Snapshot, ...], Termination, int | None]:
-        """Run exactly `count` sweeps, labelling how the segment ended."""
+        """Run exactly `count` sweeps, labelling how the segment ended.
+
+        A count above params.max_sweeps raises TooLarge before any sweep runs.
+        """
+        if count > self.params.max_sweeps:
+            raise TooLarge(f"a hold of {count} sweeps exceeds max_sweeps={self.params.max_sweeps}")
         return self._run(count, stop=False)
 
     def _run(self, count: int, stop: bool) -> tuple[tuple[Snapshot, ...], Termination, int | None]:

@@ -320,47 +320,41 @@ def _snapshots_csv(trace: Trace) -> str:
 
     Loops run phase, sweep, kind, name, with names sorted once: that is
     TraceRow.sort_key's order, since names are unique. Each kind keeps its
-    block of lines as a bytearray, one NUL + "<name field>,<value>\n" per
-    unit; a 0 and a 1 have the same length, so a unit's digit sits at a fixed
-    offset, and each snapshot flips only the digits that changed since the
-    last. NUL stands for the line prefix, since validate_network refuses NUL
-    in names. Each block is decoded on its own, so no whole-output bytes
-    object is ever held next to the text.
+    lines without their prefix, "<name field>,<value>\n", in name order, and
+    each snapshot replaces only the lines of units whose bit changed since
+    the last. A kind's lines start with "", so joining them with the prefix
+    puts the prefix before every line, and a kind without units adds nothing.
     """
     net = trace.net
     order = sorted(range(net.n_concepts), key=net.names.__getitem__)
     error_units = [c for c in order if net.layer_of[c] < net.max_layer]
-    fields = [_csv_field(name).encode() for name in net.names]
+    cells = [(f"{field},0\n", f"{field},1\n") for field in map(_csv_field, net.names)]
 
-    def template(ids: list[int]) -> tuple[bytearray, list[int]]:
-        """A block of 0 lines for ids, and each id's digit offset in it."""
-        block, at = bytearray(), [0] * net.n_concepts
-        for c in ids:
-            block += b"\0" + fields[c] + b","
-            at[c] = len(block)
-            block += b"0\n"
-        return block, at
+    def lines_of(ids: list[int]) -> tuple[list[str], dict[int, int]]:
+        """The 0 lines of ids after a leading "", and each id's position in them."""
+        return ["", *(cells[c][0] for c in ids)], {c: i for i, c in enumerate(ids, 1)}
 
-    # (kind, block, digit offsets, the units that have that kind)
-    kinds = [(UnitKind.CONCEPT, *template(order), (1 << net.n_concepts) - 1)]
-    if error_units:
-        omissions, error_at = template(error_units)
-        kinds += [
-            (UnitKind.OMISSION, omissions, error_at, net.below_top),
-            (UnitKind.COMMISSION, bytearray(omissions), error_at, net.below_top),
-        ]
-    shown = [0] * len(kinds)  # the bits each block holds now
-    blocks = [_HEADER_LINE]
+    # (kind, its lines, each unit's position in them, the units that have that
+    # kind); the concept lines and the error lines order different units
+    concept_lines, concept_at = lines_of(order)
+    error_lines, error_at = lines_of(error_units)
+    kinds = [
+        (UnitKind.CONCEPT, concept_lines, concept_at, (1 << net.n_concepts) - 1),
+        (UnitKind.OMISSION, error_lines, error_at, net.below_top),
+        (UnitKind.COMMISSION, error_lines.copy(), error_at, net.below_top),
+    ]
+    shown = [0] * len(kinds)  # the bits each kind's lines hold now
+    out = [_HEADER_LINE]
     for pi, phase in enumerate(trace.phases):
         for si, snap in enumerate(phase.snapshots):
             masks = (snap.active, snap.omitted, snap.committed)
-            for i, (kind, block, at, units) in enumerate(kinds):
+            for i, (kind, lines, at, units) in enumerate(kinds):
                 bits = masks[i] & units
                 for c in _ids(bits ^ shown[i]):
-                    block[at[c]] ^= 1  # "0" <-> "1"
+                    lines[at[c]] = cells[c][bits >> c & 1]
                 shown[i] = bits
-                blocks.append(block.replace(b"\0", f"{pi},{si},{kind.value},".encode()).decode())
-    return "".join(blocks)
+                out.append(f"{pi},{si},{kind.value},".join(lines))
+    return "".join(out)
 
 
 def read_trace_csv(text: str) -> list[TraceRow]:

@@ -153,6 +153,15 @@ def test_run_bad_params_exit_1(capsys, salt, data_dir, tmp_path):
     assert "w_ff <= theta" in err
 
 
+def test_run_hold_beyond_max_sweeps_exits_1(capsys, salt, tmp_path):
+    """A hold is bounded by max_sweeps, so a huge one is refused at once."""
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text('{"phases": [{"clamp": {"looking": 1}, "hold": 1000000000}]}')
+    code, out, err = run_cli(capsys, "run", salt, str(scenario))
+    assert code == 1 and out == ""
+    assert err == "error: TooLarge: a hold of 1000000000 sweeps exceeds max_sweeps=64\n"
+
+
 @pytest.mark.parametrize("text, code, message", [
     ('{"w_ff": Infinity}', 2, "non-finite number Infinity"),
     ('{"w_lat": NaN}', 2, "non-finite number NaN"),

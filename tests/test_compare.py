@@ -6,10 +6,14 @@ from conceptsim import (
     ConceptSpec,
     EngineParams,
     NetworkSpec,
+    Termination,
     compare_with_oracle,
+    enumerate_interpretations,
     validate_network,
 )
 from conceptsim.errors import TooLarge
+
+from netgen import random_network, shuffled_network
 
 
 def case_for(report, net, names):
@@ -100,6 +104,33 @@ def test_three_layer_divergence_is_detected(data_dir):
     for case in report.disagreements:
         assert case.maximal == ()  # nothing is consistent, yet something stayed inferred
         assert case.inferred
+
+
+def test_a_run_that_does_not_converge_disagrees(net):
+    """With max_sweeps=1 every clamp that changes the state in its first
+    sweep ends at the sweep limit: no inferred set, so DISAGREE."""
+    report = compare_with_oracle(net, EngineParams(max_sweeps=1))
+    unsettled = [c for c in report.cases if c.termination is not Termination.FIXED_POINT]
+    assert unsettled and len(unsettled) == report.count(Agreement.DISAGREE)
+    for case in unsettled:
+        assert case.inferred is None and case.classification is Agreement.DISAGREE
+    assert case_for(report, net, ()).classification is Agreement.AGREE
+
+
+@pytest.mark.parametrize("network, clamp, inferred", [
+    (lambda: shuffled_network(7), {2, 3, 5}, {0, 6}),
+    (lambda: random_network(112), {0, 1, 2, 3}, {4}),
+])
+def test_inferred_set_inside_no_consistent_interpretation_disagrees(network, clamp, inferred):
+    """Consistent interpretations exist, but the converged inferred set is
+    part of none of them."""
+    net = network()
+    case = next(c for c in compare_with_oracle(net).cases if c.clamp == frozenset(clamp))
+    assert case.termination is Termination.FIXED_POINT
+    assert case.classification is Agreement.DISAGREE and case.inferred == frozenset(inferred)
+    consistent = [r.interpretation for r in enumerate_interpretations(net, case.clamp)]
+    assert consistent and case.maximal
+    assert not any(case.inferred <= s for s in consistent)
 
 
 def test_too_many_bottom_concepts():

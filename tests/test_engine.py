@@ -15,7 +15,7 @@ from conceptsim import (
     read_verdicts,
     run_scenario,
 )
-from conceptsim.errors import BadParams, NonBottomClamp, UnknownConcept
+from conceptsim.errors import BadParams, NonBottomClamp, TooLarge, UnknownConcept
 
 from netgen import random_network, random_scenario
 
@@ -316,6 +316,28 @@ def test_fixed_sweep_hold_runs_exact_count(net, ids):
     assert phase.termination is Termination.FIXED_POINT  # settled within the hold
 
 
+def test_a_hold_beyond_max_sweeps_raises_before_any_sweep(net, ids):
+    eng = Engine(net, EngineParams(max_sweeps=3))
+    eng.apply_clamp({ids["looking"]: 1, ids["white"]: 1, ids["tasting"]: 1})
+    eng.run_fixed_sweeps(1)
+    before = (eng.snapshot(), list(eng.routed), dict(eng.clamp))
+    with pytest.raises(TooLarge, match="a hold of 4 sweeps exceeds max_sweeps=3"):
+        eng.run_fixed_sweeps(4)
+    assert (eng.snapshot(), eng.routed, dict(eng.clamp)) == before
+    assert eng.state == before[0]
+    # a hold of exactly max_sweeps still runs every sweep
+    snaps, _, _ = eng.run_fixed_sweeps(3)
+    assert len(snaps) == 3
+
+
+def test_a_hold_of_max_sweeps_runs_in_a_scenario(net, ids):
+    clamp = {ids["looking"]: 1, ids["white"]: 1}
+    trace = run_scenario(net, PARAMS, [(clamp, PARAMS.max_sweeps)])
+    assert len(trace.phases[0].snapshots) == PARAMS.max_sweeps
+    with pytest.raises(TooLarge):
+        run_scenario(net, PARAMS, [(clamp, PARAMS.max_sweeps + 1)])
+
+
 def test_all_global_routing_rejects_both_competitors(net, ids):
     """Under the literal global routing every error hits every active concept."""
     params = EngineParams(error_routing=ErrorRouting.ALL_GLOBAL)
@@ -428,6 +450,30 @@ def test_read_verdicts_on_synthetic_cycle(net, ids):
     verdicts = read_verdicts(trace)
     assert verdicts[ids["salt"]] is Verdict.UNSTABLE
     assert verdicts[ids["sugar"]] is Verdict.REJECTED
+
+
+@pytest.mark.parametrize("hold, expected", [
+    (1, {"salt": Verdict.UNSTABLE, "sugar": Verdict.INACTIVE}),
+    (2, {"salt": Verdict.REJECTED, "sugar": Verdict.UNSTABLE}),
+])
+def test_read_verdicts_on_a_hold_that_ends_unsettled(net, ids, hold, expected):
+    """A hold that ends before the state settles is a SweepLimit phase: on
+    looking, white and tasting, salt ignites in sweep 0 and is rejected in
+    sweep 1, when sugar takes over."""
+    clamp = {ids["looking"]: 1, ids["white"]: 1, ids["tasting"]: 1}
+    trace = run_scenario(net, PARAMS, [(clamp, hold)])
+    assert trace.phases[0].termination is Termination.SWEEP_LIMIT
+    assert read_verdicts(trace) == {ids[name]: v for name, v in expected.items()}
+
+
+def test_read_verdicts_at_the_sweep_limit_reads_the_last_two_sweeps(net, ids):
+    """Only the last two snapshots count: salt, active three sweeps before the
+    end, is Inactive; sugar, active in the second to last, is Unstable."""
+    n = net.n_concepts
+    salt, sugar = 1 << ids["salt"], 1 << ids["sugar"]
+    snapshots = tuple(Snapshot(a, 0, 0, 0, n) for a in (salt, 0, sugar, 0))
+    trace = Trace(net, (PhaseTrace({}, snapshots, Termination.SWEEP_LIMIT),))
+    assert read_verdicts(trace) == {ids["salt"]: Verdict.INACTIVE, ids["sugar"]: Verdict.UNSTABLE}
 
 
 def test_read_verdicts_requires_a_trace(net):

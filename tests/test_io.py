@@ -37,8 +37,10 @@ from conceptsim.errors import (
     ParseError,
     SchemaMismatch,
     TypeMismatch,
+    UnknownConcept,
     UnknownElement,
     UnknownField,
+    ValidationError,
 )
 
 from netgen import synth_network
@@ -414,3 +416,28 @@ def test_render_single_unit_single_sweep():
 def test_render_round_trips_through_csv(net, ids):
     trace = run_scenario(net, EngineParams(), [({ids["looking"]: 1, ids["white"]: 1}, None)])
     assert render_ascii_timeline(read_trace_csv(write_trace_csv(trace))) == render_ascii_timeline(trace)
+
+
+# --- small error paths ---
+
+def read_trace_with_a_blank_line(net):
+    text = "phase,sweep,kind,name,value\n0,0,concept,salt,1\n\n0,0,concept,sugar,0\n"
+    assert [(r.name, r.value) for r in read_trace_csv(text)] == [("salt", 1), ("sugar", 0)]
+
+
+@pytest.mark.parametrize("action, error, message", [
+    (lambda net: parse_scenario_file('{"phases": [{"clamp": ["salty"], "hold": 1}]}', net),
+     TypeMismatch, r"\$\.phases\[0\]\.clamp: expected an object"),
+    (read_trace_with_a_blank_line, None, None),  # a blank line is skipped
+    (lambda net: net.id_of("umami"), UnknownConcept, "no concept named 'umami'"),
+    (lambda net: validate_network(NetworkSpec((ConceptSpec("", 0),))),
+     ValidationError, "concept 0: name must be a non-empty string"),
+    (lambda net: validate_network(NetworkSpec((ConceptSpec("a", 0), ConceptSpec(7, 0)))),
+     ValidationError, "concept 1: name must be a non-empty string"),
+], ids=["clamp-not-an-object", "blank-trace-line", "id-of-unknown-name", "empty-name", "non-string-name"])
+def test_small_error_paths(net, action, error, message):
+    if error is None:
+        action(net)
+    else:
+        with pytest.raises(error, match=message):
+            action(net)
