@@ -23,7 +23,6 @@ _EXPORTS = {
         "compare_with_oracle",
         "dendrite_values",
         "error_flags",
-        "predictions",
         "read_verdicts",
         "route_errors",
         "run_scenario",
@@ -41,7 +40,6 @@ _EXPORTS = {
         "serialize_network",
         "serialize_params",
         "serialize_scenario",
-        "trace_rows",
         "write_trace_csv",
     ),
     "model": (

@@ -216,12 +216,6 @@ def _route(
     return routed
 
 
-def predictions(net: ValidatedNetwork, activation: Sequence[int], tau: float) -> list[int]:
-    """pred(e) = 1 iff some active concept has an applicable pattern containing e."""
-    pred, _ = _applicable(net, _bits(activation), tau)
-    return _values(pred, net.n_concepts)
-
-
 def error_flags(
     net: ValidatedNetwork, activation: Sequence[int], tau: float
 ) -> tuple[list[int], list[int]]:
@@ -413,9 +407,12 @@ class Engine:
 
         A count above params.max_sweeps raises TooLarge before any sweep runs.
         """
+        self._check_hold(count)
+        return self._run(count, stop=False)
+
+    def _check_hold(self, count: int) -> None:
         if count > self.params.max_sweeps:
             raise TooLarge(f"a hold of {count} sweeps exceeds max_sweeps={self.params.max_sweeps}")
-        return self._run(count, stop=False)
 
     def _run(self, count: int, stop: bool) -> tuple[tuple[Snapshot, ...], Termination, int | None]:
         """Up to `count` sweeps; with stop, end at the first unchanged or recurring state.
@@ -452,8 +449,15 @@ def run_scenario(
     params: EngineParams,
     phases: Iterable[tuple[Mapping[ConceptId, int], int | None]],
 ) -> Trace:
-    """Run an ordered list of (clamp, hold) phases; hold None means run to convergence."""
+    """Run an ordered list of (clamp, hold) phases; hold None means run to convergence.
+
+    A hold above params.max_sweeps raises TooLarge before the first phase runs.
+    """
     engine = Engine(net, params)
+    phases = list(phases)
+    for _, hold in phases:
+        if hold is not None:
+            engine._check_hold(hold)
     out: list[PhaseTrace] = []
     for clamp, hold in phases:
         engine.apply_clamp(clamp)
@@ -540,6 +544,191 @@ class AgreementReport:
 COMPARE_BOTTOM_LIMIT = 16
 
 
+def _drive_thresholds(
+    params: EngineParams, widest: int, most: int
+) -> dict[tuple[int, int], list[int]] | None:
+    """The drive test of sweep() as a table of thresholds on the routed count.
+
+    For each (dendrite, prev) and each count k < widest of other active units
+    in the layer, the least routed count r <= most whose drive, by sweep()'s
+    float expression, is at most 0, and most + 1 if there is none. The drive
+    is then > 0 exactly for r below the threshold, unless it grows with r:
+    rounding keeps w_err * r monotone, so that takes w_err < 0, and then the
+    answer is None.
+    """
+    w_ff, w_self, w_lat, w_err, theta = params.w_ff, params.w_self, params.w_lat, params.w_err, params.theta
+    table: dict[tuple[int, int], list[int]] = {}
+    for dendrite in (0, 1):
+        for prev in (0, 1):
+            row = table[dendrite, prev] = []
+            for k in range(widest):
+                on = [
+                    w_ff * dendrite + w_self * prev - w_lat * k - w_err * r - theta > 0
+                    for r in range(most + 1)
+                ]
+                first = on.index(False) if False in on else most + 1
+                if any(on[first:]):
+                    return None
+                row.append(first)
+    return table
+
+
+def _at_least(planes: Iterable[int], depth: int, ge: list[int]) -> list[int]:
+    """Add the bits of planes, case by case, to the saturating count ge:
+    ge[t] holds the cases whose count is at least t, for t up to depth, and
+    ge[0] every case."""
+    ge = ge.copy()
+    for x in planes:
+        for t in range(depth, 0, -1):
+            ge[t] |= ge[t - 1] & x
+    return ge
+
+
+def _clamp_planes(net: ValidatedNetwork, params: EngineParams) -> list[frozenset[ConceptId] | None]:
+    """Run the clamps of compare_with_oracle all at once, bit-sliced.
+
+    Each unit value is one int, a plane, whose bit i is its value under case
+    i, the clamp of bit j of i on net.bottom[j]; a sweep applies sweep()'s
+    rules to whole planes, so one int operation advances every case. The
+    drive test is _drive_thresholds' table, read against the count of other
+    active units as one-hot planes, kept current in id order, and the routed
+    count as planes of "at least t" up to the table's largest threshold, or
+    1, which the latch test needs. Runs stop when no case changed its
+    Snapshot, at max_sweeps, or when the planes recur: a case that did not
+    change stays fixed, since routed is a function of active.
+
+    Returns, per case, the inferred set of a run that reached a fixed point,
+    and None for a run that did not; all None when the table does not hold.
+    """
+    cases = 1 << len(net.bottom)
+    ones = (1 << cases) - 1
+    n = net.n_concepts
+    layers = [_ids(mask) for mask in net.layer_mask]
+    widest = max(map(len, layers[1:]), default=0)
+    table = _drive_thresholds(params, widest, n)
+    if table is None:
+        return [None] * cases
+    depth = max([1] + [t for row in table.values() for t in row if t <= n])
+    # per (dendrite, prev), each threshold t > 0 and the counts k that have it
+    steps = {
+        key: [(t, [k for k in range(widest) if row[k] == t]) for t in sorted(set(row) - {0})]
+        for key, row in table.items()
+    }
+    elements = [[_ids(mask) for mask in masks] for masks in net.masks]
+    needs = net.pattern_needs(params.tau)
+    zero = [ones] + [0] * depth  # a count of 0 in every case
+
+    active = [0] * n
+    for j, e in enumerate(net.bottom):
+        # bit j of the case: runs of 2^j zeros and 2^j ones
+        run = 1 << j
+        active[e] = ones // ((1 << 2 * run) - 1) * (((1 << run) - 1) << run)
+    omitted, committed, latched, dend = [0] * n, [0] * n, [0] * n, [0] * n
+    routed = [zero] * n
+    seen: set[int] = set()
+    changed = ones
+    for sweep in range(params.max_sweeps):
+        changed = 0
+        # whether the layer below changed, so that dendrites must be recomputed;
+        # layer 0 is fixed from the first sweep on
+        moved = not sweep
+        for ids in layers[1:]:
+            if moved:
+                for c in ids:
+                    d = 0
+                    for elems in elements[c]:
+                        conj = ones
+                        for e in elems:
+                            conj &= active[e]
+                        d |= conj
+                    dend[c] = d
+            moved = False
+            count = [ones] + [0] * widest  # count[j]: j units of the layer active
+            for c in ids:
+                a = active[c]
+                count = [count[0] & (ones ^ a)] + [
+                    count[j] & (ones ^ a) | count[j - 1] & a for j in range(1, widest + 1)
+                ]
+            for c in ids:
+                prev, held, ge = active[c], latched[c], routed[c]
+                # k, the other active units: the count less prev
+                k_is = [count[k] & (ones ^ prev) | count[k + 1] & prev for k in range(widest)]
+                now = 0
+                for (has_dend, has_prev), thresholds in steps.items():
+                    sel = (dend[c] if has_dend else ones ^ dend[c]) & (prev if has_prev else ones ^ prev)
+                    for t, ks in thresholds:
+                        hit = 0
+                        for k in ks:
+                            hit |= k_is[k]
+                        now |= sel & hit & (ones ^ ge[t] if t <= n else ones)
+                now &= ones ^ held
+                off = ones ^ now
+                count = [k_is[0] & off] + [
+                    k_is[k] & off | k_is[k - 1] & now for k in range(1, widest)
+                ] + [k_is[widest - 1] & now]
+                latched[c] = held | prev & off & ge[1]
+                if prev != now:
+                    moved = True
+                    changed |= prev ^ now
+                    active[c] = now
+                changed |= latched[c] ^ held
+
+        pred = [0] * n
+        unions: list[dict[ConceptId, int]] = [{} for _ in range(n)]
+        for c in net.non_bottom:
+            if not active[c]:
+                continue
+            union = unions[c]
+            for elems, need in zip(elements[c], needs[c]):
+                applies = active[c] & _at_least((active[e] for e in elems), need, [ones] + [0] * need)[need]
+                for e in elems:
+                    pred[e] |= applies
+                    union[e] = union.get(e, 0) | applies
+        below_top = net.below_top
+        for e in range(n):
+            om = pred[e] & (ones ^ active[e])
+            cm = active[e] & (ones ^ pred[e]) if below_top >> e & 1 else 0
+            changed |= om ^ omitted[e] | cm ^ committed[e]
+            omitted[e], committed[e] = om, cm
+        if params.error_routing is ErrorRouting.ALL_GLOBAL:
+            total = _at_least((omitted[e] | committed[e] for e in range(n)), depth, zero)
+            charged = [total] * len(layers)
+        else:
+            # commission errors per layer charge every active concept one layer up
+            charged = [_at_least((committed[e] for e in ids), depth, zero) for ids in layers]
+        for c in net.non_bottom:
+            if active[c]:
+                ge = charged[net.layer_of[c] - 1]
+                if params.error_routing is ErrorRouting.SPLIT:
+                    # an omission charges each owner once per missing element it predicted
+                    ge = _at_least((u & omitted[e] for e, u in unions[c].items()), depth, ge)
+                routed[c] = [g & active[c] for g in ge]
+            else:
+                routed[c] = zero
+
+        if not changed:
+            break
+        state = hash((*active, *latched))
+        if state in seen:
+            # every case that still changes is in a cycle
+            break
+        seen.add(state)
+
+    nb = net.non_bottom
+    sets: dict[tuple[int, ...], frozenset[ConceptId]] = {}
+    out: list[frozenset[ConceptId] | None] = []
+    # per case: whether it still changed, then each non-bottom concept's value
+    for bits in zip(_bit_bytes(changed, cases), *(_bit_bytes(active[c], cases) for c in nb)):
+        if bits[0]:
+            out.append(None)
+            continue
+        inferred = sets.get(bits)
+        if inferred is None:
+            inferred = sets[bits] = frozenset(c for c, bit in zip(nb, bits[1:]) if bit)
+        out.append(inferred)
+    return out
+
+
 def compare_with_oracle(
     net: ValidatedNetwork,
     params: EngineParams | None = None,
@@ -547,7 +736,7 @@ def compare_with_oracle(
     """Exhaustively compare single-phase dynamics against the oracle.
 
     For every subset of layer-0 clamps, run the circuit from the zero state to
-    termination (one Engine, reset before each clamp) and classify:
+    termination and classify:
 
       AGREE         the inferred set is a maximal consistent interpretation,
                     or nothing is consistent and nothing was inferred
@@ -555,6 +744,10 @@ def compare_with_oracle(
                     interpretation (lateral inhibition chose among oracle ties,
                     or error-driven rejection emptied a tie)
       DISAGREE      anything else, including non-convergence
+
+    The runs of all 2^b clamps advance together, bit-sliced (_clamp_planes);
+    a clamp whose run has not reached a fixed point there is rerun on one
+    Engine, reset before each, which gives its exact termination.
     """
     from . import oracle  # only compare needs it; a module, so patched attributes are seen
 
@@ -564,28 +757,41 @@ def compare_with_oracle(
         raise TooLarge(
             f"{len(bottom)} layer-0 concepts exceed the comparison limit of {COMPARE_BOTTOM_LIMIT}"
         )
+    params.validate()
     cases: list[CaseResult] = []
-    engine = Engine(net, params)
-    for mask in range(1 << len(bottom)):
-        clamped = frozenset(bottom[i] for i in range(len(bottom)) if mask >> i & 1)
-        engine.reset()
-        engine.apply_clamp({e: 1 for e in sorted(clamped)})
-        snaps, termination, _ = engine.run_to_fixed_point()
+    settled: list[frozenset[ConceptId] | None] = []
+    engine: Engine | None = None
+    # clamp mask i sets bottom[j] for each bit j of i: mask's lowest bit added
+    # to the clamp of the mask without it
+    clamps = [frozenset()]
+    for mask in range(1, 1 << len(bottom)):
+        low = mask & -mask
+        clamps.append(clamps[mask ^ low] | {bottom[low.bit_length() - 1]})
+    for mask, clamped in enumerate(clamps):
         reports = oracle.enumerate_interpretations(net, clamped, params.tau)
+        if not mask:
+            # after the oracle's first call, which refuses a net too large to enumerate
+            settled = _clamp_planes(net, params)
+        inferred = settled[mask]
+        termination = Termination.FIXED_POINT
+        if inferred is None:
+            engine = engine or Engine(net, params)
+            engine.reset()
+            engine.apply_clamp({e: 1 for e in sorted(clamped)})
+            snaps, termination, _ = engine.run_to_fixed_point()
+            if termination is Termination.FIXED_POINT:
+                inferred = frozenset(_ids(snaps[-1].active & net.non_bottom_mask))
         consistent = [r.interpretation for r in reports]
         maximal = tuple(r.interpretation for r in reports if r.maximal)
         if termination is not Termination.FIXED_POINT:
-            inferred = None
             classification = Agreement.DISAGREE
+        elif not consistent:
+            classification = Agreement.AGREE if not inferred else Agreement.DISAGREE
+        elif inferred in maximal:
+            classification = Agreement.AGREE
+        elif any(inferred < s for s in consistent):
+            classification = Agreement.TIE_SELECTED
         else:
-            inferred = frozenset(_ids(snaps[-1].active & net.non_bottom_mask))
-            if not consistent:
-                classification = Agreement.AGREE if not inferred else Agreement.DISAGREE
-            elif inferred in maximal:
-                classification = Agreement.AGREE
-            elif any(inferred < s for s in consistent):
-                classification = Agreement.TIE_SELECTED
-            else:
-                classification = Agreement.DISAGREE
+            classification = Agreement.DISAGREE
         cases.append(CaseResult(clamped, termination, inferred, classification, maximal))
     return AgreementReport(tuple(cases))

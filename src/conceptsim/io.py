@@ -269,27 +269,6 @@ class TraceRow:
         return (self.phase, self.sweep, _KIND_ORDER[self.kind], self.name)
 
 
-def trace_rows(trace: Trace) -> list[TraceRow]:
-    """Flatten a trace into canonically sorted rows.
-
-    Concept rows exist for every concept; omission/commission rows only for
-    concepts below the top layer (top-layer concepts have no error units).
-    """
-    net = trace.net
-    error_units = [c for c in range(net.n_concepts) if net.layer_of[c] < net.max_layer]
-    rows: list[TraceRow] = []
-    for pi, phase in enumerate(trace.phases):
-        for si, snap in enumerate(phase.snapshots):
-            activation, omission, commission = snap.activation, snap.omission, snap.commission
-            for c in range(net.n_concepts):
-                rows.append(TraceRow(pi, si, UnitKind.CONCEPT, net.names[c], activation[c]))
-            for c in error_units:
-                rows.append(TraceRow(pi, si, UnitKind.OMISSION, net.names[c], omission[c]))
-                rows.append(TraceRow(pi, si, UnitKind.COMMISSION, net.names[c], commission[c]))
-    rows.sort(key=TraceRow.sort_key)
-    return rows
-
-
 _HEADER_LINE = ",".join(CSV_HEADER) + "\n"
 
 
@@ -305,18 +284,8 @@ def _csv_field(text: str) -> str:
     return text
 
 
-def write_trace_csv(trace: Union[Trace, Iterable[TraceRow]]) -> str:
-    """Render rows as CSV with the fixed header, in canonical order."""
-    if hasattr(trace, "phases"):  # a Trace, told apart without importing engine
-        return _snapshots_csv(trace)
-    lines = [_HEADER_LINE]
-    for row in sorted(trace, key=TraceRow.sort_key):
-        lines.append(f"{row.phase},{row.sweep},{row.kind.value},{_csv_field(row.name)},{row.value}\n")
-    return "".join(lines)
-
-
-def _snapshots_csv(trace: Trace) -> str:
-    """write_trace_csv of a Trace, read straight from its snapshots.
+def write_trace_csv(trace: Trace) -> str:
+    """Render a trace as CSV with the fixed header, in canonical order.
 
     Loops run phase, sweep, kind, name, with names sorted once: that is
     TraceRow.sort_key's order, since names are unique. Each kind keeps its

@@ -1,4 +1,4 @@
-"""Slow references for the bitmask fast paths, kept only for differential tests.
+"""Slow references for the fast paths, kept only for differential tests.
 
 Each function states its rule directly on sets, through the Fraction-based
 model.pattern_state, and runs in the obvious order with no precomputation:
@@ -7,9 +7,12 @@ candidate interpretations, the flat rule that oracle.enumerate_interpretations
 applies one layer at a time. ReferenceEngine keeps its state in lists and a
 set where Engine keeps bitmasks, sweeps with the references below for
 predictions and routing, keeps the two run loops that Engine now shares, and
-emits the same Snapshots. compare_reference builds a fresh ReferenceEngine for
-every clamp, where compare_with_oracle resets one Engine. write_trace_csv_reference is the trace writer as it
-was before it built lines itself: csv.writer over sorted rows, and
+emits the same Snapshots. compare_reference runs a fresh ReferenceEngine for
+every clamp, one after another, where compare_with_oracle advances all clamps
+at once on bit-sliced planes. trace_rows flattens a trace into TraceRows, and
+write_rows_csv writes TraceRows the way write_trace_csv writes a trace, field
+by field; write_trace_csv_reference is that writer as it was before it built
+lines itself: csv.writer over sorted rows, and
 render_ascii_timeline_reference the renderer as it was before it read
 snapshots: a dict entry per cell of the sorted rows.
 """
@@ -34,9 +37,8 @@ from conceptsim import (
     enumerate_interpretations,
     interpretation_consistent,
     pattern_state,
-    trace_rows,
 )
-from conceptsim.io import CSV_HEADER
+from conceptsim.io import _HEADER_LINE, CSV_HEADER, _csv_field
 
 
 def enumerate_reference(net, clamped, tau=DEFAULT_TAU):
@@ -98,9 +100,38 @@ def route_errors_reference(net, activation, omission, commission, routing, tau):
     return routed
 
 
+def trace_rows(trace):
+    """Flatten a trace into canonically sorted rows.
+
+    Concept rows exist for every concept; omission/commission rows only for
+    concepts below the top layer (top-layer concepts have no error units).
+    """
+    net = trace.net
+    error_units = [c for c in range(net.n_concepts) if net.layer_of[c] < net.max_layer]
+    rows = []
+    for pi, phase in enumerate(trace.phases):
+        for si, snap in enumerate(phase.snapshots):
+            activation, omission, commission = snap.activation, snap.omission, snap.commission
+            for c in range(net.n_concepts):
+                rows.append(TraceRow(pi, si, UnitKind.CONCEPT, net.names[c], activation[c]))
+            for c in error_units:
+                rows.append(TraceRow(pi, si, UnitKind.OMISSION, net.names[c], omission[c]))
+                rows.append(TraceRow(pi, si, UnitKind.COMMISSION, net.names[c], commission[c]))
+    rows.sort(key=TraceRow.sort_key)
+    return rows
+
+
+def write_rows_csv(rows):
+    """TraceRows as trace CSV, in canonical order, with write_trace_csv's quoting."""
+    lines = [_HEADER_LINE]
+    for row in sorted(rows, key=TraceRow.sort_key):
+        lines.append(f"{row.phase},{row.sweep},{row.kind.value},{_csv_field(row.name)},{row.value}\n")
+    return "".join(lines)
+
+
 def write_trace_csv_reference(rows):
     """csv.writer's rendering of TraceRows in canonical order. It equals
-    write_trace_csv for every name without a \\r; before Python 3.13 it
+    write_rows_csv for every name without a \\r; before Python 3.13 it
     leaves such a name unquoted, which csv.reader cannot read back."""
     buf = StringIO()
     writer = csv.writer(buf, lineterminator="\n")

@@ -22,11 +22,11 @@ from conceptsim import (
     serialize_network,
     serialize_params,
     serialize_scenario,
-    trace_rows,
     write_trace_csv,
 )
 
 from netgen import random_network, random_scenario
+from reference import trace_rows, write_rows_csv
 
 PARAMS = EngineParams()
 
@@ -147,7 +147,7 @@ def test_criterion_6_determinism_and_round_trips(net, data_dir, golden_dir):
     trace = run_scenario(net, PARAMS, _salt_rejection_scenario(net))
     text = write_trace_csv(trace)
     assert read_trace_csv(text) == trace_rows(trace)
-    assert write_trace_csv(read_trace_csv(text)) == text
+    assert write_rows_csv(read_trace_csv(text)) == text
     _passed("6 determinism & round-trips (100 identical runs, all formats round-trip)")
 
 

@@ -162,6 +162,19 @@ def test_run_hold_beyond_max_sweeps_exits_1(capsys, salt, tmp_path):
     assert err == "error: TooLarge: a hold of 1000000000 sweeps exceeds max_sweeps=64\n"
 
 
+def test_run_hold_beyond_max_sweeps_in_a_later_phase_exits_1(capsys, salt, tmp_path):
+    """The hold of a later phase is checked before the first phase runs, with
+    the same message and exit code."""
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(
+        '{"phases": [{"clamp": {"looking": 1, "white": 1}, "hold": "converge"},'
+        ' {"clamp": {"looking": 1}, "hold": 65}]}'
+    )
+    code, out, err = run_cli(capsys, "run", salt, str(scenario))
+    assert code == 1 and out == ""
+    assert err == "error: TooLarge: a hold of 65 sweeps exceeds max_sweeps=64\n"
+
+
 @pytest.mark.parametrize("text, code, message", [
     ('{"w_ff": Infinity}', 2, "non-finite number Infinity"),
     ('{"w_lat": NaN}', 2, "non-finite number NaN"),

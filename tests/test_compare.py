@@ -4,6 +4,7 @@ import pytest
 from conceptsim import (
     Agreement,
     ConceptSpec,
+    Engine,
     EngineParams,
     NetworkSpec,
     Termination,
@@ -11,6 +12,7 @@ from conceptsim import (
     enumerate_interpretations,
     validate_network,
 )
+from conceptsim import engine
 from conceptsim.errors import TooLarge
 
 from netgen import random_network, shuffled_network
@@ -139,6 +141,38 @@ def test_too_many_bottom_concepts():
     net = validate_network(NetworkSpec(tuple(concepts)))
     with pytest.raises(TooLarge):
         compare_with_oracle(net)
+
+
+def test_too_many_concepts_to_enumerate_builds_no_planes(monkeypatch):
+    """A net the oracle refuses is refused on the first clamp, before the
+    plane run, whose cost grows with the square of a layer's width."""
+    concepts = [ConceptSpec("a", 0), ConceptSpec("b", 0)]
+    concepts += [ConceptSpec(f"c{i}", 1, (("a", "b"),)) for i in range(21)]
+    net = validate_network(NetworkSpec(tuple(concepts)))
+
+    def refuse(*args):
+        raise AssertionError("planes built for a net the oracle refuses")
+
+    monkeypatch.setattr(engine, "_clamp_planes", refuse)
+    with pytest.raises(TooLarge, match="21 non-bottom concepts"):
+        compare_with_oracle(net)
+
+
+def test_only_unsettled_clamps_run_on_the_engine(monkeypatch, net):
+    """The planes settle every clamp that reaches a fixed point; Engine runs
+    only the others, here the 31 clamps still changing after one sweep."""
+    runs = []
+    real_run = Engine.run_to_fixed_point
+
+    def counted(self):
+        runs.append(1)
+        return real_run(self)
+
+    monkeypatch.setattr(Engine, "run_to_fixed_point", counted)
+    compare_with_oracle(net)
+    assert runs == []
+    report = compare_with_oracle(net, EngineParams(max_sweeps=1))
+    assert len(runs) == sum(c.termination is not Termination.FIXED_POINT for c in report.cases) == 31
 
 
 def test_report_is_deterministic(net):

@@ -1,13 +1,14 @@
 """The fast paths against slow references: bitmask pattern tests and the
-bitmask sweep against the set-and-Fraction ones, and the trace writer and
-renderer that read snapshots against the ones that read sorted TraceRows."""
+bitmask sweep against the set-and-Fraction ones, compare's bit-sliced run of
+every clamp against a fresh ReferenceEngine per clamp, and the trace writer
+and renderer that read snapshots against the ones that read sorted TraceRows."""
 import itertools
 import random
 import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, example, find, given, settings, strategies as st
 
 from conceptsim import (
     ConceptSpec,
@@ -23,18 +24,18 @@ from conceptsim import (
     error_flags,
     parse_network_file,
     parse_scenario_file,
-    predictions,
     read_trace_csv,
     render_ascii_timeline,
     route_errors,
     run_scenario,
-    trace_rows,
     validate_network,
     write_trace_csv,
 )
+from conceptsim.engine import _applicable, _drive_thresholds
 from conceptsim.errors import UnknownConcept
+from conceptsim.model import _bit_bytes, _bits
 
-from netgen import random_clamp, random_network, shuffled_network
+from netgen import random_clamp, random_network, shuffled_network, synth_network
 from reference import (
     ReferenceEngine,
     compare_reference,
@@ -43,6 +44,8 @@ from reference import (
     render_ascii_timeline_reference,
     route_errors_reference,
     run_scenario_reference,
+    trace_rows,
+    write_rows_csv,
     write_trace_csv_reference,
 )
 
@@ -140,7 +143,8 @@ def test_engine_stages_match_reference_on_seeded_networks(seed):
     for _ in range(8):
         activation = [int(rng.random() < 0.5) for _ in range(net.n_concepts)]
         tau = rng.choice(TAUS)
-        assert predictions(net, activation, tau) == predictions_reference(net, activation, tau)
+        pred, _ = _applicable(net, _bits(activation), tau)
+        assert list(_bit_bytes(pred, net.n_concepts)) == predictions_reference(net, activation, tau)
         omission, commission = error_flags(net, activation, tau)
         for routing in ErrorRouting:
             assert route_errors(net, activation, omission, commission, routing, tau) == (
@@ -183,7 +187,7 @@ def mixed_scenario(net, seed, phases=4):
 def assert_writers_agree(trace):
     text = write_trace_csv(trace)
     rows = trace_rows(trace)
-    assert text == write_trace_csv(rows)
+    assert text == write_rows_csv(rows)
     assert read_trace_csv(text) == rows
     if not any("\r" in name for name in trace.net.names):
         assert text == write_trace_csv_reference(rows)
@@ -242,7 +246,7 @@ def test_row_writer_matches_csv_writer_on_names_without_cr(names):
         TraceRow(i % 3, i % 2, kind, name, i // 3 % 2)
         for i, (kind, name) in enumerate(itertools.product(UnitKind, names))
     ]
-    assert write_trace_csv(rows) == write_trace_csv_reference(rows)
+    assert write_rows_csv(rows) == write_trace_csv_reference(rows)
 
 
 # --- the bitmask sweep against the list-based reference ---
@@ -494,6 +498,173 @@ def test_compare_matches_reference_on_shipped_networks(data_dir, name, routing):
     net = validate_network(parse_network_file((data_dir / name).read_text()))
     params = EngineParams(error_routing=routing)
     assert compare_with_oracle(net, params).cases == compare_reference(net, params).cases
+
+
+# --- compare: every clamp at once on bit-sliced planes ---
+
+#: nets for the plane run: seeded netgen nets, 4-layer nets declared out of
+#: layer order, and 4-layer nets with patterns of 3-4 elements
+compare_nets = st.one_of(
+    st.integers(0, 49).map(random_network),
+    st.integers(0, 19).map(shuffled_network),
+    st.integers(1, 3).map(lambda seed: synth_network((6, 5, 5, 3), seed)),
+)
+
+
+@st.composite
+def valid_params(draw):
+    """EngineParams that pass validate(): theta in [-0.5, 0.9], w_lat in
+    [0, 2.5], w_err below or above w_ff + w_self - theta, tau in (0, 1],
+    max_sweeps in {1, 2, 3, 64} and either routing."""
+    between = st.floats(0.05, 0.95)
+    theta = draw(st.floats(-0.5, 0.9))
+    w_ff = theta + draw(st.floats(0.05, 1.5))
+    w_self = theta + (w_ff - theta) * draw(between)
+    bound = w_ff + w_self - theta
+    if draw(st.booleans()):
+        w_err = w_self + (bound - w_self) * draw(between)
+    else:
+        w_err = bound + draw(st.floats(0.01, 1.5))
+    return EngineParams(
+        w_ff=w_ff,
+        w_self=w_self,
+        w_lat=draw(st.one_of(st.just(0.0), st.floats(0.0, 2.5))),
+        w_err=w_err,
+        theta=theta,
+        tau=draw(st.floats(0.05, 1.0)),
+        max_sweeps=draw(st.sampled_from((1, 2, 3, 64))),
+        error_routing=draw(st.sampled_from(ErrorRouting)),
+    )
+
+
+#: a drive that is exactly 0 in decimals is positive in floats at
+#: (dendrite, prev, k, r) = (1, 0, 0, 1) and negative at (1, 0, 3, 0)
+ROUNDING_PARAMS = EngineParams(w_ff=0.4, w_self=0.2, w_lat=0.1, w_err=0.3, theta=0.1)
+#: w_err < 0: the drive grows with the routed count, so no threshold table holds
+RISING_PARAMS = EngineParams(w_ff=0.5, w_self=-0.5, w_err=-0.2, theta=-1.0)
+
+
+@given(net=compare_nets, params=valid_params())
+@example(net=random_network(3), params=ROUNDING_PARAMS)
+@example(net=shuffled_network(4), params=RISING_PARAMS)
+@settings(max_examples=60, deadline=None)
+def test_plane_run_matches_reference_on_drawn_params(net, params):
+    """Every CaseResult of the bit-sliced compare equals the one of a fresh
+    ReferenceEngine per clamp, converged or not."""
+    assert compare_with_oracle(net, params).cases == compare_reference(net, params).cases
+
+
+#: parameters the plane run treats apart: a rounding-decided sign, a routed
+#: count threshold of 2, theta < 0 (units ignite without a dendrite), no
+#: lateral inhibition, runs cut short, and no threshold table at all
+PLANE_PARAMS = [
+    ROUNDING_PARAMS,
+    EngineParams(w_err=0.65),
+    EngineParams(theta=-0.3, w_lat=1.5),
+    EngineParams(w_lat=0.0, error_routing=ErrorRouting.ALL_GLOBAL),
+    EngineParams(max_sweeps=1),
+    EngineParams(max_sweeps=2, error_routing=ErrorRouting.ALL_GLOBAL),
+    RISING_PARAMS,
+]
+
+
+@pytest.mark.parametrize("params", PLANE_PARAMS)
+def test_plane_run_matches_reference_on_seeded_nets(params):
+    for net in [*map(random_network, range(10)), *map(shuffled_network, range(10))]:
+        assert compare_with_oracle(net, params).cases == compare_reference(net, params).cases
+
+
+EDGE_NETS = {
+    "empty": NetworkSpec(()),
+    "layer 0 only": NetworkSpec((ConceptSpec("a", 0), ConceptSpec("b", 0))),
+    "singleton pattern": NetworkSpec((
+        ConceptSpec("a", 0),
+        ConceptSpec("b", 0),
+        ConceptSpec("x", 1, (("a",), ("a", "b"))),
+        ConceptSpec("y", 1, (("b",),)),
+    )),
+}
+
+
+@pytest.mark.parametrize("params", [EngineParams(), EngineParams(theta=-0.3, max_sweeps=2)])
+@pytest.mark.parametrize("name", EDGE_NETS)
+def test_plane_run_matches_reference_on_edge_nets(name, params):
+    net = validate_network(EDGE_NETS[name])
+    report = compare_with_oracle(net, params)
+    assert report.cases == compare_reference(net, params).cases
+    assert len(report.cases) == 1 << len(net.bottom)
+
+
+@pytest.mark.parametrize("params", [EngineParams(), ROUNDING_PARAMS, EngineParams(theta=-0.4, w_err=0.65)])
+def test_drive_table_reproduces_the_float_drive(params):
+    """For every (dendrite, prev, k, r) with k below 6 and r up to 20, the
+    unit is on exactly when r is below its threshold, as the engine's float
+    expression has it."""
+    p = params
+    table = _drive_thresholds(p, 6, 20)
+    for dendrite, prev, k, r in itertools.product((0, 1), (0, 1), range(6), range(21)):
+        drive = p.w_ff * dendrite + p.w_self * prev - p.w_lat * k - p.w_err * r - p.theta
+        assert (r < table[dendrite, prev][k]) == (drive > 0), (dendrite, prev, k, r)
+
+
+def test_rounding_decides_the_sign_in_the_drive_table():
+    """The rounding params above are a real test: the exact decimal drive is
+    0 at two cells, and the float drive, which the table follows, is positive
+    at one and negative at the other."""
+    p = ROUNDING_PARAMS
+    w_ff, w_self, w_lat, w_err, theta = (
+        Fraction(str(w)) for w in (p.w_ff, p.w_self, p.w_lat, p.w_err, p.theta)
+    )
+    table = _drive_thresholds(p, 4, 4)
+    for (dendrite, prev, k, r), on in (((1, 0, 0, 1), True), ((1, 0, 3, 0), False)):
+        assert w_ff * dendrite + w_self * prev - w_lat * k - w_err * r - theta == 0
+        assert (r < table[dendrite, prev][k]) is on
+
+
+def test_a_drive_rising_with_the_routed_count_has_no_table():
+    assert _drive_thresholds(RISING_PARAMS, 4, 8) is None
+    assert _drive_thresholds(EngineParams(), 4, 8) is not None
+
+
+def thermometer_depth(net, params):
+    """The deepest routed-count threshold the plane run keeps, 0 without a table."""
+    table = _drive_thresholds(params, max(map(len, net.layers.values())), net.n_concepts)
+    return max((t for row in (table or {}).values() for t in row if t <= net.n_concepts), default=0)
+
+
+def latches(net, params):
+    """Whether some clamp's run latches a concept."""
+    engine = Engine(net, params)
+    for clamped in all_clamps(net):
+        engine.reset()
+        engine.apply_clamp({e: 1 for e in clamped})
+        if engine.run_to_fixed_point()[0][-1].latched:
+            return True
+    return False
+
+
+def terminates(kind):
+    return lambda drawn: any(c.termination is kind for c in compare_with_oracle(*drawn).cases)
+
+
+#: what some drawn (net, params) must reach
+REACHED = {
+    "cycle": terminates(Termination.CYCLE),
+    "sweep limit": terminates(Termination.SWEEP_LIMIT),
+    "latch": lambda drawn: latches(*drawn),
+    "threshold above 1": lambda drawn: thermometer_depth(*drawn) > 1,
+}
+
+
+@pytest.mark.parametrize("what", REACHED)
+def test_drawn_compare_cases_are_not_vacuous(what):
+    """The nets and params the plane test draws from reach cycles, sweep
+    limits, latches and routed counts that need a threshold above 1."""
+    find(
+        st.tuples(compare_nets, valid_params()), REACHED[what],
+        settings=settings(max_examples=500, phases=[Phase.generate], database=None),
+        random=random.Random(0),
+    )
 
 
 # --- the timeline renderer against the one over sorted rows ---

@@ -338,6 +338,25 @@ def test_a_hold_of_max_sweeps_runs_in_a_scenario(net, ids):
         run_scenario(net, PARAMS, [(clamp, PARAMS.max_sweeps + 1)])
 
 
+def test_every_hold_is_checked_before_the_first_phase(monkeypatch, net, ids):
+    """A hold beyond max_sweeps in a later phase is refused before any sweep
+    of an earlier phase runs."""
+    sweeps = []
+    real_sweep = Engine.sweep
+
+    def counted(self):
+        sweeps.append(1)
+        return real_sweep(self)
+
+    monkeypatch.setattr(Engine, "sweep", counted)
+    clamp = {ids["looking"]: 1, ids["white"]: 1}
+    with pytest.raises(TooLarge, match="^a hold of 65 sweeps exceeds max_sweeps=64$"):
+        run_scenario(net, PARAMS, [(clamp, None), (clamp, 2), (clamp, 65)])
+    assert sweeps == []
+    run_scenario(net, PARAMS, [(clamp, None), (clamp, 2)])
+    assert sweeps  # the counter sees the sweeps of a scenario that runs
+
+
 def test_all_global_routing_rejects_both_competitors(net, ids):
     """Under the literal global routing every error hits every active concept."""
     params = EngineParams(error_routing=ErrorRouting.ALL_GLOBAL)

@@ -27,7 +27,6 @@ from conceptsim import (
     serialize_network,
     serialize_params,
     serialize_scenario,
-    trace_rows,
     validate_network,
     write_trace_csv,
 )
@@ -44,6 +43,7 @@ from conceptsim.errors import (
 )
 
 from netgen import synth_network
+from reference import trace_rows, write_rows_csv
 
 
 # --- network files ---
@@ -228,7 +228,7 @@ def test_trace_csv_round_trip_bit_exact(net, ids):
     text = write_trace_csv(trace)
     rows = read_trace_csv(text)
     assert rows == trace_rows(trace)
-    assert write_trace_csv(rows) == text
+    assert write_rows_csv(rows) == text
 
 
 def test_shuffled_csv_resorts_canonically(net, ids):
@@ -236,7 +236,7 @@ def test_shuffled_csv_resorts_canonically(net, ids):
     text = write_trace_csv(trace)
     header, *body = text.strip().split("\n")
     shuffled = "\n".join([header] + body[::-1]) + "\n"
-    assert write_trace_csv(read_trace_csv(shuffled)) == text
+    assert write_rows_csv(read_trace_csv(shuffled)) == text
 
 
 @pytest.mark.parametrize(
@@ -285,7 +285,7 @@ def test_unquoted_carriage_return_is_a_parse_error():
 
 
 def test_trace_writer_reads_snapshots_not_rows(monkeypatch, data_dir, golden_dir):
-    """write_trace_csv(trace) neither builds TraceRows nor calls trace_rows."""
+    """write_trace_csv(trace) builds no TraceRows."""
     net = validate_network(parse_network_file((data_dir / "salt.json").read_text()))
     scenario = (data_dir / "scenarios" / "salt_rejection.json").read_text()
     trace = run_scenario(net, EngineParams(), parse_scenario_file(scenario, net).resolve(net))
@@ -293,7 +293,6 @@ def test_trace_writer_reads_snapshots_not_rows(monkeypatch, data_dir, golden_dir
     def refuse(*args, **kwargs):
         raise AssertionError("write_trace_csv(trace) fell back to TraceRows")
 
-    monkeypatch.setattr(io, "trace_rows", refuse)
     monkeypatch.setattr(io, "TraceRow", refuse)
     assert write_trace_csv(trace) == (golden_dir / "salt_rejection_trace.csv").read_text()
 
@@ -317,7 +316,7 @@ def hand_built(net, *phases):
 
 def assert_csv_from_snapshots_equals_rows(trace):
     text = write_trace_csv(trace)
-    assert text == write_trace_csv(trace_rows(trace))
+    assert text == write_rows_csv(trace_rows(trace))
     return text
 
 

@@ -18,14 +18,12 @@ PUBLIC = {
     engine: (
         "Agreement", "AgreementReport", "CaseResult", "Engine", "EngineParams", "ErrorRouting",
         "PhaseTrace", "Snapshot", "Termination", "Trace", "Verdict", "compare_with_oracle",
-        "dendrite_values", "error_flags", "predictions", "read_verdicts", "route_errors",
-        "run_scenario",
+        "dendrite_values", "error_flags", "read_verdicts", "route_errors", "run_scenario",
     ),
     io: (
         "ScenarioPhase", "ScenarioSpec", "TraceRow", "UnitKind", "parse_network_file",
         "parse_params", "parse_scenario_file", "read_trace_csv", "render_ascii_timeline",
-        "serialize_network", "serialize_params", "serialize_scenario", "trace_rows",
-        "write_trace_csv",
+        "serialize_network", "serialize_params", "serialize_scenario", "write_trace_csv",
     ),
     model: (
         "DEFAULT_TAU", "ConceptId", "ConceptSpec", "NetworkSpec", "Pattern", "PatternState",
