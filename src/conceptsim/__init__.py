@@ -60,12 +60,9 @@ _EXPORTS = {
         "ConceptCheck",
         "ConsistencyReport",
         "OracleVerdict",
-        "concept_locally_consistent",
-        "effective_active",
         "enumerate_interpretations",
         "interpretation_consistent",
         "oracle_verdicts",
-        "unexpected_elements",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

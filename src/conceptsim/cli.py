@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .errors import ConceptNetError, ParseError, UnknownElement
+from .errors import ConceptNetError, ParseError, SchemaMismatch, UnknownElement
 
 # Each command imports the modules it runs, so a one-shot call loads no more
 # of the package than it needs.
@@ -222,6 +222,8 @@ def cmd_render(args) -> int:
 
     # newline="" keeps a \r inside a quoted name, as csv.reader needs
     rows = read_trace_csv(_read(args.trace, newline=""))
+    if not rows:
+        raise SchemaMismatch(f"{args.trace}: no trace rows after the header")
     print(render_ascii_timeline(rows))
     return 0
 

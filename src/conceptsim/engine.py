@@ -13,6 +13,7 @@ while error inhibition targets it latches off until the next clamp change.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from types import MappingProxyType
@@ -53,7 +54,8 @@ class EngineParams:
       theta < w_self < w_ff  self-input holds an active unit but is weaker than evidence
       w_err > w_self         one routed error can shut a self-sustained unit whose dendrites are silent
       w_lat >= 0, 0 < tau <= 1, max_sweeps >= 1
-      every weight, theta and tau finite
+      every weight, theta and tau a finite real number, max_sweeps an int and
+      error_routing an ErrorRouting; a bool is neither, as in parse_params
 
     The default w_err exceeds w_ff + w_self - theta, so a single routed error
     also shuts a unit whose dendrite is still fully driven; that is what lets
@@ -71,8 +73,15 @@ class EngineParams:
 
     def validate(self) -> None:
         for name in ("w_ff", "w_self", "w_lat", "w_err", "theta", "tau"):
-            if not math.isfinite(getattr(self, name)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise BadParams(f"{name} is not a number")
+            if not math.isfinite(value):
                 raise BadParams(f"{name} is not finite")
+        if isinstance(self.max_sweeps, bool) or not isinstance(self.max_sweeps, int):
+            raise BadParams("max_sweeps is not an integer")
+        if not isinstance(self.error_routing, ErrorRouting):
+            raise BadParams("error_routing is not an ErrorRouting")
         if not self.w_ff > self.theta:
             raise BadParams("w_ff <= theta")
         if not self.theta < self.w_self:

@@ -16,8 +16,10 @@ candidates. It tests patterns with integer bit operations: active sets and
 patterns are int bitmasks over concept ids, and each pattern's threshold is the
 exact integer count model.pattern_need(size, tau), so the verdicts are those of
 the Fraction-based pattern_state. Only the survivors get a full
-ConsistencyReport, built by interpretation_consistent, which stays the slow,
-readable statement of the rule.
+ConsistencyReport, built by interpretation_consistent: the one statement of the
+rule, through pattern_state, that returns each inferred concept's pattern
+evidence and the unexpected elements, and so the one call that says why an
+interpretation is or is not consistent.
 """
 from __future__ import annotations
 
@@ -61,82 +63,52 @@ class ConsistencyReport:
     maximal: bool = False
 
 
-def effective_active(
-    interpretation: AbstractSet[ConceptId],
-    clamped: AbstractSet[ConceptId],
-) -> frozenset[ConceptId]:
-    """The active set an interpretation induces: clamped observations plus inferred concepts."""
-    return frozenset(clamped) | frozenset(interpretation)
-
-
-def concept_locally_consistent(
-    net: ValidatedNetwork,
-    cid: ConceptId,
-    active: AbstractSet[ConceptId],
-    tau: float = DEFAULT_TAU,
-) -> tuple[bool, ConceptCheck]:
-    """At least one pattern Complete and no pattern ApplicableIncomplete.
-
-    Returns the verdict together with the evidence: how many patterns are
-    complete and, for each violated pattern, its ordinal and missing elements.
-    """
-    net._check(cid)
-    if net.layer(cid) == 0:
-        raise BottomConcept(f"{net.name(cid)!r} is a layer-0 observation, not an inferable concept")
-    complete = 0
-    violated: list[tuple[int, frozenset[ConceptId]]] = []
-    for k, pat in enumerate(net.patterns_of(cid)):
-        state = pattern_state(pat, active, tau)
-        if state.complete:
-            complete += 1
-        elif state.applicable:
-            violated.append((k, frozenset(pat.elements - active)))
-    check = ConceptCheck(complete, tuple(violated))
-    return check.ok, check
-
-
-def unexpected_elements(
-    net: ValidatedNetwork,
-    interpretation: AbstractSet[ConceptId],
-    clamped: AbstractSet[ConceptId],
-    tau: float = DEFAULT_TAU,
-) -> frozenset[ConceptId]:
-    """Active concepts no inferred concept accounts for.
-
-    An element counts as explained when it belongs to a pattern of an inferred
-    concept whose state is at least applicable (an applicable pattern both
-    predicts and explains). Concepts on the top occupied layer are exempt:
-    nothing exists above them to explain them.
-    """
-    active = effective_active(interpretation, clamped)
-    top = net.max_layer
-    explained: set[ConceptId] = set()
-    for c in interpretation:
-        for pat in net.patterns_of(c):
-            if pattern_state(pat, active, tau).applicable:
-                explained.update(pat.elements)
-    return frozenset(e for e in active if net.layer(e) < top and e not in explained)
-
-
 def interpretation_consistent(
     net: ValidatedNetwork,
     interpretation: AbstractSet[ConceptId],
     clamped: AbstractSet[ConceptId],
     tau: float = DEFAULT_TAU,
 ) -> ConsistencyReport:
-    """Full verdict: per-concept local consistency plus the unexpected-element check."""
+    """The rule, stated once: a verdict on one interpretation with its evidence.
+
+    The active set is the clamp plus the interpretation. Each inferred concept
+    is locally consistent when at least one of its patterns is Complete and
+    none is ApplicableIncomplete; per_concept records, in ascending id order,
+    how many are complete and, for each violated pattern, its ordinal and
+    missing elements. An active concept below the top layer is unexpected
+    unless it belongs to an applicable pattern of an inferred concept (an
+    applicable pattern both predicts and explains); nothing exists above the
+    top layer to explain it. Each pattern is evaluated once, and that one
+    state feeds both tests.
+
+    Raises UnknownConcept or BottomConcept for the first bad inferred id in
+    ascending order, then UnknownConcept for a bad clamped id.
+    """
     interp = frozenset(interpretation)
-    active = effective_active(interp, clamped)
+    active = frozenset(clamped) | interp
     per: dict[ConceptId, ConceptCheck] = {}
-    all_ok = True
+    explained: set[ConceptId] = set()
     for c in sorted(interp):
-        ok, check = concept_locally_consistent(net, c, active, tau)
-        per[c] = check
-        all_ok = all_ok and ok
-    unexpected = unexpected_elements(net, interp, clamped, tau)
+        if net.layer(c) == 0:
+            raise BottomConcept(f"{net.name(c)!r} is a layer-0 observation, not an inferable concept")
+        complete = 0
+        violated: list[tuple[int, frozenset[ConceptId]]] = []
+        for k, pat in enumerate(net.patterns[c]):
+            state = pattern_state(pat, active, tau)
+            if state.applicable:
+                explained.update(pat.elements)
+                if state.complete:
+                    complete += 1
+                else:
+                    violated.append((k, frozenset(pat.elements - active)))
+        per[c] = ConceptCheck(complete, tuple(violated))
+    for e in active:  # the clamped ids, before layer_of is indexed by them
+        net._check(e)
+    top = net.max_layer
+    unexpected = frozenset(e for e in active if net.layer_of[e] < top and e not in explained)
     return ConsistencyReport(
         interpretation=interp,
-        consistent=all_ok and unexpected == frozenset(),
+        consistent=not unexpected and all(check.ok for check in per.values()),
         per_concept=per,
         unexpected=unexpected,
     )

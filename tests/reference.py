@@ -2,6 +2,8 @@
 
 Each function states its rule directly on sets, through the Fraction-based
 model.pattern_state, and runs in the obvious order with no precomputation:
+interpretation_consistent_reference is oracle.interpretation_consistent as it
+was before it evaluated each pattern once, three checks composed, and
 enumerate_reference builds a full ConsistencyReport for every one of the 2^k
 candidate interpretations, the flat rule that oracle.enumerate_interpretations
 applies one layer at a time. ReferenceEngine keeps its state in lists and a
@@ -27,6 +29,8 @@ from conceptsim import (
     Agreement,
     AgreementReport,
     CaseResult,
+    ConceptCheck,
+    ConsistencyReport,
     ErrorRouting,
     PhaseTrace,
     Snapshot,
@@ -38,7 +42,43 @@ from conceptsim import (
     interpretation_consistent,
     pattern_state,
 )
+from conceptsim.errors import BottomConcept
 from conceptsim.io import _HEADER_LINE, CSV_HEADER, _csv_field
+
+
+def interpretation_consistent_reference(net, interpretation, clamped, tau=DEFAULT_TAU):
+    """The rule as three separate checks, each pattern evaluated twice: the
+    union active set, local consistency per inferred concept through the
+    checked accessors, then a second pass over the patterns for the
+    unexpected elements."""
+    interp = frozenset(interpretation)
+    active = frozenset(clamped) | interp
+    per = {}
+    for c in sorted(interp):
+        net._check(c)
+        if net.layer(c) == 0:
+            raise BottomConcept(f"{net.name(c)!r} is a layer-0 observation, not an inferable concept")
+        complete, violated = 0, []
+        for k, pat in enumerate(net.patterns_of(c)):
+            state = pattern_state(pat, active, tau)
+            if state.complete:
+                complete += 1
+            elif state.applicable:
+                violated.append((k, frozenset(pat.elements - active)))
+        per[c] = ConceptCheck(complete, tuple(violated))
+    explained = set()
+    for c in interp:
+        for pat in net.patterns_of(c):
+            if pattern_state(pat, active, tau).applicable:
+                explained.update(pat.elements)
+    top = net.max_layer
+    unexpected = frozenset(e for e in active if net.layer(e) < top and e not in explained)
+    return ConsistencyReport(
+        interpretation=interp,
+        consistent=all(check.ok for check in per.values()) and unexpected == frozenset(),
+        per_concept=per,
+        unexpected=unexpected,
+    )
 
 
 def enumerate_reference(net, clamped, tau=DEFAULT_TAU):

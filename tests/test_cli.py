@@ -368,3 +368,13 @@ def test_render_non_canonical_integer_exits_2(capsys, tmp_path):
     code, out, err = run_cli(capsys, "render", str(trace))
     assert code == 2 and out == ""
     assert err.startswith("error: ParseError: line 2:")
+
+
+def test_render_header_only_trace_exits_2(capsys, tmp_path):
+    """A trace with a header and no rows is a typed error that names the file,
+    not a traceback from the renderer."""
+    trace = tmp_path / "t.csv"
+    trace.write_text("phase,sweep,kind,name,value\n")
+    code, out, err = run_cli(capsys, "render", str(trace))
+    assert code == 2 and out == ""
+    assert err == f"error: SchemaMismatch: {trace}: no trace rows after the header\n"

@@ -10,6 +10,7 @@ from conceptsim import (
     Termination,
     Trace,
     Verdict,
+    compare_with_oracle,
     dendrite_values,
     error_flags,
     read_verdicts,
@@ -63,6 +64,26 @@ def test_default_params_are_valid():
 def test_bad_params_name_the_inequality(net, kwargs, message):
     with pytest.raises(BadParams, match=message):
         Engine(net, EngineParams(**kwargs))
+
+
+@pytest.mark.parametrize("entry", [Engine, compare_with_oracle])
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        # _route reads anything but ALL_GLOBAL as SPLIT, the compare planes
+        # charge omissions only under SPLIT itself: the two would disagree
+        (dict(error_routing="split"), "error_routing is not an ErrorRouting"),
+        (dict(error_routing=None), "error_routing is not an ErrorRouting"),
+        (dict(max_sweeps=2.5), "max_sweeps is not an integer"),
+        (dict(max_sweeps=True), "max_sweeps is not an integer"),
+        (dict(w_ff="1"), "w_ff is not a number"),
+        (dict(theta=None), "theta is not a number"),
+        (dict(tau=True), "tau is not a number"),
+    ],
+)
+def test_bad_param_types_name_the_field(net, entry, kwargs, message):
+    with pytest.raises(BadParams, match=f"^{message}$"):
+        entry(net, EngineParams(**kwargs))
 
 
 def test_new_engine_is_in_zero_state(net):

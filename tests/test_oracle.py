@@ -1,23 +1,27 @@
 """The declarative oracle: local consistency, explaining away, enumeration."""
 import random
+from fractions import Fraction
 
 import pytest
 
 from conceptsim import (
+    DEFAULT_TAU,
     ConceptSpec,
     NetworkSpec,
     OracleVerdict,
-    concept_locally_consistent,
-    effective_active,
     enumerate_interpretations,
     interpretation_consistent,
+    oracle,
     oracle_verdicts,
-    unexpected_elements,
+    parse_network_file,
+    pattern_state,
     validate_network,
 )
 from conceptsim.errors import BottomConcept, NonBottomClamp, TooLarge, UnknownConcept
 
+from conftest import CANONICAL_SPEC, DATA_DIR
 from netgen import random_network
+from reference import interpretation_consistent_reference
 
 
 def names_of(net, cids):
@@ -28,60 +32,44 @@ def interp(net, *names):
     return frozenset(net.name_to_id[n] for n in names)
 
 
-def test_effective_active_is_union(net, ids):
-    assert effective_active({ids["salt"]}, {ids["looking"], ids["white"]}) == {
-        ids["looking"], ids["white"], ids["salt"],
-    }
-    assert effective_active(set(), set()) == frozenset()
-
-
-def test_effective_active_three_layer():
-    net = validate_network(NetworkSpec((
-        ConceptSpec("tasting", 0), ConceptSpec("salty", 0),
-        ConceptSpec("salt", 1, (("tasting", "salty"),)),
-        ConceptSpec("anchovy", 2, (("salt",),)),
-    )))
-    t, s = net.id_of("tasting"), net.id_of("salty")
-    got = effective_active({net.id_of("salt"), net.id_of("anchovy")}, {t, s})
-    assert got == {t, s, net.id_of("salt"), net.id_of("anchovy")}
-
-
 def test_locally_consistent_on_looks_alone(net, ids):
-    ok, check = concept_locally_consistent(net, ids["salt"], {ids["looking"], ids["white"]})
-    assert ok
+    report = interpretation_consistent(net, {ids["salt"]}, {ids["looking"], ids["white"]})
+    check = report.per_concept[ids["salt"]]
+    assert check.ok
     assert check.complete_patterns == 1
     assert check.violated_patterns == ()
 
 
 def test_locally_inconsistent_when_tasting_without_salty(net, ids):
-    ok, check = concept_locally_consistent(
-        net, ids["salt"], {ids["looking"], ids["white"], ids["tasting"]}
+    report = interpretation_consistent(
+        net, {ids["salt"]}, {ids["looking"], ids["white"], ids["tasting"]}
     )
-    assert not ok
+    check = report.per_concept[ids["salt"]]
+    assert not check.ok
     assert check.complete_patterns == 1
     assert check.violated_patterns == ((0, frozenset({ids["salty"]})),)
 
 
 def test_locally_inconsistent_with_nothing_active(net, ids):
-    ok, check = concept_locally_consistent(net, ids["salt"], set())
-    assert not ok
+    check = interpretation_consistent(net, {ids["salt"]}, set()).per_concept[ids["salt"]]
+    assert not check.ok
     assert check.complete_patterns == 0
 
 
 def test_locally_consistent_rejects_bottom_and_unknown(net, ids):
     with pytest.raises(BottomConcept):
-        concept_locally_consistent(net, ids["white"], set())
+        interpretation_consistent(net, {ids["white"]}, set())
     with pytest.raises(UnknownConcept):
-        concept_locally_consistent(net, 42, set())
+        interpretation_consistent(net, {42}, set())
 
 
 def test_unexpected_elements_examples(net, ids):
     salt = interp(net, "salt")
-    assert unexpected_elements(net, salt, {ids["looking"], ids["white"]}) == frozenset()
-    assert unexpected_elements(net, frozenset(), {ids["white"]}) == {ids["white"]}
-    assert unexpected_elements(
+    assert interpretation_consistent(net, salt, {ids["looking"], ids["white"]}).unexpected == frozenset()
+    assert interpretation_consistent(net, frozenset(), {ids["white"]}).unexpected == {ids["white"]}
+    assert interpretation_consistent(
         net, salt, {ids["looking"], ids["white"], ids["sweet"]}
-    ) == {ids["sweet"]}
+    ).unexpected == {ids["sweet"]}
 
 
 def test_interpretation_consistent_examples(net, ids):
@@ -250,3 +238,78 @@ def test_oracle_is_pure(net, ids):
     second = enumerate_interpretations(net, clamp)
     assert first == second
     assert oracle_verdicts(net, clamp) == oracle_verdicts(net, clamp)
+
+
+# --- the one-pass rule against the three checks it replaced ---
+
+TAUS = (0.5, 0.3, Fraction(2, 3), 1.0)
+
+
+def outcome(check, *args):
+    """A report with its repr, which shows the order of every set, or the
+    type and message of the exception raised."""
+    try:
+        report = check(*args)
+    except Exception as e:  # the error itself is the outcome
+        return type(e), str(e)
+    return report, repr(report)
+
+
+def subsets(ids):
+    for mask in range(1 << len(ids)):
+        yield frozenset(ids[i] for i in range(len(ids)) if mask >> i & 1)
+
+
+def nets_and_taus():
+    yield pytest.param(validate_network(CANONICAL_SPEC), DEFAULT_TAU, id="salt")
+    yield pytest.param(validate_network(AMBIGUOUS), DEFAULT_TAU, id="ambiguous")
+    caramel = parse_network_file((DATA_DIR / "caramel.json").read_text())
+    yield pytest.param(validate_network(caramel), DEFAULT_TAU, id="caramel")
+    for seed in range(12):
+        yield pytest.param(random_network(seed), TAUS[seed % len(TAUS)], id=f"netgen{seed}")
+
+
+@pytest.mark.parametrize("net, tau", nets_and_taus())
+def test_interpretation_consistent_matches_reference_on_every_pair(net, tau):
+    for clamped in subsets(net.bottom):
+        for inferred in subsets(net.non_bottom):
+            want = outcome(interpretation_consistent_reference, net, inferred, clamped, tau)
+            assert outcome(interpretation_consistent, net, inferred, clamped, tau) == want
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_interpretation_consistent_matches_reference_on_bad_ids(seed):
+    """Out-of-range and layer-0 ids among the inferred ones, out-of-range ids
+    in the clamp: the same exception, with the same message, as the three checks."""
+    net = random_network(seed)
+    rng = random.Random(seed * 17 + 3)
+    n = net.n_concepts
+    bad = [-3, -1, n, n + 1, n + 40]
+    for _ in range(60):
+        inferred = set(rng.sample(net.non_bottom, rng.randint(0, len(net.non_bottom))))
+        clamped = set(rng.sample(net.bottom, rng.randint(0, len(net.bottom))))
+        for _ in range(rng.randint(1, 3)):
+            target = rng.choice((inferred, clamped))
+            target.add(rng.choice(bad + list(net.bottom) + list(net.non_bottom)))
+        want = outcome(interpretation_consistent_reference, net, inferred, clamped)
+        assert outcome(interpretation_consistent, net, inferred, clamped) == want
+
+
+def test_interpretation_consistent_evaluates_each_pattern_once(monkeypatch):
+    """Local consistency and the explained set read one pattern_state per
+    pattern of each inferred concept."""
+    net = validate_network(AMBIGUOUS)
+    calls = []
+
+    def counted(pattern, active, tau):
+        calls.append(pattern)
+        return pattern_state(pattern, active, tau)
+
+    monkeypatch.setattr(oracle, "pattern_state", counted)
+    for clamped in subsets(net.bottom):
+        for inferred in subsets(net.non_bottom):
+            calls.clear()
+            interpretation_consistent(net, inferred, clamped)
+            assert sorted(map(id, calls)) == sorted(
+                id(pat) for c in inferred for pat in net.patterns[c]
+            )

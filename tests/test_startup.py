@@ -31,9 +31,8 @@ PUBLIC = {
         "validate_network",
     ),
     oracle: (
-        "ConceptCheck", "ConsistencyReport", "OracleVerdict", "concept_locally_consistent",
-        "effective_active", "enumerate_interpretations", "interpretation_consistent",
-        "oracle_verdicts", "unexpected_elements",
+        "ConceptCheck", "ConsistencyReport", "OracleVerdict", "enumerate_interpretations",
+        "interpretation_consistent", "oracle_verdicts",
     ),
 }
 
