@@ -20,7 +20,7 @@ from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import BadParams, NonBottomClamp, TooLarge
-from .model import ConceptId, ValidatedNetwork, _bit_bytes, _bits, _ids
+from .model import ConceptId, ValidatedNetwork, _at_least, _bit_bytes, _bits, _bottom_planes, _ids
 
 
 class ErrorRouting(Enum):
@@ -582,18 +582,7 @@ def _drive_thresholds(
     return table
 
 
-def _at_least(planes: Iterable[int], depth: int, ge: list[int]) -> list[int]:
-    """Add the bits of planes, case by case, to the saturating count ge:
-    ge[t] holds the cases whose count is at least t, for t up to depth, and
-    ge[0] every case."""
-    ge = ge.copy()
-    for x in planes:
-        for t in range(depth, 0, -1):
-            ge[t] |= ge[t - 1] & x
-    return ge
-
-
-def _clamp_planes(net: ValidatedNetwork, params: EngineParams) -> list[frozenset[ConceptId] | None]:
+def _clamp_planes(net: ValidatedNetwork, params: EngineParams) -> list[int | None]:
     """Run the clamps of compare_with_oracle all at once, bit-sliced.
 
     Each unit value is one int, a plane, whose bit i is its value under case
@@ -607,7 +596,8 @@ def _clamp_planes(net: ValidatedNetwork, params: EngineParams) -> list[frozenset
     change stays fixed, since routed is a function of active.
 
     Returns, per case, the inferred set of a run that reached a fixed point,
-    and None for a run that did not; all None when the table does not hold.
+    as a bitmask over concept ids, and None for a run that did not; all None
+    when the table does not hold.
     """
     cases = 1 << len(net.bottom)
     ones = (1 << cases) - 1
@@ -628,10 +618,8 @@ def _clamp_planes(net: ValidatedNetwork, params: EngineParams) -> list[frozenset
     zero = [ones] + [0] * depth  # a count of 0 in every case
 
     active = [0] * n
-    for j, e in enumerate(net.bottom):
-        # bit j of the case: runs of 2^j zeros and 2^j ones
-        run = 1 << j
-        active[e] = ones // ((1 << 2 * run) - 1) * (((1 << run) - 1) << run)
+    for e, plane in zip(net.bottom, _bottom_planes(net)):
+        active[e] = plane
     omitted, committed, latched, dend = [0] * n, [0] * n, [0] * n, [0] * n
     routed = [zero] * n
     seen: set[int] = set()
@@ -724,16 +712,16 @@ def _clamp_planes(net: ValidatedNetwork, params: EngineParams) -> list[frozenset
         seen.add(state)
 
     nb = net.non_bottom
-    sets: dict[tuple[int, ...], frozenset[ConceptId]] = {}
-    out: list[frozenset[ConceptId] | None] = []
+    masks: dict[tuple[int, ...], int] = {}
+    out: list[int | None] = []
     # per case: whether it still changed, then each non-bottom concept's value
     for bits in zip(_bit_bytes(changed, cases), *(_bit_bytes(active[c], cases) for c in nb)):
         if bits[0]:
             out.append(None)
             continue
-        inferred = sets.get(bits)
+        inferred = masks.get(bits)
         if inferred is None:
-            inferred = sets[bits] = frozenset(c for c, bit in zip(nb, bits[1:]) if bit)
+            inferred = masks[bits] = sum(1 << c for c, bit in zip(nb, bits[1:]) if bit)
         out.append(inferred)
     return out
 
@@ -754,9 +742,12 @@ def compare_with_oracle(
                     or error-driven rejection emptied a tie)
       DISAGREE      anything else, including non-convergence
 
-    The runs of all 2^b clamps advance together, bit-sliced (_clamp_planes);
-    a clamp whose run has not reached a fixed point there is rerun on one
-    Engine, reset before each, which gives its exact termination.
+    Both sides take all 2^b clamps at once, bit-sliced: the runs advance
+    together (_clamp_planes), and the oracle decides layer 1 for every clamp
+    in one pass (oracle._interpretations_by_clamp). A clamp whose run has not
+    reached a fixed point there is rerun on one Engine, reset before each,
+    which gives its exact termination. Nets the oracle refuses are refused
+    before either plane run.
     """
     from . import oracle  # only compare needs it; a module, so patched attributes are seen
 
@@ -767,21 +758,30 @@ def compare_with_oracle(
             f"{len(bottom)} layer-0 concepts exceed the comparison limit of {COMPARE_BOTTOM_LIMIT}"
         )
     params.validate()
-    cases: list[CaseResult] = []
-    settled: list[frozenset[ConceptId] | None] = []
+    oracle._check_enumerable(net)
+    families = oracle._interpretations_by_clamp(net, params.tau)
+    settled = _clamp_planes(net, params)
     engine: Engine | None = None
-    # clamp mask i sets bottom[j] for each bit j of i: mask's lowest bit added
-    # to the clamp of the mask without it
-    clamps = [frozenset()]
-    for mask in range(1, 1 << len(bottom)):
-        low = mask & -mask
-        clamps.append(clamps[mask ^ low] | {bottom[low.bit_length() - 1]})
-    for mask, clamped in enumerate(clamps):
-        reports = oracle.enumerate_interpretations(net, clamped, params.tau)
-        if not mask:
-            # after the oracle's first call, which refuses a net too large to enumerate
-            settled = _clamp_planes(net, params)
-        inferred = settled[mask]
+    # one frozenset per distinct interpretation, and per distinct family of
+    # consistent ones its maximal members as bitmasks and as sets, in the
+    # oracle's order: descending size, then ascending id tuple
+    sets: dict[int, frozenset[ConceptId]] = {}
+    tops: dict[tuple[int, ...], tuple[tuple[int, ...], tuple[frozenset[ConceptId], ...]]] = {}
+
+    def as_set(bits: int) -> frozenset[ConceptId]:
+        found = sets.get(bits)
+        if found is None:
+            found = sets[bits] = frozenset(_ids(bits))
+        return found
+
+    cases: list[CaseResult] = []
+    # clamp i sets bottom[j] for each bit j of i: the clamps below 2^j, then
+    # each of them with bottom[j] added
+    clamps: list[frozenset[ConceptId]] = [frozenset()]
+    for e in bottom:
+        one = frozenset((e,))
+        clamps += [clamped | one for clamped in clamps]
+    for clamped, family, inferred in zip(clamps, families, settled):
         termination = Termination.FIXED_POINT
         if inferred is None:
             engine = engine or Engine(net, params)
@@ -789,18 +789,31 @@ def compare_with_oracle(
             engine.apply_clamp({e: 1 for e in sorted(clamped)})
             snaps, termination, _ = engine.run_to_fixed_point()
             if termination is Termination.FIXED_POINT:
-                inferred = frozenset(_ids(snaps[-1].active & net.non_bottom_mask))
-        consistent = [r.interpretation for r in reports]
-        maximal = tuple(r.interpretation for r in reports if r.maximal)
-        if termination is not Termination.FIXED_POINT:
+                inferred = snaps[-1].active & net.non_bottom_mask
+        top: tuple[int, ...] = ()
+        maximal: tuple[frozenset[ConceptId], ...] = ()
+        if family:
+            key = tuple(family)
+            if key not in tops:
+                best = sorted(
+                    (s for s in family if not any(s | t == t != s for t in family)),
+                    key=lambda s: (-s.bit_count(), _ids(s)),
+                )
+                tops[key] = tuple(best), tuple(map(as_set, best))
+            top, maximal = tops[key]
+        if inferred is None:
             classification = Agreement.DISAGREE
-        elif not consistent:
+        elif not family:
             classification = Agreement.AGREE if not inferred else Agreement.DISAGREE
-        elif inferred in maximal:
+        elif inferred in top:
             classification = Agreement.AGREE
-        elif any(inferred < s for s in consistent):
+        elif any(inferred | s == s for s in family):
+            # a subset of some consistent set, and not a maximal one itself,
+            # so a strict subset of a consistent set
             classification = Agreement.TIE_SELECTED
         else:
             classification = Agreement.DISAGREE
-        cases.append(CaseResult(clamped, termination, inferred, classification, maximal))
+        cases.append(CaseResult(
+            clamped, termination, None if inferred is None else as_set(inferred), classification, maximal,
+        ))
     return AgreementReport(tuple(cases))

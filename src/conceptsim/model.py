@@ -19,7 +19,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 from math import ceil
-from typing import AbstractSet, Mapping, Sequence
+from typing import AbstractSet, Iterable, Mapping, Sequence
 
 from .errors import (
     BottomWithPatterns,
@@ -78,6 +78,32 @@ def _ids(bits: int) -> list[int]:
         out.append(i)
         i = digits.find("1", i + 1)
     return out
+
+
+# --- planes: one bit per clamp case of compare ---
+
+
+def _bottom_planes(net: ValidatedNetwork) -> list[int]:
+    """Per net.bottom[j], the plane over the 2^b clamp cases whose bit i is
+    bit j of i: whether case i clamps net.bottom[j]."""
+    ones = (1 << (1 << len(net.bottom))) - 1
+    planes = []
+    for j in range(len(net.bottom)):
+        # bit j of the case: runs of 2^j zeros and 2^j ones
+        run = 1 << j
+        planes.append(ones // ((1 << 2 * run) - 1) * (((1 << run) - 1) << run))
+    return planes
+
+
+def _at_least(planes: Iterable[int], depth: int, ge: list[int]) -> list[int]:
+    """Add the bits of planes, case by case, to the saturating count ge:
+    ge[t] holds the cases whose count is at least t, for t up to depth, and
+    ge[0] every case."""
+    ge = ge.copy()
+    for x in planes:
+        for t in range(depth, 0, -1):
+            ge[t] |= ge[t - 1] & x
+    return ge
 
 
 class PatternStatus(Enum):

@@ -17,6 +17,17 @@ CANONICAL_SPEC = NetworkSpec(concepts=(
     ConceptSpec("sugar", 1, (("tasting", "sweet"), ("looking", "white"))),
 ))
 
+#: two maximal interpretations that cannot merge on the clamp {a, b}: with Z
+#: inferred alongside Q1, Q1's pattern {Y, Z} is applicable but incomplete
+AMBIGUOUS_SPEC = NetworkSpec((
+    ConceptSpec("a", 0), ConceptSpec("b", 0), ConceptSpec("c", 0), ConceptSpec("d", 0),
+    ConceptSpec("X", 1, (("a", "b"),)),
+    ConceptSpec("Y", 1, (("c", "d"),)),
+    ConceptSpec("Z", 1, (("a", "b"),)),
+    ConceptSpec("Q1", 2, (("X",), ("Y", "Z"))),
+    ConceptSpec("Q2", 2, (("Z",),)),
+))
+
 #: names holding everything CSV quoting has to get right: , " \n \r \r\n, a
 #: leading space and non-ASCII letters
 AWKWARD_SPEC = NetworkSpec(concepts=(

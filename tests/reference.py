@@ -9,9 +9,11 @@ candidate interpretations, the flat rule that oracle.enumerate_interpretations
 applies one layer at a time. ReferenceEngine keeps its state in lists and a
 set where Engine keeps bitmasks, sweeps with the references below for
 predictions and routing, keeps the two run loops that Engine now shares, and
-emits the same Snapshots. compare_reference runs a fresh ReferenceEngine for
-every clamp, one after another, where compare_with_oracle advances all clamps
-at once on bit-sliced planes. trace_rows flattens a trace into TraceRows, and
+emits the same Snapshots. compare_reference runs a fresh ReferenceEngine and
+calls enumerate_interpretations for every clamp, one after another, where
+compare_with_oracle advances all clamps at once on bit-sliced planes and
+takes the oracle's answer for all clamps from one pass that decides layer 1
+on planes and memoizes the completions above it. trace_rows flattens a trace into TraceRows, and
 write_rows_csv writes TraceRows the way write_trace_csv writes a trace, field
 by field; write_trace_csv_reference is that writer as it was before it built
 lines itself: csv.writer over sorted rows, and
@@ -319,7 +321,8 @@ def run_scenario_reference(net, params, phases):
 
 
 def compare_reference(net, params):
-    """compare_with_oracle with a fresh ReferenceEngine for every clamp."""
+    """compare_with_oracle with a fresh ReferenceEngine and one
+    enumerate_interpretations call for every clamp."""
     bottom = net.bottom
     cases = []
     for mask in range(1 << len(bottom)):

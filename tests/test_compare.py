@@ -10,12 +10,19 @@ from conceptsim import (
     Termination,
     compare_with_oracle,
     enumerate_interpretations,
+    parse_network_file,
     validate_network,
 )
-from conceptsim import engine
+from conceptsim import engine, oracle
 from conceptsim.errors import TooLarge
 
-from netgen import random_network, shuffled_network
+from conftest import AMBIGUOUS_SPEC, DATA_DIR
+from netgen import random_network, shuffled_network, synth_network
+from reference import compare_reference
+
+
+def names_of(net, cids):
+    return sorted(net.names[c] for c in cids)
 
 
 def case_for(report, net, names):
@@ -144,8 +151,9 @@ def test_too_many_bottom_concepts():
 
 
 def test_too_many_concepts_to_enumerate_builds_no_planes(monkeypatch):
-    """A net the oracle refuses is refused on the first clamp, before the
-    plane run, whose cost grows with the square of a layer's width."""
+    """A net the oracle refuses is refused before either plane run: the
+    engine's, whose cost grows with the square of a layer's width, and the
+    oracle's."""
     concepts = [ConceptSpec("a", 0), ConceptSpec("b", 0)]
     concepts += [ConceptSpec(f"c{i}", 1, (("a", "b"),)) for i in range(21)]
     net = validate_network(NetworkSpec(tuple(concepts)))
@@ -154,8 +162,33 @@ def test_too_many_concepts_to_enumerate_builds_no_planes(monkeypatch):
         raise AssertionError("planes built for a net the oracle refuses")
 
     monkeypatch.setattr(engine, "_clamp_planes", refuse)
-    with pytest.raises(TooLarge, match="21 non-bottom concepts"):
+    monkeypatch.setattr(oracle, "_interpretations_by_clamp", refuse)
+    with pytest.raises(TooLarge) as refused:
         compare_with_oracle(net)
+    assert str(refused.value) == "21 non-bottom concepts exceed the enumeration limit of 20"
+
+
+def shipped(name):
+    return validate_network(parse_network_file((DATA_DIR / name).read_text()))
+
+
+@pytest.mark.parametrize("network", [
+    pytest.param(lambda: shipped("salt.json"), id="salt"),
+    pytest.param(lambda: shipped("caramel.json"), id="caramel"),
+    pytest.param(lambda: synth_network((7, 5, 3), 0), id="synth-7/5/3"),
+])
+def test_compare_makes_no_per_clamp_oracle_call(monkeypatch, network):
+    """The oracle side of compare runs for every clamp at once: with
+    enumerate_interpretations refusing every call, every CaseResult still
+    equals the per-clamp reference's, which was computed before the patch."""
+    net = network()
+    want = compare_reference(net, EngineParams()).cases
+
+    def refuse(*args):
+        raise AssertionError("compare called the oracle for one clamp")
+
+    monkeypatch.setattr(oracle, "enumerate_interpretations", refuse)
+    assert compare_with_oracle(net).cases == want
 
 
 def test_only_unsettled_clamps_run_on_the_engine(monkeypatch, net):
@@ -173,6 +206,16 @@ def test_only_unsettled_clamps_run_on_the_engine(monkeypatch, net):
     assert runs == []
     report = compare_with_oracle(net, EngineParams(max_sweeps=1))
     assert len(runs) == sum(c.termination is not Termination.FIXED_POINT for c in report.cases) == 31
+
+
+def test_several_maximal_sets_keep_the_oracle_order():
+    """On a clamp with two maximal interpretations of different sizes,
+    compare lists them as enumerate_interpretations does, largest first."""
+    net = validate_network(NetworkSpec(AMBIGUOUS_SPEC.concepts + (ConceptSpec("Q3", 2, (("Z",),)),)))
+    report = compare_with_oracle(net)
+    assert report.cases == compare_reference(net, EngineParams()).cases
+    case = case_for(report, net, ("a", "b"))
+    assert [names_of(net, s) for s in case.maximal] == [["Q2", "Q3", "Z"], ["Q1", "X"]]
 
 
 def test_report_is_deterministic(net):

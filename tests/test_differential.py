@@ -2,6 +2,7 @@
 bitmask sweep against the set-and-Fraction ones, compare's bit-sliced run of
 every clamp against a fresh ReferenceEngine per clamp, and the trace writer
 and renderer that read snapshots against the ones that read sorted TraceRows."""
+import collections
 import itertools
 import random
 import sys
@@ -16,6 +17,7 @@ from conceptsim import (
     EngineParams,
     ErrorRouting,
     NetworkSpec,
+    PatternStatus,
     Termination,
     TraceRow,
     UnitKind,
@@ -24,6 +26,7 @@ from conceptsim import (
     error_flags,
     parse_network_file,
     parse_scenario_file,
+    pattern_state,
     read_trace_csv,
     render_ascii_timeline,
     route_errors,
@@ -34,7 +37,9 @@ from conceptsim import (
 from conceptsim.engine import _applicable, _drive_thresholds
 from conceptsim.errors import UnknownConcept
 from conceptsim.model import _bit_bytes, _bits
+from conceptsim.oracle import _interpretations_by_clamp
 
+from conftest import AMBIGUOUS_SPEC
 from netgen import random_clamp, random_network, shuffled_network, synth_network
 from reference import (
     ReferenceEngine,
@@ -662,6 +667,101 @@ def test_drawn_compare_cases_are_not_vacuous(what):
     limits, latches and routed counts that need a threshold above 1."""
     find(
         st.tuples(compare_nets, valid_params()), REACHED[what],
+        settings=settings(max_examples=500, phases=[Phase.generate], database=None),
+        random=random.Random(0),
+    )
+
+
+# --- compare's oracle side: every clamp at once ---
+
+#: nets for the oracle's plane pass: the generated nets of the enumeration
+#: test above, the nets of the plane run, and a hand-built net with two
+#: maximal interpretations on one clamp, which generated nets reach in about
+#: one draw of 1500
+oracle_nets = st.one_of(layered_networks(), compare_nets, st.just(validate_network(AMBIGUOUS_SPEC)))
+plane_taus = st.floats(0.05, 1.0)
+
+
+def mask_of(ids):
+    return sum(1 << c for c in ids)
+
+
+def assert_families_match_enumeration(net, tau):
+    """For every clamp case, the plane pass lists each interpretation that
+    enumerate_interpretations reports for that clamp, and only those, once."""
+    families = _interpretations_by_clamp(net, tau)
+    assert len(families) == 1 << len(net.bottom)
+    for family, clamped in zip(families, all_clamps(net)):
+        want = [mask_of(r.interpretation) for r in enumerate_interpretations(net, clamped, tau)]
+        assert sorted(family) == sorted(want), sorted(clamped)
+
+
+@given(net=oracle_nets, tau=plane_taus)
+@settings(max_examples=100, deadline=None)
+def test_interpretations_by_clamp_match_enumeration_on_drawn_nets(net, tau):
+    assert_families_match_enumeration(net, tau)
+
+
+@pytest.mark.parametrize("tau", TAUS)
+@pytest.mark.parametrize("name", EDGE_NETS)
+def test_interpretations_by_clamp_match_enumeration_on_edge_nets(name, tau):
+    """Nets with no layer above 0, and one whose top layer is layer 1, where
+    the clamp must be explained and nothing lies above the layer-1 choice."""
+    assert_families_match_enumeration(validate_network(EDGE_NETS[name]), tau)
+
+
+@pytest.mark.parametrize("tau", TAUS)
+@pytest.mark.parametrize("name", ["salt.json", "caramel.json"])
+def test_interpretations_by_clamp_match_enumeration_on_shipped_nets(data_dir, name, tau):
+    assert_families_match_enumeration(validate_network(parse_network_file((data_dir / name).read_text())), tau)
+
+
+def several_maximal(net, tau):
+    """Some clamp has two or more maximal consistent interpretations."""
+    return any(
+        sum(r.maximal for r in enumerate_interpretations(net, clamped, tau)) >= 2
+        for clamped in all_clamps(net)
+    )
+
+
+def refused_only_by_an_incomplete_pattern(net, tau):
+    """Some clamp leaves a layer-1 concept with a Complete pattern, which is
+    refused only because another pattern is ApplicableIncomplete."""
+    for clamped in all_clamps(net):
+        for c in net.layers.get(1, ()):
+            states = {pattern_state(p, clamped, tau).status for p in net.patterns[c]}
+            if {PatternStatus.COMPLETE, PatternStatus.APPLICABLE_INCOMPLETE} <= states:
+                return True
+    return False
+
+
+def completion_shared_by_two_clamps(net, tau):
+    """Some interpretation that reaches above layer 1 is consistent under two
+    clamps: its layer-1 choice was live for both, and the memoized completions
+    of that choice were computed once and served both."""
+    if net.max_layer < 2:
+        return False
+    upper = net.non_bottom_mask & ~net.layer_mask[1]
+    seen = collections.Counter(
+        bits for family in _interpretations_by_clamp(net, tau) for bits in family if bits & upper
+    )
+    return any(count >= 2 for count in seen.values())
+
+
+ORACLE_REACHED = {
+    "two maximal sets": lambda drawn: several_maximal(*drawn),
+    "refusal by an incomplete pattern": lambda drawn: refused_only_by_an_incomplete_pattern(*drawn),
+    "completion shared by two clamps": lambda drawn: completion_shared_by_two_clamps(*drawn),
+}
+
+
+@pytest.mark.parametrize("what", ORACLE_REACHED)
+def test_drawn_oracle_cases_are_not_vacuous(what):
+    """The nets and taus the plane-pass test draws reach clamps with several
+    maximal sets, layer-1 refusals caused only by an ApplicableIncomplete
+    pattern, and completions shared across clamps."""
+    find(
+        st.tuples(oracle_nets, plane_taus), ORACLE_REACHED[what],
         settings=settings(max_examples=500, phases=[Phase.generate], database=None),
         random=random.Random(0),
     )

@@ -19,7 +19,7 @@ from conceptsim import (
 )
 from conceptsim.errors import BottomConcept, NonBottomClamp, TooLarge, UnknownConcept
 
-from conftest import CANONICAL_SPEC, DATA_DIR
+from conftest import AMBIGUOUS_SPEC, CANONICAL_SPEC, DATA_DIR
 from netgen import random_network
 from reference import interpretation_consistent_reference
 
@@ -147,20 +147,10 @@ def test_oracle_verdicts_examples(net, ids):
     }
 
 
-AMBIGUOUS = NetworkSpec((
-    ConceptSpec("a", 0), ConceptSpec("b", 0), ConceptSpec("c", 0), ConceptSpec("d", 0),
-    ConceptSpec("X", 1, (("a", "b"),)),
-    ConceptSpec("Y", 1, (("c", "d"),)),
-    ConceptSpec("Z", 1, (("a", "b"),)),
-    ConceptSpec("Q1", 2, (("X",), ("Y", "Z"))),
-    ConceptSpec("Q2", 2, (("Z",),)),
-))
-
-
 def test_in_some_maximal_with_competing_parents():
     """Two maximal interpretations that cannot merge: inferring Z alongside Q1
     would make Q1's {Y, Z} pattern applicable but incomplete."""
-    net = validate_network(AMBIGUOUS)
+    net = validate_network(AMBIGUOUS_SPEC)
     clamp = {net.id_of("a"), net.id_of("b")}
     maximal = [
         names_of(net, r.interpretation)
@@ -176,7 +166,7 @@ def test_in_some_maximal_with_competing_parents():
 
 def test_mid_layer_concepts_need_explanation():
     """An inferred mid-layer concept with no inferred parent is unexpected."""
-    net = validate_network(AMBIGUOUS)
+    net = validate_network(AMBIGUOUS_SPEC)
     clamp = frozenset({net.id_of("a"), net.id_of("b")})
     report = interpretation_consistent(net, {net.id_of("X")}, clamp)
     assert not report.consistent
@@ -262,7 +252,7 @@ def subsets(ids):
 
 def nets_and_taus():
     yield pytest.param(validate_network(CANONICAL_SPEC), DEFAULT_TAU, id="salt")
-    yield pytest.param(validate_network(AMBIGUOUS), DEFAULT_TAU, id="ambiguous")
+    yield pytest.param(validate_network(AMBIGUOUS_SPEC), DEFAULT_TAU, id="ambiguous")
     caramel = parse_network_file((DATA_DIR / "caramel.json").read_text())
     yield pytest.param(validate_network(caramel), DEFAULT_TAU, id="caramel")
     for seed in range(12):
@@ -298,7 +288,7 @@ def test_interpretation_consistent_matches_reference_on_bad_ids(seed):
 def test_interpretation_consistent_evaluates_each_pattern_once(monkeypatch):
     """Local consistency and the explained set read one pattern_state per
     pattern of each inferred concept."""
-    net = validate_network(AMBIGUOUS)
+    net = validate_network(AMBIGUOUS_SPEC)
     calls = []
 
     def counted(pattern, active, tau):
