@@ -414,12 +414,15 @@ class Engine:
     def run_fixed_sweeps(self, count: int) -> tuple[tuple[Snapshot, ...], Termination, int | None]:
         """Run exactly `count` sweeps, labelling how the segment ended.
 
-        A count above params.max_sweeps raises TooLarge before any sweep runs.
+        A count below 1 raises ValueError, and one above params.max_sweeps
+        TooLarge, before any sweep runs.
         """
         self._check_hold(count)
         return self._run(count, stop=False)
 
     def _check_hold(self, count: int) -> None:
+        if count < 1:
+            raise ValueError(f"a hold of {count} sweeps is below 1")
         if count > self.params.max_sweeps:
             raise TooLarge(f"a hold of {count} sweeps exceeds max_sweeps={self.params.max_sweeps}")
 
@@ -460,7 +463,8 @@ def run_scenario(
 ) -> Trace:
     """Run an ordered list of (clamp, hold) phases; hold None means run to convergence.
 
-    A hold above params.max_sweeps raises TooLarge before the first phase runs.
+    A hold below 1 raises ValueError, and one above params.max_sweeps
+    TooLarge, before the first phase runs.
     """
     engine = Engine(net, params)
     phases = list(phases)
@@ -726,6 +730,29 @@ def _clamp_planes(net: ValidatedNetwork, params: EngineParams) -> list[int | Non
     return out
 
 
+def _classify(
+    inferred: int | None, family: list[int]
+) -> tuple[frozenset[ConceptId] | None, Agreement, tuple[frozenset[ConceptId], ...]]:
+    """One distinct outcome of compare_with_oracle, from bitmasks: the inferred
+    set (None if the run did not converge), its Agreement with family, the
+    consistent interpretations of its clamp, and the family's maximal sets."""
+    from . import oracle
+
+    top = oracle._maximal(family)
+    maximal = tuple(frozenset(_ids(s)) for s in top)
+    if inferred is None:
+        return None, Agreement.DISAGREE, maximal
+    if inferred in top or not family and not inferred:
+        classification = Agreement.AGREE
+    elif any(inferred | s == s for s in family):
+        # a subset of some consistent set, and not a maximal one itself,
+        # so a strict subset of a consistent set
+        classification = Agreement.TIE_SELECTED
+    else:
+        classification = Agreement.DISAGREE
+    return frozenset(_ids(inferred)), classification, maximal
+
+
 def compare_with_oracle(
     net: ValidatedNetwork,
     params: EngineParams | None = None,
@@ -762,18 +789,8 @@ def compare_with_oracle(
     families = oracle._interpretations_by_clamp(net, params.tau)
     settled = _clamp_planes(net, params)
     engine: Engine | None = None
-    # one frozenset per distinct interpretation, and per distinct family of
-    # consistent ones its maximal members as bitmasks and as sets, in the
-    # oracle's order: descending size, then ascending id tuple
-    sets: dict[int, frozenset[ConceptId]] = {}
-    tops: dict[tuple[int, ...], tuple[tuple[int, ...], tuple[frozenset[ConceptId], ...]]] = {}
-
-    def as_set(bits: int) -> frozenset[ConceptId]:
-        found = sets.get(bits)
-        if found is None:
-            found = sets[bits] = frozenset(_ids(bits))
-        return found
-
+    # per distinct (inferred, *family): what _classify makes of it
+    outcomes: dict[tuple[int | None, ...], tuple] = {}
     cases: list[CaseResult] = []
     # clamp i sets bottom[j] for each bit j of i: the clamps below 2^j, then
     # each of them with bottom[j] added
@@ -790,30 +807,9 @@ def compare_with_oracle(
             snaps, termination, _ = engine.run_to_fixed_point()
             if termination is Termination.FIXED_POINT:
                 inferred = snaps[-1].active & net.non_bottom_mask
-        top: tuple[int, ...] = ()
-        maximal: tuple[frozenset[ConceptId], ...] = ()
-        if family:
-            key = tuple(family)
-            if key not in tops:
-                best = sorted(
-                    (s for s in family if not any(s | t == t != s for t in family)),
-                    key=lambda s: (-s.bit_count(), _ids(s)),
-                )
-                tops[key] = tuple(best), tuple(map(as_set, best))
-            top, maximal = tops[key]
-        if inferred is None:
-            classification = Agreement.DISAGREE
-        elif not family:
-            classification = Agreement.AGREE if not inferred else Agreement.DISAGREE
-        elif inferred in top:
-            classification = Agreement.AGREE
-        elif any(inferred | s == s for s in family):
-            # a subset of some consistent set, and not a maximal one itself,
-            # so a strict subset of a consistent set
-            classification = Agreement.TIE_SELECTED
-        else:
-            classification = Agreement.DISAGREE
-        cases.append(CaseResult(
-            clamped, termination, None if inferred is None else as_set(inferred), classification, maximal,
-        ))
+        key = (inferred, *family)
+        outcome = outcomes.get(key)
+        if outcome is None:
+            outcome = outcomes[key] = _classify(inferred, family)
+        cases.append(CaseResult(clamped, termination, *outcome))
     return AgreementReport(tuple(cases))

@@ -26,7 +26,9 @@ is not consistent.
 Only the layer-1 choice depends on the clamp, so compare takes the oracle's
 answer for all 2^b clamps from _interpretations_by_clamp: it decides layer 1
 for every clamp at once on bit planes, and runs _above from layer 2 up once
-per layer-1 choice, memoized across clamps.
+per layer-1 choice, memoized across clamps. Which interpretations are maximal,
+and in what order they are reported, is stated once, by _maximal and _order,
+for enumerate_interpretations and compare alike.
 """
 from __future__ import annotations
 
@@ -189,6 +191,17 @@ def _above(
     return found
 
 
+def _order(bits: int) -> tuple[int, list[int]]:
+    """The oracle's order on interpretations: descending size, then ascending ids."""
+    return -bits.bit_count(), _ids(bits)
+
+
+def _maximal(family: list[int]) -> list[int]:
+    """The members of a family of interpretations, as bitmasks, that lie
+    inside no other member, in the oracle's order."""
+    return sorted((s for s in family if not any(s | t == t != s for t in family)), key=_order)
+
+
 def enumerate_interpretations(
     net: ValidatedNetwork,
     clamped: AbstractSet[ConceptId],
@@ -213,17 +226,12 @@ def enumerate_interpretations(
         if net.layer(e) != 0:
             raise NonBottomClamp(f"{net.name(e)!r} is not a layer-0 concept")
         clamp_bits |= 1 << e
-    consistent = [
-        interpretation_consistent(net, frozenset(_ids(bits)), clamped, tau)
-        for bits in _above(net, 1, clamp_bits, net.pattern_needs(tau), {})
+    found = sorted(_above(net, 1, clamp_bits, net.pattern_needs(tau), {}), key=_order)
+    maximal = set(_maximal(found))
+    return [
+        replace(interpretation_consistent(net, frozenset(_ids(bits)), clamped, tau), maximal=bits in maximal)
+        for bits in found
     ]
-    sets = [r.interpretation for r in consistent]
-    out = [
-        replace(r, maximal=not any(r.interpretation < other for other in sets))
-        for r in consistent
-    ]
-    out.sort(key=lambda r: (-len(r.interpretation), tuple(sorted(r.interpretation))))
-    return out
 
 
 def _interpretations_by_clamp(net: ValidatedNetwork, tau: float) -> list[list[int]]:

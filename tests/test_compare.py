@@ -1,4 +1,6 @@
 """Exhaustive dynamics-vs-oracle comparison."""
+from dataclasses import replace
+
 import pytest
 
 from conceptsim import (
@@ -206,6 +208,70 @@ def test_only_unsettled_clamps_run_on_the_engine(monkeypatch, net):
     assert runs == []
     report = compare_with_oracle(net, EngineParams(max_sweeps=1))
     assert len(runs) == sum(c.termination is not Termination.FIXED_POINT for c in report.cases) == 31
+
+
+#: theta < 0 and a negative self-input: some clamps of netgen 3 and
+#: shuffled 0 never settle, and their planes recur well before max_sweeps
+CYCLING_PARAMS = EngineParams(w_ff=0.2, w_self=-0.2, w_lat=0.2, w_err=0.5, theta=-0.4, tau=0.2)
+
+
+@pytest.mark.parametrize("network", [
+    pytest.param(lambda: random_network(3), id="netgen-3"),
+    pytest.param(lambda: shuffled_network(0), id="shuffled-0"),
+])
+def test_plane_run_stops_when_the_planes_recur(monkeypatch, network):
+    """With some clamps in a cycle, the plane run ends at the first
+    recurring state of all planes, not at max_sweeps: it does the same work
+    under max_sweeps 64 and 128, counted in calls of engine._at_least, which
+    every plane sweep makes. The cycling clamps are then rerun on Engine."""
+    net = network()
+    calls = []
+    real = engine._at_least
+    monkeypatch.setattr(engine, "_at_least", lambda *args: calls.append(1) or real(*args))
+    counts = []
+    for max_sweeps in (64, 128):
+        calls.clear()
+        settled = engine._clamp_planes(net, replace(CYCLING_PARAMS, max_sweeps=max_sweeps))
+        counts.append(len(calls))
+    assert None in settled and any(inferred is not None for inferred in settled)
+    assert counts[0] == counts[1]
+    report = compare_with_oracle(net, CYCLING_PARAMS)
+    assert report.cases == compare_reference(net, CYCLING_PARAMS).cases
+    assert {c.termination for c in report.cases} == {Termination.FIXED_POINT, Termination.CYCLE}
+
+
+def mask_of(ids):
+    return None if ids is None else sum(1 << c for c in ids)
+
+
+@pytest.mark.parametrize("network", [
+    pytest.param(lambda: shipped("caramel.json"), id="caramel"),
+    pytest.param(lambda: synth_network((7, 5, 3), 0), id="synth-7/5/3"),
+])
+def test_each_distinct_outcome_is_classified_once(monkeypatch, network):
+    """compare classifies each distinct pair of inferred set and family of
+    consistent interpretations once, and the clamps share far fewer pairs
+    than there are cases."""
+    net = network()
+    calls = []
+    real = engine._classify
+
+    def counted(inferred, family):
+        calls.append((inferred, frozenset(family)))
+        return real(inferred, family)
+
+    monkeypatch.setattr(engine, "_classify", counted)
+    report = compare_with_oracle(net)
+    assert report.cases == compare_reference(net, EngineParams()).cases
+    pairs = {
+        (
+            mask_of(case.inferred),
+            frozenset(mask_of(r.interpretation) for r in enumerate_interpretations(net, case.clamp)),
+        )
+        for case in report.cases
+    }
+    assert set(calls) == pairs
+    assert len(calls) == len(pairs) < len(report.cases)
 
 
 def test_several_maximal_sets_keep_the_oracle_order():

@@ -351,6 +351,18 @@ def test_a_hold_beyond_max_sweeps_raises_before_any_sweep(net, ids):
     assert len(snaps) == 3
 
 
+@pytest.mark.parametrize("count", [0, -3])
+def test_a_hold_below_one_raises_before_any_sweep(net, ids, count):
+    eng = Engine(net, PARAMS)
+    eng.apply_clamp({ids["looking"]: 1, ids["white"]: 1, ids["tasting"]: 1})
+    eng.run_fixed_sweeps(1)
+    before = (eng.snapshot(), list(eng.routed), dict(eng.clamp))
+    with pytest.raises(ValueError, match=f"^a hold of {count} sweeps is below 1$"):
+        eng.run_fixed_sweeps(count)
+    assert (eng.snapshot(), eng.routed, dict(eng.clamp)) == before
+    assert eng.state == before[0]
+
+
 def test_a_hold_of_max_sweeps_runs_in_a_scenario(net, ids):
     clamp = {ids["looking"]: 1, ids["white"]: 1}
     trace = run_scenario(net, PARAMS, [(clamp, PARAMS.max_sweeps)])
@@ -360,8 +372,8 @@ def test_a_hold_of_max_sweeps_runs_in_a_scenario(net, ids):
 
 
 def test_every_hold_is_checked_before_the_first_phase(monkeypatch, net, ids):
-    """A hold beyond max_sweeps in a later phase is refused before any sweep
-    of an earlier phase runs."""
+    """A hold beyond max_sweeps or below 1 in a later phase is refused before
+    any sweep of an earlier phase runs."""
     sweeps = []
     real_sweep = Engine.sweep
 
@@ -373,6 +385,9 @@ def test_every_hold_is_checked_before_the_first_phase(monkeypatch, net, ids):
     clamp = {ids["looking"]: 1, ids["white"]: 1}
     with pytest.raises(TooLarge, match="^a hold of 65 sweeps exceeds max_sweeps=64$"):
         run_scenario(net, PARAMS, [(clamp, None), (clamp, 2), (clamp, 65)])
+    assert sweeps == []
+    with pytest.raises(ValueError, match="^a hold of 0 sweeps is below 1$"):
+        run_scenario(net, PARAMS, [(clamp, None), (clamp, 0)])
     assert sweeps == []
     run_scenario(net, PARAMS, [(clamp, None), (clamp, 2)])
     assert sweeps  # the counter sees the sweeps of a scenario that runs
@@ -519,3 +534,11 @@ def test_read_verdicts_at_the_sweep_limit_reads_the_last_two_sweeps(net, ids):
 def test_read_verdicts_requires_a_trace(net):
     with pytest.raises(ValueError):
         read_verdicts(Trace(net, ()))
+
+
+def test_read_verdicts_requires_a_phase_with_snapshots(net):
+    """The library runs no phase without a sweep, but a hand-built trace can
+    hold one."""
+    trace = Trace(net, (PhaseTrace({}, (), Termination.SWEEP_LIMIT),))
+    with pytest.raises(ValueError, match="^phase has no snapshots$"):
+        read_verdicts(trace)
