@@ -282,6 +282,10 @@ class Engine:
         #: writes between sweeps leave it valid; no pattern is empty, so an
         #: empty layer below completes none
         self._dendrite_memo = [(0, 0)] * (net.max_layer + 1)
+        #: per dendrite value, the layer count from which an idle unit cannot
+        #: ignite, a pure function of the params and the widest layer
+        widest = max((mask.bit_count() for mask in net.layer_mask[1:]), default=0)
+        self._k_on = _ignition_bounds(params, widest)
         self.reset()
 
     def reset(self) -> None:
@@ -357,17 +361,27 @@ class Engine:
     def sweep(self) -> bool:
         """One full pass; returns whether the observable state changed.
 
-        Layer 0 takes the clamp in one mask operation. With theta >= 0 the
-        layer update visits only the active units and those with a Complete
-        pattern: any other unit has a drive of at most 0 - theta, so it stays
-        off and cannot latch. The active bitmask is kept current through the
-        sequential update, so applicability, predictions, errors and routing
-        are then computed once, on bits.
+        Layer 0 takes the clamp in one mask operation. Each layer is updated
+        in id order, visiting every active unit, latched or not, and an idle,
+        unlatched unit with dendrite value d only while the layer's running
+        count of active units is below k_on[d], the least count k at which
+        the drive below at prev 0 and routed 0 is at most 0. The bound is
+        exact: each float operation rounds monotonically, w_lat >= 0 and
+        routed counts are >= 0, so with w_err >= 0 an idle unit's drive does
+        not rise with the count or its routed count; from k_on[d] on it stays
+        off, and it cannot latch, which needs it on. The walk jumps over the
+        other units and recomputes what is left only when the count crosses a
+        bound. With theta >= 0, k_on[0] is 0: only active units and units with
+        a Complete pattern are ever visited. With w_err < 0 there is no bound
+        and every unit is visited. The active bitmask is kept current through
+        the sequential update, so applicability, predictions, errors and
+        routing are then computed once, on bits.
         """
         net, p = self.net, self.params
         routed, latched = self.routed, self.latched
         layer_mask = net.layer_mask
         w_ff, w_self, w_lat, w_err, theta = p.w_ff, p.w_self, p.w_lat, p.w_err, p.theta
+        k_on0, k_on1 = self._k_on
 
         active = self.active & ~layer_mask[0] | self._clamp_bits
         newly_latched = 0
@@ -376,9 +390,15 @@ class Engine:
             dend = self._dendrites(layer, active & layer_mask[layer - 1])
             # active units of this layer, kept current through the sequential update
             layer_active = (active & layer_mask[layer]).bit_count()
-            visit = layer_mask[layer] if theta < 0 else (dend | active) & layer_mask[layer]
-            for c in _ids(visit):
-                bit = 1 << c
+            # whether an idle unit without, and with, a Complete pattern can ignite
+            bounds = layer_active < k_on0, layer_active < k_on1
+            ignitable = (~dend if bounds[0] else 0) | (dend if bounds[1] else 0)
+            # the units left to visit, lowest id first
+            visit = layer_mask[layer] & (active | ignitable & ~latched)
+            while visit:
+                bit = visit & -visit
+                visit ^= bit
+                c = bit.bit_length() - 1
                 prev = 1 if active & bit else 0
                 if latched & bit:
                     now = 0
@@ -397,6 +417,11 @@ class Engine:
                 if now != prev:
                     active ^= bit
                     layer_active += now - prev
+                    if (layer_active < k_on0, layer_active < k_on1) != bounds:
+                        # a bound was crossed: recompute the units above c
+                        bounds = layer_active < k_on0, layer_active < k_on1
+                        ignitable = (~dend if bounds[0] else 0) | (dend if bounds[1] else 0)
+                        visit = layer_mask[layer] & -(bit << 1) & (active | ignitable & ~latched)
 
         pred, owners = _applicable(net, active, p.tau)
         self.omitted, self.committed = _error_bits(net, active, pred)
@@ -555,6 +580,23 @@ class AgreementReport:
 
 #: Refuse to sweep clamp subsets beyond this many layer-0 concepts.
 COMPARE_BOTTOM_LIMIT = 16
+
+
+def _ignition_bounds(params: EngineParams, widest: int) -> tuple[int, int]:
+    """Per dendrite value d, sweep()'s k_on[d]: the least count k < widest of
+    other active units in a layer at which its float drive at prev 0 and
+    routed 0 is at most 0, else widest; both widest when w_err < 0."""
+    w_ff, w_self, w_lat, w_err, theta = params.w_ff, params.w_self, params.w_lat, params.w_err, params.theta
+    if w_err < 0:
+        return widest, widest
+
+    def k_on(dendrite: int) -> int:
+        k = 0
+        while k < widest and w_ff * dendrite + w_self * 0 - w_lat * k - w_err * 0 - theta > 0:
+            k += 1
+        return k
+
+    return k_on(0), k_on(1)
 
 
 def _drive_thresholds(
@@ -730,27 +772,19 @@ def _clamp_planes(net: ValidatedNetwork, params: EngineParams) -> list[int | Non
     return out
 
 
-def _classify(
-    inferred: int | None, family: list[int]
-) -> tuple[frozenset[ConceptId] | None, Agreement, tuple[frozenset[ConceptId], ...]]:
-    """One distinct outcome of compare_with_oracle, from bitmasks: the inferred
-    set (None if the run did not converge), its Agreement with family, the
-    consistent interpretations of its clamp, and the family's maximal sets."""
-    from . import oracle
-
-    top = oracle._maximal(family)
-    maximal = tuple(frozenset(_ids(s)) for s in top)
+def _classify(inferred: int | None, family: list[int], top: list[int]) -> Agreement:
+    """The Agreement of one inferred set (None if the run did not converge)
+    with family, the consistent interpretations of its clamp, whose maximal
+    members are top; all as bitmasks."""
     if inferred is None:
-        return None, Agreement.DISAGREE, maximal
+        return Agreement.DISAGREE
     if inferred in top or not family and not inferred:
-        classification = Agreement.AGREE
-    elif any(inferred | s == s for s in family):
+        return Agreement.AGREE
+    if any(inferred | s == s for s in family):
         # a subset of some consistent set, and not a maximal one itself,
         # so a strict subset of a consistent set
-        classification = Agreement.TIE_SELECTED
-    else:
-        classification = Agreement.DISAGREE
-    return frozenset(_ids(inferred)), classification, maximal
+        return Agreement.TIE_SELECTED
+    return Agreement.DISAGREE
 
 
 def compare_with_oracle(
@@ -789,7 +823,11 @@ def compare_with_oracle(
     families = oracle._interpretations_by_clamp(net, params.tau)
     settled = _clamp_planes(net, params)
     engine: Engine | None = None
-    # per distinct (inferred, *family): what _classify makes of it
+    # per distinct family: its maximal members, as bitmasks and as frozensets
+    tops: dict[tuple[int, ...], tuple[list[int], tuple[frozenset[ConceptId], ...]]] = {}
+    # per distinct inferred bitmask: its frozenset
+    sets: dict[int | None, frozenset[ConceptId] | None] = {None: None}
+    # per distinct (inferred, *family): the inferred set, Agreement and maximal sets
     outcomes: dict[tuple[int | None, ...], tuple] = {}
     cases: list[CaseResult] = []
     # clamp i sets bottom[j] for each bit j of i: the clamps below 2^j, then
@@ -810,6 +848,13 @@ def compare_with_oracle(
         key = (inferred, *family)
         outcome = outcomes.get(key)
         if outcome is None:
-            outcome = outcomes[key] = _classify(inferred, family)
+            members = key[1:]
+            if members not in tops:
+                top = oracle._maximal(family)
+                tops[members] = top, tuple(frozenset(_ids(s)) for s in top)
+            top, maximal = tops[members]
+            if inferred not in sets:
+                sets[inferred] = frozenset(_ids(inferred))
+            outcome = outcomes[key] = sets[inferred], _classify(inferred, family, top), maximal
         cases.append(CaseResult(clamped, termination, *outcome))
     return AgreementReport(tuple(cases))

@@ -256,9 +256,9 @@ def test_each_distinct_outcome_is_classified_once(monkeypatch, network):
     calls = []
     real = engine._classify
 
-    def counted(inferred, family):
+    def counted(inferred, family, top):
         calls.append((inferred, frozenset(family)))
-        return real(inferred, family)
+        return real(inferred, family, top)
 
     monkeypatch.setattr(engine, "_classify", counted)
     report = compare_with_oracle(net)
@@ -272,6 +272,39 @@ def test_each_distinct_outcome_is_classified_once(monkeypatch, network):
     }
     assert set(calls) == pairs
     assert len(calls) == len(pairs) < len(report.cases)
+
+
+@pytest.mark.parametrize("network", [
+    pytest.param(lambda: shipped("caramel.json"), id="caramel"),
+    pytest.param(lambda: synth_network((7, 5, 3), 0), id="synth-7/5/3"),
+])
+def test_each_family_and_inferred_set_is_built_once(monkeypatch, network):
+    """compare finds the maximal sets of each distinct family once, not once
+    per inferred set that meets it: the cases of one family share one tuple
+    of maximal sets, and the cases of one inferred set share one frozenset."""
+    net = network()
+    families = []
+    real = oracle._maximal
+
+    def counted(family):
+        families.append(frozenset(family))
+        return real(family)
+
+    monkeypatch.setattr(oracle, "_maximal", counted)
+    report = compare_with_oracle(net)
+    monkeypatch.undo()
+    assert report.cases == compare_reference(net, EngineParams()).cases
+    assert len(families) == len(set(families))
+    distinct = {
+        frozenset(mask_of(r.interpretation) for r in enumerate_interpretations(net, case.clamp))
+        for case in report.cases
+    }
+    assert set(families) == distinct
+    pairs = {(case.inferred, case.maximal) for case in report.cases}
+    assert len(families) < len(pairs)
+    inferred = {case.inferred for case in report.cases}
+    assert len({id(case.inferred) for case in report.cases}) == len(inferred)
+    assert len({id(case.maximal) for case in report.cases}) == len(families)
 
 
 def test_several_maximal_sets_keep_the_oracle_order():

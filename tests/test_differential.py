@@ -36,9 +36,9 @@ from conceptsim import (
     validate_network,
     write_trace_csv,
 )
-from conceptsim.engine import _applicable, _drive_thresholds
+from conceptsim.engine import _applicable, _drive_thresholds, _ignition_bounds
 from conceptsim.errors import UnknownConcept
-from conceptsim.model import _bit_bytes, _bits
+from conceptsim.model import _bit_bytes, _bits, _ids
 from conceptsim.oracle import _interpretations_by_clamp
 
 from conftest import AMBIGUOUS_SPEC
@@ -258,8 +258,9 @@ def test_row_writer_matches_csv_writer_on_names_without_cr(names):
 
 # --- the bitmask sweep against the list-based reference ---
 
-#: the parameters the sweep's skip rule rests on: theta at 0, theta below 0
-#: (where the whole layer is walked) and no lateral inhibition, as in
+#: the parameters the sweep's ignition bound rests on: theta at 0, theta
+#: below 0 (where idle units without a Complete pattern can ignite) and no
+#: lateral inhibition (where no count bounds the drive), as in
 #: data/params/no_lateral.json
 EDGE_PARAMS = [{"theta": 0.0}, {"theta": -0.3}, {"w_lat": 0.0}]
 
@@ -339,13 +340,15 @@ def write(engine, rng):
         engine.clamp = random_clamp(net, rng)
 
 
-def runs_with_writes(seed):
+def runs_with_writes(seed, net=None, params=None):
     """A seeded mix of single sweeps and runs on an Engine and a
     ReferenceEngine, with the same writes to both before each: yields what
-    each returned, and its state after."""
-    net = random_network(seed)
+    each returned, and its state after. The net defaults to
+    random_network(seed) and the params to one of SWEEP_PARAMS by seed; a
+    hold is at most params.max_sweeps."""
+    net = net or random_network(seed)
     rng = random.Random(seed)
-    params = SWEEP_PARAMS[seed % len(SWEEP_PARAMS)]
+    params = params or SWEEP_PARAMS[seed % len(SWEEP_PARAMS)]
     engines = Engine(net, params), ReferenceEngine(net, params)
     clamp = random_clamp(net, rng)
     for engine in engines:
@@ -356,7 +359,7 @@ def runs_with_writes(seed):
             rng.setstate(state)
             write(engine, rng)
         step = rng.choice(("sweep", "hold", "converge"))
-        hold = rng.randint(1, 4)
+        hold = min(rng.randint(1, 4), params.max_sweeps)
         yield [
             (
                 engine.sweep() if step == "sweep"
@@ -631,6 +634,138 @@ def test_rounding_decides_the_sign_in_the_drive_table():
 def test_a_drive_rising_with_the_routed_count_has_no_table():
     assert _drive_thresholds(RISING_PARAMS, 4, 8) is None
     assert _drive_thresholds(EngineParams(), 4, 8) is not None
+
+
+# --- the sweep's ignition bound: which idle units a layer walk skips ---
+
+#: the params the bound treats apart: theta at and below 0, no lateral
+#: inhibition (no count bounds the drive), both together, and a
+#: rounding-decided sign
+BOUND_PARAMS = [
+    EngineParams(),
+    EngineParams(theta=0.0),
+    EngineParams(theta=-0.3),
+    EngineParams(w_lat=0.0),
+    EngineParams(theta=-0.3, w_lat=0.0),
+    ROUNDING_PARAMS,
+]
+
+
+@pytest.mark.parametrize("params", BOUND_PARAMS)
+@pytest.mark.parametrize("net", [random_network(0), shuffled_network(0), synth_network((6, 5, 5, 3), 1)])
+def test_ignition_bounds_reproduce_the_float_drive(net, params):
+    """For each dendrite value d and each count k of other active units an
+    idle unit can see, below the widest layer's width, k >= k_on[d] exactly
+    when the engine's float drive at prev 0 and routed 0 is at most 0."""
+    p = params
+    widest = max(len(net.layers[layer]) for layer in range(1, net.max_layer + 1))
+    k_on = Engine(net, p)._k_on
+    for dendrite, k in itertools.product((0, 1), range(widest)):
+        drive = p.w_ff * dendrite + p.w_self * 0 - p.w_lat * k - p.w_err * 0 - p.theta
+        assert (k >= k_on[dendrite]) == (drive <= 0), (dendrite, k)
+
+
+def test_rounding_decides_an_ignition_bound():
+    """Under the rounding params the exact decimal drive of an idle unit with
+    a Complete pattern is 0 at a count of 3, and the float drive, which the
+    bound follows, is negative there: k_on[1] is 3, not 4."""
+    p = ROUNDING_PARAMS
+    w_ff, w_lat, theta = (Fraction(str(w)) for w in (p.w_ff, p.w_lat, p.theta))
+    assert w_ff - w_lat * 3 - theta == 0
+    assert _ignition_bounds(p, 6) == (0, 3)
+
+
+def test_a_drive_rising_with_the_routed_count_has_no_ignition_bound():
+    """With w_err < 0 a routed count raises an idle unit's drive, so no count
+    bounds it: both bounds are the widest layer's width, and every unit of a
+    layer is visited."""
+    assert _ignition_bounds(RISING_PARAMS, 6) == (6, 6)
+    assert _ignition_bounds(EngineParams(), 6) == (0, 1)
+
+
+def test_a_routed_count_ignites_an_idle_unit_when_w_err_is_negative():
+    """Under w_err < 0, z, idle with no Complete pattern, sees two active
+    peers, a count at which its drive with no routed count is below 0; a
+    routed count of 10 written between sweeps raises it above 0, so z
+    ignites, on the Engine as on the reference."""
+    net = validate_network(NetworkSpec((
+        ConceptSpec("a", 0),
+        ConceptSpec("z", 1, (("a",),)),
+        ConceptSpec("x", 1, (("a",),)),
+        ConceptSpec("y", 1, (("a",),)),
+    )))
+    z, x, y = 1, 2, 3
+    p = RISING_PARAMS
+    assert p.w_ff * 0 + p.w_self * 0 - p.w_lat * 2 - p.w_err * 0 - p.theta <= 0
+    fast, reference = Engine(net, p), ReferenceEngine(net, p)
+    fast.active = 1 << x | 1 << y
+    reference.activation[x] = reference.activation[y] = 1
+    for engine in (fast, reference):
+        engine.routed[z] = 10
+        engine.sweep()
+    assert engine_state(fast) == engine_state(reference)
+    assert fast.active >> z & 1
+
+
+@given(seed=st.integers(0, 999), net=compare_nets, params=valid_params())
+@example(seed=3, net=random_network(3), params=ROUNDING_PARAMS)
+@example(seed=4, net=shuffled_network(4), params=RISING_PARAMS)
+@settings(max_examples=100, deadline=None)
+def test_sweep_matches_reference_with_writes_on_drawn_params(seed, net, params):
+    """Under drawn params, with seeded writes between sweeps, every sweep and
+    run of the bitmask engine equals the reference's, which visits every
+    unit: the walk skips no unit that could change."""
+    for fast, reference in runs_with_writes(seed, net, params):
+        assert fast == reference
+
+
+@pytest.mark.parametrize("params", [ROUNDING_PARAMS, RISING_PARAMS], ids=["rounding", "rising"])
+@pytest.mark.parametrize("seed", range(20))
+def test_sweep_matches_reference_with_writes_on_edge_params(seed, params):
+    """As above, on seeded netgen and shuffled nets, under a rounding-decided
+    drive and under w_err < 0, where no bound applies."""
+    for net in (random_network(seed), shuffled_network(seed)):
+        for fast, reference in runs_with_writes(seed, net, params):
+            assert fast == reference
+
+
+def skipped_with_a_complete_pattern(net, params, trace):
+    """How often a sweep passes an idle, unlatched unit with a Complete
+    pattern while its layer's count of active units is at least k_on[1]: the
+    units the walk skips that the old rule visited. At a unit's turn the
+    units before it in id order hold their final value for the sweep and the
+    units after it their value before the sweep, which, as run_scenario
+    writes nothing between sweeps, is the previous snapshot's; a clamp drops
+    every latch."""
+    k_on1 = Engine(net, params)._k_on[1]
+    count = 0
+    before = 0
+    for phase in trace.phases:
+        latched = 0
+        for snap in phase.snapshots:
+            for layer in range(1, net.max_layer + 1):
+                mask = net.layer_mask[layer]
+                for c in _ids(mask & ~(before | snap.active | latched)):
+                    if not any(m & snap.active == m for m in net.masks[c]):
+                        continue
+                    lower = (1 << c) - 1
+                    k = (snap.active & mask & lower).bit_count() + (before & mask & ~lower).bit_count()
+                    count += k >= k_on1
+            before, latched = snap.active, snap.latched
+    return count
+
+
+def test_ignition_bound_skips_are_not_vacuous():
+    """Some seeded sweeps pass an idle, unlatched unit with a Complete
+    pattern in a layer whose count is already k_on[1], so the differential
+    tests above check the case the walk skips."""
+    skipped = sum(
+        skipped_with_a_complete_pattern(net, params, run_scenario(net, params, mixed_scenario(net, seed)))
+        for seed in range(50)
+        for net in (random_network(seed), shuffled_network(seed % 20))
+        for params in (EngineParams(), ROUNDING_PARAMS)
+    )
+    assert skipped > 0
 
 
 def thermometer_depth(net, params):
