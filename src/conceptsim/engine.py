@@ -312,8 +312,14 @@ class Engine:
     @clamp.setter
     def clamp(self, clamp: Mapping[ConceptId, int]) -> None:
         self._clamp = clamp = dict(clamp)
-        # layer 0 as the clamp sets it; unclamped units are 0
-        self._clamp_bits = sum(1 << e for e in self.net.bottom if clamp.get(e)) if clamp else 0
+        # layer 0 as the clamp sets it: a 1 per truthy entry on a concept id,
+        # kept on layer 0; unclamped units are 0, and any other key adds nothing
+        n = self.net.n_concepts
+        values = bytearray(n)
+        for e, value in clamp.items():
+            if value and isinstance(e, int) and 0 <= e < n:
+                values[e] = 1
+        self._clamp_bits = _bits(values) & self.net.layer_mask[0]
 
     def snapshot(self) -> Snapshot:
         return Snapshot(self.active, self.omitted, self.committed, self.latched, self.net.n_concepts)
@@ -659,7 +665,7 @@ def _clamp_planes(net: ValidatedNetwork, params: EngineParams) -> list[int | Non
         key: [(t, [k for k in range(widest) if row[k] == t]) for t in sorted(set(row) - {0})]
         for key, row in table.items()
     }
-    elements = [[_ids(mask) for mask in masks] for masks in net.masks]
+    elements = net.element_ids
     needs = net.pattern_needs(params.tau)
     zero = [ones] + [0] * depth  # a count of 0 in every case
 
@@ -804,8 +810,8 @@ def compare_with_oracle(
       DISAGREE      anything else, including non-convergence
 
     Both sides take all 2^b clamps at once, bit-sliced: the runs advance
-    together (_clamp_planes), and the oracle decides layer 1 for every clamp
-    in one pass (oracle._interpretations_by_clamp). A clamp whose run has not
+    together (_clamp_planes), and the oracle's one search (oracle._search)
+    decides each layer for every clamp in one pass. A clamp whose run has not
     reached a fixed point there is rerun on one Engine, reset before each,
     which gives its exact termination. Nets the oracle refuses are refused
     before either plane run.
@@ -820,7 +826,7 @@ def compare_with_oracle(
         )
     params.validate()
     oracle._check_enumerable(net)
-    families = oracle._interpretations_by_clamp(net, params.tau)
+    families = oracle._search(net, dict(zip(bottom, _bottom_planes(net))), 1 << len(bottom), params.tau)
     settled = _clamp_planes(net, params)
     engine: Engine | None = None
     # per distinct family: its maximal members, as bitmasks and as frozensets

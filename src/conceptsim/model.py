@@ -213,6 +213,11 @@ class ValidatedNetwork:
         return tuple(masks)
 
     @cached_property
+    def element_ids(self) -> tuple[tuple[tuple[ConceptId, ...], ...], ...]:
+        """Per concept, per pattern, its element ids ascending; parallels masks."""
+        return tuple(tuple(tuple(_ids(mask)) for mask in masks) for masks in self.masks)
+
+    @cached_property
     def non_bottom_mask(self) -> int:
         """non_bottom as a bitmask."""
         return ((1 << self.n_concepts) - 1) & ~self.layer_mask[0]
@@ -241,7 +246,10 @@ class ValidatedNetwork:
         return self.patterns[cid]
 
     def pattern_needs(self, tau: float | Fraction) -> tuple[tuple[int, ...], ...]:
-        """pattern_need of every pattern under tau, parallel to masks.
+        """pattern_need of every pattern under tau, clamped to 0..size,
+        parallel to masks. A tau outside (0, 1] gives a need outside 1..size,
+        and the clamped one makes the same patterns applicable: every pattern
+        at 0, only Complete ones at the size.
 
         Computed once per distinct pattern size on the first call with a given
         tau and remembered, so hot loops never build a Fraction.
@@ -249,7 +257,7 @@ class ValidatedNetwork:
         needs = self._needs.get(tau)
         if needs is None:
             sizes = {len(p) for pats in self.patterns for p in pats}
-            by_size = {size: pattern_need(size, tau) for size in sizes}
+            by_size = {size: min(max(pattern_need(size, tau), 0), size) for size in sizes}
             needs = tuple(tuple(by_size[len(p)] for p in pats) for pats in self.patterns)
             self._needs[tau] = needs
         return needs

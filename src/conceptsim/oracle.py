@@ -12,23 +12,20 @@ Every pattern of a layer-L concept lies on layer L-1, so whether a layer-L
 concept is consistent, and whether the active concepts of layer L-1 are
 explained, depends only on layers L-1 and L. The enumeration therefore builds
 interpretations one layer at a time, bottom up, and never lists the 2^k
-candidates: _above, the one search, extends the active set of one layer by
-every consistent choice above it. It tests patterns with integer bit
-operations: active sets and patterns are int bitmasks over concept ids, and
-each pattern's threshold is the exact integer count
-model.pattern_need(size, tau), so the verdicts are those of the Fraction-based
-pattern_state. Only the survivors get a full ConsistencyReport, built by
+candidates. _search, the one search, does so for many cases at once on
+planes, ints whose bit i is a value under case i (bit-slicing, as in Biham,
+FSE 1997): it decides every layer-L concept for all cases together, with each
+pattern's threshold the exact integer count model.pattern_need(size, tau), so
+the verdicts are those of the Fraction-based pattern_state, and searches the
+layer above once for all the surviving choices, each choice one case there.
+enumerate_interpretations runs it on one case, the clamp; compare runs it on
+all 2^b clamps. Only the survivors get a full ConsistencyReport, built by
 interpretation_consistent: the one statement of the rule, through
 pattern_state, that returns each inferred concept's pattern evidence and the
 unexpected elements, and so the one call that says why an interpretation is or
-is not consistent.
-
-Only the layer-1 choice depends on the clamp, so compare takes the oracle's
-answer for all 2^b clamps from _interpretations_by_clamp: it decides layer 1
-for every clamp at once on bit planes, and runs _above from layer 2 up once
-per layer-1 choice, memoized across clamps. Which interpretations are maximal,
-and in what order they are reported, is stated once, by _maximal and _order,
-for enumerate_interpretations and compare alike.
+is not consistent. Which interpretations are maximal, and in what order they
+are reported, is stated once, by _maximal and _order, for
+enumerate_interpretations and compare alike.
 """
 from __future__ import annotations
 
@@ -37,7 +34,7 @@ from enum import Enum
 from typing import AbstractSet, Mapping
 
 from .errors import BottomConcept, NonBottomClamp, TooLarge
-from .model import DEFAULT_TAU, ConceptId, ValidatedNetwork, _at_least, _bottom_planes, _ids, pattern_state
+from .model import DEFAULT_TAU, ConceptId, ValidatedNetwork, _at_least, _ids, pattern_state
 
 #: Refuse to enumerate beyond this many non-bottom concepts (up to 2^k choices).
 DEFAULT_ENUMERATION_LIMIT = 20
@@ -132,63 +129,110 @@ def _check_enumerable(net: ValidatedNetwork) -> None:
         )
 
 
-def _above(
+def _search(
     net: ValidatedNetwork,
-    layer: int,
-    below: int,
-    needs: tuple[tuple[int, ...], ...],
-    memo: dict[tuple[int, int], list[int]],
-) -> list[int]:
-    """Every choice of concepts on `layer` and above, as a bitmask, that
-    explains `below`, the active set one layer down, consistently.
+    below: dict[ConceptId, int],
+    cases: int,
+    tau: float,
+    layer: int = 1,
+) -> list[list[int]]:
+    """Every consistent choice of concepts on `layer` and above, as bitmasks,
+    for `cases` cases at once.
 
-    A layer-L concept is allowed (locally consistent) when, against `below`,
-    some pattern m has m & below == m and none has fewer present but
-    (m & below).bit_count() >= its need. An active concept of `below` is
-    explained only by an applicable pattern of a chosen concept, and an
-    allowed concept's applicable patterns are its Complete ones. So a choice
-    of allowed concepts is kept when their Complete patterns cover `below`,
-    dropped as soon as the undecided ones cannot, and extended by every
-    choice above that explains it in turn. Results are kept in memo, keyed by
-    (layer, below), since they depend on nothing else.
+    below maps each concept of the layer under `layer` that is active in some
+    case to its plane, a nonzero int whose bit i is set in the cases where it
+    is active. Entry i of the result lists, in no set order, each choice that
+    explains case i's active set one layer down consistently.
+
+    A layer-L concept is allowed (locally consistent) where some pattern is
+    Complete, all its element planes set, and none is applicable but
+    incomplete, a saturating count of them reaching its need. An active
+    concept one layer down is explained only by an applicable pattern of a
+    chosen concept, and an allowed concept's applicable patterns are its
+    Complete ones. So the choices of allowed concepts are searched once for
+    all cases, each on a plane `live` of the cases where every chosen concept
+    is allowed and every active element is covered by a chosen Complete
+    pattern or can still be; a branch ends when live is 0. The layer above is
+    then searched once for every surviving choice, choice k as its case k, and
+    each choice's completions join the family of every case in its live.
     """
-    found = memo.get((layer, below))
-    if found is not None:
-        return found
-    found = memo[layer, below] = []
-    if layer > net.max_layer:
-        found.append(0)
-        return found
-    # (concept, union of its Complete patterns) for each allowed concept
-    allowed: list[tuple[ConceptId, int]] = []
+    if not cases or layer > net.max_layer:
+        return [[0] for _ in range(cases)]  # above the top, nothing is left to explain
+    ones = (1 << cases) - 1
+    needs = net.pattern_needs(tau)
+    # per concept allowed in some case: those cases, and per element it
+    # covers, the cases where, allowed, a Complete pattern of it does
+    concepts: list[ConceptId] = []
+    allowed: list[int] = []
+    covers: list[dict[ConceptId, int]] = []
     for c in net.layers[layer]:
-        covers = 0
-        for mask, need in zip(net.masks[c], needs[c]):
-            hit = mask & below
-            if hit == mask:
-                covers |= mask
-            elif hit.bit_count() >= need:
-                break  # ApplicableIncomplete
-        else:
-            if covers:  # at least one Complete pattern
-                allowed.append((c, covers))
-    # reach[i]: what allowed[i:] can still cover
-    reach = [0] * (len(allowed) + 1)
-    for i in reversed(range(len(allowed))):
-        reach[i] = reach[i + 1] | allowed[i][1]
+        complete_any = violated = 0
+        cover: dict[ConceptId, int] = {}
+        for elems, need in zip(net.element_ids[c], needs[c]):
+            present = [below[e] for e in elems if e in below]
+            if len(present) < need:
+                continue  # Off in every case
+            complete = ones if len(present) == len(elems) else 0
+            for plane in present:
+                complete &= plane
+            violated |= _at_least(present, need, [ones] + [0] * need)[need] & (ones ^ complete)
+            if violated == ones:
+                break  # refused in every case
+            complete_any |= complete
+            if complete:
+                for e in elems:
+                    cover[e] = cover.get(e, 0) | complete
+        ok = complete_any & (ones ^ violated)
+        if ok:
+            concepts.append(c)
+            allowed.append(ok)
+            covers.append({e: plane & ok for e, plane in cover.items() if plane & ok})
+    # unreach[i][e]: the cases where concepts[i:] cannot cover e
+    unreach = [dict.fromkeys(below, ones)]
+    for cover in reversed(covers):
+        row = unreach[0].copy()
+        for e, plane in cover.items():
+            row[e] &= ones ^ plane
+        unreach.insert(0, row)
+    choices: list[tuple[int, int]] = []  # (chosen concepts, live)
 
-    def pick(i: int, layer_bits: int, covered: int) -> None:
-        if below & ~(covered | reach[i]):
+    def pick(i: int, chosen: int, live: int, uncovered: dict[ConceptId, int]) -> None:
+        """uncovered[e]: the cases of e that no chosen concept covers; within
+        live, each is reachable from concepts[i:]."""
+        if i == len(concepts):
+            choices.append((chosen, live))
             return
-        if i == len(allowed):
-            found.extend(layer_bits | bits for bits in _above(net, layer + 1, layer_bits, needs, memo))
-            return
-        c, covers = allowed[i]
-        pick(i + 1, layer_bits | 1 << c, covered | covers)
-        pick(i + 1, layer_bits, covered)
+        # choosing concepts[i] needs no coverage recheck: what it covers is
+        # exactly what leaves the reach
+        took = live & allowed[i]
+        if took:
+            rest = uncovered.copy()
+            for e, plane in covers[i].items():
+                rest[e] &= ones ^ plane
+            pick(i + 1, chosen | 1 << concepts[i], took, rest)
+        # skipping it leaves the reach smaller only on its own elements
+        for e in covers[i]:
+            live &= ones ^ (uncovered[e] & unreach[i + 1][e])
+        if live:
+            pick(i + 1, chosen, live, uncovered)
 
-    pick(0, 0, 0)
-    return found
+    live = ones
+    for e, plane in below.items():
+        live &= ones ^ (plane & unreach[0][e])
+    if live:
+        pick(0, 0, live, below)
+    # the layer above, once for all choices: choice k is its case k
+    up: dict[ConceptId, int] = {}
+    for k, (chosen, _) in enumerate(choices):
+        for c in _ids(chosen):
+            up[c] = up.get(c, 0) | 1 << k
+    family: list[list[int]] = [[] for _ in range(cases)]
+    for (chosen, live), above in zip(choices, _search(net, up, len(choices), tau, layer + 1)):
+        if above:
+            completions = [chosen | bits for bits in above]
+            for case in _ids(live):
+                family[case] += completions
+    return family
 
 
 def _order(bits: int) -> tuple[int, list[int]]:
@@ -213,114 +257,24 @@ def enumerate_interpretations(
     rather than sampling silently, and NonBottomClamp for a clamped id above
     layer 0. Order: descending size, then ascending id tuple.
 
-    Interpretations are built one layer at a time, bottom up, by _above, the
-    search compare also runs above layer 1, with the clamp as layer 0's
-    active set. Every pattern of a layer-L concept lies on layer L-1, so each
-    condition of the rule that involves a layer-L concept reads only layers
-    L-1 and L. Survivors are reported through interpretation_consistent, so
-    the result is the one the Fraction-based rule gives.
+    Interpretations are built one layer at a time, bottom up, by _search,
+    the search compare runs for every clamp at once, here on one case: the
+    clamp as a plane of width 1. Every pattern of a layer-L concept lies on
+    layer L-1, so each condition of the rule that involves a layer-L concept
+    reads only layers L-1 and L. Survivors are reported through
+    interpretation_consistent, so the result is the one the Fraction-based
+    rule gives.
     """
     _check_enumerable(net)
-    clamp_bits = 0
     for e in clamped:
         if net.layer(e) != 0:
             raise NonBottomClamp(f"{net.name(e)!r} is not a layer-0 concept")
-        clamp_bits |= 1 << e
-    found = sorted(_above(net, 1, clamp_bits, net.pattern_needs(tau), {}), key=_order)
+    found = sorted(_search(net, dict.fromkeys(clamped, 1), 1, tau)[0], key=_order)
     maximal = set(_maximal(found))
     return [
         replace(interpretation_consistent(net, frozenset(_ids(bits)), clamped, tau), maximal=bits in maximal)
         for bits in found
     ]
-
-
-def _interpretations_by_clamp(net: ValidatedNetwork, tau: float) -> list[list[int]]:
-    """Every consistent interpretation of every clamp of compare, as bitmasks.
-
-    Case i clamps net.bottom[j] for each bit j of i, and the result's entry i
-    holds, in no set order, the interpretations enumerate_interpretations
-    finds for that clamp. Only layer 1 depends on the clamp, so it is decided
-    for all clamps at once, on planes: ints whose bit i is a value under case
-    i. A pattern is Complete where all its element planes are set, and
-    applicable where their saturating count reaches its need; a concept is
-    allowed where some pattern is Complete and none applicable but
-    incomplete. The choices S1 of layer-1 concepts are then searched as in
-    _above, on a plane `live` of the clamps where every chosen concept is
-    allowed and every clamped element is covered by a chosen Complete pattern
-    or can still be; a branch ends when live is 0. At each choice, _above
-    gives the completions from layer 2 up once, with one memo for all
-    choices, and they join the family of every clamp left in live. The
-    caller checks the enumeration limit first, and tau lies in (0, 1], as
-    EngineParams.validate() requires, so every need is at least 1.
-    """
-    planes = _bottom_planes(net)
-    cases = 1 << len(planes)
-    if net.max_layer < 1:
-        return [[0] for _ in range(cases)]
-    ones = (1 << cases) - 1
-    position = {e: j for j, e in enumerate(net.bottom)}
-    needs = net.pattern_needs(tau)
-    concepts = net.layers[1]
-    # per layer-1 concept: the clamps where it is allowed, and per bottom
-    # position the clamps where, allowed, a Complete pattern of it covers it
-    allowed: list[int] = []
-    covers: list[dict[int, int]] = []
-    for c in concepts:
-        complete_any = violated = 0
-        cover: dict[int, int] = {}
-        for mask, need in zip(net.masks[c], needs[c]):
-            js = [position[e] for e in _ids(mask)]
-            complete = ones
-            for j in js:
-                complete &= planes[j]
-            applicable = _at_least((planes[j] for j in js), need, [ones] + [0] * need)[need]
-            violated |= applicable & (ones ^ complete)
-            complete_any |= complete
-            for j in js:
-                cover[j] = cover.get(j, 0) | complete
-        ok = complete_any & (ones ^ violated)
-        allowed.append(ok)
-        covers.append({j: plane & ok for j, plane in cover.items() if plane & ok})
-    # unreach[i][j]: the clamps where concepts[i:] cannot cover bottom[j]
-    unreach = [[ones] * len(planes)]
-    for cover in reversed(covers):
-        row = unreach[0].copy()
-        for j, plane in cover.items():
-            row[j] &= ones ^ plane
-        unreach.insert(0, row)
-    family: list[list[int]] = [[] for _ in range(cases)]
-    memo: dict[tuple[int, int], list[int]] = {}
-
-    def pick(i: int, layer_bits: int, live: int, uncovered: list[int]) -> None:
-        """uncovered[j]: the clamps of bottom[j] that no chosen concept covers;
-        within live, each is reachable from concepts[i:]."""
-        if i == len(concepts):
-            above = _above(net, 2, layer_bits, needs, memo)
-            if above:
-                chosen = [layer_bits | bits for bits in above]
-                for case in _ids(live):
-                    family[case] += chosen
-            return
-        # choosing concepts[i] needs no coverage recheck: what it covers is
-        # exactly what leaves the reach
-        took = live & allowed[i]
-        if took:
-            rest = uncovered.copy()
-            for j, plane in covers[i].items():
-                rest[j] &= ones ^ plane
-            pick(i + 1, layer_bits | 1 << concepts[i], took, rest)
-        # skipping it leaves the reach smaller only on its own elements
-        for j in covers[i]:
-            live &= ones ^ (uncovered[j] & unreach[i + 1][j])
-        if live:
-            pick(i + 1, layer_bits, live, uncovered)
-
-    live = ones
-    for j, plane in enumerate(planes):
-        live &= ones ^ (plane & unreach[0][j])
-    if live:
-        pick(0, 0, live, planes)
-    return family
 
 
 def oracle_verdicts(

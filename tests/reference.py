@@ -12,8 +12,8 @@ predictions and routing, keeps the two run loops that Engine now shares, and
 emits the same Snapshots. compare_reference runs a fresh ReferenceEngine and
 calls enumerate_interpretations for every clamp, one after another, where
 compare_with_oracle advances all clamps at once on bit-sliced planes and
-takes the oracle's answer for all clamps from one pass that decides layer 1
-on planes and memoizes the completions above it. trace_rows flattens a trace into TraceRows, and
+takes the oracle's answer for all clamps from one search that decides each
+layer on planes. trace_rows flattens a trace into TraceRows, and
 write_rows_csv writes TraceRows the way write_trace_csv writes a trace, field
 by field; write_trace_csv_reference is that writer as it was before it built
 lines itself: csv.writer over sorted rows, and

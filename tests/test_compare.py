@@ -164,7 +164,7 @@ def test_too_many_concepts_to_enumerate_builds_no_planes(monkeypatch):
         raise AssertionError("planes built for a net the oracle refuses")
 
     monkeypatch.setattr(engine, "_clamp_planes", refuse)
-    monkeypatch.setattr(oracle, "_interpretations_by_clamp", refuse)
+    monkeypatch.setattr(oracle, "_search", refuse)
     with pytest.raises(TooLarge) as refused:
         compare_with_oracle(net)
     assert str(refused.value) == "21 non-bottom concepts exceed the enumeration limit of 20"

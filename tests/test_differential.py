@@ -38,10 +38,10 @@ from conceptsim import (
 )
 from conceptsim.engine import _applicable, _drive_thresholds, _ignition_bounds
 from conceptsim.errors import UnknownConcept
-from conceptsim.model import _bit_bytes, _bits, _ids
-from conceptsim.oracle import _interpretations_by_clamp
+from conceptsim.model import _bit_bytes, _bits, _bottom_planes, _ids
+from conceptsim.oracle import _search
 
-from conftest import AMBIGUOUS_SPEC
+from conftest import AMBIGUOUS_SPEC, DATA_DIR
 from netgen import random_clamp, random_network, shuffled_network, synth_network
 from reference import (
     ReferenceEngine,
@@ -91,6 +91,19 @@ def test_enumerate_matches_reference_on_shuffled_four_layer_networks(seed):
     for clamped in all_clamps(net):
         for tau in TAUS + (0.0, 1.5):
             assert enumerate_interpretations(net, clamped, tau) == enumerate_reference(net, clamped, tau)
+
+
+@pytest.mark.parametrize("tau", [-1.0, -0.3])
+@pytest.mark.parametrize("seed", range(1, 4))
+def test_enumerate_matches_reference_below_zero_tau(seed, tau):
+    """A tau below 0 gives every pattern a need below 0, -4 for a 4-element
+    one at tau -1, so every pattern is applicable and a concept is allowed
+    only where all of its patterns are Complete. 6 concepts above layer 0
+    keep enumerate_reference at 64 candidates."""
+    net = synth_network((6, 4, 2), seed)
+    assert max(len(p) for pats in net.patterns for p in pats) == 4
+    for clamped in all_clamps(net):
+        assert enumerate_interpretations(net, clamped, tau) == enumerate_reference(net, clamped, tau)
 
 
 @st.composite
@@ -818,19 +831,33 @@ def test_drawn_compare_cases_are_not_vacuous(what):
 oracle_nets = st.one_of(layered_networks(), compare_nets, st.just(validate_network(AMBIGUOUS_SPEC)))
 plane_taus = st.floats(0.05, 1.0)
 
+#: enumerate_reference checks 2^k candidates per clamp, so the plane pass is
+#: held to it on nets of at most this many concepts above layer 0: the
+#: generated nets, the edge nets, salt, caramel and the hand-built net
+REFERENCE_MAX = 6
+
 
 def mask_of(ids):
     return sum(1 << c for c in ids)
 
 
+def families_by_clamp(net, tau):
+    """The oracle's search run as compare runs it: one case per clamp."""
+    return _search(net, dict(zip(net.bottom, _bottom_planes(net))), 1 << len(net.bottom), tau)
+
+
 def assert_families_match_enumeration(net, tau):
     """For every clamp case, the plane pass lists each interpretation that
-    enumerate_interpretations reports for that clamp, and only those, once."""
-    families = _interpretations_by_clamp(net, tau)
+    enumerate_interpretations reports for that clamp, and only those, once.
+    enumerate_interpretations runs the same search on one case, so on small
+    nets the families also equal those of enumerate_reference, the flat rule."""
+    families = families_by_clamp(net, tau)
     assert len(families) == 1 << len(net.bottom)
     for family, clamped in zip(families, all_clamps(net)):
-        want = [mask_of(r.interpretation) for r in enumerate_interpretations(net, clamped, tau)]
-        assert sorted(family) == sorted(want), sorted(clamped)
+        want = sorted(mask_of(r.interpretation) for r in enumerate_interpretations(net, clamped, tau))
+        assert sorted(family) == want, sorted(clamped)
+        if len(net.non_bottom) <= REFERENCE_MAX:
+            assert want == sorted(mask_of(r.interpretation) for r in enumerate_reference(net, clamped, tau))
 
 
 @given(net=oracle_nets, tau=plane_taus)
@@ -851,6 +878,20 @@ def test_interpretations_by_clamp_match_enumeration_on_edge_nets(name, tau):
 @pytest.mark.parametrize("name", ["salt.json", "caramel.json"])
 def test_interpretations_by_clamp_match_enumeration_on_shipped_nets(data_dir, name, tau):
     assert_families_match_enumeration(validate_network(parse_network_file((data_dir / name).read_text())), tau)
+
+
+@pytest.mark.parametrize("tau", [-1.0, -0.3])
+@pytest.mark.parametrize("seed", range(1, 4))
+def test_interpretations_by_clamp_match_enumeration_below_zero_tau(seed, tau):
+    """Four layers with 4-element patterns, whose need at tau -1 is -4."""
+    assert_families_match_enumeration(synth_network((6, 5, 5, 3), seed), tau)
+
+
+def test_small_nets_are_held_to_the_flat_rule():
+    """Every net the plane-pass tests name is small enough for enumerate_reference."""
+    nets = [validate_network(spec) for spec in (*EDGE_NETS.values(), AMBIGUOUS_SPEC)]
+    nets += [validate_network(parse_network_file((DATA_DIR / name).read_text())) for name in ("salt.json", "caramel.json")]
+    assert max(len(net.non_bottom) for net in nets) <= REFERENCE_MAX
 
 
 def several_maximal(net, tau):
@@ -874,13 +915,13 @@ def refused_only_by_an_incomplete_pattern(net, tau):
 
 def completion_shared_by_two_clamps(net, tau):
     """Some interpretation that reaches above layer 1 is consistent under two
-    clamps: its layer-1 choice was live for both, and the memoized completions
-    of that choice were computed once and served both."""
+    clamps: its layer-1 choice was live for both, and the completions above
+    that choice, searched once as one case of layer 2, served both."""
     if net.max_layer < 2:
         return False
     upper = net.non_bottom_mask & ~net.layer_mask[1]
     seen = collections.Counter(
-        bits for family in _interpretations_by_clamp(net, tau) for bits in family if bits & upper
+        bits for family in families_by_clamp(net, tau) for bits in family if bits & upper
     )
     return any(count >= 2 for count in seen.values())
 

@@ -1,4 +1,6 @@
 """Circuit dynamics: sweep order, error units, latching, termination."""
+import random
+
 import pytest
 
 from conceptsim import (
@@ -18,7 +20,7 @@ from conceptsim import (
 )
 from conceptsim.errors import BadParams, NonBottomClamp, TooLarge, UnknownConcept
 
-from netgen import random_network, random_scenario
+from netgen import random_network, random_scenario, shuffled_network
 
 PARAMS = EngineParams()
 
@@ -125,6 +127,24 @@ def test_clamp_assigned_between_sweeps_is_read_by_the_next_sweep(net, ids):
     assert eng.active & eng.net.layer_mask[0] == 1 << ids["tasting"] | 1 << ids["salty"]
     assert eng.latched == latched  # salt stays latched: no new phase
     assert eng.activation[ids["salt"]] == 0
+
+
+@pytest.mark.parametrize("make", [random_network, shuffled_network])
+@pytest.mark.parametrize("seed", range(10))
+def test_assigned_clamp_sets_only_truthy_layer_zero_entries(make, seed):
+    """The clamp's layer-0 mask, built from its entries, is the one a walk of
+    layer 0 gives: a truthy entry on a layer-0 id sets it, and a 0 or False
+    value, a non-bottom id, an id out of range, a negative id or a non-int key
+    sets nothing. Some shuffled nets end on a layer-0 id, where a negative
+    index would land."""
+    net = make(seed)
+    rng = random.Random(seed)
+    eng = Engine(net, PARAMS)
+    keys = [*range(-2, net.n_concepts + 3), True, "a", None]
+    for _ in range(20):
+        clamp = {k: rng.choice([0, 1, 2, False, True, "x", ""]) for k in rng.sample(keys, rng.randint(0, len(keys)))}
+        eng.clamp = clamp
+        assert eng._clamp_bits == sum(1 << e for e in net.bottom if clamp.get(e))
 
 
 # --- clamping ---

@@ -204,12 +204,13 @@ def test_pattern_need_rejects_non_finite_tau(tau):
 @pytest.mark.parametrize("seed", range(10))
 def test_masks_and_needs_parallel_patterns(seed):
     net = random_network(seed)
-    for tau in (0.5, Fraction(2, 3)):
+    for tau in (0.5, Fraction(2, 3), -1.0, 1.5):
         needs = net.pattern_needs(tau)
         assert net.pattern_needs(tau) is needs
         for c in range(net.n_concepts):
             assert net.masks[c] == tuple(sum(1 << e for e in p.elements) for p in net.patterns[c])
-            assert needs[c] == tuple(pattern_need(len(p), tau) for p in net.patterns[c])
+            # clamped to 0..size, which tau in (0, 1] never leaves
+            assert needs[c] == tuple(min(max(pattern_need(len(p), tau), 0), len(p)) for p in net.patterns[c])
 
 
 def test_element_parents_unknown(net):
