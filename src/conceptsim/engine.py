@@ -20,7 +20,7 @@ from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import BadParams, NonBottomClamp, TooLarge
-from .model import ConceptId, ValidatedNetwork, _at_least, _bit_bytes, _bits, _bottom_planes, _ids
+from .model import ConceptId, ValidatedNetwork, _at_least, _bit_bytes, _bits, _bottom_planes, _ids, _reach
 
 
 class ErrorRouting(Enum):
@@ -615,37 +615,59 @@ def _drive_thresholds(
     float expression, is at most 0, and most + 1 if there is none. The drive
     is then > 0 exactly for r below the threshold, unless it grows with r:
     rounding keeps w_err * r monotone, so that takes w_err < 0, and then the
-    answer is None.
+    answer is None. With w_err >= 0 the drive cannot rise with r, so the scan
+    stops at the first r where it is at most 0; with w_err < 0 every r is
+    scanned.
     """
     w_ff, w_self, w_lat, w_err, theta = params.w_ff, params.w_self, params.w_lat, params.w_err, params.theta
+
+    def on(dendrite: int, prev: int, k: int, r: int) -> bool:
+        return w_ff * dendrite + w_self * prev - w_lat * k - w_err * r - theta > 0
+
     table: dict[tuple[int, int], list[int]] = {}
     for dendrite in (0, 1):
         for prev in (0, 1):
             row = table[dendrite, prev] = []
             for k in range(widest):
-                on = [
-                    w_ff * dendrite + w_self * prev - w_lat * k - w_err * r - theta > 0
-                    for r in range(most + 1)
-                ]
-                first = on.index(False) if False in on else most + 1
-                if any(on[first:]):
+                r = 0
+                while r <= most and on(dendrite, prev, k, r):
+                    r += 1
+                if w_err < 0 and any(on(dendrite, prev, k, s) for s in range(r, most + 1)):
                     return None
-                row.append(first)
+                row.append(r)
     return table
 
 
-def _clamp_planes(net: ValidatedNetwork, params: EngineParams) -> list[int | None]:
+def _clamp_planes(net: ValidatedNetwork, params: EngineParams, planes: list[int]) -> list[int | None]:
     """Run the clamps of compare_with_oracle all at once, bit-sliced.
 
     Each unit value is one int, a plane, whose bit i is its value under case
-    i, the clamp of bit j of i on net.bottom[j]; a sweep applies sweep()'s
-    rules to whole planes, so one int operation advances every case. The
-    drive test is _drive_thresholds' table, read against the count of other
-    active units as one-hot planes, kept current in id order, and the routed
-    count as planes of "at least t" up to the table's largest threshold, or
-    1, which the latch test needs. Runs stop when no case changed its
-    Snapshot, at max_sweeps, or when the planes recur: a case that did not
-    change stays fixed, since routed is a function of active.
+    i, the clamp of bit j of i on net.bottom[j], as planes[j] has it (see
+    model._bottom_planes); a sweep applies sweep()'s rules to whole planes,
+    so one int operation advances every case. The drive test is
+    _drive_thresholds' table, read against the count of other active units
+    as one-hot planes, kept current in id order and from sweep to sweep, and
+    the routed count as planes of "at least t" up to the table's largest
+    threshold, or 1, which the latch test needs. Runs stop when no case
+    changed its Snapshot, at max_sweeps, or when the planes recur: a case
+    that did not change stays fixed, since routed is a function of active.
+
+    A sweep does only the work that can change a plane, by three exact rules:
+      - A unit is visited only if it is active in some case, or unlatched in
+        a case where it can ignite: with a Complete pattern where the table
+        has a threshold above 0 at dendrite 1, prev 0 and k = 0, and without
+        one where it has at dendrite 0. That cell is the highest drive an
+        idle unit can have, as w_lat >= 0 and rounding is monotone, so
+        elsewhere the unit stays 0 in every case, does not latch and adds
+        nothing to the layer's count. A layer with no unit to visit is
+        skipped whole.
+      - A pattern's applicability reads only its element layer, so each
+        concept keeps it with the last sweep in which that layer changed and
+        recomputes it only after a newer change; patterns over layer 0 are
+        computed once per run.
+      - pred, the error units and routed are functions of the active planes,
+        and a unit latches only as it turns off, so a sweep in which no
+        active plane changed ends the run without recomputing them.
 
     Returns, per case, the inferred set of a run that reached a fixed point,
     as a bitmask over concept ids, and None for a run that did not; all None
@@ -664,25 +686,39 @@ def _clamp_planes(net: ValidatedNetwork, params: EngineParams) -> list[int | Non
     steps = {
         key: [(t, [k for k in range(widest) if row[k] == t]) for t in sorted(set(row) - {0})]
         for key, row in table.items()
+        if any(row)
     }
+    # the steps read the counts k below reads
+    reads = 1 + max((k for thresholds in steps.values() for _, ks in thresholds for k in ks), default=-1)
+    # whether an idle unit can ignite without, and with, a Complete pattern;
+    # rows fall with k, so a row with a threshold above 0 has one at k = 0
+    idle0, idle1 = any(table[0, 0]), any(table[1, 0])
     elements = net.element_ids
     needs = net.pattern_needs(params.tau)
     zero = [ones] + [0] * depth  # a count of 0 in every case
 
     active = [0] * n
-    for e, plane in zip(net.bottom, _bottom_planes(net)):
+    for e, plane in zip(net.bottom, planes):
         active[e] = plane
     omitted, committed, latched, dend = [0] * n, [0] * n, [0] * n, [0] * n
     routed = [zero] * n
+    # per layer, count[j]: the cases where j of its units are active, as the
+    # last sweep left them
+    counts = [[ones] + [0] * widest for _ in layers]
+    # per layer, the last sweep that changed its active planes: layer 0 is
+    # set at sweep 0, the others not yet
+    moved = [0] + [-1] * net.max_layer
+    # per concept, the entry of moved its patterns were last read at, and per
+    # element the cases where one of its patterns holding it applies
+    spans: list[tuple[int | None, dict[ConceptId, int]]] = [(None, {})] * n
     seen: set[int] = set()
     changed = ones
     for sweep in range(params.max_sweeps):
         changed = 0
-        # whether the layer below changed, so that dendrites must be recomputed;
-        # layer 0 is fixed from the first sweep on
-        moved = not sweep
-        for ids in layers[1:]:
-            if moved:
+        for layer in range(1, len(layers)):
+            ids = layers[layer]
+            if moved[layer - 1] == sweep:
+                # the layer below changed, so dendrites must be recomputed
                 for c in ids:
                     d = 0
                     for elems in elements[c]:
@@ -691,17 +727,17 @@ def _clamp_planes(net: ValidatedNetwork, params: EngineParams) -> list[int | Non
                             conj &= active[e]
                         d |= conj
                     dend[c] = d
-            moved = False
-            count = [ones] + [0] * widest  # count[j]: j units of the layer active
-            for c in ids:
-                a = active[c]
-                count = [count[0] & (ones ^ a)] + [
-                    count[j] & (ones ^ a) | count[j - 1] & a for j in range(1, widest + 1)
-                ]
-            for c in ids:
+            # the units that can move: active in some case, or unlatched in a
+            # case where they can ignite
+            visit = [
+                c for c in ids
+                if active[c] or ((ones ^ dend[c] if idle0 else 0) | (dend[c] if idle1 else 0)) & ~latched[c]
+            ]
+            count = counts[layer]
+            for c in visit:
                 prev, held, ge = active[c], latched[c], routed[c]
                 # k, the other active units: the count less prev
-                k_is = [count[k] & (ones ^ prev) | count[k + 1] & prev for k in range(widest)]
+                k_is = [count[k] & (ones ^ prev) | count[k + 1] & prev for k in range(reads)]
                 now = 0
                 for (has_dend, has_prev), thresholds in steps.items():
                     sel = (dend[c] if has_dend else ones ^ dend[c]) & (prev if has_prev else ones ^ prev)
@@ -711,28 +747,42 @@ def _clamp_planes(net: ValidatedNetwork, params: EngineParams) -> list[int | Non
                             hit |= k_is[k]
                         now |= sel & hit & (ones ^ ge[t] if t <= n else ones)
                 now &= ones ^ held
-                off = ones ^ now
-                count = [k_is[0] & off] + [
-                    k_is[k] & off | k_is[k - 1] & now for k in range(1, widest)
-                ] + [k_is[widest - 1] & now]
-                latched[c] = held | prev & off & ge[1]
+                latched[c] = held | prev & (ones ^ now) & ge[1]
                 if prev != now:
-                    moved = True
+                    moved[layer] = sweep
                     changed |= prev ^ now
                     active[c] = now
+                    # the cases where c turned on count one more, where it turned off one less
+                    up, down, kept = now & ~prev, prev & ~now, ones ^ prev ^ now
+                    count = [
+                        count[j] & kept | (count[j - 1] & up if j else 0) | (count[j + 1] & down if j < widest else 0)
+                        for j in range(widest + 1)
+                    ]
                 changed |= latched[c] ^ held
+            counts[layer] = count
+        if sweep not in moved:
+            # no active plane changed, so nothing latched and the error
+            # stage would repeat itself: every case is at a fixed point
+            break
 
         pred = [0] * n
-        unions: list[dict[ConceptId, int]] = [{} for _ in range(n)]
+        # per active concept and element, the cases where an applicable pattern of it holds the element
+        unions: dict[ConceptId, dict[ConceptId, int]] = {}
         for c in net.non_bottom:
             if not active[c]:
                 continue
-            union = unions[c]
-            for elems, need in zip(elements[c], needs[c]):
-                applies = active[c] & _at_least((active[e] for e in elems), need, [ones] + [0] * need)[need]
-                for e in elems:
-                    pred[e] |= applies
-                    union[e] = union.get(e, 0) | applies
+            read = moved[net.layer_of[c] - 1]
+            if spans[c][0] != read:
+                span: dict[ConceptId, int] = {}
+                for elems, need in zip(elements[c], needs[c]):
+                    applies = _reach((active[e] for e in elems), need, ones)
+                    for e in elems:
+                        span[e] = span.get(e, 0) | applies
+                spans[c] = read, span
+            a = active[c]
+            union = unions[c] = {e: plane & a for e, plane in spans[c][1].items()}
+            for e, plane in union.items():
+                pred[e] |= plane
         below_top = net.below_top
         for e in range(n):
             om = pred[e] & (ones ^ active[e])
@@ -826,8 +876,9 @@ def compare_with_oracle(
         )
     params.validate()
     oracle._check_enumerable(net)
-    families = oracle._search(net, dict(zip(bottom, _bottom_planes(net))), 1 << len(bottom), params.tau)
-    settled = _clamp_planes(net, params)
+    planes = _bottom_planes(net)
+    families = oracle._search(net, dict(zip(bottom, planes)), 1 << len(bottom), params.tau)
+    settled = _clamp_planes(net, params, planes)
     engine: Engine | None = None
     # per distinct family: its maximal members, as bitmasks and as frozensets
     tops: dict[tuple[int, ...], tuple[list[int], tuple[frozenset[ConceptId], ...]]] = {}

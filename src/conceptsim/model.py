@@ -86,12 +86,17 @@ def _ids(bits: int) -> list[int]:
 def _bottom_planes(net: ValidatedNetwork) -> list[int]:
     """Per net.bottom[j], the plane over the 2^b clamp cases whose bit i is
     bit j of i: whether case i clamps net.bottom[j]."""
-    ones = (1 << (1 << len(net.bottom))) - 1
+    cases = 1 << len(net.bottom)
     planes = []
     for j in range(len(net.bottom)):
-        # bit j of the case: runs of 2^j zeros and 2^j ones
-        run = 1 << j
-        planes.append(ones // ((1 << 2 * run) - 1) * (((1 << run) - 1) << run))
+        # bit j of the case: runs of 2^j zeros and 2^j ones, one block of
+        # each doubled until it spans every case
+        width = 2 << j
+        plane = ((1 << (1 << j)) - 1) << (1 << j)
+        while width < cases:
+            plane |= plane << width
+            width *= 2
+        planes.append(plane)
     return planes
 
 
@@ -104,6 +109,12 @@ def _at_least(planes: Iterable[int], depth: int, ge: list[int]) -> list[int]:
         for t in range(depth, 0, -1):
             ge[t] |= ge[t - 1] & x
     return ge
+
+
+def _reach(planes: Iterable[int], need: int, ones: int) -> int:
+    """The cases, of those in ones, where at least need of planes are set:
+    where a pattern with these element planes is applicable."""
+    return _at_least(planes, need, [ones] + [0] * need)[need]
 
 
 class PatternStatus(Enum):

@@ -34,7 +34,7 @@ from enum import Enum
 from typing import AbstractSet, Mapping
 
 from .errors import BottomConcept, NonBottomClamp, TooLarge
-from .model import DEFAULT_TAU, ConceptId, ValidatedNetwork, _at_least, _ids, pattern_state
+from .model import DEFAULT_TAU, ConceptId, ValidatedNetwork, _ids, _reach, pattern_state
 
 #: Refuse to enumerate beyond this many non-bottom concepts (up to 2^k choices).
 DEFAULT_ENUMERATION_LIMIT = 20
@@ -175,7 +175,7 @@ def _search(
             complete = ones if len(present) == len(elems) else 0
             for plane in present:
                 complete &= plane
-            violated |= _at_least(present, need, [ones] + [0] * need)[need] & (ones ^ complete)
+            violated |= _reach(present, need, ones) & (ones ^ complete)
             if violated == ones:
                 break  # refused in every case
             complete_any |= complete

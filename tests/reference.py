@@ -18,7 +18,10 @@ write_rows_csv writes TraceRows the way write_trace_csv writes a trace, field
 by field; write_trace_csv_reference is that writer as it was before it built
 lines itself: csv.writer over sorted rows, and
 render_ascii_timeline_reference the renderer as it was before it read
-snapshots: a dict entry per cell of the sorted rows.
+snapshots: a dict entry per cell of the sorted rows. bottom_planes_reference
+builds compare's clamp planes by long division, as model._bottom_planes did
+before it doubled a block, and drive_thresholds_reference scans every routed
+count of the drive table, as engine._drive_thresholds still does for w_err < 0.
 """
 from __future__ import annotations
 
@@ -348,6 +351,38 @@ def compare_reference(net, params):
                 classification = Agreement.DISAGREE
         cases.append(CaseResult(clamped, termination, inferred, classification, maximal))
     return AgreementReport(tuple(cases))
+
+
+def bottom_planes_reference(net):
+    """model._bottom_planes by long division: the plane of net.bottom[j] is
+    the repeating block of 2^j zeros and 2^j ones, spread over all 2^b cases
+    by dividing the all-ones plane by 2^(2^(j+1)) - 1."""
+    ones = (1 << (1 << len(net.bottom))) - 1
+    planes = []
+    for j in range(len(net.bottom)):
+        run = 1 << j
+        planes.append(ones // ((1 << 2 * run) - 1) * (((1 << run) - 1) << run))
+    return planes
+
+
+def drive_thresholds_reference(params, widest, most):
+    """engine._drive_thresholds scanning every routed count r <= most of
+    every cell, whatever the sign of w_err."""
+    w_ff, w_self, w_lat, w_err, theta = params.w_ff, params.w_self, params.w_lat, params.w_err, params.theta
+    table = {}
+    for dendrite in (0, 1):
+        for prev in (0, 1):
+            row = table[dendrite, prev] = []
+            for k in range(widest):
+                on = [
+                    w_ff * dendrite + w_self * prev - w_lat * k - w_err * r - theta > 0
+                    for r in range(most + 1)
+                ]
+                first = on.index(False) if False in on else most + 1
+                if any(on[first:]):
+                    return None
+                row.append(first)
+    return table
 
 
 def render_ascii_timeline_reference(trace):

@@ -17,6 +17,7 @@ from conceptsim import (
 )
 from conceptsim import engine, oracle
 from conceptsim.errors import TooLarge
+from conceptsim.model import _bottom_planes, _ids
 
 from conftest import AMBIGUOUS_SPEC, DATA_DIR
 from netgen import random_network, shuffled_network, synth_network
@@ -223,7 +224,8 @@ def test_plane_run_stops_when_the_planes_recur(monkeypatch, network):
     """With some clamps in a cycle, the plane run ends at the first
     recurring state of all planes, not at max_sweeps: it does the same work
     under max_sweeps 64 and 128, counted in calls of engine._at_least, which
-    every plane sweep makes. The cycling clamps are then rerun on Engine."""
+    every plane sweep that changes an activation makes. The cycling clamps
+    are then rerun on Engine."""
     net = network()
     calls = []
     real = engine._at_least
@@ -231,13 +233,186 @@ def test_plane_run_stops_when_the_planes_recur(monkeypatch, network):
     counts = []
     for max_sweeps in (64, 128):
         calls.clear()
-        settled = engine._clamp_planes(net, replace(CYCLING_PARAMS, max_sweeps=max_sweeps))
+        settled = engine._clamp_planes(net, replace(CYCLING_PARAMS, max_sweeps=max_sweeps), _bottom_planes(net))
         counts.append(len(calls))
     assert None in settled and any(inferred is not None for inferred in settled)
     assert counts[0] == counts[1]
     report = compare_with_oracle(net, CYCLING_PARAMS)
     assert report.cases == compare_reference(net, CYCLING_PARAMS).cases
     assert {c.termination for c in report.cases} == {Termination.FIXED_POINT, Termination.CYCLE}
+
+
+def plane_states(net, params):
+    """The states the plane run passes through, from one Engine run per
+    clamp: entry s holds each case's Snapshot before sweep s, and a run that
+    ended earlier keeps its last one. Every run must reach a fixed point, so
+    the plane run makes one sweep fewer than there are entries."""
+    scalar = Engine(net, params)
+    runs = []
+    for case in range(1 << len(net.bottom)):
+        scalar.reset()
+        scalar.apply_clamp({e: 1 for j, e in enumerate(net.bottom) if case >> j & 1})
+        start = scalar.state
+        snaps, termination, _ = scalar.run_to_fixed_point()
+        assert termination is Termination.FIXED_POINT
+        runs.append((start, *snaps))
+    return [[run[min(s, len(run) - 1)] for run in runs] for s in range(max(map(len, runs)))]
+
+
+def skipped_units(net, params):
+    """The (sweep, unit) pairs the plane run passes without a visit: idle in
+    every case before the sweep, and in each case latched or without a
+    Complete pattern on the layer below as the sweep leaves it, which at
+    theta > 0 is the only way an idle unit ignites."""
+    assert params.theta > 0
+    states = plane_states(net, params)
+    return {
+        (sweep, c)
+        for sweep, (before, after) in enumerate(zip(states, states[1:]))
+        for c in net.non_bottom
+        if all(
+            not s.active >> c & 1 and (s.latched >> c & 1 or not any(m & a.active == m for m in net.masks[c]))
+            for s, a in zip(before, after)
+        )
+    }
+
+
+def test_plane_run_skips_units_and_layers_no_clamp_can_move():
+    """On seeded synth 7/5/3 nets at default params, the plane run passes
+    units that no case can move in some sweep, and in some sweeps every unit
+    of a layer, so the differential tests of the plane run reach both skips."""
+    units = layers = 0
+    for seed in range(4):
+        net = synth_network((7, 5, 3), seed)
+        skipped = skipped_units(net, EngineParams())
+        units += len(skipped)
+        layers += sum(
+            all((sweep, c) in skipped for c in net.layers[layer])
+            for sweep in {sweep for sweep, _ in skipped}
+            for layer in range(1, net.max_layer + 1)
+        )
+    assert units > 0 and layers > 0
+
+
+def test_plane_run_visits_units_that_ignite_without_a_complete_pattern():
+    """Below theta 0 an idle unit ignites with no Complete pattern: on
+    netgen 23 some sweep ignites a unit that is idle in every case before it
+    and has a Complete pattern in none, which the visit rule must not skip."""
+    net, params = random_network(23), EngineParams(theta=-0.3, w_lat=1.5)
+    states = plane_states(net, params)
+    assert any(
+        any(a.active >> c & 1 for a in after)
+        and not any(s.active >> c & 1 or any(m & a.active == m for m in net.masks[c]) for s, a in zip(before, after))
+        for before, after in zip(states, states[1:])
+        for c in net.non_bottom
+    )
+    assert compare_with_oracle(net, params).cases == compare_reference(net, params).cases
+
+
+def reach_calls(net, params):
+    """From the plane states: how many pattern applicabilities the error
+    stages compute when each concept recomputes its own only after a change
+    of its element layer, and how many they would compute every time. An
+    error stage runs in sweep 0, where layer 0 is set, and in every sweep
+    that changes an active plane, for the concepts active in some case."""
+    states = plane_states(net, params)
+    moved = [0] + [-1] * net.max_layer
+    read = {}
+    want = every = 0
+    for sweep, (before, after) in enumerate(zip(states, states[1:])):
+        for layer in range(1, net.max_layer + 1):
+            if any((b.active ^ a.active) & net.layer_mask[layer] for b, a in zip(before, after)):
+                moved[layer] = sweep
+        if sweep not in moved:
+            continue
+        active = 0
+        for a in after:
+            active |= a.active
+        for c in net.non_bottom:
+            if active >> c & 1:
+                every += len(net.masks[c])
+                if read.get(c) != moved[net.layer_of[c] - 1]:
+                    read[c] = moved[net.layer_of[c] - 1]
+                    want += len(net.masks[c])
+    return want, every
+
+
+@pytest.mark.parametrize("network", [
+    pytest.param(lambda: random_network(3), id="netgen-3"),
+    pytest.param(lambda: shuffled_network(0), id="shuffled-0"),
+    pytest.param(lambda: synth_network((7, 5, 3), 0), id="synth-7/5/3"),
+    pytest.param(lambda: synth_network((6, 5, 5, 3), 1), id="synth-6/5/5/3"),
+])
+def test_plane_run_reuses_pattern_applicability(monkeypatch, network):
+    """At default params the plane run computes a pattern's applicability,
+    counted in calls of engine._reach, once per change of its element layer
+    while its concept is active in some case, which is fewer times than
+    there are error stages that read it."""
+    net = network()
+    calls = []
+    real = engine._reach
+    monkeypatch.setattr(engine, "_reach", lambda *args: calls.append(1) or real(*args))
+    engine._clamp_planes(net, EngineParams(), _bottom_planes(net))
+    want, every = reach_calls(net, EngineParams())
+    assert len(calls) == want < every
+
+
+#: layer 1 changes late: on clamp {a, b, c}, X, Y and Z ignite in sweep 0,
+#: Y's second pattern omits d, and Y latches off in sweep 1. Z's first
+#: pattern, (X, Y) with a need of 2 at tau 0.75, applies in sweep 0 and not
+#: after; read as it was in sweep 0, it would omit Y and shut Z
+LATE_SPEC = NetworkSpec((
+    ConceptSpec("a", 0),
+    ConceptSpec("b", 0),
+    ConceptSpec("c", 0),
+    ConceptSpec("d", 0),
+    ConceptSpec("X", 1, (("a",), ("a", "b", "c"))),
+    ConceptSpec("Y", 1, (("a",), ("a", "b", "c", "d"))),
+    ConceptSpec("Z", 2, (("X", "Y"), ("X",))),
+))
+LATE_PARAMS = EngineParams(w_lat=0.0, tau=0.75)
+
+
+def test_applicability_follows_a_late_change_of_its_element_layer():
+    """Z's applicability is recomputed after layer 1 changes in sweep 1, so
+    the plane run infers {X, Z} on {a, b, c}, as the reference does."""
+    net = validate_network(LATE_SPEC)
+    ids = net.name_to_id
+    scalar = Engine(net, LATE_PARAMS)
+    scalar.apply_clamp({ids["a"]: 1, ids["b"]: 1, ids["c"]: 1})
+    snaps, _, _ = scalar.run_to_fixed_point()
+    assert [names_of(net, _ids(s.active & net.non_bottom_mask)) for s in snaps] == [
+        ["X", "Y", "Z"], ["X", "Z"], ["X", "Z"],
+    ]
+    report = compare_with_oracle(net, LATE_PARAMS)
+    assert report.cases == compare_reference(net, LATE_PARAMS).cases
+    assert names_of(net, case_for(report, net, ("a", "b", "c")).inferred) == ["X", "Z"]
+
+
+#: only the top layer moves in sweep 1: on clamp {a}, X ignites and
+#: inhibits Y, Z ignites on X, its pattern (X, Y) applies without Y, and the
+#: omission of Y shuts Z
+TOP_LATE_SPEC = NetworkSpec((
+    ConceptSpec("a", 0),
+    ConceptSpec("X", 1, (("a",),)),
+    ConceptSpec("Y", 1, (("a",),)),
+    ConceptSpec("Z", 2, (("X",), ("X", "Y"))),
+))
+
+
+def test_a_sweep_that_moves_only_the_top_layer_does_not_end_the_plane_run():
+    """The plane run ends at the first sweep that changes no active plane,
+    not at one whose change lies above layer 1: it settles every clamp of
+    TOP_LATE_SPEC, each with the inferred set of its own Engine run."""
+    net = validate_network(TOP_LATE_SPEC)
+    states = plane_states(net, EngineParams())
+    moves = [
+        {net.layer_of[c] for b, a in zip(before, after) for c in _ids(b.active ^ a.active)}
+        for before, after in zip(states, states[1:])
+    ]
+    assert {2} in moves
+    settled = engine._clamp_planes(net, EngineParams(), _bottom_planes(net))
+    assert settled == [s.active & net.non_bottom_mask for s in states[-1]]
 
 
 def mask_of(ids):

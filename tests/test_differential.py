@@ -45,7 +45,9 @@ from conftest import AMBIGUOUS_SPEC, DATA_DIR
 from netgen import random_clamp, random_network, shuffled_network, synth_network
 from reference import (
     ReferenceEngine,
+    bottom_planes_reference,
     compare_reference,
+    drive_thresholds_reference,
     enumerate_reference,
     predictions_reference,
     render_ascii_timeline_reference,
@@ -647,6 +649,25 @@ def test_rounding_decides_the_sign_in_the_drive_table():
 def test_a_drive_rising_with_the_routed_count_has_no_table():
     assert _drive_thresholds(RISING_PARAMS, 4, 8) is None
     assert _drive_thresholds(EngineParams(), 4, 8) is not None
+
+
+@given(params=valid_params(), widest=st.integers(0, 8), most=st.integers(0, 24))
+@example(params=ROUNDING_PARAMS, widest=6, most=20)
+@example(params=RISING_PARAMS, widest=4, most=8)
+@settings(max_examples=200, deadline=None)
+def test_drive_table_equals_the_full_scan(params, widest, most):
+    """With w_err >= 0 each cell's scan stops at the first routed count whose
+    drive is at most 0; the table, or None, is the one of the scan over every
+    routed count."""
+    assert _drive_thresholds(params, widest, most) == drive_thresholds_reference(params, widest, most)
+
+
+@pytest.mark.parametrize("b", range(17))
+def test_bottom_planes_equal_the_long_division(b):
+    """Each clamp plane, built by doubling a block, equals the plane spread
+    by long division, up to compare's limit of 16 layer-0 concepts."""
+    net = validate_network(NetworkSpec(tuple(ConceptSpec(f"e{j}", 0) for j in range(b))))
+    assert _bottom_planes(net) == bottom_planes_reference(net)
 
 
 # --- the sweep's ignition bound: which idle units a layer walk skips ---
