@@ -120,11 +120,16 @@ def cmd_run(args) -> int:
             # in net.non_bottom order, which the text keeps
             "verdicts": {net.names[c]: verdicts[c].value for c in net.non_bottom},
         })
-    _print_result(args, {"phases": phases}, _run_text)
+    result = {"phases": phases}
+    if args.render:
+        # a network without concepts has no timeline to draw
+        result["timeline"] = render_ascii_timeline(trace).split("\n") if net.n_concepts else []
+    _print_result(args, result, _run_text)
     if args.trace:
         Path(args.trace).write_text(write_trace_csv(trace), encoding="utf-8", newline="")
-    if args.render:
-        print(render_ascii_timeline(trace))
+    if args.render and args.format == "text":
+        for line in result["timeline"]:
+            print(line)
     return 0
 
 

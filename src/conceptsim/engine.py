@@ -20,7 +20,7 @@ from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import BadParams, NonBottomClamp, TooLarge
-from .model import ConceptId, ValidatedNetwork, _at_least, _bit_bytes, _bits, _bottom_planes, _ids, _reach
+from .model import DEFAULT_TAU, ConceptId, ValidatedNetwork, _at_least, _bit_bytes, _bits, _bottom_planes, _ids, _reach
 
 
 class ErrorRouting(Enum):
@@ -67,7 +67,7 @@ class EngineParams:
     w_lat: float = 0.8
     w_err: float = 1.2
     theta: float = 0.5
-    tau: float = 0.5
+    tau: float = DEFAULT_TAU
     max_sweeps: int = 64
     error_routing: ErrorRouting = ErrorRouting.SPLIT
 
@@ -261,6 +261,51 @@ def route_errors(
     return _route(net, active, omitted, committed, routing, owners)
 
 
+def _drive(p: EngineParams, dendrite: int, prev: int, k: int, r: int) -> float:
+    """The float sum that turns a unit on when it is above 0: dendrite and
+    prev are its Complete-pattern and previous values, k the count of other
+    active units in its layer and r its routed error count.
+
+    It is written only here, so every caller rounds it alike. Each float
+    operation rounds monotonically, w_lat >= 0 and k and r are >= 0, so the
+    drive never rises with k, and with w_err >= 0 never with r either.
+    """
+    return p.w_ff * dendrite + p.w_self * prev - p.w_lat * k - p.w_err * r - p.theta
+
+
+def _drive_thresholds(
+    params: EngineParams, widest: int, most: int
+) -> dict[tuple[int, int], list[int]] | None:
+    """The drive test as a table of thresholds on the routed count.
+
+    For each (dendrite, prev) and each count k < widest of other active units
+    in the layer, the least routed count r <= most at which _drive is at most
+    0, and most + 1 if there is none. The drive is then > 0 exactly for r
+    below the threshold, unless it rises with r, which takes w_err < 0, and
+    then the answer is None. With w_err >= 0 the scan of a cell stops at the
+    first r where the drive is at most 0; with w_err < 0 every r is scanned.
+    The drive falls with k, so a row's cells fall too: from its first 0 cell
+    on a row is 0, and those cells are not scanned; with w_lat 0 the drive
+    does not depend on k, and a row is its first cell throughout. With most
+    = 0 a cell is 1 exactly where the drive at routed 0 is above 0.
+    """
+    table: dict[tuple[int, int], list[int]] = {}
+    for dendrite in (0, 1):
+        for prev in (0, 1):
+            row = table[dendrite, prev] = []
+            for k in range(widest):
+                r = 0
+                while r <= most and _drive(params, dendrite, prev, k, r) > 0:
+                    r += 1
+                if params.w_err < 0 and any(_drive(params, dendrite, prev, k, s) > 0 for s in range(r, most + 1)):
+                    return None
+                row.append(r)
+                if not r or not params.w_lat:
+                    row += [r] * (widest - 1 - k)
+                    break
+    return table
+
+
 class Engine:
     """One deterministic simulation instance over a fixed network and parameters.
 
@@ -282,10 +327,13 @@ class Engine:
         #: writes between sweeps leave it valid; no pattern is empty, so an
         #: empty layer below completes none
         self._dendrite_memo = [(0, 0)] * (net.max_layer + 1)
-        #: per dendrite value, the layer count from which an idle unit cannot
-        #: ignite, a pure function of the params and the widest layer
+        #: per dendrite value d, the layer count k from which an idle unit
+        #: cannot ignite: the 1s that lead row (d, prev 0) of the table at
+        #: most 0; both widest when w_err < 0, where a routed count raises
+        #: the drive and no count bounds it
         widest = max((mask.bit_count() for mask in net.layer_mask[1:]), default=0)
-        self._k_on = _ignition_bounds(params, widest)
+        table = _drive_thresholds(params, widest, 0)
+        self._k_on = (widest, widest) if params.w_err < 0 else (sum(table[0, 0]), sum(table[1, 0]))
         self.reset()
 
     def reset(self) -> None:
@@ -368,25 +416,23 @@ class Engine:
         """One full pass; returns whether the observable state changed.
 
         Layer 0 takes the clamp in one mask operation. Each layer is updated
-        in id order, visiting every active unit, latched or not, and an idle,
-        unlatched unit with dendrite value d only while the layer's running
-        count of active units is below k_on[d], the least count k at which
-        the drive below at prev 0 and routed 0 is at most 0. The bound is
-        exact: each float operation rounds monotonically, w_lat >= 0 and
-        routed counts are >= 0, so with w_err >= 0 an idle unit's drive does
-        not rise with the count or its routed count; from k_on[d] on it stays
-        off, and it cannot latch, which needs it on. The walk jumps over the
-        other units and recomputes what is left only when the count crosses a
-        bound. With theta >= 0, k_on[0] is 0: only active units and units with
-        a Complete pattern are ever visited. With w_err < 0 there is no bound
-        and every unit is visited. The active bitmask is kept current through
-        the sequential update, so applicability, predictions, errors and
-        routing are then computed once, on bits.
+        in id order, each unit by the sign of _drive, visiting every active
+        unit, latched or not, and an idle, unlatched unit with dendrite value
+        d only while the layer's running count of active units is below
+        k_on[d], the least count k at which _drive at prev 0 and routed 0 is
+        at most 0. The bound is exact: with w_err >= 0 an idle unit's drive
+        does not rise with the count or its routed count (see _drive), so from
+        k_on[d] on it stays off, and it cannot latch, which needs it on. The
+        walk jumps over the other units and recomputes what is left only when
+        the count crosses a bound. With theta >= 0, k_on[0] is 0: only active
+        units and units with a Complete pattern are ever visited. With w_err
+        < 0 there is no bound and every unit is visited. The active bitmask is
+        kept current through the sequential update, so applicability,
+        predictions, errors and routing are then computed once, on bits.
         """
         net, p = self.net, self.params
         routed, latched = self.routed, self.latched
         layer_mask = net.layer_mask
-        w_ff, w_self, w_lat, w_err, theta = p.w_ff, p.w_self, p.w_lat, p.w_err, p.theta
         k_on0, k_on1 = self._k_on
 
         active = self.active & ~layer_mask[0] | self._clamp_bits
@@ -410,14 +456,7 @@ class Engine:
                     now = 0
                 else:
                     dendrite = 1 if dend & bit else 0
-                    drive = (
-                        w_ff * dendrite
-                        + w_self * prev
-                        - w_lat * (layer_active - prev)
-                        - w_err * routed[c]
-                        - theta
-                    )
-                    now = 1 if drive > 0 else 0
+                    now = 1 if _drive(p, dendrite, prev, layer_active - prev, routed[c]) > 0 else 0
                     if prev == 1 and now == 0 and routed[c] > 0:
                         newly_latched |= bit
                 if now != prev:
@@ -588,56 +627,6 @@ class AgreementReport:
 COMPARE_BOTTOM_LIMIT = 16
 
 
-def _ignition_bounds(params: EngineParams, widest: int) -> tuple[int, int]:
-    """Per dendrite value d, sweep()'s k_on[d]: the least count k < widest of
-    other active units in a layer at which its float drive at prev 0 and
-    routed 0 is at most 0, else widest; both widest when w_err < 0."""
-    w_ff, w_self, w_lat, w_err, theta = params.w_ff, params.w_self, params.w_lat, params.w_err, params.theta
-    if w_err < 0:
-        return widest, widest
-
-    def k_on(dendrite: int) -> int:
-        k = 0
-        while k < widest and w_ff * dendrite + w_self * 0 - w_lat * k - w_err * 0 - theta > 0:
-            k += 1
-        return k
-
-    return k_on(0), k_on(1)
-
-
-def _drive_thresholds(
-    params: EngineParams, widest: int, most: int
-) -> dict[tuple[int, int], list[int]] | None:
-    """The drive test of sweep() as a table of thresholds on the routed count.
-
-    For each (dendrite, prev) and each count k < widest of other active units
-    in the layer, the least routed count r <= most whose drive, by sweep()'s
-    float expression, is at most 0, and most + 1 if there is none. The drive
-    is then > 0 exactly for r below the threshold, unless it grows with r:
-    rounding keeps w_err * r monotone, so that takes w_err < 0, and then the
-    answer is None. With w_err >= 0 the drive cannot rise with r, so the scan
-    stops at the first r where it is at most 0; with w_err < 0 every r is
-    scanned.
-    """
-    w_ff, w_self, w_lat, w_err, theta = params.w_ff, params.w_self, params.w_lat, params.w_err, params.theta
-
-    def on(dendrite: int, prev: int, k: int, r: int) -> bool:
-        return w_ff * dendrite + w_self * prev - w_lat * k - w_err * r - theta > 0
-
-    table: dict[tuple[int, int], list[int]] = {}
-    for dendrite in (0, 1):
-        for prev in (0, 1):
-            row = table[dendrite, prev] = []
-            for k in range(widest):
-                r = 0
-                while r <= most and on(dendrite, prev, k, r):
-                    r += 1
-                if w_err < 0 and any(on(dendrite, prev, k, s) for s in range(r, most + 1)):
-                    return None
-                row.append(r)
-    return table
-
-
 def _clamp_planes(net: ValidatedNetwork, params: EngineParams, planes: list[int]) -> list[int | None]:
     """Run the clamps of compare_with_oracle all at once, bit-sliced.
 
@@ -657,10 +646,9 @@ def _clamp_planes(net: ValidatedNetwork, params: EngineParams, planes: list[int]
         a case where it can ignite: with a Complete pattern where the table
         has a threshold above 0 at dendrite 1, prev 0 and k = 0, and without
         one where it has at dendrite 0. That cell is the highest drive an
-        idle unit can have, as w_lat >= 0 and rounding is monotone, so
-        elsewhere the unit stays 0 in every case, does not latch and adds
-        nothing to the layer's count. A layer with no unit to visit is
-        skipped whole.
+        idle unit can have (see _drive), so elsewhere the unit stays 0 in
+        every case, does not latch and adds nothing to the layer's count. A
+        layer with no unit to visit is skipped whole.
       - A pattern's applicability reads only its element layer, so each
         concept keeps it with the last sweep in which that layer changed and
         recomputes it only after a newer change; patterns over layer 0 are

@@ -9,7 +9,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from io import StringIO
 from typing import TYPE_CHECKING, Iterable, Mapping, Union
@@ -193,54 +193,45 @@ def serialize_scenario(spec: ScenarioSpec) -> str:
 
 # --- engine parameters ---
 
-_PARAM_FIELDS = frozenset(
-    {"w_ff", "w_self", "w_lat", "w_err", "theta", "tau", "max_sweeps", "error_routing"}
-)
+def _require_param(value, path: str, kind: type):
+    """A params field's value, by the type of its default: a number for a
+    float, an int for an int, and an enum member's value for an enum."""
+    if issubclass(kind, Enum):
+        members = {m.value: m for m in kind}
+        if not isinstance(value, str) or value not in members:
+            raise TypeMismatch(f"{path}: expected " + " or ".join(map(json.dumps, members)))
+        return members[value]
+    if kind is int:
+        if type(value) is not int:
+            raise TypeMismatch(f"{path}: expected an integer")
+        return value
+    return _require_number(value, path)
 
 
 def parse_params(text: str | None = None) -> EngineParams:
     """Parse a flat params object; absent fields take the documented defaults.
 
-    Only syntax and field names are checked here; the numeric invariants are
-    enforced when an engine is initialized.
+    Only syntax and field names are checked here, field by field in
+    EngineParams' order; the numeric invariants are enforced when an engine
+    is initialized.
     """
-    from .engine import EngineParams, ErrorRouting
+    from .engine import EngineParams
 
     if text is None:
         return EngineParams()
     root = _load_json(text)
-    _require_object(root, "$", _PARAM_FIELDS, frozenset())
-    kwargs = {}
-    for key in ("w_ff", "w_self", "w_lat", "w_err", "theta", "tau"):
-        if key in root:
-            kwargs[key] = _require_number(root[key], f"$.{key}")
-    if "max_sweeps" in root:
-        value = root["max_sweeps"]
-        if type(value) is not int:
-            raise TypeMismatch("$.max_sweeps: expected an integer")
-        kwargs["max_sweeps"] = value
-    if "error_routing" in root:
-        value = root["error_routing"]
-        routings = {r.value: r for r in ErrorRouting}
-        if not isinstance(value, str) or value not in routings:
-            raise TypeMismatch(
-                "$.error_routing: expected \"split\" or \"all_global\""
-            )
-        kwargs["error_routing"] = routings[value]
-    return EngineParams(**kwargs)
+    kinds = {f.name: type(f.default) for f in fields(EngineParams)}
+    _require_object(root, "$", frozenset(kinds), frozenset())
+    return EngineParams(**{
+        name: _require_param(root[name], f"$.{name}", kind) for name, kind in kinds.items() if name in root
+    })
 
 
 def serialize_params(params: EngineParams) -> str:
-    obj = {
-        "w_ff": params.w_ff,
-        "w_self": params.w_self,
-        "w_lat": params.w_lat,
-        "w_err": params.w_err,
-        "theta": params.theta,
-        "tau": params.tau,
-        "max_sweeps": params.max_sweeps,
-        "error_routing": params.error_routing.value,
-    }
+    obj = {}
+    for f in fields(params):
+        value = getattr(params, f.name)
+        obj[f.name] = value.value if isinstance(value, Enum) else value
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 

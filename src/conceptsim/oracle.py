@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import AbstractSet, Mapping
+from typing import AbstractSet, Iterable, Mapping
 
 from .errors import BottomConcept, NonBottomClamp, TooLarge
 from .model import DEFAULT_TAU, ConceptId, ValidatedNetwork, _ids, _reach, pattern_state
@@ -88,7 +88,8 @@ def interpretation_consistent(
     state feeds both tests.
 
     Raises UnknownConcept or BottomConcept for the first bad inferred id in
-    ascending order, then UnknownConcept for a bad clamped id.
+    ascending order, then UnknownConcept for a bad clamped id, then
+    NonBottomClamp for the first clamped id above layer 0 in ascending order.
     """
     interp = frozenset(interpretation)
     active = frozenset(clamped) | interp
@@ -110,6 +111,7 @@ def interpretation_consistent(
         per[c] = ConceptCheck(complete, tuple(violated))
     for e in active:  # the clamped ids, before layer_of is indexed by them
         net._check(e)
+    _check_bottom(net, sorted(clamped))
     top = net.max_layer
     unexpected = frozenset(e for e in active if net.layer_of[e] < top and e not in explained)
     return ConsistencyReport(
@@ -118,6 +120,14 @@ def interpretation_consistent(
         per_concept=per,
         unexpected=unexpected,
     )
+
+
+def _check_bottom(net: ValidatedNetwork, clamped: Iterable[ConceptId]) -> None:
+    """Refuse the first clamped id, in the order given, that is not a concept
+    or lies above layer 0."""
+    for e in clamped:
+        if net.layer(e) != 0:
+            raise NonBottomClamp(f"{net.name(e)!r} is not a layer-0 concept")
 
 
 def _check_enumerable(net: ValidatedNetwork) -> None:
@@ -266,9 +276,7 @@ def enumerate_interpretations(
     rule gives.
     """
     _check_enumerable(net)
-    for e in clamped:
-        if net.layer(e) != 0:
-            raise NonBottomClamp(f"{net.name(e)!r} is not a layer-0 concept")
+    _check_bottom(net, clamped)
     found = sorted(_search(net, dict.fromkeys(clamped, 1), 1, tau)[0], key=_order)
     maximal = set(_maximal(found))
     return [

@@ -3,7 +3,8 @@
 Each function states its rule directly on sets, through the Fraction-based
 model.pattern_state, and runs in the obvious order with no precomputation:
 interpretation_consistent_reference is oracle.interpretation_consistent as it
-was before it evaluated each pattern once, three checks composed, and
+was before it evaluated each pattern once, three checks composed (and, like
+it, refusing a clamped id above layer 0 once every id is known), and
 enumerate_reference builds a full ConsistencyReport for every one of the 2^k
 candidate interpretations, the flat rule that oracle.enumerate_interpretations
 applies one layer at a time. ReferenceEngine keeps its state in lists and a
@@ -20,8 +21,12 @@ lines itself: csv.writer over sorted rows, and
 render_ascii_timeline_reference the renderer as it was before it read
 snapshots: a dict entry per cell of the sorted rows. bottom_planes_reference
 builds compare's clamp planes by long division, as model._bottom_planes did
-before it doubled a block, and drive_thresholds_reference scans every routed
-count of the drive table, as engine._drive_thresholds still does for w_err < 0.
+before it doubled a block, and drive_thresholds_reference scans every cell of
+the drive table and every routed count of each, with the drive written out,
+where engine._drive_thresholds reads engine._drive, stops a cell at the first
+routed count whose drive is at most 0 when w_err >= 0 and stops a row at its
+first 0 cell. Engine reads its ignition bounds off that table; the tests that
+check them write the drive out too.
 """
 from __future__ import annotations
 
@@ -47,7 +52,7 @@ from conceptsim import (
     interpretation_consistent,
     pattern_state,
 )
-from conceptsim.errors import BottomConcept
+from conceptsim.errors import BottomConcept, NonBottomClamp
 from conceptsim.io import _HEADER_LINE, CSV_HEADER, _csv_field
 
 
@@ -78,6 +83,9 @@ def interpretation_consistent_reference(net, interpretation, clamped, tau=DEFAUL
                 explained.update(pat.elements)
     top = net.max_layer
     unexpected = frozenset(e for e in active if net.layer(e) < top and e not in explained)
+    for e in sorted(clamped):
+        if net.layer(e) != 0:
+            raise NonBottomClamp(f"{net.name(e)!r} is not a layer-0 concept")
     return ConsistencyReport(
         interpretation=interp,
         consistent=all(check.ok for check in per.values()) and unexpected == frozenset(),
@@ -367,7 +375,7 @@ def bottom_planes_reference(net):
 
 def drive_thresholds_reference(params, widest, most):
     """engine._drive_thresholds scanning every routed count r <= most of
-    every cell, whatever the sign of w_err."""
+    every cell of every row, whatever the sign of w_err."""
     w_ff, w_self, w_lat, w_err, theta = params.w_ff, params.w_self, params.w_lat, params.w_err, params.theta
     table = {}
     for dendrite in (0, 1):

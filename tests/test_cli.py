@@ -111,6 +111,36 @@ def test_run_render_flag(capsys, salt, data_dir):
     assert "salt" in out and "|" in out
 
 
+def test_run_render_without_concepts_prints_no_timeline(capsys, tmp_path):
+    """A network with no concepts has no timeline: --render prints the phase
+    lines alone, and under --format json the timeline is empty."""
+    net = tmp_path / "net.json"
+    net.write_text('{"concepts": []}')
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text('{"phases":[{"clamp":{},"hold":"converge"}]}')
+    code, plain, _ = run_cli(capsys, "run", str(net), str(scenario))
+    assert code == 0
+    code, out, err = run_cli(capsys, "run", str(net), str(scenario), "--render")
+    assert (code, out, err) == (0, plain, "")
+    code, out, err = run_cli(capsys, "run", str(net), str(scenario), "--render", "--format", "json")
+    assert code == 0 and err == ""
+    assert json.loads(out)["timeline"] == []
+
+
+def test_run_json_render_prints_one_json_document(capsys, salt, data_dir):
+    """Under --format json the timeline's lines are in the one payload, and
+    the rest of it is the payload without --render."""
+    scenario = str(data_dir / "scenarios" / "salt_rejection.json")
+    code, out, _ = run_cli(capsys, "run", salt, scenario, "--render", "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    _, text, _ = run_cli(capsys, "run", salt, scenario, "--render")
+    _, plain, _ = run_cli(capsys, "run", salt, scenario, "--format", "json")
+    assert payload.pop("timeline") == text.splitlines()[len(payload["phases"]):]
+    assert payload == json.loads(plain)
+    assert text.splitlines()[2] == "looking ##|##oo"
+
+
 def test_run_json_format(capsys, salt, data_dir):
     code, out, _ = run_cli(
         capsys, "run", salt, str(data_dir / "scenarios" / "salt_rejection.json"),

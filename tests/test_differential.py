@@ -36,7 +36,7 @@ from conceptsim import (
     validate_network,
     write_trace_csv,
 )
-from conceptsim.engine import _applicable, _drive_thresholds, _ignition_bounds
+from conceptsim.engine import _applicable, _drive_thresholds
 from conceptsim.errors import UnknownConcept
 from conceptsim.model import _bit_bytes, _bits, _bottom_planes, _ids
 from conceptsim.oracle import _search
@@ -699,6 +699,13 @@ def test_ignition_bounds_reproduce_the_float_drive(net, params):
         assert (k >= k_on[dendrite]) == (drive <= 0), (dendrite, k)
 
 
+#: a net whose widest layer above 0 has six units
+SIX_WIDE = validate_network(NetworkSpec((
+    ConceptSpec("a", 0),
+    *(ConceptSpec(f"x{i}", 1, (("a",),)) for i in range(6)),
+)))
+
+
 def test_rounding_decides_an_ignition_bound():
     """Under the rounding params the exact decimal drive of an idle unit with
     a Complete pattern is 0 at a count of 3, and the float drive, which the
@@ -706,15 +713,15 @@ def test_rounding_decides_an_ignition_bound():
     p = ROUNDING_PARAMS
     w_ff, w_lat, theta = (Fraction(str(w)) for w in (p.w_ff, p.w_lat, p.theta))
     assert w_ff - w_lat * 3 - theta == 0
-    assert _ignition_bounds(p, 6) == (0, 3)
+    assert Engine(SIX_WIDE, p)._k_on == (0, 3)
 
 
 def test_a_drive_rising_with_the_routed_count_has_no_ignition_bound():
     """With w_err < 0 a routed count raises an idle unit's drive, so no count
     bounds it: both bounds are the widest layer's width, and every unit of a
     layer is visited."""
-    assert _ignition_bounds(RISING_PARAMS, 6) == (6, 6)
-    assert _ignition_bounds(EngineParams(), 6) == (0, 1)
+    assert Engine(SIX_WIDE, RISING_PARAMS)._k_on == (6, 6)
+    assert Engine(SIX_WIDE, EngineParams())._k_on == (0, 1)
 
 
 def test_a_routed_count_ignites_an_idle_unit_when_w_err_is_negative():

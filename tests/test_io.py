@@ -158,10 +158,16 @@ def test_params_typo_is_unknown_field():
 
 def test_params_error_routing_values():
     assert parse_params('{"error_routing": "all_global"}').error_routing is ErrorRouting.ALL_GLOBAL
-    with pytest.raises(TypeMismatch):
+    with pytest.raises(TypeMismatch) as refused:
         parse_params('{"error_routing": "everywhere"}')
+    assert all(json.dumps(routing.value) in str(refused.value) for routing in ErrorRouting)
+    assert str(refused.value) == '$.error_routing: expected "split" or "all_global"'
     with pytest.raises(TypeMismatch):
         parse_params('{"max_sweeps": 2.5}')
+
+
+def test_shipped_defaults_file_is_the_serialized_defaults(data_dir):
+    assert (data_dir / "params" / "defaults.json").read_bytes() == serialize_params(EngineParams()).encode()
 
 
 @pytest.mark.parametrize("text", [

@@ -61,6 +61,8 @@ def test_locally_consistent_rejects_bottom_and_unknown(net, ids):
         interpretation_consistent(net, {ids["white"]}, set())
     with pytest.raises(UnknownConcept):
         interpretation_consistent(net, {42}, set())
+    with pytest.raises(NonBottomClamp, match="^'salt' is not a layer-0 concept$"):
+        interpretation_consistent(net, set(), {ids["salt"]})
 
 
 def test_unexpected_elements_examples(net, ids):
