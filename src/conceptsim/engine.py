@@ -52,8 +52,9 @@ class EngineParams:
     Invariants, checked by validate():
       w_ff > theta           a complete pattern alone ignites its concept
       theta < w_self < w_ff  self-input holds an active unit but is weaker than evidence
-      w_err > w_self         one routed error can shut a self-sustained unit whose dendrites are silent
-      w_lat >= 0, 0 < tau <= 1, max_sweeps >= 1
+      w_err > w_self         with theta >= 0, one routed error shuts a self-held unit with silent dendrites
+      w_lat >= 0, w_err >= 0 lateral inhibition and error units only inhibit
+      0 < tau <= 1, max_sweeps >= 1
       every weight, theta and tau a finite real number, max_sweeps an int and
       error_routing an ErrorRouting; a bool is neither, as in parse_params
 
@@ -96,6 +97,8 @@ class EngineParams:
             raise BadParams("tau outside (0, 1]")
         if self.max_sweeps < 1:
             raise BadParams("max_sweeps < 1")
+        if self.w_err < 0:
+            raise BadParams("w_err < 0")
 
 
 class Snapshot(NamedTuple):
@@ -144,11 +147,6 @@ class PhaseTrace:
 class Trace:
     net: ValidatedNetwork
     phases: tuple[PhaseTrace, ...]
-
-
-def _values(bits: int, n: int) -> list[int]:
-    """The first n bits of a bitmask as a 0/1 list."""
-    return list(_bit_bytes(bits, n))
 
 
 def dendrite_values(
@@ -238,7 +236,7 @@ def error_flags(
     active = _bits(activation)
     pred, _ = _applicable(net, active, tau)
     omission, commission = _error_bits(net, active, pred)
-    return _values(omission, net.n_concepts), _values(commission, net.n_concepts)
+    return list(_bit_bytes(omission, net.n_concepts)), list(_bit_bytes(commission, net.n_concepts))
 
 
 def route_errors(
@@ -267,27 +265,24 @@ def _drive(p: EngineParams, dendrite: int, prev: int, k: int, r: int) -> float:
     active units in its layer and r its routed error count.
 
     It is written only here, so every caller rounds it alike. Each float
-    operation rounds monotonically, w_lat >= 0 and k and r are >= 0, so the
-    drive never rises with k, and with w_err >= 0 never with r either.
+    operation rounds monotonically, w_lat and w_err are >= 0 and so are k and
+    r, so the drive never rises with k or with r.
     """
     return p.w_ff * dendrite + p.w_self * prev - p.w_lat * k - p.w_err * r - p.theta
 
 
-def _drive_thresholds(
-    params: EngineParams, widest: int, most: int
-) -> dict[tuple[int, int], list[int]] | None:
+def _drive_thresholds(params: EngineParams, widest: int, most: int) -> dict[tuple[int, int], list[int]]:
     """The drive test as a table of thresholds on the routed count.
 
     For each (dendrite, prev) and each count k < widest of other active units
     in the layer, the least routed count r <= most at which _drive is at most
-    0, and most + 1 if there is none. The drive is then > 0 exactly for r
-    below the threshold, unless it rises with r, which takes w_err < 0, and
-    then the answer is None. With w_err >= 0 the scan of a cell stops at the
-    first r where the drive is at most 0; with w_err < 0 every r is scanned.
-    The drive falls with k, so a row's cells fall too: from its first 0 cell
-    on a row is 0, and those cells are not scanned; with w_lat 0 the drive
-    does not depend on k, and a row is its first cell throughout. With most
-    = 0 a cell is 1 exactly where the drive at routed 0 is above 0.
+    0, and most + 1 if there is none. The drive falls with r (see _drive), so
+    it is > 0 exactly for r below the threshold, and the scan of a cell stops
+    at the first r where it is at most 0. It falls with k too, so a row's
+    cells fall: from its first 0 cell on a row is 0, and those cells are not
+    scanned; with w_lat 0 the drive does not depend on k, and a row is its
+    first cell throughout. With most = 0 a cell is 1 exactly where the drive
+    at routed 0 is above 0.
     """
     table: dict[tuple[int, int], list[int]] = {}
     for dendrite in (0, 1):
@@ -297,8 +292,6 @@ def _drive_thresholds(
                 r = 0
                 while r <= most and _drive(params, dendrite, prev, k, r) > 0:
                     r += 1
-                if params.w_err < 0 and any(_drive(params, dendrite, prev, k, s) > 0 for s in range(r, most + 1)):
-                    return None
                 row.append(r)
                 if not r or not params.w_lat:
                     row += [r] * (widest - 1 - k)
@@ -329,11 +322,10 @@ class Engine:
         self._dendrite_memo = [(0, 0)] * (net.max_layer + 1)
         #: per dendrite value d, the layer count k from which an idle unit
         #: cannot ignite: the 1s that lead row (d, prev 0) of the table at
-        #: most 0; both widest when w_err < 0, where a routed count raises
-        #: the drive and no count bounds it
+        #: most 0
         widest = max((mask.bit_count() for mask in net.layer_mask[1:]), default=0)
         table = _drive_thresholds(params, widest, 0)
-        self._k_on = (widest, widest) if params.w_err < 0 else (sum(table[0, 0]), sum(table[1, 0]))
+        self._k_on = sum(table[0, 0]), sum(table[1, 0])
         self.reset()
 
     def reset(self) -> None:
@@ -420,13 +412,12 @@ class Engine:
         unit, latched or not, and an idle, unlatched unit with dendrite value
         d only while the layer's running count of active units is below
         k_on[d], the least count k at which _drive at prev 0 and routed 0 is
-        at most 0. The bound is exact: with w_err >= 0 an idle unit's drive
-        does not rise with the count or its routed count (see _drive), so from
-        k_on[d] on it stays off, and it cannot latch, which needs it on. The
-        walk jumps over the other units and recomputes what is left only when
-        the count crosses a bound. With theta >= 0, k_on[0] is 0: only active
-        units and units with a Complete pattern are ever visited. With w_err
-        < 0 there is no bound and every unit is visited. The active bitmask is
+        at most 0. The bound is exact: an idle unit's drive does not rise with
+        the count or its routed count (see _drive), so from k_on[d] on it
+        stays off, and it cannot latch, which needs it on. The walk jumps over
+        the other units and recomputes what is left only when the count
+        crosses a bound. With theta >= 0, k_on[0] is 0: only active units and
+        units with a Complete pattern are ever visited. The active bitmask is
         kept current through the sequential update, so applicability,
         predictions, errors and routing are then computed once, on bits.
         """
@@ -658,8 +649,7 @@ def _clamp_planes(net: ValidatedNetwork, params: EngineParams, planes: list[int]
         active plane changed ends the run without recomputing them.
 
     Returns, per case, the inferred set of a run that reached a fixed point,
-    as a bitmask over concept ids, and None for a run that did not; all None
-    when the table does not hold.
+    as a bitmask over concept ids, and None for a run that did not.
     """
     cases = 1 << len(net.bottom)
     ones = (1 << cases) - 1
@@ -667,8 +657,6 @@ def _clamp_planes(net: ValidatedNetwork, params: EngineParams, planes: list[int]
     layers = [_ids(mask) for mask in net.layer_mask]
     widest = max(map(len, layers[1:]), default=0)
     table = _drive_thresholds(params, widest, n)
-    if table is None:
-        return [None] * cases
     depth = max([1] + [t for row in table.values() for t in row if t <= n])
     # per (dendrite, prev), each threshold t > 0 and the counts k that have it
     steps = {

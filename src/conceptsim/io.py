@@ -9,6 +9,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass, fields
 from enum import Enum
 from io import StringIO
@@ -33,9 +34,18 @@ def _reject_constant(name: str):
     raise ParseError(f"non-finite number {name} is not valid JSON")
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object from its pairs, refusing a key repeated in them."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        key = next(key for key, count in Counter(key for key, _ in pairs).items() if count > 1)
+        raise ParseError(f"duplicate key {key!r}")
+    return obj
+
+
 def _load_json(text: str):
     try:
-        return json.loads(text, parse_constant=_reject_constant)
+        return json.loads(text, parse_constant=_reject_constant, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as e:
         raise ParseError(f"line {e.lineno}, column {e.colno}: {e.msg}") from None
     except ValueError:

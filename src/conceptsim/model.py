@@ -274,8 +274,8 @@ class ValidatedNetwork:
         return needs
 
     def _check(self, cid: ConceptId) -> None:
-        if not 0 <= cid < self.n_concepts:
-            raise UnknownConcept(f"no concept with id {cid}")
+        if not isinstance(cid, int) or not 0 <= cid < self.n_concepts:
+            raise UnknownConcept(f"no concept with id {cid!r}")
 
 
 def pattern_state(
@@ -387,16 +387,12 @@ def validate_network(spec: NetworkSpec) -> ValidatedNetwork:
     for lay in sorted(set(layer_of)):
         layers[lay] = tuple(c for c in range(len(names)) if layer_of[c] == lay)
 
-    parent_index: dict[ConceptId, tuple[tuple[ConceptId, int], ...]] = {
-        cid: () for cid in range(len(names))
-    }
-    inverse: dict[ConceptId, list[tuple[ConceptId, int]]] = {}
-    for cid in range(len(names)):
-        for k, pat in enumerate(resolved[cid]):
+    # owners are met in (owner, ordinal) order, so each list is sorted as built
+    inverse: dict[ConceptId, list[tuple[ConceptId, int]]] = {cid: [] for cid in range(len(names))}
+    for cid, pats in enumerate(resolved):
+        for k, pat in enumerate(pats):
             for e in pat.elements:
-                inverse.setdefault(e, []).append((cid, k))
-    for e, owners in inverse.items():
-        parent_index[e] = tuple(sorted(owners))
+                inverse[e].append((cid, k))
 
     return ValidatedNetwork(
         spec=spec,
@@ -404,7 +400,7 @@ def validate_network(spec: NetworkSpec) -> ValidatedNetwork:
         layer_of=layer_of,
         patterns=tuple(resolved),
         layers=layers,
-        parent_index=parent_index,
+        parent_index={e: tuple(owners) for e, owners in inverse.items()},
         name_to_id=name_to_id,
         warnings=tuple(warnings),
         masks=tuple(masks),

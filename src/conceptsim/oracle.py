@@ -87,7 +87,8 @@ def interpretation_consistent(
     top layer to explain it. Each pattern is evaluated once, and that one
     state feeds both tests.
 
-    Raises UnknownConcept or BottomConcept for the first bad inferred id in
+    Raises UnknownConcept for an inferred id that is not an int, then
+    UnknownConcept or BottomConcept for the first bad inferred id in
     ascending order, then UnknownConcept for a bad clamped id, then
     NonBottomClamp for the first clamped id above layer 0 in ascending order.
     """
@@ -95,6 +96,9 @@ def interpretation_consistent(
     active = frozenset(clamped) | interp
     per: dict[ConceptId, ConceptCheck] = {}
     explained: set[ConceptId] = set()
+    for c in interp:  # a non-int id first, which sorted cannot order among ints
+        if not isinstance(c, int):
+            net._check(c)
     for c in sorted(interp):
         if net.layer(c) == 0:
             raise BottomConcept(f"{net.name(c)!r} is a layer-0 observation, not an inferable concept")

@@ -24,9 +24,9 @@ builds compare's clamp planes by long division, as model._bottom_planes did
 before it doubled a block, and drive_thresholds_reference scans every cell of
 the drive table and every routed count of each, with the drive written out,
 where engine._drive_thresholds reads engine._drive, stops a cell at the first
-routed count whose drive is at most 0 when w_err >= 0 and stops a row at its
-first 0 cell. Engine reads its ignition bounds off that table; the tests that
-check them write the drive out too.
+routed count whose drive is at most 0 and stops a row at its first 0 cell.
+Engine reads its ignition bounds off that table; the tests that check them
+write the drive out too.
 """
 from __future__ import annotations
 
@@ -375,7 +375,8 @@ def bottom_planes_reference(net):
 
 def drive_thresholds_reference(params, widest, most):
     """engine._drive_thresholds scanning every routed count r <= most of
-    every cell of every row, whatever the sign of w_err."""
+    every cell of every row; None if a drive above 0 follows a cell's
+    threshold, which w_lat >= 0 and w_err >= 0 rule out."""
     w_ff, w_self, w_lat, w_err, theta = params.w_ff, params.w_self, params.w_lat, params.w_err, params.theta
     table = {}
     for dendrite in (0, 1):

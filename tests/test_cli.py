@@ -375,6 +375,29 @@ def test_input_that_is_not_utf8_exits_2(capsys, salt, tmp_path, site):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("site, text, key", [
+    ("network", '{"concepts": [], "concepts": []}', "concepts"),
+    ("scenario", '{"phases": [{"clamp": {"looking": 1, "looking": 0}, "hold": "converge"}]}', "looking"),
+    ("params", '{"w_err": 1.2, "w_err": -5}', "w_err"),
+], ids=["network", "scenario", "params"])
+def test_a_repeated_key_exits_2(capsys, salt, tmp_path, site, text, key):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    argv = [a.format(salt=salt, bad=bad) for a in READ_SITES[site]]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: ParseError: duplicate key '{key}'\n"
+
+
+def test_compare_with_negative_w_err_exits_1(capsys, salt, tmp_path):
+    """Errors only inhibit: w_err < 0 is refused before any sweep."""
+    params = tmp_path / "params.json"
+    params.write_text('{"w_ff": 0.5, "w_self": -0.5, "w_err": -0.2, "theta": -1.0}')
+    code, out, err = run_cli(capsys, "compare", salt, "--params", str(params))
+    assert code == 1 and out == ""
+    assert err == "error: BadParams: w_err < 0\n"
+
+
 @pytest.mark.parametrize("command", ["run", "compare"])
 @pytest.mark.parametrize("text, message", [
     ('{"w_ff": ' + "9" * 400 + "}", "w_ff is not finite"),

@@ -37,7 +37,7 @@ from conceptsim import (
     write_trace_csv,
 )
 from conceptsim.engine import _applicable, _drive_thresholds
-from conceptsim.errors import UnknownConcept
+from conceptsim.errors import BadParams, UnknownConcept
 from conceptsim.model import _bit_bytes, _bits, _bottom_planes, _ids
 from conceptsim.oracle import _search
 
@@ -539,17 +539,18 @@ compare_nets = st.one_of(
 @st.composite
 def valid_params(draw):
     """EngineParams that pass validate(): theta in [-0.5, 0.9], w_lat in
-    [0, 2.5], w_err below or above w_ff + w_self - theta, tau in (0, 1],
-    max_sweeps in {1, 2, 3, 64} and either routing."""
+    [0, 2.5], w_err above max(w_self, 0) and below or above w_ff + w_self -
+    theta, tau in (0, 1], max_sweeps in {1, 2, 3, 64} and either routing."""
     between = st.floats(0.05, 0.95)
     theta = draw(st.floats(-0.5, 0.9))
     w_ff = theta + draw(st.floats(0.05, 1.5))
     w_self = theta + (w_ff - theta) * draw(between)
+    least = max(w_self, 0.0)
     bound = w_ff + w_self - theta
-    if draw(st.booleans()):
-        w_err = w_self + (bound - w_self) * draw(between)
+    if bound > least and draw(st.booleans()):
+        w_err = least + (bound - least) * draw(between)
     else:
-        w_err = bound + draw(st.floats(0.01, 1.5))
+        w_err = max(bound, least) + draw(st.floats(0.01, 1.5))
     return EngineParams(
         w_ff=w_ff,
         w_self=w_self,
@@ -565,8 +566,12 @@ def valid_params(draw):
 #: a drive that is exactly 0 in decimals is positive in floats at
 #: (dendrite, prev, k, r) = (1, 0, 0, 1) and negative at (1, 0, 3, 0)
 ROUNDING_PARAMS = EngineParams(w_ff=0.4, w_self=0.2, w_lat=0.1, w_err=0.3, theta=0.1)
-#: w_err < 0: the drive grows with the routed count, so no threshold table holds
-RISING_PARAMS = EngineParams(w_ff=0.5, w_self=-0.5, w_err=-0.2, theta=-1.0)
+#: the boundary w_err = 0, the nearest to a drive rising with the routed
+#: count that validate() allows: a routed count leaves the drive flat, and
+#: with theta < 0 and w_self < 0 an idle unit ignites without a dendrite
+RISING_PARAMS = EngineParams(w_ff=0.5, w_self=-0.5, w_err=0.0, theta=-1.0)
+#: RISING_PARAMS with w_err < 0, its only fault: a routed error would excite
+NEGATIVE_ERR_PARAMS = EngineParams(w_ff=0.5, w_self=-0.5, w_err=-0.2, theta=-1.0)
 
 
 @given(net=compare_nets, params=valid_params())
@@ -581,7 +586,8 @@ def test_plane_run_matches_reference_on_drawn_params(net, params):
 
 #: parameters the plane run treats apart: a rounding-decided sign, a routed
 #: count threshold of 2, theta < 0 (units ignite without a dendrite), no
-#: lateral inhibition, runs cut short, and no threshold table at all
+#: lateral inhibition, runs cut short, and a routed count that never moves
+#: the drive
 PLANE_PARAMS = [
     ROUNDING_PARAMS,
     EngineParams(w_err=0.65),
@@ -620,7 +626,9 @@ def test_plane_run_matches_reference_on_edge_nets(name, params):
     assert len(report.cases) == 1 << len(net.bottom)
 
 
-@pytest.mark.parametrize("params", [EngineParams(), ROUNDING_PARAMS, EngineParams(theta=-0.4, w_err=0.65)])
+@pytest.mark.parametrize(
+    "params", [EngineParams(), ROUNDING_PARAMS, EngineParams(theta=-0.4, w_err=0.65), RISING_PARAMS]
+)
 def test_drive_table_reproduces_the_float_drive(params):
     """For every (dendrite, prev, k, r) with k below 6 and r up to 20, the
     unit is on exactly when r is below its threshold, as the engine's float
@@ -646,9 +654,15 @@ def test_rounding_decides_the_sign_in_the_drive_table():
         assert (r < table[dendrite, prev][k]) is on
 
 
-def test_a_drive_rising_with_the_routed_count_has_no_table():
-    assert _drive_thresholds(RISING_PARAMS, 4, 8) is None
-    assert _drive_thresholds(EngineParams(), 4, 8) is not None
+def test_a_drive_rising_with_the_routed_count_is_refused_before_compare_runs(monkeypatch):
+    """w_err < 0 is refused before either plane run, so no table is built."""
+    def unreachable(*args):
+        raise AssertionError("a plane run started")
+
+    monkeypatch.setattr("conceptsim.engine._clamp_planes", unreachable)
+    monkeypatch.setattr("conceptsim.oracle._search", unreachable)
+    with pytest.raises(BadParams, match=r"^w_err < 0$"):
+        compare_with_oracle(shuffled_network(4), NEGATIVE_ERR_PARAMS)
 
 
 @given(params=valid_params(), widest=st.integers(0, 8), most=st.integers(0, 24))
@@ -656,9 +670,8 @@ def test_a_drive_rising_with_the_routed_count_has_no_table():
 @example(params=RISING_PARAMS, widest=4, most=8)
 @settings(max_examples=200, deadline=None)
 def test_drive_table_equals_the_full_scan(params, widest, most):
-    """With w_err >= 0 each cell's scan stops at the first routed count whose
-    drive is at most 0; the table, or None, is the one of the scan over every
-    routed count."""
+    """Each cell's scan stops at the first routed count whose drive is at
+    most 0; the table is the one of the scan over every routed count."""
     assert _drive_thresholds(params, widest, most) == drive_thresholds_reference(params, widest, most)
 
 
@@ -716,19 +729,21 @@ def test_rounding_decides_an_ignition_bound():
     assert Engine(SIX_WIDE, p)._k_on == (0, 3)
 
 
-def test_a_drive_rising_with_the_routed_count_has_no_ignition_bound():
-    """With w_err < 0 a routed count raises an idle unit's drive, so no count
-    bounds it: both bounds are the widest layer's width, and every unit of a
-    layer is visited."""
-    assert Engine(SIX_WIDE, RISING_PARAMS)._k_on == (6, 6)
+def test_a_drive_rising_with_the_routed_count_is_refused_before_an_engine_is_built():
+    """w_err < 0 is refused as Engine starts; at the boundary w_err = 0 a
+    count still bounds an idle unit's drive, so a layer walk can skip."""
+    with pytest.raises(BadParams, match=r"^w_err < 0$"):
+        Engine(SIX_WIDE, NEGATIVE_ERR_PARAMS)
+    assert Engine(SIX_WIDE, RISING_PARAMS)._k_on == (2, 2)
     assert Engine(SIX_WIDE, EngineParams())._k_on == (0, 1)
 
 
-def test_a_routed_count_ignites_an_idle_unit_when_w_err_is_negative():
-    """Under w_err < 0, z, idle with no Complete pattern, sees two active
-    peers, a count at which its drive with no routed count is below 0; a
-    routed count of 10 written between sweeps raises it above 0, so z
-    ignites, on the Engine as on the reference."""
+def test_a_routed_count_cannot_ignite_an_idle_unit():
+    """w_err < 0, where a routed count would raise the drive, is refused
+    before any sweep. At w_err = 0, z, idle with no Complete pattern, sees
+    two active peers, a count at which its drive with no routed count is
+    below 0; a routed count of 10 written between sweeps leaves it there,
+    so z stays off, on the Engine as on the reference."""
     net = validate_network(NetworkSpec((
         ConceptSpec("a", 0),
         ConceptSpec("z", 1, (("a",),)),
@@ -736,6 +751,8 @@ def test_a_routed_count_ignites_an_idle_unit_when_w_err_is_negative():
         ConceptSpec("y", 1, (("a",),)),
     )))
     z, x, y = 1, 2, 3
+    with pytest.raises(BadParams, match=r"^w_err < 0$"):
+        run_scenario(net, NEGATIVE_ERR_PARAMS, [({0: 1}, None)])
     p = RISING_PARAMS
     assert p.w_ff * 0 + p.w_self * 0 - p.w_lat * 2 - p.w_err * 0 - p.theta <= 0
     fast, reference = Engine(net, p), ReferenceEngine(net, p)
@@ -745,7 +762,7 @@ def test_a_routed_count_ignites_an_idle_unit_when_w_err_is_negative():
         engine.routed[z] = 10
         engine.sweep()
     assert engine_state(fast) == engine_state(reference)
-    assert fast.active >> z & 1
+    assert not fast.active >> z & 1
 
 
 @given(seed=st.integers(0, 999), net=compare_nets, params=valid_params())
@@ -764,7 +781,8 @@ def test_sweep_matches_reference_with_writes_on_drawn_params(seed, net, params):
 @pytest.mark.parametrize("seed", range(20))
 def test_sweep_matches_reference_with_writes_on_edge_params(seed, params):
     """As above, on seeded netgen and shuffled nets, under a rounding-decided
-    drive and under w_err < 0, where no bound applies."""
+    drive and at the boundary w_err = 0, where a routed count never moves the
+    drive."""
     for net in (random_network(seed), shuffled_network(seed)):
         for fast, reference in runs_with_writes(seed, net, params):
             assert fast == reference
@@ -810,9 +828,9 @@ def test_ignition_bound_skips_are_not_vacuous():
 
 
 def thermometer_depth(net, params):
-    """The deepest routed-count threshold the plane run keeps, 0 without a table."""
+    """The deepest routed-count threshold the plane run keeps."""
     table = _drive_thresholds(params, max(map(len, net.layers.values())), net.n_concepts)
-    return max((t for row in (table or {}).values() for t in row if t <= net.n_concepts), default=0)
+    return max((t for row in table.values() for t in row if t <= net.n_concepts), default=0)
 
 
 def latches(net, params):

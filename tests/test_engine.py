@@ -61,6 +61,10 @@ def test_default_params_are_valid():
         (dict(w_ff=float("inf")), "w_ff is not finite"),
         (dict(w_lat=float("nan")), "w_lat is not finite"),
         (dict(w_err=float("-inf")), "w_err is not finite"),
+        (dict(w_ff=0.5, w_self=-0.5, w_err=-0.2, theta=-1.0), "^w_err < 0$"),
+        # w_err < 0 is checked last, so a set with another fault keeps its message
+        (dict(w_ff=0.5, w_self=-0.5, w_err=-0.2, theta=-1.0, max_sweeps=0), "^max_sweeps < 1$"),
+        (dict(w_ff=0.5, w_self=-0.5, w_err=-0.2, theta=-1.0, w_lat=-0.1), "^w_lat < 0$"),
     ],
 )
 def test_bad_params_name_the_inequality(net, kwargs, message):
@@ -188,6 +192,15 @@ def test_apply_clamp_rejects_non_bottom_and_unknown(net, ids):
         eng.apply_clamp({99: 1})
     with pytest.raises(ValueError):
         eng.apply_clamp({ids["looking"]: 2})
+
+
+@pytest.mark.parametrize("call", [
+    lambda net: Engine(net, PARAMS).apply_clamp({"looking": 1}),
+    lambda net: run_scenario(net, PARAMS, [({"looking": 1}, None)]),
+], ids=["apply_clamp", "run_scenario"])
+def test_a_clamp_key_that_is_not_an_int_is_unknown(net, call):
+    with pytest.raises(UnknownConcept, match="^no concept with id 'looking'$"):
+        call(net)
 
 
 @pytest.mark.parametrize("value", [True, 1.0, False, 0.0])

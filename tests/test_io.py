@@ -199,6 +199,28 @@ def test_every_format_rejects_non_finite_literals(net):
         parse_scenario_file('{"phases": [{"clamp": {"looking": Infinity}, "hold": 1}]}', net)
 
 
+#: per format, a file whose one fault is a repeated key, and that key
+REPEATED_KEYS = {
+    "network": ('{"concepts": [{"name": "a", "layer": 0, "layer": 1, "patterns": []}]}', "layer"),
+    "scenario": ('{"phases": [{"clamp": {"looking": 1, "looking": 0}, "hold": "converge"}]}', "looking"),
+    "params": ('{"w_err": 1.2, "w_err": -5}', "w_err"),
+}
+
+
+@pytest.mark.parametrize("fmt", REPEATED_KEYS)
+def test_a_repeated_key_is_a_parse_error_in_every_format(net, fmt):
+    """A later value for a key never silently replaces an earlier one."""
+    text, key = REPEATED_KEYS[fmt]
+    parse = {"network": parse_network_file, "scenario": lambda t: parse_scenario_file(t, net), "params": parse_params}
+    with pytest.raises(ParseError, match=rf"^duplicate key '{key}'$"):
+        parse[fmt](text)
+
+
+def test_json_objects_keep_their_key_order():
+    obj = io._load_json('{"b": 1, "a": {"d": 2, "c": 3}, "c": []}')
+    assert list(obj) == ["b", "a", "c"] and list(obj["a"]) == ["d", "c"]
+
+
 def test_params_round_trip():
     params = EngineParams(w_lat=0.25, max_sweeps=7, error_routing=ErrorRouting.ALL_GLOBAL)
     assert parse_params(serialize_params(params)) == params

@@ -218,6 +218,21 @@ def test_element_parents_unknown(net):
         element_parents(net, 99)
 
 
+@pytest.mark.parametrize("call, cid", [
+    (element_parents, "salty"),
+    (lambda net, cid: net.layer(cid), "salt"),
+    (lambda net, cid: net.name(cid), 1.5),
+], ids=["element_parents", "layer", "name"])
+def test_a_concept_id_that_is_not_an_int_is_unknown(net, call, cid):
+    with pytest.raises(UnknownConcept, match=rf"^no concept with id {cid!r}$"):
+        call(net, cid)
+
+
+def test_bool_concept_ids_read_as_ints(net):
+    assert (net.name(True), net.layer(False)) == (net.names[1], 0)
+    assert element_parents(net, True) == element_parents(net, 1)
+
+
 @pytest.mark.parametrize("seed", range(10))
 def test_parent_index_round_trip(seed):
     """parent_index is exactly the inverse of pattern membership."""

@@ -65,6 +65,19 @@ def test_locally_consistent_rejects_bottom_and_unknown(net, ids):
         interpretation_consistent(net, set(), {ids["salt"]})
 
 
+@pytest.mark.parametrize("call", [
+    lambda net, ids: enumerate_interpretations(net, {"looking"}),
+    lambda net, ids: oracle_verdicts(net, {"looking"}),
+    lambda net, ids: interpretation_consistent(net, {"sugar"}, set()),
+    # sorted cannot order a str among ints
+    lambda net, ids: interpretation_consistent(net, {ids["salt"], "sugar"}, set()),
+    lambda net, ids: interpretation_consistent(net, set(), {ids["white"], "looking"}),
+], ids=["enumerate", "oracle_verdicts", "inferred", "inferred_mixed", "clamped_mixed"])
+def test_a_concept_id_that_is_not_an_int_is_unknown(net, ids, call):
+    with pytest.raises(UnknownConcept, match="^no concept with id '(looking|sugar)'$"):
+        call(net, ids)
+
+
 def test_unexpected_elements_examples(net, ids):
     salt = interp(net, "salt")
     assert interpretation_consistent(net, salt, {ids["looking"], ids["white"]}).unexpected == frozenset()

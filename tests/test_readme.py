@@ -1,0 +1,28 @@
+"""The README's library example runs as printed."""
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import conceptsim
+
+SRC = Path(conceptsim.__file__).resolve().parents[1]
+REPO = SRC.parent
+
+
+def test_readme_library_example_prints_its_result_comments():
+    """The README's one python block, run from the repo root in a child
+    process as a reader would run it, prints what its result comments say."""
+    readme = (REPO / "README.md").read_text(encoding="utf-8")
+    [code] = re.findall(r"```python\n(.*?)```", readme, re.S)
+    # each "# <output> — <gloss>" line states what the print above it writes
+    expected = [line[2:].split(" — ")[0] for line in code.splitlines() if line.startswith("# ")]
+    assert expected == ["{'salt': 'Inferred', 'sugar': 'Inactive'}", "False ((0, frozenset({3})),)"]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], cwd=REPO, env=env,
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert proc.stdout.splitlines() == expected
