@@ -19,7 +19,7 @@ from enum import Enum
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .errors import BadParams, NonBottomClamp, TooLarge
+from .errors import BadParams, TooLarge
 from .model import DEFAULT_TAU, ConceptId, ValidatedNetwork, _at_least, _bit_bytes, _bits, _bottom_planes, _ids, _reach
 
 
@@ -345,21 +345,23 @@ class Engine:
     @property
     def clamp(self) -> Mapping[ConceptId, int]:
         """The current clamp, read-only. Assigning a mapping replaces it for
-        the next sweep, unchecked and within the phase; apply_clamp checks a
-        clamp and opens a phase."""
+        the next sweep, within the phase; apply_clamp also opens a phase.
+        Both refuse, leaving the engine as it was, the first entry whose key
+        is not a layer-0 concept id or whose value is not the int 0 or 1."""
         return MappingProxyType(self._clamp)
 
     @clamp.setter
     def clamp(self, clamp: Mapping[ConceptId, int]) -> None:
-        self._clamp = clamp = dict(clamp)
-        # layer 0 as the clamp sets it: a 1 per truthy entry on a concept id,
-        # kept on layer 0; unclamped units are 0, and any other key adds nothing
-        n = self.net.n_concepts
-        values = bytearray(n)
+        clamp = dict(clamp)
+        net = self.net
+        # layer 0 as the clamp sets it; unclamped units are 0
+        values = bytearray(net.n_concepts)
         for e, value in clamp.items():
-            if value and isinstance(e, int) and 0 <= e < n:
-                values[e] = 1
-        self._clamp_bits = _bits(values) & self.net.layer_mask[0]
+            net._check_clamped(e)
+            if type(value) is not int or value not in (0, 1):
+                raise ValueError(f"clamp value for {net.names[e]!r} must be 0 or 1")
+            values[e] = value
+        self._clamp, self._clamp_bits = clamp, _bits(values)
 
     def snapshot(self) -> Snapshot:
         return Snapshot(self.active, self.omitted, self.committed, self.latched, self.net.n_concepts)
@@ -369,15 +371,9 @@ class Engine:
 
         Clamped layer-0 units take their clamp value immediately; unclamped
         layer-0 units fall to 0. Higher layers keep their activation until
-        sweeps run.
+        sweeps run. A clamp is refused as assigning clamp refuses it.
         """
         net = self.net
-        for cid, value in clamp.items():
-            net._check(cid)
-            if net.layer_of[cid] != 0:
-                raise NonBottomClamp(f"{net.name(cid)!r} is not a layer-0 concept")
-            if type(value) is not int or value not in (0, 1):
-                raise ValueError(f"clamp value for {net.name(cid)!r} must be 0 or 1")
         self.clamp = clamp
         self.omitted = self.committed = self.latched = 0
         self.routed = [0] * net.n_concepts
@@ -475,13 +471,15 @@ class Engine:
     def run_fixed_sweeps(self, count: int) -> tuple[tuple[Snapshot, ...], Termination, int | None]:
         """Run exactly `count` sweeps, labelling how the segment ended.
 
-        A count below 1 raises ValueError, and one above params.max_sweeps
-        TooLarge, before any sweep runs.
+        A bool, a non-int or a count below 1 raises ValueError, and one
+        above params.max_sweeps TooLarge, before any sweep runs.
         """
         self._check_hold(count)
         return self._run(count, stop=False)
 
     def _check_hold(self, count: int) -> None:
+        if type(count) is not int:
+            raise ValueError(f"a hold of {count!r} sweeps is not an int")
         if count < 1:
             raise ValueError(f"a hold of {count} sweeps is below 1")
         if count > self.params.max_sweeps:
@@ -524,8 +522,8 @@ def run_scenario(
 ) -> Trace:
     """Run an ordered list of (clamp, hold) phases; hold None means run to convergence.
 
-    A hold below 1 raises ValueError, and one above params.max_sweeps
-    TooLarge, before the first phase runs.
+    A bool, a non-int or a hold below 1 raises ValueError, and one above
+    params.max_sweeps TooLarge, before the first phase runs.
     """
     engine = Engine(net, params)
     phases = list(phases)
@@ -649,7 +647,9 @@ def _clamp_planes(net: ValidatedNetwork, params: EngineParams, planes: list[int]
         active plane changed ends the run without recomputing them.
 
     Returns, per case, the inferred set of a run that reached a fixed point,
-    as a bitmask over concept ids, and None for a run that did not.
+    as a bitmask over concept ids, and None for a run that did not. The sets
+    are read off in one pass over each non-bottom concept's active plane,
+    which ORs its bit into every case where it is active.
     """
     cases = 1 << len(net.bottom)
     ones = (1 << cases) - 1
@@ -789,18 +789,13 @@ def _clamp_planes(net: ValidatedNetwork, params: EngineParams, planes: list[int]
             break
         seen.add(state)
 
-    nb = net.non_bottom
-    masks: dict[tuple[int, ...], int] = {}
-    out: list[int | None] = []
-    # per case: whether it still changed, then each non-bottom concept's value
-    for bits in zip(_bit_bytes(changed, cases), *(_bit_bytes(active[c], cases) for c in nb)):
-        if bits[0]:
-            out.append(None)
-            continue
-        inferred = masks.get(bits)
-        if inferred is None:
-            inferred = masks[bits] = sum(1 << c for c, bit in zip(nb, bits[1:]) if bit)
-        out.append(inferred)
+    out: list[int | None] = [0] * cases
+    for c in net.non_bottom:
+        bit = 1 << c
+        for case in _ids(active[c]):
+            out[case] |= bit
+    for case in _ids(changed):
+        out[case] = None
     return out
 
 
@@ -838,9 +833,11 @@ def compare_with_oracle(
     Both sides take all 2^b clamps at once, bit-sliced: the runs advance
     together (_clamp_planes), and the oracle's one search (oracle._search)
     decides each layer for every clamp in one pass. A clamp whose run has not
-    reached a fixed point there is rerun on one Engine, reset before each,
-    which gives its exact termination. Nets the oracle refuses are refused
-    before either plane run.
+    reached a fixed point there is rerun alone through run_scenario, which
+    gives its exact termination. One pass over the cases then builds them,
+    with one memo: each distinct (inferred, *family) outcome is classified,
+    and its sets built, once. Nets the oracle refuses are refused before
+    either plane run.
     """
     from . import oracle  # only compare needs it; a module, so patched attributes are seen
 
@@ -855,11 +852,6 @@ def compare_with_oracle(
     planes = _bottom_planes(net)
     families = oracle._search(net, dict(zip(bottom, planes)), 1 << len(bottom), params.tau)
     settled = _clamp_planes(net, params, planes)
-    engine: Engine | None = None
-    # per distinct family: its maximal members, as bitmasks and as frozensets
-    tops: dict[tuple[int, ...], tuple[list[int], tuple[frozenset[ConceptId], ...]]] = {}
-    # per distinct inferred bitmask: its frozenset
-    sets: dict[int | None, frozenset[ConceptId] | None] = {None: None}
     # per distinct (inferred, *family): the inferred set, Agreement and maximal sets
     outcomes: dict[tuple[int | None, ...], tuple] = {}
     cases: list[CaseResult] = []
@@ -872,22 +864,18 @@ def compare_with_oracle(
     for clamped, family, inferred in zip(clamps, families, settled):
         termination = Termination.FIXED_POINT
         if inferred is None:
-            engine = engine or Engine(net, params)
-            engine.reset()
-            engine.apply_clamp({e: 1 for e in sorted(clamped)})
-            snaps, termination, _ = engine.run_to_fixed_point()
+            [phase] = run_scenario(net, params, [(dict.fromkeys(sorted(clamped), 1), None)]).phases
+            termination = phase.termination
             if termination is Termination.FIXED_POINT:
-                inferred = snaps[-1].active & net.non_bottom_mask
+                inferred = phase.snapshots[-1].active & net.non_bottom_mask
         key = (inferred, *family)
         outcome = outcomes.get(key)
         if outcome is None:
-            members = key[1:]
-            if members not in tops:
-                top = oracle._maximal(family)
-                tops[members] = top, tuple(frozenset(_ids(s)) for s in top)
-            top, maximal = tops[members]
-            if inferred not in sets:
-                sets[inferred] = frozenset(_ids(inferred))
-            outcome = outcomes[key] = sets[inferred], _classify(inferred, family, top), maximal
+            top = oracle._maximal(family)
+            outcome = outcomes[key] = (
+                None if inferred is None else frozenset(_ids(inferred)),
+                _classify(inferred, family, top),
+                tuple(frozenset(_ids(s)) for s in top),
+            )
         cases.append(CaseResult(clamped, termination, *outcome))
     return AgreementReport(tuple(cases))

@@ -29,6 +29,7 @@ from .errors import (
     DuplicatePattern,
     EmptyPattern,
     LayerViolation,
+    NonBottomClamp,
     NonBottomWithoutPatterns,
     UnknownConcept,
     ValidationError,
@@ -276,6 +277,13 @@ class ValidatedNetwork:
     def _check(self, cid: ConceptId) -> None:
         if not isinstance(cid, int) or not 0 <= cid < self.n_concepts:
             raise UnknownConcept(f"no concept with id {cid!r}")
+
+    def _check_clamped(self, cid: ConceptId) -> None:
+        """Refuse a clamp key: UnknownConcept for an id that is not a
+        concept's, NonBottomClamp for one above layer 0."""
+        self._check(cid)
+        if self.layer_of[cid]:
+            raise NonBottomClamp(f"{self.names[cid]!r} is not a layer-0 concept")
 
 
 def pattern_state(

@@ -31,9 +31,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import AbstractSet, Iterable, Mapping
+from typing import AbstractSet, Mapping
 
-from .errors import BottomConcept, NonBottomClamp, TooLarge
+from .errors import BottomConcept, TooLarge
 from .model import DEFAULT_TAU, ConceptId, ValidatedNetwork, _ids, _reach, pattern_state
 
 #: Refuse to enumerate beyond this many non-bottom concepts (up to 2^k choices).
@@ -115,7 +115,8 @@ def interpretation_consistent(
         per[c] = ConceptCheck(complete, tuple(violated))
     for e in active:  # the clamped ids, before layer_of is indexed by them
         net._check(e)
-    _check_bottom(net, sorted(clamped))
+    for e in sorted(clamped):
+        net._check_clamped(e)
     top = net.max_layer
     unexpected = frozenset(e for e in active if net.layer_of[e] < top and e not in explained)
     return ConsistencyReport(
@@ -124,14 +125,6 @@ def interpretation_consistent(
         per_concept=per,
         unexpected=unexpected,
     )
-
-
-def _check_bottom(net: ValidatedNetwork, clamped: Iterable[ConceptId]) -> None:
-    """Refuse the first clamped id, in the order given, that is not a concept
-    or lies above layer 0."""
-    for e in clamped:
-        if net.layer(e) != 0:
-            raise NonBottomClamp(f"{net.name(e)!r} is not a layer-0 concept")
 
 
 def _check_enumerable(net: ValidatedNetwork) -> None:
@@ -280,7 +273,8 @@ def enumerate_interpretations(
     rule gives.
     """
     _check_enumerable(net)
-    _check_bottom(net, clamped)
+    for e in clamped:
+        net._check_clamped(e)
     found = sorted(_search(net, dict.fromkeys(clamped, 1), 1, tau)[0], key=_order)
     maximal = set(_maximal(found))
     return [

@@ -17,7 +17,7 @@ from conceptsim import (
 )
 from conceptsim import engine, oracle
 from conceptsim.errors import TooLarge
-from conceptsim.model import _bottom_planes, _ids
+from conceptsim.model import _PEEL_MAX, _bottom_planes, _ids
 
 from conftest import AMBIGUOUS_SPEC, DATA_DIR
 from netgen import random_network, shuffled_network, synth_network
@@ -196,19 +196,29 @@ def test_compare_makes_no_per_clamp_oracle_call(monkeypatch, network):
 
 def test_only_unsettled_clamps_run_on_the_engine(monkeypatch, net):
     """The planes settle every clamp that reaches a fixed point; Engine runs
-    only the others, here the 31 clamps still changing after one sweep."""
+    only the others, here the 31 clamps still changing after one sweep, each
+    alone through run_scenario as one phase run to convergence."""
     runs = []
     real_run = Engine.run_to_fixed_point
+    scenarios = []
+    real_scenario = engine.run_scenario
 
     def counted(self):
         runs.append(1)
         return real_run(self)
 
+    def recorded(net, params, phases):
+        scenarios.append(phases)
+        return real_scenario(net, params, phases)
+
     monkeypatch.setattr(Engine, "run_to_fixed_point", counted)
+    monkeypatch.setattr(engine, "run_scenario", recorded)
     compare_with_oracle(net)
-    assert runs == []
+    assert runs == scenarios == []
     report = compare_with_oracle(net, EngineParams(max_sweeps=1))
-    assert len(runs) == sum(c.termination is not Termination.FIXED_POINT for c in report.cases) == 31
+    unsettled = [c for c in report.cases if c.termination is not Termination.FIXED_POINT]
+    assert len(runs) == len(unsettled) == 31
+    assert scenarios == [[(dict.fromkeys(sorted(c.clamp), 1), None)] for c in unsettled]
 
 
 #: theta < 0 and a negative self-input: some clamps of netgen 3 and
@@ -225,7 +235,7 @@ def test_plane_run_stops_when_the_planes_recur(monkeypatch, network):
     recurring state of all planes, not at max_sweeps: it does the same work
     under max_sweeps 64 and 128, counted in calls of engine._at_least, which
     every plane sweep that changes an activation makes. The cycling clamps
-    are then rerun on Engine."""
+    are then rerun through run_scenario."""
     net = network()
     calls = []
     real = engine._at_least
@@ -240,6 +250,34 @@ def test_plane_run_stops_when_the_planes_recur(monkeypatch, network):
     report = compare_with_oracle(net, CYCLING_PARAMS)
     assert report.cases == compare_reference(net, CYCLING_PARAMS).cases
     assert {c.termination for c in report.cases} == {Termination.FIXED_POINT, Termination.CYCLE}
+
+
+@pytest.mark.parametrize("params", [EngineParams(), CYCLING_PARAMS], ids=["defaults", "cycling"])
+def test_compare_on_wide_planes_matches_the_reference(params):
+    """On 10 layer-0 concepts, 1024 cases, every CaseResult is the
+    reference's; under CYCLING_PARAMS one clamp never settles and is rerun."""
+    net = synth_network((10, 4, 2), 0)
+    report = compare_with_oracle(net, params)
+    assert report.cases == compare_reference(net, params).cases
+    unsettled = sum(c.termination is not Termination.FIXED_POINT for c in report.cases)
+    assert unsettled == (params is CYCLING_PARAMS)
+
+
+def test_dense_planes_are_read_off_exactly():
+    """Each of 10 layer-0 concepts is the one element of one layer-1
+    concept's only pattern, and with w_lat 0 nothing competes: each layer-1
+    concept is inferred in the 512 cases that clamp its element, a plane
+    dense enough that _ids scans its base-2 string."""
+    concepts = [ConceptSpec(f"e{i}", 0) for i in range(10)]
+    concepts += [ConceptSpec(f"c{i}", 1, ((f"e{i}",),)) for i in range(10)]
+    net = validate_network(NetworkSpec(tuple(concepts)))
+    params = EngineParams(w_lat=0)
+    report = compare_with_oracle(net, params)
+    assert report.cases == compare_reference(net, params).cases
+    for case in report.cases:
+        assert case.inferred == frozenset(c + 10 for c in case.clamp)
+    # so each layer-1 plane has 512 set bits, more than _ids peels one by one
+    assert 512 > _PEEL_MAX
 
 
 def plane_states(net, params):
@@ -447,39 +485,6 @@ def test_each_distinct_outcome_is_classified_once(monkeypatch, network):
     }
     assert set(calls) == pairs
     assert len(calls) == len(pairs) < len(report.cases)
-
-
-@pytest.mark.parametrize("network", [
-    pytest.param(lambda: shipped("caramel.json"), id="caramel"),
-    pytest.param(lambda: synth_network((7, 5, 3), 0), id="synth-7/5/3"),
-])
-def test_each_family_and_inferred_set_is_built_once(monkeypatch, network):
-    """compare finds the maximal sets of each distinct family once, not once
-    per inferred set that meets it: the cases of one family share one tuple
-    of maximal sets, and the cases of one inferred set share one frozenset."""
-    net = network()
-    families = []
-    real = oracle._maximal
-
-    def counted(family):
-        families.append(frozenset(family))
-        return real(family)
-
-    monkeypatch.setattr(oracle, "_maximal", counted)
-    report = compare_with_oracle(net)
-    monkeypatch.undo()
-    assert report.cases == compare_reference(net, EngineParams()).cases
-    assert len(families) == len(set(families))
-    distinct = {
-        frozenset(mask_of(r.interpretation) for r in enumerate_interpretations(net, case.clamp))
-        for case in report.cases
-    }
-    assert set(families) == distinct
-    pairs = {(case.inferred, case.maximal) for case in report.cases}
-    assert len(families) < len(pairs)
-    inferred = {case.inferred for case in report.cases}
-    assert len({id(case.inferred) for case in report.cases}) == len(inferred)
-    assert len({id(case.maximal) for case in report.cases}) == len(families)
 
 
 def test_several_maximal_sets_keep_the_oracle_order():

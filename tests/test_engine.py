@@ -136,19 +136,54 @@ def test_clamp_assigned_between_sweeps_is_read_by_the_next_sweep(net, ids):
 @pytest.mark.parametrize("make", [random_network, shuffled_network])
 @pytest.mark.parametrize("seed", range(10))
 def test_assigned_clamp_sets_only_truthy_layer_zero_entries(make, seed):
-    """The clamp's layer-0 mask, built from its entries, is the one a walk of
-    layer 0 gives: a truthy entry on a layer-0 id sets it, and a 0 or False
-    value, a non-bottom id, an id out of range, a negative id or a non-int key
-    sets nothing. Some shuffled nets end on a layer-0 id, where a negative
-    index would land."""
+    """Assigning clamp refuses exactly what apply_clamp refuses, with the
+    same error: the first entry, in order, whose key is not a concept id
+    (UnknownConcept) or lies above layer 0 (NonBottomClamp), or whose value
+    is not the int 0 or 1 (ValueError). A refused assignment leaves the
+    clamp as it was; an accepted one sets the layer-0 ids whose value is 1.
+    Some shuffled nets end on a layer-0 id, where a negative index would
+    land."""
     net = make(seed)
     rng = random.Random(seed)
-    eng = Engine(net, PARAMS)
     keys = [*range(-2, net.n_concepts + 3), True, "a", None]
-    for _ in range(20):
-        clamp = {k: rng.choice([0, 1, 2, False, True, "x", ""]) for k in rng.sample(keys, rng.randint(0, len(keys)))}
-        eng.clamp = clamp
-        assert eng._clamp_bits == sum(1 << e for e in net.bottom if clamp.get(e))
+    values = [0, 1, 2, False, True, "x", ""]
+    refused = 0
+    for _ in range(40):
+        # half the draws keep to layer-0 ids, and most values are 0 or 1,
+        # so some clamps pass
+        pool = keys if rng.random() < 0.5 else list(net.bottom)
+        clamp = {
+            k: rng.choice(values) if rng.random() < 0.2 else rng.randint(0, 1)
+            for k in rng.sample(pool, rng.randint(0, min(4, len(pool))))
+        }
+        errors = []
+        for assign in (lambda eng: setattr(eng, "clamp", clamp), lambda eng: eng.apply_clamp(clamp)):
+            eng = Engine(net, PARAMS)
+            eng.clamp = {net.bottom[0]: 1}
+            try:
+                assign(eng)
+            except Exception as exc:
+                errors.append((type(exc), str(exc)))
+                assert eng.clamp == {net.bottom[0]: 1} and eng._clamp_bits == 1 << net.bottom[0]
+            else:
+                errors.append(None)
+                assert eng.clamp == clamp
+                assert eng._clamp_bits == sum(1 << e for e in net.bottom if clamp.get(e))
+        assert errors[0] == errors[1] == first_clamp_error(net, clamp)
+        refused += errors[0] is not None
+    assert 0 < refused < 40
+
+
+def first_clamp_error(net, clamp):
+    """The error a clamp is refused with, checked entry by entry as stated."""
+    for key, value in clamp.items():
+        if not isinstance(key, int) or not 0 <= key < net.n_concepts:
+            return UnknownConcept, f"no concept with id {key!r}"
+        if net.layer_of[key] != 0:
+            return NonBottomClamp, f"{net.names[key]!r} is not a layer-0 concept"
+        if type(value) is not int or value not in (0, 1):
+            return ValueError, f"clamp value for {net.names[key]!r} must be 0 or 1"
+    return None
 
 
 # --- clamping ---
@@ -185,19 +220,27 @@ def test_apply_clamp_clears_latches_and_errors(net, ids):
 
 
 def test_apply_clamp_rejects_non_bottom_and_unknown(net, ids):
+    """apply_clamp and an assigned clamp refuse the same entries; neither
+    drops an entry or reads a value of 7 as 1."""
     eng = Engine(net, PARAMS)
-    with pytest.raises(NonBottomClamp):
-        eng.apply_clamp({ids["salt"]: 1})
-    with pytest.raises(UnknownConcept):
-        eng.apply_clamp({99: 1})
-    with pytest.raises(ValueError):
-        eng.apply_clamp({ids["looking"]: 2})
+    for clamp, error in [
+        ({ids["salt"]: 1}, NonBottomClamp),
+        ({99: 1}, UnknownConcept),
+        ({ids["looking"]: 2}, ValueError),
+        ({ids["looking"]: 1, ids["white"]: 7}, ValueError),
+    ]:
+        with pytest.raises(error):
+            eng.apply_clamp(clamp)
+        with pytest.raises(error):
+            eng.clamp = clamp
+    assert eng.clamp == {}
 
 
 @pytest.mark.parametrize("call", [
     lambda net: Engine(net, PARAMS).apply_clamp({"looking": 1}),
     lambda net: run_scenario(net, PARAMS, [({"looking": 1}, None)]),
-], ids=["apply_clamp", "run_scenario"])
+    lambda net: setattr(Engine(net, PARAMS), "clamp", {"looking": 1}),
+], ids=["apply_clamp", "run_scenario", "assigned"])
 def test_a_clamp_key_that_is_not_an_int_is_unknown(net, call):
     with pytest.raises(UnknownConcept, match="^no concept with id 'looking'$"):
         call(net)
@@ -384,14 +427,17 @@ def test_a_hold_beyond_max_sweeps_raises_before_any_sweep(net, ids):
     assert len(snaps) == 3
 
 
-@pytest.mark.parametrize("count", [0, -3])
+@pytest.mark.parametrize("count", [0, -3, True, 2.0])
 def test_a_hold_below_one_raises_before_any_sweep(net, ids, count):
+    """A hold below 1, or one that is not an int (a bool is not), is refused."""
+    message = f"a hold of {count!r} sweeps is {'below 1' if type(count) is int else 'not an int'}"
     eng = Engine(net, PARAMS)
     eng.apply_clamp({ids["looking"]: 1, ids["white"]: 1, ids["tasting"]: 1})
     eng.run_fixed_sweeps(1)
     before = (eng.snapshot(), list(eng.routed), dict(eng.clamp))
-    with pytest.raises(ValueError, match=f"^a hold of {count} sweeps is below 1$"):
+    with pytest.raises(ValueError) as refused:
         eng.run_fixed_sweeps(count)
+    assert str(refused.value) == message
     assert (eng.snapshot(), eng.routed, dict(eng.clamp)) == before
     assert eng.state == before[0]
 
@@ -421,6 +467,12 @@ def test_every_hold_is_checked_before_the_first_phase(monkeypatch, net, ids):
     assert sweeps == []
     with pytest.raises(ValueError, match="^a hold of 0 sweeps is below 1$"):
         run_scenario(net, PARAMS, [(clamp, None), (clamp, 0)])
+    assert sweeps == []
+    with pytest.raises(ValueError, match="^a hold of True sweeps is not an int$"):
+        run_scenario(net, PARAMS, [(clamp, None), (clamp, True)])
+    assert sweeps == []
+    with pytest.raises(ValueError, match="^a hold of 2.0 sweeps is not an int$"):
+        run_scenario(net, PARAMS, [(clamp, None), (clamp, 2.0)])
     assert sweeps == []
     run_scenario(net, PARAMS, [(clamp, None), (clamp, 2)])
     assert sweeps  # the counter sees the sweeps of a scenario that runs
