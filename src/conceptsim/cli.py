@@ -204,7 +204,7 @@ def cmd_compare(args) -> int:
     params = _load_params(args.params)
     report = compare_with_oracle(net, params)
     result = {
-        "cases": len(report.cases),
+        "cases": sum(map(report.count, Agreement)),
         "agree": report.count(Agreement.AGREE),
         "tie_selected": report.count(Agreement.TIE_SELECTED),
         "disagree": report.count(Agreement.DISAGREE),

@@ -16,8 +16,9 @@ import math
 import numbers
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from types import MappingProxyType
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import BadParams, TooLarge
 from .model import DEFAULT_TAU, ConceptId, ValidatedNetwork, _at_least, _bit_bytes, _bits, _bottom_planes, _ids, _reach
@@ -600,23 +601,42 @@ class CaseResult:
     maximal: tuple[frozenset[ConceptId], ...]
 
 
-@dataclass(frozen=True)
 class AgreementReport:
-    cases: tuple[CaseResult, ...]
+    """The cases of one compare, case i the clamp of bit j of i on net.bottom[j].
+
+    Held per Agreement as a plane, an int whose bit i stands for case i, so
+    count is a popcount. build(plane) builds the CaseResults of a plane's
+    cases in case order, only when read: disagreements builds the DISAGREE
+    ones, and cases all, once. AgreementReport(cases) wraps built cases.
+    """
+
+    def __init__(self, cases: Sequence[CaseResult] = (), kinds: dict | None = None, build: Callable | None = None):
+        if build is None:
+            built = self.__dict__["cases"] = tuple(cases)
+            kinds = {kind: _bits([case.classification is kind for case in built]) for kind in Agreement}
+            build = lambda within: [built[i] for i in _ids(within)]
+        self._kinds, self._build = kinds, build
 
     def count(self, kind: Agreement) -> int:
-        return sum(1 for c in self.cases if c.classification is kind)
+        return self._kinds[kind].bit_count()
 
     @property
     def disagreements(self) -> tuple[CaseResult, ...]:
-        return tuple(c for c in self.cases if c.classification is Agreement.DISAGREE)
+        return tuple(self._build(self._kinds[Agreement.DISAGREE]))
+
+    @cached_property
+    def cases(self) -> tuple[CaseResult, ...]:
+        return tuple(self._build(sum(self._kinds.values())))  # the planes are disjoint
+
+    def __eq__(self, other: object) -> bool:
+        return self.cases == other.cases if isinstance(other, AgreementReport) else NotImplemented
 
 
 #: Refuse to sweep clamp subsets beyond this many layer-0 concepts.
 COMPARE_BOTTOM_LIMIT = 16
 
 
-def _clamp_planes(net: ValidatedNetwork, params: EngineParams, planes: list[int]) -> list[int | None]:
+def _clamp_planes(net: ValidatedNetwork, params: EngineParams, planes: list[int]) -> tuple[list[int], int, int]:
     """Run the clamps of compare_with_oracle all at once, bit-sliced.
 
     Each unit value is one int, a plane, whose bit i is its value under case
@@ -627,8 +647,10 @@ def _clamp_planes(net: ValidatedNetwork, params: EngineParams, planes: list[int]
     as one-hot planes, kept current in id order and from sweep to sweep, and
     the routed count as planes of "at least t" up to the table's largest
     threshold, or 1, which the latch test needs. Runs stop when no case
-    changed its Snapshot, at max_sweeps, or when the planes recur: a case
-    that did not change stays fixed, since routed is a function of active.
+    changed its Snapshot, at max_sweeps, or when the planes recur: the state
+    of a case is its active and latched bits, since the rest is a function
+    of them, so a case that did not change stays fixed, and one still
+    changing when every plane recurs is in a cycle.
 
     A sweep does only the work that can change a plane, by three exact rules:
       - A unit is visited only if it is active in some case, or unlatched in
@@ -646,10 +668,9 @@ def _clamp_planes(net: ValidatedNetwork, params: EngineParams, planes: list[int]
         and a unit latches only as it turns off, so a sweep in which no
         active plane changed ends the run without recomputing them.
 
-    Returns, per case, the inferred set of a run that reached a fixed point,
-    as a bitmask over concept ids, and None for a run that did not. The sets
-    are read off in one pass over each non-bottom concept's active plane,
-    which ORs its bit into every case where it is active.
+    Returns the final active planes by concept id, then the cases in a
+    cycle, found when the planes recur, and those still changing at
+    max_sweeps, two planes of which one is 0.
     """
     cases = 1 << len(net.bottom)
     ones = (1 << cases) - 1
@@ -687,7 +708,7 @@ def _clamp_planes(net: ValidatedNetwork, params: EngineParams, planes: list[int]
     # per concept, the entry of moved its patterns were last read at, and per
     # element the cases where one of its patterns holding it applies
     spans: list[tuple[int | None, dict[ConceptId, int]]] = [(None, {})] * n
-    seen: set[int] = set()
+    seen: set[tuple[int, ...]] = set()
     changed = ones
     for sweep in range(params.max_sweeps):
         changed = 0
@@ -783,35 +804,23 @@ def _clamp_planes(net: ValidatedNetwork, params: EngineParams, planes: list[int]
 
         if not changed:
             break
-        state = hash((*active, *latched))
+        # the states themselves, not their hashes: an int hashes to its value
+        # mod 2^61 - 1, so planes of 64 cases or more can hash equal and differ
+        state = (*active, *latched)
         if state in seen:
-            # every case that still changes is in a cycle
-            break
+            # the planes recur, so every case that still changes is in a cycle
+            return active, changed, 0
         seen.add(state)
 
-    out: list[int | None] = [0] * cases
-    for c in net.non_bottom:
-        bit = 1 << c
-        for case in _ids(active[c]):
-            out[case] |= bit
-    for case in _ids(changed):
-        out[case] = None
-    return out
+    return active, 0, changed
 
 
-def _classify(inferred: int | None, family: list[int], top: list[int]) -> Agreement:
-    """The Agreement of one inferred set (None if the run did not converge)
-    with family, the consistent interpretations of its clamp, whose maximal
-    members are top; all as bitmasks."""
-    if inferred is None:
-        return Agreement.DISAGREE
-    if inferred in top or not family and not inferred:
-        return Agreement.AGREE
-    if any(inferred | s == s for s in family):
-        # a subset of some consistent set, and not a maximal one itself,
-        # so a strict subset of a consistent set
-        return Agreement.TIE_SELECTED
-    return Agreement.DISAGREE
+def _refine(groups: dict, part: dict) -> dict:
+    """Split groups of cases, planes keyed by what their cases share, by
+    part, planes keyed by a value: key + value holds the cases in both."""
+    return {
+        key + value: both for key, group in groups.items() for value, plane in part.items() if (both := group & plane)
+    }
 
 
 def compare_with_oracle(
@@ -831,13 +840,14 @@ def compare_with_oracle(
       DISAGREE      anything else, including non-convergence
 
     Both sides take all 2^b clamps at once, bit-sliced: the runs advance
-    together (_clamp_planes), and the oracle's one search (oracle._search)
-    decides each layer for every clamp in one pass. A clamp whose run has not
-    reached a fixed point there is rerun alone through run_scenario, which
-    gives its exact termination. One pass over the cases then builds them,
-    with one memo: each distinct (inferred, *family) outcome is classified,
-    and its sets built, once. Nets the oracle refuses are refused before
-    either plane run.
+    together (_clamp_planes), and the oracle's search (oracle._search) gives
+    each consistent interpretation the plane of its clamps. Classifying is
+    plane algebra per distinct inferred set s, with P the plane of its cases
+    and above the cases where a strict superset of s is consistent: AGREE
+    is P where s is consistent and not above, or where nothing is and s is
+    empty, and TIE-SELECTED is P & above. Only a clamp still changing at
+    max_sweeps is rerun, alone through run_scenario, to tell a cycle from the
+    sweep limit. Nets the oracle refuses are refused before either plane run.
     """
     from . import oracle  # only compare needs it; a module, so patched attributes are seen
 
@@ -850,32 +860,50 @@ def compare_with_oracle(
     params.validate()
     oracle._check_enumerable(net)
     planes = _bottom_planes(net)
-    families = oracle._search(net, dict(zip(bottom, planes)), 1 << len(bottom), params.tau)
-    settled = _clamp_planes(net, params, planes)
-    # per distinct (inferred, *family): the inferred set, Agreement and maximal sets
-    outcomes: dict[tuple[int | None, ...], tuple] = {}
-    cases: list[CaseResult] = []
-    # clamp i sets bottom[j] for each bit j of i: the clamps below 2^j, then
-    # each of them with bottom[j] added
-    clamps: list[frozenset[ConceptId]] = [frozenset()]
-    for e in bottom:
-        one = frozenset((e,))
-        clamps += [clamped | one for clamped in clamps]
-    for clamped, family, inferred in zip(clamps, families, settled):
-        termination = Termination.FIXED_POINT
-        if inferred is None:
-            [phase] = run_scenario(net, params, [(dict.fromkeys(sorted(clamped), 1), None)]).phases
-            termination = phase.termination
-            if termination is Termination.FIXED_POINT:
-                inferred = phase.snapshots[-1].active & net.non_bottom_mask
-        key = (inferred, *family)
-        outcome = outcomes.get(key)
-        if outcome is None:
-            top = oracle._maximal(family)
-            outcome = outcomes[key] = (
-                None if inferred is None else frozenset(_ids(inferred)),
-                _classify(inferred, family, top),
-                tuple(frozenset(_ids(s)) for s in top),
-            )
-        cases.append(CaseResult(clamped, termination, *outcome))
-    return AgreementReport(tuple(cases))
+    ones = (1 << (1 << len(bottom))) - 1
+    found = oracle._search(net, dict(zip(bottom, planes)), 1 << len(bottom), params.tau)
+    active, cycle, limit = _clamp_planes(net, params, planes)
+    unsettled = cycle | limit
+    sets = {0: ones ^ unsettled}  # the settled cases by inferred set, a bitmask over ids
+    for c in net.non_bottom:
+        if active[c]:
+            sets = _refine(sets, {1 << c: active[c], 0: ones ^ active[c]})
+    agree = tie = 0
+    for s, plane in sets.items():
+        above = oracle._above(found, s)
+        # where no superset is consistent, s agrees if consistent; the empty
+        # set always does, as the one consistent set or with none consistent
+        agree |= plane & ~above & (found.get(s, 0) if s else ones)
+        tie |= plane & above
+    kinds = {Agreement.AGREE: agree, Agreement.TIE_SELECTED: tie, Agreement.DISAGREE: ones ^ agree ^ tie}
+    for case in _ids(limit):
+        [phase] = run_scenario(net, params, [({e: 1 for j, e in enumerate(bottom) if case >> j & 1}, None)]).phases
+        if phase.termination is Termination.CYCLE:
+            cycle |= 1 << case
+
+    def build(within: int) -> list[CaseResult]:
+        # clamp i sets bottom[j] for each bit j of i: the clamps below 2^j,
+        # then each of them with bottom[j] added
+        clamps: list[frozenset[ConceptId]] = [frozenset()]
+        for e in bottom:
+            one = frozenset((e,))
+            clamps += [clamped | one for clamped in clamps]
+        # the cases by their maximal sets, in the oracle's order
+        maximal = {(): ones}
+        for bits, plane in oracle._maximal(found).items():
+            if plane:
+                maximal = _refine(maximal, {(frozenset(_ids(bits)),): plane, (): ones ^ plane})
+        # the cases of within by outcome: termination, inferred set, Agreement, maximal sets
+        terminations = {Termination.FIXED_POINT: ones ^ unsettled, Termination.CYCLE: cycle}
+        terminations[Termination.SWEEP_LIMIT] = limit & ~cycle
+        inferred = {None: unsettled, **{frozenset(_ids(s)): plane for s, plane in sets.items()}}
+        groups = {(): within}
+        for part in (terminations, inferred, kinds, maximal):
+            groups = _refine(groups, {(value,): plane for value, plane in part.items()})
+        out: list[CaseResult | None] = [None] * len(clamps)
+        for outcome, cases in groups.items():
+            for case in _ids(cases):
+                out[case] = CaseResult(clamps[case], *outcome)
+        return [case for case in out if case]
+
+    return AgreementReport(kinds=kinds, build=build)

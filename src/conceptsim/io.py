@@ -9,7 +9,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-from collections import Counter
 from dataclasses import dataclass, fields
 from enum import Enum
 from io import StringIO
@@ -35,17 +34,35 @@ def _reject_constant(name: str):
 
 
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
-    """A JSON object from its pairs, refusing a key repeated in them."""
+    """A JSON object from its pairs; a key repeated in them raises KeyError,
+    which _load_json reports with where it is."""
     obj = dict(pairs)
     if len(obj) < len(pairs):
-        key = next(key for key, count in Counter(key for key, _ in pairs).items() if count > 1)
-        raise ParseError(f"duplicate key {key!r}")
+        raise KeyError
     return obj
+
+
+def _repeated_key(value, path: str = "$") -> str | None:
+    """Where the first repeated key of a JSON value, objects read as tuples of
+    pairs, is and which: first as json.loads closes objects, inner ones first,
+    so in the object _unique_keys refused."""
+    is_object = isinstance(value, tuple)
+    for key, item in value if is_object else enumerate(value) if isinstance(value, list) else ():
+        if found := _repeated_key(item, f"{path}.{key}" if is_object else f"{path}[{key}]"):
+            return found
+    keys = [key for key, _ in value] if is_object else []
+    repeated = [key for key in keys if keys.count(key) > 1]
+    return f"{path}: duplicate key {repeated[0]!r}" if repeated else None
 
 
 def _load_json(text: str):
     try:
-        return json.loads(text, parse_constant=_reject_constant, object_pairs_hook=_unique_keys)
+        try:
+            return json.loads(text, parse_constant=_reject_constant, object_pairs_hook=_unique_keys)
+        except KeyError:
+            # the error path only: parse again, keeping each object's pairs, to name where
+            pairs = json.loads(text, object_pairs_hook=tuple, parse_int=str, parse_float=str, parse_constant=str)
+            raise ParseError(_repeated_key(pairs)) from None
     except json.JSONDecodeError as e:
         raise ParseError(f"line {e.lineno}, column {e.colno}: {e.msg}") from None
     except ValueError:

@@ -18,19 +18,22 @@ FSE 1997): it decides every layer-L concept for all cases together, with each
 pattern's threshold the exact integer count model.pattern_need(size, tau), so
 the verdicts are those of the Fraction-based pattern_state, and searches the
 layer above once for all the surviving choices, each choice one case there.
-enumerate_interpretations runs it on one case, the clamp; compare runs it on
-all 2^b clamps. Only the survivors get a full ConsistencyReport, built by
-interpretation_consistent: the one statement of the rule, through
-pattern_state, that returns each inferred concept's pattern evidence and the
-unexpected elements, and so the one call that says why an interpretation is or
-is not consistent. Which interpretations are maximal, and in what order they
-are reported, is stated once, by _maximal and _order, for
-enumerate_interpretations and compare alike.
+It returns each consistent interpretation with the plane of the cases it is
+consistent in. enumerate_interpretations runs it on one case, the clamp;
+compare runs it on all 2^b clamps. Only the survivors get a full
+ConsistencyReport, built by interpretation_consistent: the one statement of
+the rule, through pattern_state, that returns each inferred concept's pattern
+evidence and the unexpected elements, and so the one call that says why an
+interpretation is or is not consistent. Which interpretations are maximal,
+and in what order they are reported, is stated once, by _above, _maximal and
+_order, for enumerate_interpretations and compare alike.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import reduce
+from operator import or_
 from typing import AbstractSet, Mapping
 
 from .errors import BottomConcept, TooLarge
@@ -142,14 +145,13 @@ def _search(
     cases: int,
     tau: float,
     layer: int = 1,
-) -> list[list[int]]:
-    """Every consistent choice of concepts on `layer` and above, as bitmasks,
-    for `cases` cases at once.
+) -> dict[int, int]:
+    """Every consistent choice of concepts on `layer` and above, as a bitmask,
+    mapped to the plane of the cases it is consistent in, never 0.
 
     below maps each concept of the layer under `layer` that is active in some
-    case to its plane, a nonzero int whose bit i is set in the cases where it
-    is active. Entry i of the result lists, in no set order, each choice that
-    explains case i's active set one layer down consistently.
+    of the `cases` cases to its plane, a nonzero int whose bit i is set in
+    the cases where it is active.
 
     A layer-L concept is allowed (locally consistent) where some pattern is
     Complete, all its element planes set, and none is applicable but
@@ -161,10 +163,10 @@ def _search(
     is allowed and every active element is covered by a chosen Complete
     pattern or can still be; a branch ends when live is 0. The layer above is
     then searched once for every surviving choice, choice k as its case k, and
-    each choice's completions join the family of every case in its live.
+    each completion of choice k is consistent in the cases of its live.
     """
     if not cases or layer > net.max_layer:
-        return [[0] for _ in range(cases)]  # above the top, nothing is left to explain
+        return {0: (1 << cases) - 1} if cases else {}  # above the top, nothing is left to explain
     ones = (1 << cases) - 1
     needs = net.pattern_needs(tau)
     # per concept allowed in some case: those cases, and per element it
@@ -233,13 +235,13 @@ def _search(
     for k, (chosen, _) in enumerate(choices):
         for c in _ids(chosen):
             up[c] = up.get(c, 0) | 1 << k
-    family: list[list[int]] = [[] for _ in range(cases)]
-    for (chosen, live), above in zip(choices, _search(net, up, len(choices), tau, layer + 1)):
-        if above:
-            completions = [chosen | bits for bits in above]
-            for case in _ids(live):
-                family[case] += completions
-    return family
+    found: dict[int, int] = {}
+    for bits, plane in _search(net, up, len(choices), tau, layer + 1).items():
+        for k in _ids(plane):
+            # choices differ in their chosen concepts, so each completion is met once
+            chosen, live = choices[k]
+            found[chosen | bits] = live
+    return found
 
 
 def _order(bits: int) -> tuple[int, list[int]]:
@@ -247,10 +249,16 @@ def _order(bits: int) -> tuple[int, list[int]]:
     return -bits.bit_count(), _ids(bits)
 
 
-def _maximal(family: list[int]) -> list[int]:
-    """The members of a family of interpretations, as bitmasks, that lie
-    inside no other member, in the oracle's order."""
-    return sorted((s for s in family if not any(s | t == t != s for t in family)), key=_order)
+def _above(found: dict[int, int], bits: int) -> int:
+    """The cases where some strict superset of bits is consistent, found
+    mapping each consistent interpretation to the plane of its cases."""
+    return reduce(or_, (cases for t, cases in found.items() if t | bits == t != bits), 0)
+
+
+def _maximal(found: dict[int, int]) -> dict[int, int]:
+    """Per consistent interpretation, in the oracle's order, the cases where
+    it is maximal: where it is consistent and no strict superset is."""
+    return {bits: found[bits] & ~_above(found, bits) for bits in sorted(found, key=_order)}
 
 
 def enumerate_interpretations(
@@ -275,11 +283,10 @@ def enumerate_interpretations(
     _check_enumerable(net)
     for e in clamped:
         net._check_clamped(e)
-    found = sorted(_search(net, dict.fromkeys(clamped, 1), 1, tau)[0], key=_order)
-    maximal = set(_maximal(found))
+    maximal = _maximal(_search(net, dict.fromkeys(clamped, 1), 1, tau))
     return [
-        replace(interpretation_consistent(net, frozenset(_ids(bits)), clamped, tau), maximal=bits in maximal)
-        for bits in found
+        replace(interpretation_consistent(net, frozenset(_ids(bits)), clamped, tau), maximal=bool(maximal[bits]))
+        for bits in maximal
     ]
 
 

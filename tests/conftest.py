@@ -2,7 +2,7 @@ from pathlib import Path
 
 import pytest
 
-from conceptsim import ConceptSpec, NetworkSpec, validate_network
+from conceptsim import ConceptSpec, EngineParams, NetworkSpec, validate_network
 
 DATA_DIR = Path(__file__).resolve().parents[1] / "data"
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
@@ -27,6 +27,10 @@ AMBIGUOUS_SPEC = NetworkSpec((
     ConceptSpec("Q1", 2, (("X",), ("Y", "Z"))),
     ConceptSpec("Q2", 2, (("Z",),)),
 ))
+
+#: theta < 0 and a negative self-input: some clamps of netgen 3 and
+#: shuffled 0 never settle, and their planes recur well before max_sweeps
+CYCLING_PARAMS = EngineParams(w_ff=0.2, w_self=-0.2, w_lat=0.2, w_err=0.5, theta=-0.4, tau=0.2)
 
 #: names holding everything CSV quoting has to get right: , " \n \r \r\n, a
 #: leading space and non-ASCII letters

@@ -375,18 +375,35 @@ def test_input_that_is_not_utf8_exits_2(capsys, salt, tmp_path, site):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("site, text, key", [
-    ("network", '{"concepts": [], "concepts": []}', "concepts"),
-    ("scenario", '{"phases": [{"clamp": {"looking": 1, "looking": 0}, "hold": "converge"}]}', "looking"),
-    ("params", '{"w_err": 1.2, "w_err": -5}', "w_err"),
+@pytest.mark.parametrize("site, text, where", [
+    ("network", '{"concepts": [], "concepts": []}', "$: duplicate key 'concepts'"),
+    (
+        "scenario",
+        '{"phases": [{"clamp": {"looking": 1}, "hold": 1}, {"clamp": {"looking": 1, "looking": 0}, "hold": 1}]}',
+        "$.phases[1].clamp: duplicate key 'looking'",
+    ),
+    ("params", '{"w_err": 1.2, "w_err": -5}', "$: duplicate key 'w_err'"),
 ], ids=["network", "scenario", "params"])
-def test_a_repeated_key_exits_2(capsys, salt, tmp_path, site, text, key):
+def test_a_repeated_key_exits_2(capsys, salt, tmp_path, site, text, where):
     bad = tmp_path / "bad.json"
     bad.write_text(text)
     argv = [a.format(salt=salt, bad=bad) for a in READ_SITES[site]]
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
-    assert err == f"error: ParseError: duplicate key '{key}'\n"
+    assert err == f"error: ParseError: {where}\n"
+
+
+def test_compare_builds_only_its_disagreements(capsys, data_dir, monkeypatch):
+    """compare reads its counts off the report's planes, and builds a
+    CaseResult only for each of caramel's 4 DISAGREE cases."""
+    from conceptsim import engine
+
+    built = []
+    real = engine.CaseResult
+    monkeypatch.setattr(engine, "CaseResult", lambda *fields: built.append(fields) or real(*fields))
+    code, out, _ = run_cli(capsys, "compare", str(data_dir / "caramel.json"))
+    assert code == 0 and out.startswith("32 cases: AGREE 25, TIE-SELECTED 3, DISAGREE 4\n")
+    assert len(built) == 4
 
 
 def test_compare_with_negative_w_err_exits_1(capsys, salt, tmp_path):

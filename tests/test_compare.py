@@ -19,7 +19,7 @@ from conceptsim import engine, oracle
 from conceptsim.errors import TooLarge
 from conceptsim.model import _PEEL_MAX, _bottom_planes, _ids
 
-from conftest import AMBIGUOUS_SPEC, DATA_DIR
+from conftest import AMBIGUOUS_SPEC, CANONICAL_SPEC, CYCLING_PARAMS, DATA_DIR
 from netgen import random_network, shuffled_network, synth_network
 from reference import compare_reference
 
@@ -221,11 +221,6 @@ def test_only_unsettled_clamps_run_on_the_engine(monkeypatch, net):
     assert scenarios == [[(dict.fromkeys(sorted(c.clamp), 1), None)] for c in unsettled]
 
 
-#: theta < 0 and a negative self-input: some clamps of netgen 3 and
-#: shuffled 0 never settle, and their planes recur well before max_sweeps
-CYCLING_PARAMS = EngineParams(w_ff=0.2, w_self=-0.2, w_lat=0.2, w_err=0.5, theta=-0.4, tau=0.2)
-
-
 @pytest.mark.parametrize("network", [
     pytest.param(lambda: random_network(3), id="netgen-3"),
     pytest.param(lambda: shuffled_network(0), id="shuffled-0"),
@@ -234,8 +229,8 @@ def test_plane_run_stops_when_the_planes_recur(monkeypatch, network):
     """With some clamps in a cycle, the plane run ends at the first
     recurring state of all planes, not at max_sweeps: it does the same work
     under max_sweeps 64 and 128, counted in calls of engine._at_least, which
-    every plane sweep that changes an activation makes. The cycling clamps
-    are then rerun through run_scenario."""
+    every plane sweep that changes an activation makes. The clamps still
+    changing then are in a cycle, and compare labels them Cycle."""
     net = network()
     calls = []
     real = engine._at_least
@@ -243,13 +238,64 @@ def test_plane_run_stops_when_the_planes_recur(monkeypatch, network):
     counts = []
     for max_sweeps in (64, 128):
         calls.clear()
-        settled = engine._clamp_planes(net, replace(CYCLING_PARAMS, max_sweeps=max_sweeps), _bottom_planes(net))
+        _, cycle, limit = engine._clamp_planes(net, replace(CYCLING_PARAMS, max_sweeps=max_sweeps), _bottom_planes(net))
         counts.append(len(calls))
-    assert None in settled and any(inferred is not None for inferred in settled)
+    assert cycle not in (0, (1 << (1 << len(net.bottom))) - 1) and limit == 0
     assert counts[0] == counts[1]
     report = compare_with_oracle(net, CYCLING_PARAMS)
     assert report.cases == compare_reference(net, CYCLING_PARAMS).cases
     assert {c.termination for c in report.cases} == {Termination.FIXED_POINT, Termination.CYCLE}
+
+
+#: CYCLING_PARAMS cut at 5 sweeps: the clamps of shuffled 0 that cycle are
+#: still changing there, and neither their planes nor their own states recur
+LATE_CYCLE_PARAMS = replace(CYCLING_PARAMS, max_sweeps=5)
+
+
+@pytest.mark.parametrize("network, params", [
+    pytest.param(lambda: random_network(3), CYCLING_PARAMS, id="netgen-3-cycling"),
+    pytest.param(lambda: shuffled_network(0), CYCLING_PARAMS, id="shuffled-0-cycling"),
+    pytest.param(lambda: shuffled_network(0), LATE_CYCLE_PARAMS, id="shuffled-0-late-cycle"),
+])
+def test_only_clamps_at_the_sweep_limit_are_rerun(monkeypatch, network, params):
+    """A clamp still changing when the planes recur is in a cycle and is not
+    rerun; one still changing at max_sweeps runs alone through run_scenario,
+    once. Here every such rerun ends at the sweep limit."""
+    net = network()
+    calls = []
+    real = engine.run_scenario
+    monkeypatch.setattr(engine, "run_scenario", lambda *args: calls.append(args[2]) or real(*args))
+    report = compare_with_oracle(net, params)
+    assert report.cases == compare_reference(net, params).cases
+    assert any(c.termination is not Termination.FIXED_POINT for c in report.cases)
+    limited = [c for c in report.cases if c.termination is Termination.SWEEP_LIMIT]
+    assert calls == [[(dict.fromkeys(sorted(c.clamp), 1), None)] for c in limited]
+
+
+def test_plane_run_tells_recurring_planes_from_planes_that_hash_equal():
+    """An int hashes to its value mod M = 2^61 - 1, so two 64-case states
+    can hash equal and differ. Here cases 0-60 clamp {looking, tasting,
+    white, sweet} and cases 61-63 nothing, so every plane is M or 0, and all
+    hash to 0: the state after salt ignites hashes like the one after it is
+    rejected. The plane run still runs on, to the fixed point with sugar
+    inferred that the Engine reaches."""
+    net = validate_network(NetworkSpec(CANONICAL_SPEC.concepts + (ConceptSpec("spare", 0),)))
+    M = (1 << 61) - 1
+    clamp = {net.name_to_id[n] for n in ("looking", "tasting", "white", "sweet")}
+    scalar = Engine(net, EngineParams())
+    scalar.apply_clamp(dict.fromkeys(sorted(clamp), 1))
+    snaps, termination, _ = scalar.run_to_fixed_point()
+    assert termination is Termination.FIXED_POINT
+    # the (*active, *latched) planes after each sweep
+    states = [
+        tuple(M * (bits >> c & 1) for bits in (snap.active, snap.latched) for c in range(net.n_concepts))
+        for snap in snaps
+    ]
+    assert states[0] != states[1] and hash(states[0]) == hash(states[1])
+    active, cycle, limit = engine._clamp_planes(net, EngineParams(), [M * (e in clamp) for e in net.bottom])
+    assert cycle == limit == 0
+    assert tuple(active) == states[-1][:net.n_concepts]
+    assert names_of(net, _ids(snaps[-1].active & net.non_bottom_mask)) == ["sugar"]
 
 
 @pytest.mark.parametrize("params", [EngineParams(), CYCLING_PARAMS], ids=["defaults", "cycling"])
@@ -449,8 +495,10 @@ def test_a_sweep_that_moves_only_the_top_layer_does_not_end_the_plane_run():
         for before, after in zip(states, states[1:])
     ]
     assert {2} in moves
-    settled = engine._clamp_planes(net, EngineParams(), _bottom_planes(net))
-    assert settled == [s.active & net.non_bottom_mask for s in states[-1]]
+    active, cycle, limit = engine._clamp_planes(net, EngineParams(), _bottom_planes(net))
+    assert cycle == limit == 0
+    for case, final in enumerate(states[-1]):
+        assert [active[c] >> case & 1 for c in net.non_bottom] == [final.active >> c & 1 for c in net.non_bottom]
 
 
 def mask_of(ids):
@@ -461,30 +509,21 @@ def mask_of(ids):
     pytest.param(lambda: shipped("caramel.json"), id="caramel"),
     pytest.param(lambda: synth_network((7, 5, 3), 0), id="synth-7/5/3"),
 ])
-def test_each_distinct_outcome_is_classified_once(monkeypatch, network):
-    """compare classifies each distinct pair of inferred set and family of
-    consistent interpretations once, and the clamps share far fewer pairs
-    than there are cases."""
+def test_each_distinct_inferred_set_is_classified_once(monkeypatch, network):
+    """compare classifies by plane algebra, one step per distinct inferred
+    set, not per case: oracle._above, the cases where a strict superset of a
+    set is consistent, runs once for each set that some settled case infers,
+    and the cases share far fewer sets than there are cases."""
     net = network()
     calls = []
-    real = engine._classify
-
-    def counted(inferred, family, top):
-        calls.append((inferred, frozenset(family)))
-        return real(inferred, family, top)
-
-    monkeypatch.setattr(engine, "_classify", counted)
+    real = oracle._above
+    monkeypatch.setattr(oracle, "_above", lambda found, bits: calls.append(bits) or real(found, bits))
     report = compare_with_oracle(net)
+    classified = calls.copy()  # reading the cases below finds the maximal sets through _above too
     assert report.cases == compare_reference(net, EngineParams()).cases
-    pairs = {
-        (
-            mask_of(case.inferred),
-            frozenset(mask_of(r.interpretation) for r in enumerate_interpretations(net, case.clamp)),
-        )
-        for case in report.cases
-    }
-    assert set(calls) == pairs
-    assert len(calls) == len(pairs) < len(report.cases)
+    sets = {mask_of(case.inferred) for case in report.cases}
+    assert sorted(classified) == sorted(sets)
+    assert len(sets) < len(report.cases)
 
 
 def test_several_maximal_sets_keep_the_oracle_order():

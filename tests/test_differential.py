@@ -12,6 +12,7 @@ import pytest
 from hypothesis import Phase, example, find, given, settings, strategies as st
 
 from conceptsim import (
+    Agreement,
     ConceptSpec,
     Engine,
     EngineParams,
@@ -41,7 +42,7 @@ from conceptsim.errors import BadParams, UnknownConcept
 from conceptsim.model import _bit_bytes, _bits, _bottom_planes, _ids
 from conceptsim.oracle import _search
 
-from conftest import AMBIGUOUS_SPEC, DATA_DIR
+from conftest import AMBIGUOUS_SPEC, CYCLING_PARAMS, DATA_DIR
 from netgen import random_clamp, random_network, shuffled_network, synth_network
 from reference import (
     ReferenceEngine,
@@ -888,8 +889,10 @@ def mask_of(ids):
 
 
 def families_by_clamp(net, tau):
-    """The oracle's search run as compare runs it: one case per clamp."""
-    return _search(net, dict(zip(net.bottom, _bottom_planes(net))), 1 << len(net.bottom), tau)
+    """The oracle's search run as compare runs it, one case per clamp, read
+    back per clamp: entry i lists each interpretation whose plane holds case i."""
+    found = _search(net, dict(zip(net.bottom, _bottom_planes(net))), 1 << len(net.bottom), tau)
+    return [[bits for bits, plane in found.items() if plane >> i & 1] for i in range(1 << len(net.bottom))]
 
 
 def assert_families_match_enumeration(net, tau):
@@ -989,6 +992,24 @@ def test_drawn_oracle_cases_are_not_vacuous(what):
         settings=settings(max_examples=500, phases=[Phase.generate], database=None),
         random=random.Random(0),
     )
+
+
+@given(
+    net=oracle_nets,
+    params=st.sampled_from([EngineParams(), EngineParams(error_routing=ErrorRouting.ALL_GLOBAL), CYCLING_PARAMS]),
+)
+@settings(max_examples=100, deadline=None)
+def test_report_counts_and_disagreements_match_its_cases(net, params):
+    """count and disagreements, read off a fresh report's planes before any
+    other CaseResult is built, equal those recomputed from its cases, and the
+    cases equal the per-clamp reference's."""
+    report = compare_with_oracle(net, params)
+    counts = {kind: report.count(kind) for kind in Agreement}
+    disagreements = report.disagreements
+    cases = report.cases
+    assert counts == {kind: sum(case.classification is kind for case in cases) for kind in Agreement}
+    assert disagreements == tuple(case for case in cases if case.classification is Agreement.DISAGREE)
+    assert cases == compare_reference(net, params).cases
 
 
 # --- the timeline renderer against the one over sorted rows ---
