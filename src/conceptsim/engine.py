@@ -134,8 +134,7 @@ class Snapshot(NamedTuple):
         return frozenset(_ids(self.latched))
 
 
-@dataclass(frozen=True)
-class PhaseTrace:
+class PhaseTrace(NamedTuple):
     """All sweeps run under one clamp, with how the phase ended."""
 
     clamp: Mapping[ConceptId, int]
@@ -144,8 +143,7 @@ class PhaseTrace:
     cycle_start: int | None = None
 
 
-@dataclass(frozen=True)
-class Trace:
+class Trace(NamedTuple):
     net: ValidatedNetwork
     phases: tuple[PhaseTrace, ...]
 

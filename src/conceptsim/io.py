@@ -9,10 +9,9 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, fields
 from enum import Enum
 from io import StringIO
-from typing import TYPE_CHECKING, Iterable, Mapping, Union
+from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Union
 
 from .errors import (
     EmptyScenario,
@@ -152,16 +151,14 @@ def serialize_network(spec: NetworkSpec) -> str:
 
 # --- scenarios ---
 
-@dataclass(frozen=True)
-class ScenarioPhase:
+class ScenarioPhase(NamedTuple):
     """One clamp episode; hold is None for run-to-convergence or a sweep count."""
 
     clamp: Mapping[str, int]
     hold: int | None = None
 
 
-@dataclass(frozen=True)
-class ScenarioSpec:
+class ScenarioSpec(NamedTuple):
     phases: tuple[ScenarioPhase, ...]
 
     def resolve(self, net: ValidatedNetwork) -> list[tuple[dict[ConceptId, int], int | None]]:
@@ -242,6 +239,8 @@ def parse_params(text: str | None = None) -> EngineParams:
     EngineParams' order; the numeric invariants are enforced when an engine
     is initialized.
     """
+    from dataclasses import fields
+
     from .engine import EngineParams
 
     if text is None:
@@ -255,10 +254,9 @@ def parse_params(text: str | None = None) -> EngineParams:
 
 
 def serialize_params(params: EngineParams) -> str:
-    obj = {}
-    for f in fields(params):
-        value = getattr(params, f.name)
-        obj[f.name] = value.value if isinstance(value, Enum) else value
+    from dataclasses import asdict
+
+    obj = {name: value.value if isinstance(value, Enum) else value for name, value in asdict(params).items()}
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
@@ -275,8 +273,7 @@ _KIND_ORDER = {UnitKind.CONCEPT: 0, UnitKind.OMISSION: 1, UnitKind.COMMISSION: 2
 CSV_HEADER = ("phase", "sweep", "kind", "name", "value")
 
 
-@dataclass(frozen=True)
-class TraceRow:
+class TraceRow(NamedTuple):
     phase: int
     sweep: int
     kind: UnitKind

@@ -14,12 +14,11 @@ circuit dynamics alike) is built on this evaluation.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 from math import ceil
-from typing import AbstractSet, Iterable, Mapping, Sequence
+from typing import AbstractSet, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import (
     BottomWithPatterns,
@@ -124,8 +123,7 @@ class PatternStatus(Enum):
     COMPLETE = "Complete"
 
 
-@dataclass(frozen=True)
-class PatternState:
+class PatternState(NamedTuple):
     """Evaluation of one pattern against an active set."""
 
     status: PatternStatus
@@ -141,52 +139,55 @@ class PatternState:
         return self.status is PatternStatus.COMPLETE
 
 
-@dataclass(frozen=True)
-class Pattern:
-    """A conditional bistable pattern: element ids one layer below the owner."""
-
+# A normalising record subclasses a named tuple; _make calls its __new__, so _replace normalises too.
+class _PatternFields(NamedTuple):
     elements: frozenset[ConceptId]
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.elements, frozenset):
-            object.__setattr__(self, "elements", frozenset(self.elements))
+
+class Pattern(_PatternFields):
+    """A conditional bistable pattern: element ids one layer below the owner."""
+
+    __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))
+
+    def __new__(cls, elements: Iterable[ConceptId]) -> Pattern:
+        return super().__new__(cls, frozenset(elements))
 
     def __len__(self) -> int:
         return len(self.elements)
 
 
-@dataclass(frozen=True)
-class ConceptSpec:
-    """One concept as written in a network file; patterns reference element names."""
-
+class _ConceptSpecFields(NamedTuple):
     name: str
     layer: int
     patterns: tuple[tuple[str, ...], ...] = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "patterns", tuple(tuple(p) for p in self.patterns))
+
+class ConceptSpec(_ConceptSpecFields):
+    """One concept as written in a network file; patterns reference element names."""
+
+    __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))
+
+    def __new__(cls, name: str, layer: int, patterns: Iterable[Iterable[str]] = ()) -> ConceptSpec:
+        return super().__new__(cls, name, layer, tuple(tuple(p) for p in patterns))
 
 
-@dataclass(frozen=True)
-class NetworkSpec:
-    """An ordered list of concept declarations, as parsed; not yet validated."""
-
+class _NetworkSpecFields(NamedTuple):
     concepts: tuple[ConceptSpec, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "concepts", tuple(self.concepts))
+
+class NetworkSpec(_NetworkSpecFields):
+    """An ordered list of concept declarations, as parsed; not yet validated."""
+
+    __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))
+
+    def __new__(cls, concepts: Iterable[ConceptSpec]) -> NetworkSpec:
+        return super().__new__(cls, tuple(concepts))
 
 
-@dataclass(frozen=True)
-class ValidatedNetwork:
-    """Immutable, index-accelerated view of a structurally valid network.
-
-    Concept ids are dense and assigned in file order. parent_index maps every
-    element id to the (owner id, pattern ordinal) pairs whose pattern contains
-    it, sorted by owner then ordinal. masks parallels patterns: bit e of
-    masks[c][k] is set iff concept e is an element of pattern k of concept c.
-    """
-
+class _NetworkFields(NamedTuple):
     spec: NetworkSpec
     names: tuple[str, ...]
     layer_of: tuple[int, ...]
@@ -196,9 +197,24 @@ class ValidatedNetwork:
     name_to_id: Mapping[str, ConceptId]
     masks: tuple[tuple[int, ...], ...]
     warnings: tuple[str, ...] = ()
-    _needs: dict[float | Fraction, tuple[tuple[int, ...], ...]] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
+
+
+class ValidatedNetwork(_NetworkFields):
+    """Immutable, index-accelerated view of a structurally valid network.
+
+    Concept ids are dense and assigned in file order. parent_index maps every
+    element id to the (owner id, pattern ordinal) pairs whose pattern contains
+    it, sorted by owner then ordinal. masks parallels patterns: bit e of
+    masks[c][k] is set iff concept e is an element of pattern k of concept c.
+    It declares no __slots__, so its cached properties keep an instance __dict__.
+    """
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to {name!r}: a ValidatedNetwork is immutable")
+
+    @cached_property
+    def _needs(self) -> dict[float | Fraction, tuple[tuple[int, ...], ...]]:
+        return {}
 
     @cached_property
     def n_concepts(self) -> int:

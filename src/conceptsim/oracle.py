@@ -30,11 +30,10 @@ _order, for enumerate_interpretations and compare alike.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from enum import Enum
 from functools import reduce
 from operator import or_
-from typing import AbstractSet, Mapping
+from typing import AbstractSet, Mapping, NamedTuple
 
 from .errors import BottomConcept, TooLarge
 from .model import DEFAULT_TAU, ConceptId, ValidatedNetwork, _ids, _reach, pattern_state
@@ -49,8 +48,7 @@ class OracleVerdict(Enum):
     IN_NONE = "InNone"
 
 
-@dataclass(frozen=True)
-class ConceptCheck:
+class ConceptCheck(NamedTuple):
     """Local pattern evidence for one inferred concept."""
 
     complete_patterns: int
@@ -61,8 +59,7 @@ class ConceptCheck:
         return self.complete_patterns >= 1 and not self.violated_patterns
 
 
-@dataclass(frozen=True)
-class ConsistencyReport:
+class ConsistencyReport(NamedTuple):
     """Verdict on one candidate interpretation against one clamped world."""
 
     interpretation: frozenset[ConceptId]
@@ -285,7 +282,7 @@ def enumerate_interpretations(
         net._check_clamped(e)
     maximal = _maximal(_search(net, dict.fromkeys(clamped, 1), 1, tau))
     return [
-        replace(interpretation_consistent(net, frozenset(_ids(bits)), clamped, tau), maximal=bool(maximal[bits]))
+        interpretation_consistent(net, frozenset(_ids(bits)), clamped, tau)._replace(maximal=bool(maximal[bits]))
         for bits in maximal
     ]
 

@@ -31,7 +31,6 @@ write the drive out too.
 from __future__ import annotations
 
 import csv
-from dataclasses import replace
 from io import StringIO
 
 from conceptsim import (
@@ -105,7 +104,7 @@ def enumerate_reference(net, clamped, tau=DEFAULT_TAU):
             consistent.append(report)
     sets = [r.interpretation for r in consistent]
     out = [
-        replace(r, maximal=not any(r.interpretation < other for other in sets))
+        r._replace(maximal=not any(r.interpretation < other for other in sets))
         for r in consistent
     ]
     out.sort(key=lambda r: (-len(r.interpretation), tuple(sorted(r.interpretation))))

@@ -8,11 +8,13 @@ from conceptsim import (
     ConceptSpec,
     Engine,
     EngineParams,
+    ErrorRouting,
     NetworkSpec,
     Termination,
     compare_with_oracle,
     enumerate_interpretations,
     parse_network_file,
+    run_scenario,
     validate_network,
 )
 from conceptsim import engine, oracle
@@ -127,6 +129,30 @@ def test_a_run_that_does_not_converge_disagrees(net):
     for case in unsettled:
         assert case.inferred is None and case.classification is Agreement.DISAGREE
     assert case_for(report, net, ()).classification is Agreement.AGREE
+
+
+@pytest.mark.parametrize("routing", ErrorRouting)
+def test_a_run_above_the_error_bound_can_cycle(monkeypatch, data_dir, routing):
+    """w_err > w_ff + w_self - theta (3.2 > 1.6 - 0.6 + 0.7) makes one routed
+    error shut even a fully driven unit, but it does not make a run settle:
+    on {looking, white} salt and sugar alternate from sweep 0, and compare
+    reads that Cycle off its planes without rerunning the clamp."""
+    net = validate_network(parse_network_file((data_dir / "salt.json").read_text()))
+    params = EngineParams(w_ff=1.6, w_self=-0.6, w_lat=2.0, w_err=3.2, theta=-0.7, tau=1.0, error_routing=routing)
+    clamp = {net.name_to_id["looking"]: 1, net.name_to_id["white"]: 1}
+    (phase,) = run_scenario(net, params, [(clamp, None)]).phases
+    assert phase.termination is Termination.CYCLE and phase.cycle_start == 0
+    inferred = [names_of(net, _ids(s.active & net.non_bottom_mask)) for s in phase.snapshots]
+    assert inferred == [["salt", "sugar"], ["sugar"], ["salt"], ["salt", "sugar"]]
+
+    def refuse(*args):
+        raise AssertionError("compare reran a clamp through run_scenario")
+
+    monkeypatch.setattr(engine, "run_scenario", refuse)
+    report = compare_with_oracle(net, params)
+    assert [report.count(kind) for kind in Agreement] == [26, 4, 2]
+    case = case_for(report, net, ("looking", "white"))
+    assert case.termination is Termination.CYCLE and case.classification is Agreement.DISAGREE
 
 
 @pytest.mark.parametrize("network, clamp, inferred", [

@@ -27,6 +27,7 @@ from conceptsim import (
     compare_with_oracle,
     enumerate_interpretations,
     error_flags,
+    interpretation_consistent,
     parse_network_file,
     parse_scenario_file,
     pattern_state,
@@ -43,7 +44,7 @@ from conceptsim.model import _bit_bytes, _bits, _bottom_planes, _ids
 from conceptsim.oracle import _search
 
 from conftest import AMBIGUOUS_SPEC, CYCLING_PARAMS, DATA_DIR
-from netgen import random_clamp, random_network, shuffled_network, synth_network
+from netgen import random_clamp, random_network, random_scenario, shuffled_network, synth_network
 from reference import (
     ReferenceEngine,
     bottom_planes_reference,
@@ -524,6 +525,35 @@ def test_compare_matches_reference_on_shipped_networks(data_dir, name, routing):
     net = validate_network(parse_network_file((data_dir / name).read_text()))
     params = EngineParams(error_routing=routing)
     assert compare_with_oracle(net, params).cases == compare_reference(net, params).cases
+
+
+# --- error units: the oracle's clauses on bits ---
+
+@pytest.mark.parametrize("routing", ErrorRouting)
+def test_error_units_are_the_oracles_clauses_at_every_snapshot(routing):
+    """Read a snapshot's active set as a clamp (its layer-0 part) and an
+    interpretation (the rest): its omission bits are the missing elements of
+    the interpretation's violated patterns, and its commission bits are the
+    unexpected concepts. Every clamp run to convergence, then a seeded
+    scenario of 3-sweep holds, which starts phases from unsettled states."""
+    nets = [random_network(seed) for seed in range(50)] + [shuffled_network(seed) for seed in range(20)]
+    seen = collections.Counter()
+    for seed, net in enumerate(nets):
+        for tau in (0.34, 0.5, 1.0):
+            params = EngineParams(tau=tau, error_routing=routing)
+            runs = [[(dict.fromkeys(clamp, 1), None)] for clamp in all_clamps(net)]
+            runs.append([(clamp, 3) for clamp, _ in random_scenario(net, seed)])
+            for phases in runs:
+                for phase in run_scenario(net, params, phases).phases:
+                    for snap in phase.snapshots:
+                        inferred = frozenset(_ids(snap.active & net.non_bottom_mask))
+                        clamped = frozenset(_ids(snap.active)) - inferred
+                        report = interpretation_consistent(net, inferred, clamped, tau)
+                        missing = [m for check in report.per_concept.values() for _, m in check.violated_patterns]
+                        assert frozenset(_ids(snap.omitted)) == frozenset().union(*missing)
+                        assert frozenset(_ids(snap.committed)) == report.unexpected
+                        seen.update(snapshots=1, omitted=snap.omitted > 0, committed=snap.committed > 0)
+    assert seen["snapshots"] > 5000 and seen["omitted"] and seen["committed"]
 
 
 # --- compare: every clamp at once on bit-sliced planes ---

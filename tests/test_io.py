@@ -2,6 +2,7 @@
 import json
 import random
 import tracemalloc
+from dataclasses import fields
 
 import pytest
 
@@ -248,6 +249,10 @@ def test_json_objects_keep_their_key_order():
 
 def test_params_round_trip():
     params = EngineParams(w_lat=0.25, max_sweeps=7, error_routing=ErrorRouting.ALL_GLOBAL)
+    assert parse_params(serialize_params(params)) == params
+    # every field away from its default, so that both read every field
+    params = EngineParams(1.5, 0.25, 0.0, 2.5, -0.25, 0.75, 9, ErrorRouting.ALL_GLOBAL)
+    assert all(getattr(params, f.name) != f.default for f in fields(EngineParams))
     assert parse_params(serialize_params(params)) == params
     # defaults stay byte-stable and floats keep one decimal minimum
     text = serialize_params(EngineParams())

@@ -1,5 +1,6 @@
 """Domain types: validation, pattern evaluation, parent index."""
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -8,12 +9,19 @@ from hypothesis import given, strategies as st
 
 from conceptsim import (
     ConceptSpec,
+    EngineParams,
     NetworkSpec,
     Pattern,
     PatternStatus,
+    ScenarioPhase,
+    ScenarioSpec,
+    TraceRow,
+    UnitKind,
     element_parents,
+    interpretation_consistent,
     pattern_need,
     pattern_state,
+    run_scenario,
     validate_network,
 )
 from conceptsim.errors import (
@@ -251,6 +259,81 @@ def test_layers_partition_concepts(net):
     assert seen == list(range(net.n_concepts))
     for layer, layer_ids in net.layers.items():
         assert all(net.layer_of[c] == layer for c in layer_ids)
+
+
+# --- records ---
+
+def _records(net, ids):
+    """One of each record the package declares as a named tuple, by name."""
+    pattern = net.patterns[ids["salt"]][0]
+    report = interpretation_consistent(net, {ids["salt"]}, {ids["looking"], ids["white"]})
+    trace = run_scenario(net, EngineParams(), [({ids["looking"]: 1, ids["white"]: 1}, None)])
+    phase = ScenarioPhase({"looking": 1})
+    return {
+        "PatternState": pattern_state(pattern, {ids["tasting"]}), "Pattern": pattern,
+        "ConceptSpec": net.spec.concepts[ids["salt"]], "NetworkSpec": net.spec, "ValidatedNetwork": net,
+        "ScenarioPhase": phase, "ScenarioSpec": ScenarioSpec((phase,)),
+        "TraceRow": TraceRow(0, 1, UnitKind.CONCEPT, "salt", 1),
+        "ConceptCheck": report.per_concept[ids["salt"]], "ConsistencyReport": report,
+        "PhaseTrace": trace.phases[0], "Trace": trace,
+    }
+
+
+def test_records_are_immutable_named_tuples(net, ids):
+    records = _records(net, ids)
+    assert len(records) == 12
+    for name, record in records.items():
+        assert type(record).__name__ == name and record == tuple(record)
+        assert list(record._asdict()) == list(record._fields)
+        for copy in (record._replace(), pickle.loads(pickle.dumps(record))):
+            assert type(copy) is type(record) and copy == record
+        for field in record._fields:
+            with pytest.raises(AttributeError):
+                setattr(record, field, None)
+
+
+def test_a_network_refuses_every_assignment(canonical_spec):
+    """Beyond its fields: a cached property, computed (n_concepts) or not
+    (element_ids), and a new name."""
+    net = validate_network(canonical_spec)
+    assert net.n_concepts == 7
+    for name in ("n_concepts", "element_ids", "no_such_name"):
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(net, name, None)
+    assert net.n_concepts == 7 and len(net.element_ids) == 7 and not hasattr(net, "no_such_name")
+
+
+def test_records_normalise_their_input(net):
+    pattern = Pattern([2, 1])
+    assert type(pattern.elements) is frozenset and pattern.elements == {1, 2} and len(pattern) == 2
+    spec = ConceptSpec("x", 1, [["a"]])
+    assert spec.patterns == (("a",),) and type(spec.patterns) is tuple and type(spec.patterns[0]) is tuple
+    assert type(NetworkSpec([spec]).concepts) is tuple
+    # _replace normalises as the constructor does
+    assert type(pattern._replace(elements=[3, 4, 5]).elements) is frozenset
+    assert spec._replace(patterns=[["b", "c"]]).patterns == (("b", "c"),)
+    assert type(net.spec._replace(concepts=list(net.spec.concepts)).concepts) is tuple
+
+
+def test_records_hash_and_unpack_by_value():
+    assert len({Pattern([1, 2]), Pattern([2, 1])}) == 1
+    row = TraceRow(0, 1, UnitKind.CONCEPT, "salt", 1)
+    assert hash(row) == hash(TraceRow(0, 1, UnitKind.CONCEPT, "salt", 1))
+    assert row == (0, 1, UnitKind.CONCEPT, "salt", 1) and row[3] == "salt"
+    name, layer, patterns = ConceptSpec("x", 0)
+    assert (name, layer, patterns) == ("x", 0, ())
+
+
+def test_each_network_keeps_its_own_memos():
+    nets = [random_network(seed) for seed in range(3)]
+    needs = [net.pattern_needs(0.5) for net in nets]
+    assert len(set(needs)) == 3
+    for net, memo in zip(nets, needs):
+        assert net.pattern_needs(0.5) is memo
+        assert memo == tuple(tuple(pattern_need(len(p)) for p in pats) for pats in net.patterns)
+    # a replaced network computes its cached properties afresh
+    net = nets[0]
+    assert net.n_concepts > 1 and net._replace(names=net.names[:1]).n_concepts == 1
 
 
 def _sample_mask(rng: random.Random, width: int, k: int) -> int:

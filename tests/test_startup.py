@@ -36,14 +36,19 @@ PUBLIC = {
     ),
 }
 
-#: runs cli.main on argv with stdout swallowed, then prints the exit code and
-#: the conceptsim submodules that were loaded
-CHILD = """
+#: standard-library modules that cost milliseconds to import; only engine
+#: loads them, for its two dataclasses (EngineParams and CaseResult)
+HEAVY = ["dataclasses", "inspect"]
+
+#: runs cli.main on argv with stdout swallowed, then prints the exit code, the
+#: conceptsim submodules that were loaded and which of HEAVY were
+CHILD = f"""
 import contextlib, io, json, sys
 from conceptsim.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     code = main(sys.argv[1:])
-print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("conceptsim."))]))
+loaded = sorted(m for m in sys.modules if m.startswith("conceptsim."))
+print(json.dumps([code, loaded, [m for m in {HEAVY!r} if m in sys.modules]]))
 """
 
 BASE = ["conceptsim.cli", "conceptsim.errors", "conceptsim.io", "conceptsim.model"]
@@ -90,7 +95,8 @@ def run_child(code: str, *argv: str) -> str:
 @pytest.mark.parametrize("argv, exit_code, loaded", CALLS)
 def test_each_command_loads_only_what_it_runs(tmp_path, argv, exit_code, loaded):
     argv = [a.format(tmp=tmp_path) for a in argv]
-    assert json.loads(run_child(CHILD, *argv)) == [exit_code, loaded]
+    heavy = HEAVY if "conceptsim.engine" in loaded else []
+    assert json.loads(run_child(CHILD, *argv)) == [exit_code, loaded, heavy]
 
 
 def test_import_conceptsim_loads_no_submodule():
