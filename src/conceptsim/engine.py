@@ -640,11 +640,16 @@ def _clamp_planes(net: ValidatedNetwork, params: EngineParams, planes: list[int]
     Each unit value is one int, a plane, whose bit i is its value under case
     i, the clamp of bit j of i on net.bottom[j], as planes[j] has it (see
     model._bottom_planes); a sweep applies sweep()'s rules to whole planes,
-    so one int operation advances every case. The drive test is
-    _drive_thresholds' table, read against the count of other active units
-    as one-hot planes, kept current in id order and from sweep to sweep, and
-    the routed count as planes of "at least t" up to the table's largest
-    threshold, or 1, which the latch test needs. Runs stop when no case
+    so one int operation advances every case. Each layer keeps its count of
+    active units as a thermometer, at[j] the cases where at least j of its
+    units are active, current in id order and from sweep to sweep, and each
+    unit its routed count as ge[t], the cases where it is at least t, up to
+    the largest threshold of _drive_thresholds' table, or 1, which the latch
+    test needs. The drive falls with the count k of other active units, so a
+    row of the table falls with k, and the k whose cell is at least a
+    threshold t are a prefix [0, K_t): the test r < row[k] is the OR over
+    the row's thresholds t of "k < K_t and r < t", which is ~at[K_t + prev]
+    & ~ge[t], since k is the count less prev. Runs stop when no case
     changed its Snapshot, at max_sweeps, or when the planes recur: the state
     of a case is its active and latched bits, since the rest is a function
     of them, so a case that did not change stays fixed, and one still
@@ -656,12 +661,13 @@ def _clamp_planes(net: ValidatedNetwork, params: EngineParams, planes: list[int]
         has a threshold above 0 at dendrite 1, prev 0 and k = 0, and without
         one where it has at dendrite 0. That cell is the highest drive an
         idle unit can have (see _drive), so elsewhere the unit stays 0 in
-        every case, does not latch and adds nothing to the layer's count. A
-        layer with no unit to visit is skipped whole.
+        every case, does not latch and adds nothing to the layer's count.
+        Only a unit's own visit changes its planes, so the test is made as
+        the layer walk reaches it.
       - A pattern's applicability reads only its element layer, so each
-        concept keeps it with the last sweep in which that layer changed and
-        recomputes it only after a newer change; patterns over layer 0 are
-        computed once per run.
+        concept keeps it, per pattern, with the last sweep in which that
+        layer changed and recomputes it only after a newer change; patterns
+        over layer 0 are computed once per run.
       - pred, the error units and routed are functions of the active planes,
         and a unit latches only as it turns off, so a sweep in which no
         active plane changed ends the run without recomputing them.
@@ -677,35 +683,36 @@ def _clamp_planes(net: ValidatedNetwork, params: EngineParams, planes: list[int]
     widest = max(map(len, layers[1:]), default=0)
     table = _drive_thresholds(params, widest, n)
     depth = max([1] + [t for row in table.values() for t in row if t <= n])
-    # per (dendrite, prev), each threshold t > 0 and the counts k that have it
-    steps = {
-        key: [(t, [k for k in range(widest) if row[k] == t]) for t in sorted(set(row) - {0})]
-        for key, row in table.items()
+    # per (dendrite, prev) whose row has a threshold above 0, the reads
+    # (K_t + prev, t) of its thresholds t; one above n, which no routed count
+    # reaches, reads ge[depth + 1], which stays 0
+    cells = [
+        (dendrite, prev, [(sum(x >= t for x in row) + prev, t if t <= n else depth + 1) for t in set(row) - {0}])
+        for (dendrite, prev), row in table.items()
         if any(row)
-    }
-    # the steps read the counts k below reads
-    reads = 1 + max((k for thresholds in steps.values() for _, ks in thresholds for k in ks), default=-1)
+    ]
     # whether an idle unit can ignite without, and with, a Complete pattern;
     # rows fall with k, so a row with a threshold above 0 has one at k = 0
     idle0, idle1 = any(table[0, 0]), any(table[1, 0])
     elements = net.element_ids
     needs = net.pattern_needs(params.tau)
-    zero = [ones] + [0] * depth  # a count of 0 in every case
+    below = _ids(net.below_top)  # no pattern predicts the top layer, and it has no commission unit
+    zero = [ones] + [0] * (depth + 1)  # a count of 0 in every case
 
     active = [0] * n
     for e, plane in zip(net.bottom, planes):
         active[e] = plane
     omitted, committed, latched, dend = [0] * n, [0] * n, [0] * n, [0] * n
     routed = [zero] * n
-    # per layer, count[j]: the cases where j of its units are active, as the
-    # last sweep left them
-    counts = [[ones] + [0] * widest for _ in layers]
+    # per layer, its thermometer count as the last sweep left it; at[0] is
+    # every case, and at[j] is 0 above the layer's own width
+    counts = [[ones] + [0] * (widest + 1) for _ in layers]
     # per layer, the last sweep that changed its active planes: layer 0 is
     # set at sweep 0, the others not yet
     moved = [0] + [-1] * net.max_layer
-    # per concept, the entry of moved its patterns were last read at, and per
-    # element the cases where one of its patterns holding it applies
-    spans: list[tuple[int | None, dict[ConceptId, int]]] = [(None, {})] * n
+    # per concept, the entry of moved its patterns were last read at, and
+    # per pattern its elements and the cases where it applies
+    spans: list[tuple[int | None, list[tuple[tuple[ConceptId, ...], int]]]] = [(None, [])] * n
     seen: set[tuple[int, ...]] = set()
     changed = ones
     for sweep in range(params.max_sweeps):
@@ -722,39 +729,32 @@ def _clamp_planes(net: ValidatedNetwork, params: EngineParams, planes: list[int]
                             conj &= active[e]
                         d |= conj
                     dend[c] = d
-            # the units that can move: active in some case, or unlatched in a
-            # case where they can ignite
-            visit = [
-                c for c in ids
-                if active[c] or ((ones ^ dend[c] if idle0 else 0) | (dend[c] if idle1 else 0)) & ~latched[c]
-            ]
-            count = counts[layer]
-            for c in visit:
-                prev, held, ge = active[c], latched[c], routed[c]
-                # k, the other active units: the count less prev
-                k_is = [count[k] & (ones ^ prev) | count[k + 1] & prev for k in range(reads)]
+            at = counts[layer]
+            width = len(ids)
+            for c in ids:
+                prev, d, held = active[c], dend[c], latched[c]
+                # skip a unit idle in every case that can ignite in none
+                if not prev and not ((ones ^ d if idle0 else 0) | (d if idle1 else 0)) & ~held:
+                    continue
+                ge = routed[c]
                 now = 0
-                for (has_dend, has_prev), thresholds in steps.items():
-                    sel = (dend[c] if has_dend else ones ^ dend[c]) & (prev if has_prev else ones ^ prev)
-                    for t, ks in thresholds:
-                        hit = 0
-                        for k in ks:
-                            hit |= k_is[k]
-                        now |= sel & hit & (ones ^ ge[t] if t <= n else ones)
-                now &= ones ^ held
-                latched[c] = held | prev & (ones ^ now) & ge[1]
-                if prev != now:
+                for has_dend, has_prev, reads in cells:
+                    sel = (d if has_dend else ones ^ d) & (prev if has_prev else ones ^ prev)
+                    if sel:
+                        stay = ones  # the cases where no threshold of the row is passed
+                        for j, t in reads:
+                            stay &= at[j] | ge[t]
+                        now |= sel & ~stay
+                now &= ~held
+                if now != prev:
                     moved[layer] = sweep
-                    changed |= prev ^ now
+                    changed |= (flip := prev ^ now)
                     active[c] = now
-                    # the cases where c turned on count one more, where it turned off one less
-                    up, down, kept = now & ~prev, prev & ~now, ones ^ prev ^ now
-                    count = [
-                        count[j] & kept | (count[j - 1] & up if j else 0) | (count[j + 1] & down if j < widest else 0)
-                        for j in range(widest + 1)
-                    ]
-                changed |= latched[c] ^ held
-            counts[layer] = count
+                    # one more where c turned on, one less where it turned off; it latches only where it turned off
+                    up, down, kept = now & flip, prev & flip, ones ^ flip
+                    if down:
+                        latched[c] = held | down & ge[1]
+                    at[1:width + 1] = [at[j] & kept | at[j - 1] & up | at[j + 1] & down for j in range(1, width + 1)]
         if sweep not in moved:
             # no active plane changed, so nothing latched and the error
             # stage would repeat itself: every case is at a fixed point
@@ -764,39 +764,40 @@ def _clamp_planes(net: ValidatedNetwork, params: EngineParams, planes: list[int]
         # per active concept and element, the cases where an applicable pattern of it holds the element
         unions: dict[ConceptId, dict[ConceptId, int]] = {}
         for c in net.non_bottom:
-            if not active[c]:
+            a = active[c]
+            if not a:
                 continue
             read = moved[net.layer_of[c] - 1]
             if spans[c][0] != read:
-                span: dict[ConceptId, int] = {}
-                for elems, need in zip(elements[c], needs[c]):
-                    applies = _reach((active[e] for e in elems), need, ones)
+                pats = zip(elements[c], needs[c])
+                spans[c] = read, [(elems, _reach((active[e] for e in elems), need, ones)) for elems, need in pats]
+            union = unions[c] = {}
+            for elems, applies in spans[c][1]:
+                applies &= a
+                if applies:
                     for e in elems:
-                        span[e] = span.get(e, 0) | applies
-                spans[c] = read, span
-            a = active[c]
-            union = unions[c] = {e: plane & a for e, plane in spans[c][1].items()}
+                        union[e] = union.get(e, 0) | applies
             for e, plane in union.items():
                 pred[e] |= plane
-        below_top = net.below_top
-        for e in range(n):
-            om = pred[e] & (ones ^ active[e])
-            cm = active[e] & (ones ^ pred[e]) if below_top >> e & 1 else 0
+        for e in below:
+            om = pred[e] & ~active[e]
+            cm = active[e] & ~pred[e]
             changed |= om ^ omitted[e] | cm ^ committed[e]
             omitted[e], committed[e] = om, cm
         if params.error_routing is ErrorRouting.ALL_GLOBAL:
-            total = _at_least((omitted[e] | committed[e] for e in range(n)), depth, zero)
+            total = _at_least((omitted[e] | committed[e] for e in below), depth, zero)
             charged = [total] * len(layers)
         else:
             # commission errors per layer charge every active concept one layer up
-            charged = [_at_least((committed[e] for e in ids), depth, zero) for ids in layers]
+            charged = [_at_least((committed[e] for e in ids), depth, zero) for ids in layers[:-1]]
         for c in net.non_bottom:
-            if active[c]:
+            a = active[c]
+            if a:
                 ge = charged[net.layer_of[c] - 1]
                 if params.error_routing is ErrorRouting.SPLIT:
                     # an omission charges each owner once per missing element it predicted
                     ge = _at_least((u & omitted[e] for e, u in unions[c].items()), depth, ge)
-                routed[c] = [g & active[c] for g in ge]
+                routed[c] = [g & a for g in ge]
             else:
                 routed[c] = zero
 
@@ -879,13 +880,22 @@ def compare_with_oracle(
         if phase.termination is Termination.CYCLE:
             cycle |= 1 << case
 
-    def build(within: int) -> list[CaseResult]:
-        # clamp i sets bottom[j] for each bit j of i: the clamps below 2^j,
-        # then each of them with bottom[j] added
+    def table(concepts: Sequence[ConceptId]) -> list[frozenset[ConceptId]]:
+        # entry i holds concepts[j] for each bit j of i: the entries below
+        # 2^j, then each of them with concepts[j] added
         clamps: list[frozenset[ConceptId]] = [frozenset()]
-        for e in bottom:
+        for e in concepts:
             one = frozenset((e,))
             clamps += [clamped | one for clamped in clamps]
+        return clamps
+
+    def build(within: int) -> list[CaseResult]:
+        # clamp i sets bottom[j] for each bit j of i: the union of a table
+        # entry for its low half of bits and one for its high half, so a
+        # read builds about 2^(b/2) sets per half and one per case it reads,
+        # not all 2^b clamps
+        half = len(bottom) // 2
+        low, high, mask = table(bottom[:half]), table(bottom[half:]), (1 << half) - 1
         # the cases by their maximal sets, in the oracle's order
         maximal = {(): ones}
         for bits, plane in oracle._maximal(found).items():
@@ -898,10 +908,10 @@ def compare_with_oracle(
         groups = {(): within}
         for part in (terminations, inferred, kinds, maximal):
             groups = _refine(groups, {(value,): plane for value, plane in part.items()})
-        out: list[CaseResult | None] = [None] * len(clamps)
+        out: list[CaseResult | None] = [None] * (1 << len(bottom))
         for outcome, cases in groups.items():
             for case in _ids(cases):
-                out[case] = CaseResult(clamps[case], *outcome)
+                out[case] = CaseResult(low[case & mask] | high[case >> half], *outcome)
         return [case for case in out if case]
 
     return AgreementReport(kinds=kinds, build=build)

@@ -103,8 +103,15 @@ def _bottom_planes(net: ValidatedNetwork) -> list[int]:
 def _at_least(planes: Iterable[int], depth: int, ge: list[int]) -> list[int]:
     """Add the bits of planes, case by case, to the saturating count ge:
     ge[t] holds the cases whose count is at least t, for t up to depth, and
-    ge[0] every case."""
+    ge[0] every case. At depth 1 a plane adds only ge[0] & x to ge[1], so
+    the planes are ORed first: ge[1] | ge[0] & (x1 | x2 | ...)."""
     ge = ge.copy()
+    if depth == 1:
+        x = 0
+        for plane in planes:
+            x |= plane
+        ge[1] |= ge[0] & x
+        return ge
     for x in planes:
         for t in range(depth, 0, -1):
             ge[t] |= ge[t - 1] & x

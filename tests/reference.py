@@ -26,7 +26,13 @@ the drive table and every routed count of each, with the drive written out,
 where engine._drive_thresholds reads engine._drive, stops a cell at the first
 routed count whose drive is at most 0 and stops a row at its first 0 cell.
 Engine reads its ignition bounds off that table; the tests that check them
-write the drive out too.
+write the drive out too. clamp_planes_reference is engine._clamp_planes as it
+was before it kept each layer's count as a thermometer: it rebuilds the count
+of other active units as one-hot planes for each unit it visits, lists a
+layer's visits before walking it, keeps applicability as a union per element
+and computes error units on every layer, and it counts through
+at_least_reference, one pass per plane and per level at every depth, where
+model._at_least ORs the planes first at depth 1.
 """
 from __future__ import annotations
 
@@ -51,8 +57,10 @@ from conceptsim import (
     interpretation_consistent,
     pattern_state,
 )
+from conceptsim.engine import _drive_thresholds
 from conceptsim.errors import BottomConcept, NonBottomClamp
 from conceptsim.io import _HEADER_LINE, CSV_HEADER, _csv_field
+from conceptsim.model import ConceptId, _ids
 
 
 def interpretation_consistent_reference(net, interpretation, clamped, tau=DEFAULT_TAU):
@@ -391,6 +399,165 @@ def drive_thresholds_reference(params, widest, most):
                     return None
                 row.append(first)
     return table
+
+
+def at_least_reference(planes, depth, ge):
+    """model._at_least as one pass per plane and per level, at every depth."""
+    ge = ge.copy()
+    for x in planes:
+        for t in range(depth, 0, -1):
+            ge[t] |= ge[t - 1] & x
+    return ge
+
+
+def clamp_planes_reference(net, params, planes):
+    """engine._clamp_planes as it was before it kept thermometer counts: the
+    count of other active units as one-hot planes rebuilt for each visited
+    unit and ORed over each threshold's k, the visited units listed before a
+    layer is walked, each concept's applicability as a union per element, and
+    the error units of every concept, the top layer's included. Its pattern
+    applicabilities and routed counts go through at_least_reference."""
+    cases = 1 << len(net.bottom)
+    ones = (1 << cases) - 1
+    n = net.n_concepts
+    layers = [_ids(mask) for mask in net.layer_mask]
+    widest = max(map(len, layers[1:]), default=0)
+    table = _drive_thresholds(params, widest, n)
+    depth = max([1] + [t for row in table.values() for t in row if t <= n])
+    # per (dendrite, prev), each threshold t > 0 and the counts k that have it
+    steps = {
+        key: [(t, [k for k in range(widest) if row[k] == t]) for t in sorted(set(row) - {0})]
+        for key, row in table.items()
+        if any(row)
+    }
+    # the steps read the counts k below reads
+    reads = 1 + max((k for thresholds in steps.values() for _, ks in thresholds for k in ks), default=-1)
+    # whether an idle unit can ignite without, and with, a Complete pattern;
+    # rows fall with k, so a row with a threshold above 0 has one at k = 0
+    idle0, idle1 = any(table[0, 0]), any(table[1, 0])
+    elements = net.element_ids
+    needs = net.pattern_needs(params.tau)
+    zero = [ones] + [0] * depth  # a count of 0 in every case
+
+    active = [0] * n
+    for e, plane in zip(net.bottom, planes):
+        active[e] = plane
+    omitted, committed, latched, dend = [0] * n, [0] * n, [0] * n, [0] * n
+    routed = [zero] * n
+    # per layer, count[j]: the cases where j of its units are active, as the
+    # last sweep left them
+    counts = [[ones] + [0] * widest for _ in layers]
+    # per layer, the last sweep that changed its active planes: layer 0 is
+    # set at sweep 0, the others not yet
+    moved = [0] + [-1] * net.max_layer
+    # per concept, the entry of moved its patterns were last read at, and per
+    # element the cases where one of its patterns holding it applies
+    spans: list[tuple[int | None, dict[ConceptId, int]]] = [(None, {})] * n
+    seen: set[tuple[int, ...]] = set()
+    changed = ones
+    for sweep in range(params.max_sweeps):
+        changed = 0
+        for layer in range(1, len(layers)):
+            ids = layers[layer]
+            if moved[layer - 1] == sweep:
+                # the layer below changed, so dendrites must be recomputed
+                for c in ids:
+                    d = 0
+                    for elems in elements[c]:
+                        conj = ones
+                        for e in elems:
+                            conj &= active[e]
+                        d |= conj
+                    dend[c] = d
+            # the units that can move: active in some case, or unlatched in a
+            # case where they can ignite
+            visit = [
+                c for c in ids
+                if active[c] or ((ones ^ dend[c] if idle0 else 0) | (dend[c] if idle1 else 0)) & ~latched[c]
+            ]
+            count = counts[layer]
+            for c in visit:
+                prev, held, ge = active[c], latched[c], routed[c]
+                # k, the other active units: the count less prev
+                k_is = [count[k] & (ones ^ prev) | count[k + 1] & prev for k in range(reads)]
+                now = 0
+                for (has_dend, has_prev), thresholds in steps.items():
+                    sel = (dend[c] if has_dend else ones ^ dend[c]) & (prev if has_prev else ones ^ prev)
+                    for t, ks in thresholds:
+                        hit = 0
+                        for k in ks:
+                            hit |= k_is[k]
+                        now |= sel & hit & (ones ^ ge[t] if t <= n else ones)
+                now &= ones ^ held
+                latched[c] = held | prev & (ones ^ now) & ge[1]
+                if prev != now:
+                    moved[layer] = sweep
+                    changed |= prev ^ now
+                    active[c] = now
+                    # the cases where c turned on count one more, where it turned off one less
+                    up, down, kept = now & ~prev, prev & ~now, ones ^ prev ^ now
+                    count = [
+                        count[j] & kept | (count[j - 1] & up if j else 0) | (count[j + 1] & down if j < widest else 0)
+                        for j in range(widest + 1)
+                    ]
+                changed |= latched[c] ^ held
+            counts[layer] = count
+        if sweep not in moved:
+            # no active plane changed, so nothing latched and the error
+            # stage would repeat itself: every case is at a fixed point
+            break
+
+        pred = [0] * n
+        # per active concept and element, the cases where an applicable pattern of it holds the element
+        unions: dict[ConceptId, dict[ConceptId, int]] = {}
+        for c in net.non_bottom:
+            if not active[c]:
+                continue
+            read = moved[net.layer_of[c] - 1]
+            if spans[c][0] != read:
+                span: dict[ConceptId, int] = {}
+                for elems, need in zip(elements[c], needs[c]):
+                    applies = at_least_reference((active[e] for e in elems), need, [ones] + [0] * need)[need]
+                    for e in elems:
+                        span[e] = span.get(e, 0) | applies
+                spans[c] = read, span
+            a = active[c]
+            union = unions[c] = {e: plane & a for e, plane in spans[c][1].items()}
+            for e, plane in union.items():
+                pred[e] |= plane
+        below_top = net.below_top
+        for e in range(n):
+            om = pred[e] & (ones ^ active[e])
+            cm = active[e] & (ones ^ pred[e]) if below_top >> e & 1 else 0
+            changed |= om ^ omitted[e] | cm ^ committed[e]
+            omitted[e], committed[e] = om, cm
+        if params.error_routing is ErrorRouting.ALL_GLOBAL:
+            total = at_least_reference((omitted[e] | committed[e] for e in range(n)), depth, zero)
+            charged = [total] * len(layers)
+        else:
+            # commission errors per layer charge every active concept one layer up
+            charged = [at_least_reference((committed[e] for e in ids), depth, zero) for ids in layers]
+        for c in net.non_bottom:
+            if active[c]:
+                ge = charged[net.layer_of[c] - 1]
+                if params.error_routing is ErrorRouting.SPLIT:
+                    # an omission charges each owner once per missing element it predicted
+                    ge = at_least_reference((u & omitted[e] for e, u in unions[c].items()), depth, ge)
+                routed[c] = [g & active[c] for g in ge]
+            else:
+                routed[c] = zero
+
+        if not changed:
+            break
+        # the states themselves, not their hashes: an int hashes to its value
+        # mod 2^61 - 1, so planes of 64 cases or more can hash equal and differ
+        state = (*active, *latched)
+        if state in seen:
+            # the planes recur, so every case that still changes is in a cycle
+            return active, changed, 0
+        seen.add(state)
+
+    return active, 0, changed
 
 
 def render_ascii_timeline_reference(trace):

@@ -255,8 +255,9 @@ def test_plane_run_stops_when_the_planes_recur(monkeypatch, network):
     """With some clamps in a cycle, the plane run ends at the first
     recurring state of all planes, not at max_sweeps: it does the same work
     under max_sweeps 64 and 128, counted in calls of engine._at_least, which
-    every plane sweep that changes an activation makes. The clamps still
-    changing then are in a cycle, and compare labels them Cycle."""
+    every plane sweep that changes an activation makes, so that count is
+    above 0. The clamps still changing then are in a cycle, and compare
+    labels them Cycle."""
     net = network()
     calls = []
     real = engine._at_least
@@ -267,7 +268,7 @@ def test_plane_run_stops_when_the_planes_recur(monkeypatch, network):
         _, cycle, limit = engine._clamp_planes(net, replace(CYCLING_PARAMS, max_sweeps=max_sweeps), _bottom_planes(net))
         counts.append(len(calls))
     assert cycle not in (0, (1 << (1 << len(net.bottom))) - 1) and limit == 0
-    assert counts[0] == counts[1]
+    assert counts[0] == counts[1] > 0
     report = compare_with_oracle(net, CYCLING_PARAMS)
     assert report.cases == compare_reference(net, CYCLING_PARAMS).cases
     assert {c.termination for c in report.cases} == {Termination.FIXED_POINT, Termination.CYCLE}
@@ -550,6 +551,33 @@ def test_each_distinct_inferred_set_is_classified_once(monkeypatch, network):
     sets = {mask_of(case.inferred) for case in report.cases}
     assert sorted(classified) == sorted(sets)
     assert len(sets) < len(report.cases)
+
+
+def test_disagreements_build_only_their_own_clamp_sets(monkeypatch):
+    """Reading disagreements builds the clamp sets of the DISAGREE cases,
+    not one for each of the 2^b clamps: on synth 12/5/3 (4096 clamps, a few
+    of them DISAGREE) it makes far fewer unions of sets than there are
+    clamps, counted on a frozenset subclass that engine uses in place of
+    frozenset while the report is read. The cases read afterwards hold
+    their clamps in case order, and the disagreements are theirs."""
+    unions = []
+
+    class Counted(frozenset):
+        def __or__(self, other):
+            unions.append(1)
+            return Counted(frozenset.__or__(self, other))
+
+    net = synth_network((12, 5, 3), 0)
+    report = compare_with_oracle(net)
+    monkeypatch.setattr(engine, "frozenset", Counted, raising=False)
+    disagreements = report.disagreements
+    assert disagreements and len(unions) < (1 << len(net.bottom)) // 16
+    monkeypatch.undo()
+    cases = report.cases
+    assert [case.clamp for case in cases] == [
+        {e for j, e in enumerate(net.bottom) if i >> j & 1} for i in range(1 << len(net.bottom))
+    ]
+    assert disagreements == tuple(case for case in cases if case.classification is Agreement.DISAGREE)
 
 
 def test_several_maximal_sets_keep_the_oracle_order():

@@ -3,9 +3,11 @@ bitmask sweep against the set-and-Fraction ones, compare's bit-sliced run of
 every clamp against a fresh ReferenceEngine per clamp, and the trace writer
 and renderer that read snapshots against the ones that read sorted TraceRows."""
 import collections
+import functools
 import itertools
 import random
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -38,6 +40,7 @@ from conceptsim import (
     validate_network,
     write_trace_csv,
 )
+from conceptsim import engine
 from conceptsim.engine import _applicable, _drive_thresholds
 from conceptsim.errors import BadParams, UnknownConcept
 from conceptsim.model import _bit_bytes, _bits, _bottom_planes, _ids
@@ -48,6 +51,7 @@ from netgen import random_clamp, random_network, random_scenario, shuffled_netwo
 from reference import (
     ReferenceEngine,
     bottom_planes_reference,
+    clamp_planes_reference,
     compare_reference,
     drive_thresholds_reference,
     enumerate_reference,
@@ -636,6 +640,39 @@ def test_plane_run_matches_reference_on_seeded_nets(params):
         assert compare_with_oracle(net, params).cases == compare_reference(net, params).cases
 
 
+@functools.cache
+def kernel_nets():
+    """The nets of the plane kernel's check: netgen 0-29, shuffled 0-19,
+    synth 7/5/3 seeds 0-3, synth 6/5/5/3 seeds 1-3, salt and caramel, each
+    with at most 8 layer-0 concepts."""
+    nets = [*map(random_network, range(30)), *map(shuffled_network, range(20))]
+    nets += [synth_network((7, 5, 3), seed) for seed in range(4)]
+    nets += [synth_network((6, 5, 5, 3), seed) for seed in (1, 2, 3)]
+    nets += [validate_network(parse_network_file((DATA_DIR / name).read_text())) for name in ("salt.json", "caramel.json")]
+    return tuple(net for net in nets if len(net.bottom) <= 8)
+
+
+def assert_kernel_equals_reference(net, params):
+    planes = _bottom_planes(net)
+    assert engine._clamp_planes(net, params, planes) == clamp_planes_reference(net, params, planes)
+
+
+@pytest.mark.parametrize(
+    "params", [*PLANE_PARAMS, CYCLING_PARAMS, replace(CYCLING_PARAMS, max_sweeps=1), replace(CYCLING_PARAMS, max_sweeps=2)]
+)
+def test_plane_kernel_equals_its_reference_on_seeded_nets(params):
+    """engine._clamp_planes returns the reference kernel's active planes,
+    cycle plane and limit plane, run for run."""
+    for net in kernel_nets():
+        assert_kernel_equals_reference(net, params)
+
+
+@given(net=compare_nets, params=valid_params())
+@settings(max_examples=100, deadline=None)
+def test_plane_kernel_equals_its_reference_on_drawn_params(net, params):
+    assert_kernel_equals_reference(net, params)
+
+
 EDGE_NETS = {
     "empty": NetworkSpec(()),
     "layer 0 only": NetworkSpec((ConceptSpec("a", 0), ConceptSpec("b", 0))),
@@ -702,8 +739,13 @@ def test_a_drive_rising_with_the_routed_count_is_refused_before_compare_runs(mon
 @settings(max_examples=200, deadline=None)
 def test_drive_table_equals_the_full_scan(params, widest, most):
     """Each cell's scan stops at the first routed count whose drive is at
-    most 0; the table is the one of the scan over every routed count."""
-    assert _drive_thresholds(params, widest, most) == drive_thresholds_reference(params, widest, most)
+    most 0; the table is the one of the scan over every routed count. Every
+    row falls with k, so the plane run reads the k at or above a threshold
+    as a prefix of the layer's count."""
+    table = _drive_thresholds(params, widest, most)
+    assert table == drive_thresholds_reference(params, widest, most)
+    for row in table.values():
+        assert all(a >= b for a, b in zip(row, row[1:])), row
 
 
 @pytest.mark.parametrize("b", range(17))

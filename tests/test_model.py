@@ -37,7 +37,7 @@ from conceptsim.errors import (
     ValidationError,
 )
 
-from conceptsim.model import _PEEL_MAX, _ids
+from conceptsim.model import _PEEL_MAX, _at_least, _ids, _reach
 
 from netgen import random_network
 
@@ -355,3 +355,45 @@ def _id_masks() -> list[int]:
 @pytest.mark.parametrize("bits", _id_masks(), ids=lambda b: f"{b.bit_count()}of{b.bit_length()}")
 def test_ids_matches_a_bit_by_bit_scan(bits):
     assert _ids(bits) == [i for i in range(bits.bit_length()) if bits >> i & 1]
+
+
+#: 0-8 planes over up to 64 cases, and a count depth of 0-4
+PLANE_DRAWS = st.integers(1, 64).flatmap(
+    lambda cases: st.tuples(
+        st.just(cases),
+        st.lists(st.integers(0, (1 << cases) - 1), max_size=8),
+        st.integers(0, 4),
+    )
+)
+
+
+@given(draw=PLANE_DRAWS, data=st.data())
+def test_at_least_adds_each_cases_popcount(draw, data):
+    """_at_least(planes, depth, ge) gives, case by case with m of planes
+    set, ge[t] | ge[t-1] | ... | ge[t-m] at each level t <= depth, which for
+    a thermometer ge (a count) is the count plus m; entries past depth are
+    kept. ge is drawn both as arbitrary planes and as a thermometer, and
+    depth 1, which ORs the planes first, is among the depths."""
+    cases, planes, depth = draw
+    plane = st.integers(0, (1 << cases) - 1)
+    if data.draw(st.booleans(), label="thermometer"):
+        counts = data.draw(st.lists(st.integers(0, depth + 2), min_size=cases, max_size=cases), label="counts")
+        ge = [sum(1 << i for i, count in enumerate(counts) if count >= t) for t in range(depth + 2)]
+    else:
+        ge = data.draw(st.lists(plane, min_size=depth + 1, max_size=depth + 3), label="ge")
+    got = _at_least(iter(planes), depth, ge)
+    assert len(got) == len(ge) and got[depth + 1:] == ge[depth + 1:]
+    for i in range(cases):
+        m = sum(x >> i & 1 for x in planes)
+        for t in range(depth + 1):
+            assert got[t] >> i & 1 == any(ge[t - s] >> i & 1 for s in range(min(m, t) + 1)), (i, t)
+
+
+@given(draw=PLANE_DRAWS, data=st.data())
+def test_reach_is_the_cases_with_enough_planes_set(draw, data):
+    """_reach(planes, need, ones) is the cases of ones where at least need
+    of planes are set."""
+    cases, planes, need = draw
+    ones = data.draw(st.integers(0, (1 << cases) - 1), label="ones")
+    want = sum(1 << i for i in range(cases) if ones >> i & 1 and sum(x >> i & 1 for x in planes) >= need)
+    assert _reach(iter(planes), need, ones) == want
