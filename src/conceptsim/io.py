@@ -95,12 +95,6 @@ def _require_str(value, path: str) -> str:
     return value
 
 
-def _require_nonneg_int(value, path: str) -> int:
-    if type(value) is not int or value < 0:
-        raise TypeMismatch(f"{path}: expected a non-negative integer")
-    return value
-
-
 def _require_number(value, path: str) -> float:
     if type(value) not in (int, float):
         raise TypeMismatch(f"{path}: expected a number")
@@ -114,30 +108,34 @@ def _require_number(value, path: str) -> float:
 
 # --- networks ---
 
+_NETWORK_FIELDS = frozenset({"concepts"})
+_CONCEPT_FIELDS = frozenset({"name", "layer", "patterns"})
+_STR = frozenset({str})
+
+
 def parse_network_file(text: str) -> NetworkSpec:
-    """Parse the network JSON format; validation is a separate step."""
+    """Parse the network JSON format; validation is a separate step. Each value
+    is tested inline, and its path is built only to report a failed test."""
     root = _load_json(text)
-    _require_object(root, "$", frozenset({"concepts"}), frozenset({"concepts"}))
+    _require_object(root, "$", _NETWORK_FIELDS, _NETWORK_FIELDS)
     concepts: list[ConceptSpec] = []
     for i, raw in enumerate(_require_list(root["concepts"], "$.concepts")):
-        path = f"$.concepts[{i}]"
-        _require_object(
-            raw, path, frozenset({"name", "layer", "patterns"}),
-            frozenset({"name", "layer", "patterns"}),
-        )
-        name = _require_str(raw["name"], f"{path}.name")
-        layer = _require_nonneg_int(raw["layer"], f"{path}.layer")
-        patterns = []
-        for k, pat in enumerate(_require_list(raw["patterns"], f"{path}.patterns")):
-            elems = _require_list(pat, f"{path}.patterns[{k}]")
-            patterns.append(
-                tuple(
-                    _require_str(e, f"{path}.patterns[{k}][{j}]")
-                    for j, e in enumerate(elems)
-                )
-            )
-        concepts.append(ConceptSpec(name=name, layer=layer, patterns=tuple(patterns)))
-    return NetworkSpec(tuple(concepts))
+        if type(raw) is not dict or raw.keys() != _CONCEPT_FIELDS:
+            _require_object(raw, f"$.concepts[{i}]", _CONCEPT_FIELDS, _CONCEPT_FIELDS)
+        name, layer, patterns = raw["name"], raw["layer"], raw["patterns"]
+        if type(name) is not str or not name:
+            _require_str(name, f"$.concepts[{i}].name")
+        if type(layer) is not int or layer < 0:
+            raise TypeMismatch(f"$.concepts[{i}].layer: expected a non-negative integer")
+        if type(patterns) is not list or patterns and not all(
+            type(pat) is list and _STR.issuperset(map(type, pat)) and "" not in pat for pat in patterns
+        ):
+            path = f"$.concepts[{i}].patterns"
+            for k, pat in enumerate(_require_list(patterns, path)):
+                for j, e in enumerate(_require_list(pat, f"{path}[{k}]")):
+                    _require_str(e, f"{path}[{k}][{j}]")
+        concepts.append(ConceptSpec(name, layer, patterns))
+    return NetworkSpec(concepts)
 
 
 def serialize_network(spec: NetworkSpec) -> str:
@@ -150,6 +148,10 @@ def serialize_network(spec: NetworkSpec) -> str:
 
 
 # --- scenarios ---
+
+_SCENARIO_FIELDS = frozenset({"phases"})
+_PHASE_FIELDS = frozenset({"clamp", "hold"})
+
 
 class ScenarioPhase(NamedTuple):
     """One clamp episode; hold is None for run-to-convergence or a sweep count."""
@@ -172,14 +174,14 @@ class ScenarioSpec(NamedTuple):
 def parse_scenario_file(text: str, net: ValidatedNetwork) -> ScenarioSpec:
     """Parse and resolve a scenario against an already-validated network."""
     root = _load_json(text)
-    _require_object(root, "$", frozenset({"phases"}), frozenset({"phases"}))
+    _require_object(root, "$", _SCENARIO_FIELDS, _SCENARIO_FIELDS)
     raw_phases = _require_list(root["phases"], "$.phases")
     if not raw_phases:
         raise EmptyScenario("a scenario needs at least one phase")
     phases: list[ScenarioPhase] = []
     for i, raw in enumerate(raw_phases):
         path = f"$.phases[{i}]"
-        _require_object(raw, path, frozenset({"clamp", "hold"}), frozenset({"clamp", "hold"}))
+        _require_object(raw, path, _PHASE_FIELDS, _PHASE_FIELDS)
         clamp_raw = raw["clamp"]
         if not isinstance(clamp_raw, dict):
             raise TypeMismatch(f"{path}.clamp: expected an object")

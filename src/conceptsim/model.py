@@ -177,7 +177,8 @@ class ConceptSpec(_ConceptSpecFields):
     _make = classmethod(lambda cls, values: cls(*values))
 
     def __new__(cls, name: str, layer: int, patterns: Iterable[Iterable[str]] = ()) -> ConceptSpec:
-        return super().__new__(cls, name, layer, tuple(tuple(p) for p in patterns))
+        # a str pattern is kept whole, not split into characters, for validate_network to refuse
+        return super().__new__(cls, name, layer, tuple(p if type(p) is str else tuple(p) for p in patterns))
 
 
 class _NetworkSpecFields(NamedTuple):
@@ -343,6 +344,17 @@ def pattern_need(size: int, tau: float | Fraction = DEFAULT_TAU) -> int:
     return ceil(Fraction(tau) * size)
 
 
+def _malformed(where: str, elems: Sequence, names: list[str]) -> ValidationError:
+    """The first fault of a pattern that is a string, is empty, or lists an element twice or a non-name."""
+    if type(elems) is str:
+        return ValidationError(f"{where} is a string, not a list of names")
+    if not elems:
+        return EmptyPattern(f"{where} is empty")
+    if any(e in elems[:j] for j, e in enumerate(elems)):
+        return DuplicateElement(f"{where} lists an element twice")
+    return DanglingReference(f"{where} references unknown concept {next(e for e in elems if e not in names)!r}")
+
+
 def validate_network(spec: NetworkSpec) -> ValidatedNetwork:
     """Check every structural invariant and build the index structures.
 
@@ -380,43 +392,42 @@ def validate_network(spec: NetworkSpec) -> ValidatedNetwork:
             continue
         if not c.patterns:
             raise NonBottomWithoutPatterns(f"concept {c.name!r} on layer {c.layer} has no patterns")
-        seen: list[frozenset[ConceptId]] = []
+        below = c.layer - 1
+        seen: set[frozenset[ConceptId]] = set()
         pats: list[Pattern] = []
         pat_masks: list[int] = []
         for k, elems in enumerate(c.patterns):
-            where = f"concept {c.name!r} pattern {k}"
-            if not elems:
-                raise EmptyPattern(f"{where} is empty")
-            if len(set(elems)) != len(elems):
-                raise DuplicateElement(f"{where} lists an element twice")
-            ids = []
-            mask = 0
-            for ename in elems:
-                if ename not in name_to_id:
-                    raise DanglingReference(f"{where} references unknown concept {ename!r}")
-                eid = name_to_id[ename]
-                ids.append(eid)
-                mask |= 1 << eid
-            for eid in ids:
-                if layer_of[eid] != c.layer - 1:
-                    raise LayerViolation(
-                        f"{where}: element {names[eid]!r} is on layer {layer_of[eid]}, "
-                        f"expected layer {c.layer - 1}"
-                    )
+            # a pattern's name is formatted only where it is reported
+            try:
+                ids = [name_to_id[e] for e in elems]
+            except (KeyError, TypeError):  # an unknown or unhashable element
+                ids = ()
             members = frozenset(ids)
+            if not elems or len(members) != len(elems) or type(elems) is str:
+                raise _malformed(f"concept {c.name!r} pattern {k}", elems, names)
+            mask = 0
+            for eid in ids:
+                if layer_of[eid] != below:
+                    raise LayerViolation(
+                        f"concept {c.name!r} pattern {k}: element {names[eid]!r} is on layer "
+                        f"{layer_of[eid]}, expected layer {below}"
+                    )
+                mask |= 1 << eid
             if members in seen:
-                raise DuplicatePattern(f"{where} duplicates an earlier pattern of {c.name!r}")
-            seen.append(members)
-            if len(members) == 1:
-                warnings.append(f"{where} has a single element; it can never be applicable-incomplete")
+                raise DuplicatePattern(f"concept {c.name!r} pattern {k} duplicates an earlier pattern of {c.name!r}")
+            seen.add(members)
+            if len(ids) == 1:
+                warnings.append(
+                    f"concept {c.name!r} pattern {k} has a single element; it can never be applicable-incomplete"
+                )
             pats.append(Pattern(members))
             pat_masks.append(mask)
         resolved.append(tuple(pats))
         masks.append(tuple(pat_masks))
 
-    layers: dict[int, tuple[ConceptId, ...]] = {}
-    for lay in sorted(set(layer_of)):
-        layers[lay] = tuple(c for c in range(len(names)) if layer_of[c] == lay)
+    layers: dict[int, list[ConceptId]] = {}
+    for c, lay in enumerate(layer_of):
+        layers.setdefault(lay, []).append(c)
 
     # owners are met in (owner, ordinal) order, so each list is sorted as built
     inverse: dict[ConceptId, list[tuple[ConceptId, int]]] = {cid: [] for cid in range(len(names))}
@@ -430,7 +441,7 @@ def validate_network(spec: NetworkSpec) -> ValidatedNetwork:
         names=tuple(names),
         layer_of=layer_of,
         patterns=tuple(resolved),
-        layers=layers,
+        layers={lay: tuple(layers[lay]) for lay in sorted(layers)},
         parent_index={e: tuple(owners) for e, owners in inverse.items()},
         name_to_id=name_to_id,
         warnings=tuple(warnings),

@@ -32,7 +32,10 @@ of other active units as one-hot planes for each unit it visits, lists a
 layer's visits before walking it, keeps applicability as a union per element
 and computes error units on every layer, and it counts through
 at_least_reference, one pass per plane and per level at every depth, where
-model._at_least ORs the planes first at depth 1.
+model._at_least ORs the planes first at depth 1. parse_network_file_reference
+and validate_network_reference are the network loaders as they were before
+they built a path or a message only to raise it: each value goes through its
+_require_* helper, and each pattern builds its "where" text.
 """
 from __future__ import annotations
 
@@ -58,9 +61,22 @@ from conceptsim import (
     pattern_state,
 )
 from conceptsim.engine import _drive_thresholds
-from conceptsim.errors import BottomConcept, NonBottomClamp
-from conceptsim.io import _HEADER_LINE, CSV_HEADER, _csv_field
-from conceptsim.model import ConceptId, _ids
+from conceptsim.errors import (
+    BottomConcept,
+    BottomWithPatterns,
+    DanglingReference,
+    DuplicateElement,
+    DuplicateName,
+    DuplicatePattern,
+    EmptyPattern,
+    LayerViolation,
+    NonBottomClamp,
+    NonBottomWithoutPatterns,
+    TypeMismatch,
+    ValidationError,
+)
+from conceptsim.io import _HEADER_LINE, CSV_HEADER, _csv_field, _load_json, _require_list, _require_object, _require_str
+from conceptsim.model import ConceptId, ConceptSpec, NetworkSpec, Pattern, ValidatedNetwork, _ids
 
 
 def interpretation_consistent_reference(net, interpretation, clamped, tau=DEFAULT_TAU):
@@ -586,3 +602,130 @@ def render_ascii_timeline_reference(trace):
                 cells.append(".")
         lines.append(f"{name:<{width}} " + "".join(cells))
     return "\n".join(lines)
+
+
+def _require_nonneg_int(value, path: str) -> int:
+    if type(value) is not int or value < 0:
+        raise TypeMismatch(f"{path}: expected a non-negative integer")
+    return value
+
+
+def parse_network_file_reference(text: str) -> NetworkSpec:
+    """Parse the network JSON format; validation is a separate step."""
+    root = _load_json(text)
+    _require_object(root, "$", frozenset({"concepts"}), frozenset({"concepts"}))
+    concepts: list[ConceptSpec] = []
+    for i, raw in enumerate(_require_list(root["concepts"], "$.concepts")):
+        path = f"$.concepts[{i}]"
+        _require_object(
+            raw, path, frozenset({"name", "layer", "patterns"}),
+            frozenset({"name", "layer", "patterns"}),
+        )
+        name = _require_str(raw["name"], f"{path}.name")
+        layer = _require_nonneg_int(raw["layer"], f"{path}.layer")
+        patterns = []
+        for k, pat in enumerate(_require_list(raw["patterns"], f"{path}.patterns")):
+            elems = _require_list(pat, f"{path}.patterns[{k}]")
+            patterns.append(
+                tuple(
+                    _require_str(e, f"{path}.patterns[{k}][{j}]")
+                    for j, e in enumerate(elems)
+                )
+            )
+        concepts.append(ConceptSpec(name=name, layer=layer, patterns=tuple(patterns)))
+    return NetworkSpec(tuple(concepts))
+
+
+def validate_network_reference(spec: NetworkSpec) -> ValidatedNetwork:
+    """Check every structural invariant and build the index structures.
+
+    Raises a ValidationError subclass naming the offending concept/pattern;
+    singleton patterns are legal but reported via ValidatedNetwork.warnings
+    (they can never be applicable-incomplete, so they cannot express a
+    bistability violation).
+    """
+    names: list[str] = []
+    name_to_id: dict[str, ConceptId] = {}
+    for cid, c in enumerate(spec.concepts):
+        if not isinstance(c.name, str) or not c.name:
+            raise ValidationError(f"concept {cid}: name must be a non-empty string")
+        if "\0" in c.name:
+            # CSV readers refuse NUL (Python 3.10's csv module among them), so a
+            # trace holding it could be written but not read back
+            raise ValidationError(f"concept {cid}: name {c.name!r} contains NUL")
+        if c.name in name_to_id:
+            raise DuplicateName(f"concept name {c.name!r} appears more than once")
+        if type(c.layer) is not int or c.layer < 0:
+            raise LayerViolation(f"concept {c.name!r}: layer must be a non-negative integer")
+        name_to_id[c.name] = cid
+        names.append(c.name)
+
+    layer_of = tuple(c.layer for c in spec.concepts)
+    warnings: list[str] = []
+    resolved: list[tuple[Pattern, ...]] = []
+    masks: list[tuple[int, ...]] = []
+    for cid, c in enumerate(spec.concepts):
+        if c.layer == 0:
+            if c.patterns:
+                raise BottomWithPatterns(f"layer-0 concept {c.name!r} must not carry patterns")
+            resolved.append(())
+            masks.append(())
+            continue
+        if not c.patterns:
+            raise NonBottomWithoutPatterns(f"concept {c.name!r} on layer {c.layer} has no patterns")
+        seen: list[frozenset[ConceptId]] = []
+        pats: list[Pattern] = []
+        pat_masks: list[int] = []
+        for k, elems in enumerate(c.patterns):
+            where = f"concept {c.name!r} pattern {k}"
+            if not elems:
+                raise EmptyPattern(f"{where} is empty")
+            if len(set(elems)) != len(elems):
+                raise DuplicateElement(f"{where} lists an element twice")
+            ids = []
+            mask = 0
+            for ename in elems:
+                if ename not in name_to_id:
+                    raise DanglingReference(f"{where} references unknown concept {ename!r}")
+                eid = name_to_id[ename]
+                ids.append(eid)
+                mask |= 1 << eid
+            for eid in ids:
+                if layer_of[eid] != c.layer - 1:
+                    raise LayerViolation(
+                        f"{where}: element {names[eid]!r} is on layer {layer_of[eid]}, "
+                        f"expected layer {c.layer - 1}"
+                    )
+            members = frozenset(ids)
+            if members in seen:
+                raise DuplicatePattern(f"{where} duplicates an earlier pattern of {c.name!r}")
+            seen.append(members)
+            if len(members) == 1:
+                warnings.append(f"{where} has a single element; it can never be applicable-incomplete")
+            pats.append(Pattern(members))
+            pat_masks.append(mask)
+        resolved.append(tuple(pats))
+        masks.append(tuple(pat_masks))
+
+    layers: dict[int, tuple[ConceptId, ...]] = {}
+    for lay in sorted(set(layer_of)):
+        layers[lay] = tuple(c for c in range(len(names)) if layer_of[c] == lay)
+
+    # owners are met in (owner, ordinal) order, so each list is sorted as built
+    inverse: dict[ConceptId, list[tuple[ConceptId, int]]] = {cid: [] for cid in range(len(names))}
+    for cid, pats in enumerate(resolved):
+        for k, pat in enumerate(pats):
+            for e in pat.elements:
+                inverse[e].append((cid, k))
+
+    return ValidatedNetwork(
+        spec=spec,
+        names=tuple(names),
+        layer_of=layer_of,
+        patterns=tuple(resolved),
+        layers=layers,
+        parent_index={e: tuple(owners) for e, owners in inverse.items()},
+        name_to_id=name_to_id,
+        warnings=tuple(warnings),
+        masks=tuple(masks),
+    )

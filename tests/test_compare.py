@@ -21,9 +21,10 @@ from conceptsim import engine, oracle
 from conceptsim.errors import TooLarge
 from conceptsim.model import _PEEL_MAX, _bottom_planes, _ids
 
-from conftest import AMBIGUOUS_SPEC, CANONICAL_SPEC, CYCLING_PARAMS, DATA_DIR
+from conftest import CYCLING_PARAMS
 from netgen import random_network, shuffled_network, synth_network
 from reference import compare_reference
+from specs import AMBIGUOUS_SPEC, CANONICAL_SPEC, DATA_DIR
 
 
 def names_of(net, cids):

@@ -46,7 +46,7 @@ from conceptsim.errors import BadParams, UnknownConcept
 from conceptsim.model import _bit_bytes, _bits, _bottom_planes, _ids
 from conceptsim.oracle import _search
 
-from conftest import AMBIGUOUS_SPEC, CYCLING_PARAMS, DATA_DIR
+from conftest import CYCLING_PARAMS
 from netgen import random_clamp, random_network, random_scenario, shuffled_network, synth_network
 from reference import (
     ReferenceEngine,
@@ -63,6 +63,7 @@ from reference import (
     write_rows_csv,
     write_trace_csv_reference,
 )
+from specs import AMBIGUOUS_SPEC, DATA_DIR
 
 TAUS = (0.5, 0.3, Fraction(2, 3), 1.0)
 

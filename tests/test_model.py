@@ -40,6 +40,7 @@ from conceptsim.errors import (
 from conceptsim.model import _PEEL_MAX, _at_least, _ids, _reach
 
 from netgen import random_network
+from reference import validate_network_reference
 
 
 def test_canonical_network_valid(net, ids):
@@ -110,6 +111,41 @@ def test_nul_in_a_name_is_a_validation_error():
     """A trace CSV holding NUL cannot be read back on every Python version."""
     with pytest.raises(ValidationError, match=r"'a\\x00b' contains NUL"):
         validate_network(NetworkSpec((ConceptSpec("ok", 0), ConceptSpec("a\0b", 0))))
+
+
+@pytest.mark.parametrize("patterns, where", [
+    (["ab"], "pattern 0"),  # was read as the pattern {a, b}
+    ("a", "pattern 0"),  # was read as the one pattern {a}
+    ([("a",), "ab"], "pattern 1"),
+])
+def test_a_string_pattern_is_refused_not_split_into_characters(patterns, where):
+    spec = NetworkSpec((ConceptSpec("a", 0), ConceptSpec("b", 0), ConceptSpec("c", 1, patterns)))
+    with pytest.raises(ValidationError) as refused:
+        validate_network(spec)
+    assert type(refused.value) is ValidationError
+    assert str(refused.value) == f"concept 'c' {where} is a string, not a list of names"
+    # the loader it replaced split the string, and accepted it
+    validate_network_reference(spec)
+
+
+@pytest.mark.parametrize("element", [["a"], {"a": 1}, ("a", ["b"])])
+def test_an_unhashable_element_is_a_dangling_reference(element):
+    """As an element 0 is an unknown concept, not a crash; the loader it
+    replaced raised a bare TypeError."""
+    spec = NetworkSpec((ConceptSpec("a", 0), ConceptSpec("b", 1, [["a", element]])))
+    with pytest.raises(DanglingReference) as refused:
+        validate_network(spec)
+    assert str(refused.value) == f"concept 'b' pattern 0 references unknown concept {element!r}"
+    with pytest.raises(TypeError):
+        validate_network_reference(spec)
+    with pytest.raises(DanglingReference, match="unknown concept 0$"):
+        validate_network(NetworkSpec((ConceptSpec("a", 0), ConceptSpec("b", 1, [["a", 0]]))))
+
+
+def test_a_repeated_element_is_reported_before_an_unknown_one():
+    for elements in (["x", "x"], ["a", ["y"], ["y"]]):
+        with pytest.raises(DuplicateElement, match="lists an element twice"):
+            validate_network(NetworkSpec((ConceptSpec("a", 0), ConceptSpec("b", 1, [elements]))))
 
 
 def test_singleton_pattern_warns_but_validates():

@@ -19,9 +19,9 @@ from conceptsim import (
 )
 from conceptsim.errors import BottomConcept, NonBottomClamp, TooLarge, UnknownConcept
 
-from conftest import AMBIGUOUS_SPEC, CANONICAL_SPEC, DATA_DIR
 from netgen import random_network
 from reference import interpretation_consistent_reference
+from specs import AMBIGUOUS_SPEC, CANONICAL_SPEC, DATA_DIR
 
 
 def names_of(net, cids):
