@@ -16,7 +16,8 @@ import math
 import numbers
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import or_, xor
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
@@ -650,10 +651,18 @@ def _clamp_planes(net: ValidatedNetwork, params: EngineParams, planes: list[int]
     threshold t are a prefix [0, K_t): the test r < row[k] is the OR over
     the row's thresholds t of "k < K_t and r < t", which is ~at[K_t + prev]
     & ~ge[t], since k is the count less prev. Runs stop when no case
-    changed its Snapshot, at max_sweeps, or when the planes recur: the state
-    of a case is its active and latched bits, since the rest is a function
-    of them, so a case that did not change stays fixed, and one still
-    changing when every plane recurs is in a cycle.
+    changed its Snapshot, at max_sweeps, or when the planes recur. After a
+    sweep a case's state is its active and latched bits, as the rest is a
+    function of them, so a case that did not change stays fixed, and one
+    still changing at the stop is in a cycle where its last state is an
+    earlier one, else at the sweep limit. The start, whose error planes are
+    0, is never that earlier state: under a nonempty clamp a state with no
+    active non-bottom unit has commission errors, under the empty clamp with
+    theta >= 0 the start is a fixed point, and with theta < 0, if every
+    other layer-1 unit ends a sweep off, the last sees k = 0 and no routed
+    error unless it was active (only active units are charged), so it ends
+    on, or latched. That holds only for the zero start: a run from a given
+    start state must keep it, with its error planes, among the earlier ones.
 
     A sweep does only the work that can change a plane, by three exact rules:
       - A unit is visited only if it is active in some case, or unlatched in
@@ -673,8 +682,7 @@ def _clamp_planes(net: ValidatedNetwork, params: EngineParams, planes: list[int]
         active plane changed ends the run without recomputing them.
 
     Returns the final active planes by concept id, then the cases in a
-    cycle, found when the planes recur, and those still changing at
-    max_sweeps, two planes of which one is 0.
+    cycle and those at the sweep limit; the others reached a fixed point.
     """
     cases = 1 << len(net.bottom)
     ones = (1 << cases) - 1
@@ -803,15 +811,17 @@ def _clamp_planes(net: ValidatedNetwork, params: EngineParams, planes: list[int]
 
         if not changed:
             break
+        if sweep:
+            seen.add(state)  # the previous sweep's state; the start is left out (see above)
         # the states themselves, not their hashes: an int hashes to its value
         # mod 2^61 - 1, so planes of 64 cases or more can hash equal and differ
         state = (*active, *latched)
         if state in seen:
-            # the planes recur, so every case that still changes is in a cycle
-            return active, changed, 0
-        seen.add(state)
+            break
 
-    return active, 0, changed
+    # a case still changing is in a cycle where its last state equals an earlier one on every plane
+    cycle = changed and changed & reduce(or_, [ones ^ reduce(or_, map(xor, state, s)) for s in seen], 0)
+    return active, cycle, changed ^ cycle
 
 
 def _refine(groups: dict, part: dict) -> dict:
@@ -844,9 +854,9 @@ def compare_with_oracle(
     plane algebra per distinct inferred set s, with P the plane of its cases
     and above the cases where a strict superset of s is consistent: AGREE
     is P where s is consistent and not above, or where nothing is and s is
-    empty, and TIE-SELECTED is P & above. Only a clamp still changing at
-    max_sweeps is rerun, alone through run_scenario, to tell a cycle from the
-    sweep limit. Nets the oracle refuses are refused before either plane run.
+    empty, and TIE-SELECTED is P & above. A clamp still changing when the
+    plane run stops is a Cycle or SweepLimit as its own states tell. Nets
+    the oracle refuses are refused before either plane run.
     """
     from . import oracle  # only compare needs it; a module, so patched attributes are seen
 
@@ -875,10 +885,6 @@ def compare_with_oracle(
         agree |= plane & ~above & (found.get(s, 0) if s else ones)
         tie |= plane & above
     kinds = {Agreement.AGREE: agree, Agreement.TIE_SELECTED: tie, Agreement.DISAGREE: ones ^ agree ^ tie}
-    for case in _ids(limit):
-        [phase] = run_scenario(net, params, [({e: 1 for j, e in enumerate(bottom) if case >> j & 1}, None)]).phases
-        if phase.termination is Termination.CYCLE:
-            cycle |= 1 << case
 
     def table(concepts: Sequence[ConceptId]) -> list[frozenset[ConceptId]]:
         # entry i holds concepts[j] for each bit j of i: the entries below
@@ -902,8 +908,7 @@ def compare_with_oracle(
             if plane:
                 maximal = _refine(maximal, {(frozenset(_ids(bits)),): plane, (): ones ^ plane})
         # the cases of within by outcome: termination, inferred set, Agreement, maximal sets
-        terminations = {Termination.FIXED_POINT: ones ^ unsettled, Termination.CYCLE: cycle}
-        terminations[Termination.SWEEP_LIMIT] = limit & ~cycle
+        terminations = dict(zip(Termination, (ones ^ unsettled, cycle, limit)))
         inferred = {None: unsettled, **{frozenset(_ids(s)): plane for s, plane in sets.items()}}
         groups = {(): within}
         for part in (terminations, inferred, kinds, maximal):

@@ -432,7 +432,10 @@ def clamp_planes_reference(net, params, planes):
     unit and ORed over each threshold's k, the visited units listed before a
     layer is walked, each concept's applicability as a union per element, and
     the error units of every concept, the top layer's included. Its pattern
-    applicabilities and routed counts go through at_least_reference."""
+    applicabilities and routed counts go through at_least_reference. It
+    keeps the old stop rule too: a clamp still changing is in a cycle only
+    when every plane recurs, and at the sweep limit at max_sweeps, even where
+    its own state recurred."""
     cases = 1 << len(net.bottom)
     ones = (1 << cases) - 1
     n = net.n_concepts

@@ -1,4 +1,5 @@
 """Exhaustive dynamics-vs-oracle comparison."""
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -221,33 +222,6 @@ def test_compare_makes_no_per_clamp_oracle_call(monkeypatch, network):
     assert compare_with_oracle(net).cases == want
 
 
-def test_only_unsettled_clamps_run_on_the_engine(monkeypatch, net):
-    """The planes settle every clamp that reaches a fixed point; Engine runs
-    only the others, here the 31 clamps still changing after one sweep, each
-    alone through run_scenario as one phase run to convergence."""
-    runs = []
-    real_run = Engine.run_to_fixed_point
-    scenarios = []
-    real_scenario = engine.run_scenario
-
-    def counted(self):
-        runs.append(1)
-        return real_run(self)
-
-    def recorded(net, params, phases):
-        scenarios.append(phases)
-        return real_scenario(net, params, phases)
-
-    monkeypatch.setattr(Engine, "run_to_fixed_point", counted)
-    monkeypatch.setattr(engine, "run_scenario", recorded)
-    compare_with_oracle(net)
-    assert runs == scenarios == []
-    report = compare_with_oracle(net, EngineParams(max_sweeps=1))
-    unsettled = [c for c in report.cases if c.termination is not Termination.FIXED_POINT]
-    assert len(runs) == len(unsettled) == 31
-    assert scenarios == [[(dict.fromkeys(sorted(c.clamp), 1), None)] for c in unsettled]
-
-
 @pytest.mark.parametrize("network", [
     pytest.param(lambda: random_network(3), id="netgen-3"),
     pytest.param(lambda: shuffled_network(0), id="shuffled-0"),
@@ -278,26 +252,36 @@ def test_plane_run_stops_when_the_planes_recur(monkeypatch, network):
 #: CYCLING_PARAMS cut at 5 sweeps: the clamps of shuffled 0 that cycle are
 #: still changing there, and neither their planes nor their own states recur
 LATE_CYCLE_PARAMS = replace(CYCLING_PARAMS, max_sweeps=5)
+#: CYCLING_PARAMS cut at 6 sweeps: the planes of netgen 0 do not recur by
+#: then, yet 7 of its 8 clamps have each returned to a state of their own
+CUT_CYCLE_PARAMS = replace(CYCLING_PARAMS, max_sweeps=6)
+CYCLE, LIMIT = Termination.CYCLE, Termination.SWEEP_LIMIT
 
 
-@pytest.mark.parametrize("network, params", [
-    pytest.param(lambda: random_network(3), CYCLING_PARAMS, id="netgen-3-cycling"),
-    pytest.param(lambda: shuffled_network(0), CYCLING_PARAMS, id="shuffled-0-cycling"),
-    pytest.param(lambda: shuffled_network(0), LATE_CYCLE_PARAMS, id="shuffled-0-late-cycle"),
+@pytest.mark.parametrize("network, params, unsettled", [
+    pytest.param(lambda: shipped("salt.json"), EngineParams(max_sweeps=1), {LIMIT: 31}, id="salt-1-sweep"),
+    pytest.param(lambda: random_network(3), CYCLING_PARAMS, {CYCLE: 1}, id="netgen-3-cycling"),
+    pytest.param(lambda: shuffled_network(0), CYCLING_PARAMS, {CYCLE: 5}, id="shuffled-0-cycling"),
+    pytest.param(lambda: shuffled_network(0), LATE_CYCLE_PARAMS, {LIMIT: 5}, id="shuffled-0-late-cycle"),
+    pytest.param(lambda: random_network(0), CUT_CYCLE_PARAMS, {CYCLE: 7, LIMIT: 1}, id="netgen-0-cut-cycle"),
 ])
-def test_only_clamps_at_the_sweep_limit_are_rerun(monkeypatch, network, params):
-    """A clamp still changing when the planes recur is in a cycle and is not
-    rerun; one still changing at max_sweeps runs alone through run_scenario,
-    once. Here every such rerun ends at the sweep limit."""
+def test_compare_runs_no_clamp_on_the_engine(monkeypatch, network, params, unsettled):
+    """compare tells Cycle from SweepLimit off the plane run's own states:
+    with run_scenario and Engine.run_to_fixed_point refusing every call,
+    every CaseResult still equals the per-clamp reference's, which runs a
+    ReferenceEngine, and the clamps still changing at the end are the ones
+    pinned here."""
     net = network()
-    calls = []
-    real = engine.run_scenario
-    monkeypatch.setattr(engine, "run_scenario", lambda *args: calls.append(args[2]) or real(*args))
+    want = compare_reference(net, params).cases
+
+    def refuse(*args):
+        raise AssertionError("compare ran a clamp on the Engine")
+
+    monkeypatch.setattr(engine, "run_scenario", refuse)
+    monkeypatch.setattr(Engine, "run_to_fixed_point", refuse)
     report = compare_with_oracle(net, params)
-    assert report.cases == compare_reference(net, params).cases
-    assert any(c.termination is not Termination.FIXED_POINT for c in report.cases)
-    limited = [c for c in report.cases if c.termination is Termination.SWEEP_LIMIT]
-    assert calls == [[(dict.fromkeys(sorted(c.clamp), 1), None)] for c in limited]
+    assert report.cases == want
+    assert Counter(c.termination for c in report.cases if c.termination is not Termination.FIXED_POINT) == unsettled
 
 
 def test_plane_run_tells_recurring_planes_from_planes_that_hash_equal():
@@ -329,7 +313,7 @@ def test_plane_run_tells_recurring_planes_from_planes_that_hash_equal():
 @pytest.mark.parametrize("params", [EngineParams(), CYCLING_PARAMS], ids=["defaults", "cycling"])
 def test_compare_on_wide_planes_matches_the_reference(params):
     """On 10 layer-0 concepts, 1024 cases, every CaseResult is the
-    reference's; under CYCLING_PARAMS one clamp never settles and is rerun."""
+    reference's; under CYCLING_PARAMS one clamp never settles."""
     net = synth_network((10, 4, 2), 0)
     report = compare_with_oracle(net, params)
     assert report.cases == compare_reference(net, params).cases

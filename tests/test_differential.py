@@ -641,6 +641,29 @@ def test_plane_run_matches_reference_on_seeded_nets(params):
         assert compare_with_oracle(net, params).cases == compare_reference(net, params).cases
 
 
+#: theta < 0 above the error bound: one routed error shuts even a fully
+#: driven unit, and on salt {looking, white} salt and sugar alternate
+ABOVE_BOUND_PARAMS = EngineParams(w_ff=1.6, w_self=-0.6, w_lat=2.0, w_err=3.2, theta=-0.7, tau=1.0)
+
+
+@pytest.mark.parametrize("routing", ErrorRouting)
+@pytest.mark.parametrize("params", [CYCLING_PARAMS, *PLANE_PARAMS, ABOVE_BOUND_PARAMS])
+def test_no_run_returns_to_its_zero_start(params, routing):
+    """engine._clamp_planes leaves the start state out of each case's
+    recurrence test, by the argument in its docstring: unless the start is a
+    fixed point, no run from the zero state meets the state apply_clamp left
+    again, its error bits of 0 included."""
+    params = replace(params, error_routing=routing)
+    for net in [*map(random_network, range(50)), *map(shuffled_network, range(20))]:
+        scalar = Engine(net, params)
+        for case in range(1 << len(net.bottom)):
+            scalar.reset()
+            scalar.apply_clamp({e: 1 for j, e in enumerate(net.bottom) if case >> j & 1})
+            start = scalar.state
+            snaps, _, _ = scalar.run_to_fixed_point()
+            assert snaps == (start,) or start not in snaps
+
+
 @functools.cache
 def kernel_nets():
     """The nets of the plane kernel's check: netgen 0-29, shuffled 0-19,
@@ -654,16 +677,23 @@ def kernel_nets():
 
 
 def assert_kernel_equals_reference(net, params):
+    """The reference kernel finds a cycle only where all planes recur, and
+    reports one that shows only at max_sweeps as the sweep limit, so the
+    kernel's cycle plane may hold more of the same unsettled cases."""
     planes = _bottom_planes(net)
-    assert engine._clamp_planes(net, params, planes) == clamp_planes_reference(net, params, planes)
+    active, cycle, limit = engine._clamp_planes(net, params, planes)
+    want_active, want_cycle, want_limit = clamp_planes_reference(net, params, planes)
+    assert active == want_active
+    assert cycle | limit == want_cycle | want_limit
+    assert want_cycle & ~cycle == 0
 
 
 @pytest.mark.parametrize(
     "params", [*PLANE_PARAMS, CYCLING_PARAMS, replace(CYCLING_PARAMS, max_sweeps=1), replace(CYCLING_PARAMS, max_sweeps=2)]
 )
 def test_plane_kernel_equals_its_reference_on_seeded_nets(params):
-    """engine._clamp_planes returns the reference kernel's active planes,
-    cycle plane and limit plane, run for run."""
+    """engine._clamp_planes returns the reference kernel's active planes and
+    unsettled cases, run for run, and every cycle the reference finds."""
     for net in kernel_nets():
         assert_kernel_equals_reference(net, params)
 
