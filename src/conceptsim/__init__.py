@@ -8,10 +8,13 @@ only for the modules it runs.
 import importlib
 
 _EXPORTS = {
-    "engine": (
+    "compare": (
         "Agreement",
         "AgreementReport",
         "CaseResult",
+        "compare_with_oracle",
+    ),
+    "engine": (
         "Engine",
         "EngineParams",
         "ErrorRouting",
@@ -20,7 +23,6 @@ _EXPORTS = {
         "Termination",
         "Trace",
         "Verdict",
-        "compare_with_oracle",
         "dendrite_values",
         "error_flags",
         "read_verdicts",
@@ -66,7 +68,7 @@ _EXPORTS = {
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
-_SUBMODULES = frozenset({"engine", "errors", "io", "model", "oracle"})
+_SUBMODULES = frozenset({"compare", "engine", "errors", "io", "model", "oracle"})
 
 __all__ = list(_MODULE_OF)
 __version__ = "0.1.0"

@@ -46,10 +46,11 @@ def _load_params(path: str | None) -> EngineParams:
 
 
 def _resolve_active(net: ValidatedNetwork, text: str) -> frozenset[int]:
-    """The ids of comma-separated names. The oracle refuses names above
-    layer 0, so an unknown name wins over one above layer 0."""
+    """The ids of comma-separated names, none for "": an empty name among
+    others is unknown. The oracle refuses names above layer 0, so an unknown
+    name wins over one above layer 0."""
     ids = set()
-    for name in filter(None, text.split(",")):
+    for name in text.split(",") if text else ():
         cid = net.name_to_id.get(name)
         if cid is None:
             raise UnknownElement(f"no concept named {name!r}")
@@ -198,7 +199,7 @@ def _compare_text(report):
 
 
 def cmd_compare(args) -> int:
-    from .engine import Agreement, compare_with_oracle
+    from .compare import Agreement, compare_with_oracle
 
     net = _load_network(args.network)
     params = _load_params(args.params)

@@ -14,15 +14,12 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property, reduce
-from operator import or_, xor
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import BadParams, TooLarge
-from .model import DEFAULT_TAU, ConceptId, ValidatedNetwork, _at_least, _bit_bytes, _bits, _bottom_planes, _ids, _reach
+from .model import DEFAULT_TAU, ConceptId, ValidatedNetwork, _bit_bytes, _bits, _ids
 
 
 class ErrorRouting(Enum):
@@ -47,8 +44,7 @@ class Verdict(Enum):
     UNSTABLE = "Unstable"
 
 
-@dataclass(frozen=True)
-class EngineParams:
+class EngineParams(NamedTuple):
     """Circuit weights and thresholds.
 
     Invariants, checked by validate():
@@ -583,340 +579,18 @@ def read_verdicts(trace: Trace, phase: int = -1) -> dict[ConceptId, Verdict]:
     return verdicts
 
 
-class Agreement(Enum):
-    AGREE = "AGREE"
-    TIE_SELECTED = "TIE-SELECTED"
-    DISAGREE = "DISAGREE"
+#: names that moved to compare.py; engine resolves them on first use, so
+#: engine.compare_with_oracle still works and `run` never loads compare
+_COMPARE_NAMES = {
+    "Agreement", "CaseResult", "AgreementReport", "COMPARE_BOTTOM_LIMIT", "_clamp_planes", "_refine",
+    "compare_with_oracle",
+}
 
 
-@dataclass(frozen=True)
-class CaseResult:
-    """One clamp subset: what the dynamics inferred vs. what the oracle allows."""
+def __getattr__(name: str):
+    if name not in _COMPARE_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import compare
 
-    clamp: frozenset[ConceptId]
-    termination: Termination
-    inferred: frozenset[ConceptId] | None
-    classification: Agreement
-    maximal: tuple[frozenset[ConceptId], ...]
-
-
-class AgreementReport:
-    """The cases of one compare, case i the clamp of bit j of i on net.bottom[j].
-
-    Held per Agreement as a plane, an int whose bit i stands for case i, so
-    count is a popcount. build(plane) builds the CaseResults of a plane's
-    cases in case order, only when read: disagreements builds the DISAGREE
-    ones, and cases all, once. AgreementReport(cases) wraps built cases.
-    """
-
-    def __init__(self, cases: Sequence[CaseResult] = (), kinds: dict | None = None, build: Callable | None = None):
-        if build is None:
-            built = self.__dict__["cases"] = tuple(cases)
-            kinds = {kind: _bits([case.classification is kind for case in built]) for kind in Agreement}
-            build = lambda within: [built[i] for i in _ids(within)]
-        self._kinds, self._build = kinds, build
-
-    def count(self, kind: Agreement) -> int:
-        return self._kinds[kind].bit_count()
-
-    @property
-    def disagreements(self) -> tuple[CaseResult, ...]:
-        return tuple(self._build(self._kinds[Agreement.DISAGREE]))
-
-    @cached_property
-    def cases(self) -> tuple[CaseResult, ...]:
-        return tuple(self._build(sum(self._kinds.values())))  # the planes are disjoint
-
-    def __eq__(self, other: object) -> bool:
-        return self.cases == other.cases if isinstance(other, AgreementReport) else NotImplemented
-
-
-#: Refuse to sweep clamp subsets beyond this many layer-0 concepts.
-COMPARE_BOTTOM_LIMIT = 16
-
-
-def _clamp_planes(net: ValidatedNetwork, params: EngineParams, planes: list[int]) -> tuple[list[int], int, int]:
-    """Run the clamps of compare_with_oracle all at once, bit-sliced.
-
-    Each unit value is one int, a plane, whose bit i is its value under case
-    i, the clamp of bit j of i on net.bottom[j], as planes[j] has it (see
-    model._bottom_planes); a sweep applies sweep()'s rules to whole planes,
-    so one int operation advances every case. Each layer keeps its count of
-    active units as a thermometer, at[j] the cases where at least j of its
-    units are active, current in id order and from sweep to sweep, and each
-    unit its routed count as ge[t], the cases where it is at least t, up to
-    the largest threshold of _drive_thresholds' table, or 1, which the latch
-    test needs. The drive falls with the count k of other active units, so a
-    row of the table falls with k, and the k whose cell is at least a
-    threshold t are a prefix [0, K_t): the test r < row[k] is the OR over
-    the row's thresholds t of "k < K_t and r < t", which is ~at[K_t + prev]
-    & ~ge[t], since k is the count less prev. Runs stop when no case
-    changed its Snapshot, at max_sweeps, or when the planes recur. After a
-    sweep a case's state is its active and latched bits, as the rest is a
-    function of them, so a case that did not change stays fixed, and one
-    still changing at the stop is in a cycle where its last state is an
-    earlier one, else at the sweep limit. The start, whose error planes are
-    0, is never that earlier state: under a nonempty clamp a state with no
-    active non-bottom unit has commission errors, under the empty clamp with
-    theta >= 0 the start is a fixed point, and with theta < 0, if every
-    other layer-1 unit ends a sweep off, the last sees k = 0 and no routed
-    error unless it was active (only active units are charged), so it ends
-    on, or latched. That holds only for the zero start: a run from a given
-    start state must keep it, with its error planes, among the earlier ones.
-
-    A sweep does only the work that can change a plane, by three exact rules:
-      - A unit is visited only if it is active in some case, or unlatched in
-        a case where it can ignite: with a Complete pattern where the table
-        has a threshold above 0 at dendrite 1, prev 0 and k = 0, and without
-        one where it has at dendrite 0. That cell is the highest drive an
-        idle unit can have (see _drive), so elsewhere the unit stays 0 in
-        every case, does not latch and adds nothing to the layer's count.
-        Only a unit's own visit changes its planes, so the test is made as
-        the layer walk reaches it.
-      - A pattern's applicability reads only its element layer, so each
-        concept keeps it, per pattern, with the last sweep in which that
-        layer changed and recomputes it only after a newer change; patterns
-        over layer 0 are computed once per run.
-      - pred, the error units and routed are functions of the active planes,
-        and a unit latches only as it turns off, so a sweep in which no
-        active plane changed ends the run without recomputing them.
-
-    Returns the final active planes by concept id, then the cases in a
-    cycle and those at the sweep limit; the others reached a fixed point.
-    """
-    cases = 1 << len(net.bottom)
-    ones = (1 << cases) - 1
-    n = net.n_concepts
-    layers = [_ids(mask) for mask in net.layer_mask]
-    widest = max(map(len, layers[1:]), default=0)
-    table = _drive_thresholds(params, widest, n)
-    depth = max([1] + [t for row in table.values() for t in row if t <= n])
-    # per (dendrite, prev) whose row has a threshold above 0, the reads
-    # (K_t + prev, t) of its thresholds t; one above n, which no routed count
-    # reaches, reads ge[depth + 1], which stays 0
-    cells = [
-        (dendrite, prev, [(sum(x >= t for x in row) + prev, t if t <= n else depth + 1) for t in set(row) - {0}])
-        for (dendrite, prev), row in table.items()
-        if any(row)
-    ]
-    # whether an idle unit can ignite without, and with, a Complete pattern;
-    # rows fall with k, so a row with a threshold above 0 has one at k = 0
-    idle0, idle1 = any(table[0, 0]), any(table[1, 0])
-    elements = net.element_ids
-    needs = net.pattern_needs(params.tau)
-    below = _ids(net.below_top)  # no pattern predicts the top layer, and it has no commission unit
-    zero = [ones] + [0] * (depth + 1)  # a count of 0 in every case
-
-    active = [0] * n
-    for e, plane in zip(net.bottom, planes):
-        active[e] = plane
-    omitted, committed, latched, dend = [0] * n, [0] * n, [0] * n, [0] * n
-    routed = [zero] * n
-    # per layer, its thermometer count as the last sweep left it; at[0] is
-    # every case, and at[j] is 0 above the layer's own width
-    counts = [[ones] + [0] * (widest + 1) for _ in layers]
-    # per layer, the last sweep that changed its active planes: layer 0 is
-    # set at sweep 0, the others not yet
-    moved = [0] + [-1] * net.max_layer
-    # per concept, the entry of moved its patterns were last read at, and
-    # per pattern its elements and the cases where it applies
-    spans: list[tuple[int | None, list[tuple[tuple[ConceptId, ...], int]]]] = [(None, [])] * n
-    seen: set[tuple[int, ...]] = set()
-    changed = ones
-    for sweep in range(params.max_sweeps):
-        changed = 0
-        for layer in range(1, len(layers)):
-            ids = layers[layer]
-            if moved[layer - 1] == sweep:
-                # the layer below changed, so dendrites must be recomputed
-                for c in ids:
-                    d = 0
-                    for elems in elements[c]:
-                        conj = ones
-                        for e in elems:
-                            conj &= active[e]
-                        d |= conj
-                    dend[c] = d
-            at = counts[layer]
-            width = len(ids)
-            for c in ids:
-                prev, d, held = active[c], dend[c], latched[c]
-                # skip a unit idle in every case that can ignite in none
-                if not prev and not ((ones ^ d if idle0 else 0) | (d if idle1 else 0)) & ~held:
-                    continue
-                ge = routed[c]
-                now = 0
-                for has_dend, has_prev, reads in cells:
-                    sel = (d if has_dend else ones ^ d) & (prev if has_prev else ones ^ prev)
-                    if sel:
-                        stay = ones  # the cases where no threshold of the row is passed
-                        for j, t in reads:
-                            stay &= at[j] | ge[t]
-                        now |= sel & ~stay
-                now &= ~held
-                if now != prev:
-                    moved[layer] = sweep
-                    changed |= (flip := prev ^ now)
-                    active[c] = now
-                    # one more where c turned on, one less where it turned off; it latches only where it turned off
-                    up, down, kept = now & flip, prev & flip, ones ^ flip
-                    if down:
-                        latched[c] = held | down & ge[1]
-                    at[1:width + 1] = [at[j] & kept | at[j - 1] & up | at[j + 1] & down for j in range(1, width + 1)]
-        if sweep not in moved:
-            # no active plane changed, so nothing latched and the error
-            # stage would repeat itself: every case is at a fixed point
-            break
-
-        pred = [0] * n
-        # per active concept and element, the cases where an applicable pattern of it holds the element
-        unions: dict[ConceptId, dict[ConceptId, int]] = {}
-        for c in net.non_bottom:
-            a = active[c]
-            if not a:
-                continue
-            read = moved[net.layer_of[c] - 1]
-            if spans[c][0] != read:
-                pats = zip(elements[c], needs[c])
-                spans[c] = read, [(elems, _reach((active[e] for e in elems), need, ones)) for elems, need in pats]
-            union = unions[c] = {}
-            for elems, applies in spans[c][1]:
-                applies &= a
-                if applies:
-                    for e in elems:
-                        union[e] = union.get(e, 0) | applies
-            for e, plane in union.items():
-                pred[e] |= plane
-        for e in below:
-            om = pred[e] & ~active[e]
-            cm = active[e] & ~pred[e]
-            changed |= om ^ omitted[e] | cm ^ committed[e]
-            omitted[e], committed[e] = om, cm
-        if params.error_routing is ErrorRouting.ALL_GLOBAL:
-            total = _at_least((omitted[e] | committed[e] for e in below), depth, zero)
-            charged = [total] * len(layers)
-        else:
-            # commission errors per layer charge every active concept one layer up
-            charged = [_at_least((committed[e] for e in ids), depth, zero) for ids in layers[:-1]]
-        for c in net.non_bottom:
-            a = active[c]
-            if a:
-                ge = charged[net.layer_of[c] - 1]
-                if params.error_routing is ErrorRouting.SPLIT:
-                    # an omission charges each owner once per missing element it predicted
-                    ge = _at_least((u & omitted[e] for e, u in unions[c].items()), depth, ge)
-                routed[c] = [g & a for g in ge]
-            else:
-                routed[c] = zero
-
-        if not changed:
-            break
-        if sweep:
-            seen.add(state)  # the previous sweep's state; the start is left out (see above)
-        # the states themselves, not their hashes: an int hashes to its value
-        # mod 2^61 - 1, so planes of 64 cases or more can hash equal and differ
-        state = (*active, *latched)
-        if state in seen:
-            break
-
-    # a case still changing is in a cycle where its last state equals an earlier one on every plane
-    cycle = changed and changed & reduce(or_, [ones ^ reduce(or_, map(xor, state, s)) for s in seen], 0)
-    return active, cycle, changed ^ cycle
-
-
-def _refine(groups: dict, part: dict) -> dict:
-    """Split groups of cases, planes keyed by what their cases share, by
-    part, planes keyed by a value: key + value holds the cases in both."""
-    return {
-        key + value: both for key, group in groups.items() for value, plane in part.items() if (both := group & plane)
-    }
-
-
-def compare_with_oracle(
-    net: ValidatedNetwork,
-    params: EngineParams | None = None,
-) -> AgreementReport:
-    """Exhaustively compare single-phase dynamics against the oracle.
-
-    For every subset of layer-0 clamps, run the circuit from the zero state to
-    termination and classify:
-
-      AGREE         the inferred set is a maximal consistent interpretation,
-                    or nothing is consistent and nothing was inferred
-      TIE-SELECTED  the inferred set is a strict subset of some consistent
-                    interpretation (lateral inhibition chose among oracle ties,
-                    or error-driven rejection emptied a tie)
-      DISAGREE      anything else, including non-convergence
-
-    Both sides take all 2^b clamps at once, bit-sliced: the runs advance
-    together (_clamp_planes), and the oracle's search (oracle._search) gives
-    each consistent interpretation the plane of its clamps. Classifying is
-    plane algebra per distinct inferred set s, with P the plane of its cases
-    and above the cases where a strict superset of s is consistent: AGREE
-    is P where s is consistent and not above, or where nothing is and s is
-    empty, and TIE-SELECTED is P & above. A clamp still changing when the
-    plane run stops is a Cycle or SweepLimit as its own states tell. Nets
-    the oracle refuses are refused before either plane run.
-    """
-    from . import oracle  # only compare needs it; a module, so patched attributes are seen
-
-    params = params if params is not None else EngineParams()
-    bottom = net.bottom
-    if len(bottom) > COMPARE_BOTTOM_LIMIT:
-        raise TooLarge(
-            f"{len(bottom)} layer-0 concepts exceed the comparison limit of {COMPARE_BOTTOM_LIMIT}"
-        )
-    params.validate()
-    oracle._check_enumerable(net)
-    planes = _bottom_planes(net)
-    ones = (1 << (1 << len(bottom))) - 1
-    found = oracle._search(net, dict(zip(bottom, planes)), 1 << len(bottom), params.tau)
-    active, cycle, limit = _clamp_planes(net, params, planes)
-    unsettled = cycle | limit
-    sets = {0: ones ^ unsettled}  # the settled cases by inferred set, a bitmask over ids
-    for c in net.non_bottom:
-        if active[c]:
-            sets = _refine(sets, {1 << c: active[c], 0: ones ^ active[c]})
-    agree = tie = 0
-    for s, plane in sets.items():
-        above = oracle._above(found, s)
-        # where no superset is consistent, s agrees if consistent; the empty
-        # set always does, as the one consistent set or with none consistent
-        agree |= plane & ~above & (found.get(s, 0) if s else ones)
-        tie |= plane & above
-    kinds = {Agreement.AGREE: agree, Agreement.TIE_SELECTED: tie, Agreement.DISAGREE: ones ^ agree ^ tie}
-
-    def table(concepts: Sequence[ConceptId]) -> list[frozenset[ConceptId]]:
-        # entry i holds concepts[j] for each bit j of i: the entries below
-        # 2^j, then each of them with concepts[j] added
-        clamps: list[frozenset[ConceptId]] = [frozenset()]
-        for e in concepts:
-            one = frozenset((e,))
-            clamps += [clamped | one for clamped in clamps]
-        return clamps
-
-    def build(within: int) -> list[CaseResult]:
-        # clamp i sets bottom[j] for each bit j of i: the union of a table
-        # entry for its low half of bits and one for its high half, so a
-        # read builds about 2^(b/2) sets per half and one per case it reads,
-        # not all 2^b clamps
-        half = len(bottom) // 2
-        low, high, mask = table(bottom[:half]), table(bottom[half:]), (1 << half) - 1
-        # the cases by their maximal sets, in the oracle's order
-        maximal = {(): ones}
-        for bits, plane in oracle._maximal(found).items():
-            if plane:
-                maximal = _refine(maximal, {(frozenset(_ids(bits)),): plane, (): ones ^ plane})
-        # the cases of within by outcome: termination, inferred set, Agreement, maximal sets
-        terminations = dict(zip(Termination, (ones ^ unsettled, cycle, limit)))
-        inferred = {None: unsettled, **{frozenset(_ids(s)): plane for s, plane in sets.items()}}
-        groups = {(): within}
-        for part in (terminations, inferred, kinds, maximal):
-            groups = _refine(groups, {(value,): plane for value, plane in part.items()})
-        out: list[CaseResult | None] = [None] * (1 << len(bottom))
-        for outcome, cases in groups.items():
-            for case in _ids(cases):
-                out[case] = CaseResult(low[case & mask] | high[case >> half], *outcome)
-        return [case for case in out if case]
-
-    return AgreementReport(kinds=kinds, build=build)
+    value = globals()[name] = getattr(compare, name)
+    return value

@@ -6,7 +6,6 @@ shortest round-trip floats), so goldens are byte-stable across runs.
 """
 from __future__ import annotations
 
-import csv
 import json
 import math
 from enum import Enum
@@ -241,14 +240,12 @@ def parse_params(text: str | None = None) -> EngineParams:
     EngineParams' order; the numeric invariants are enforced when an engine
     is initialized.
     """
-    from dataclasses import fields
-
     from .engine import EngineParams
 
     if text is None:
         return EngineParams()
     root = _load_json(text)
-    kinds = {f.name: type(f.default) for f in fields(EngineParams)}
+    kinds = {name: type(default) for name, default in EngineParams._field_defaults.items()}
     _require_object(root, "$", frozenset(kinds), frozenset())
     return EngineParams(**{
         name: _require_param(root[name], f"$.{name}", kind) for name, kind in kinds.items() if name in root
@@ -256,9 +253,7 @@ def parse_params(text: str | None = None) -> EngineParams:
 
 
 def serialize_params(params: EngineParams) -> str:
-    from dataclasses import asdict
-
-    obj = {name: value.value if isinstance(value, Enum) else value for name, value in asdict(params).items()}
+    obj = {name: value.value if isinstance(value, Enum) else value for name, value in params._asdict().items()}
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
@@ -345,6 +340,8 @@ def write_trace_csv(trace: Trace) -> str:
 
 def read_trace_csv(text: str) -> list[TraceRow]:
     """Parse a trace CSV back into canonically sorted rows (lossless round-trip)."""
+    import csv  # only render reads a trace back
+
     reader = csv.reader(StringIO(text))
     try:
         return _read_rows(reader)

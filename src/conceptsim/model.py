@@ -15,10 +15,8 @@ circuit dynamics alike) is built on this evaluation.
 from __future__ import annotations
 
 from enum import Enum
-from fractions import Fraction
 from functools import cached_property
-from math import ceil
-from typing import AbstractSet, Iterable, Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, AbstractSet, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import (
     BottomWithPatterns,
@@ -33,6 +31,9 @@ from .errors import (
     UnknownConcept,
     ValidationError,
 )
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 ConceptId = int
 
@@ -320,9 +321,11 @@ def pattern_state(
     Pure function; tau must lie in (0, 1] and is compared inclusively, so with
     the default 0.5 a pattern with one of two elements present is applicable.
     """
+    import fractions  # on first use; a from-import here would cost ~1 us a call
+
     size = len(pattern.elements)
     present = len(pattern.elements & active)
-    fraction = Fraction(present, size)
+    fraction = fractions.Fraction(present, size)
     if present == size:
         status = PatternStatus.COMPLETE
     elif fraction >= tau:
@@ -341,7 +344,8 @@ def pattern_need(size: int, tau: float | Fraction = DEFAULT_TAU) -> int:
     <= 0 (always applicable), a tau > 1 a need above size (only Complete
     counts). A non-finite tau raises ValueError or OverflowError.
     """
-    return ceil(Fraction(tau) * size)
+    num, den = tau.as_integer_ratio()
+    return -(-num * size // den)
 
 
 def _malformed(where: str, elems: Sequence, names: list[str]) -> ValidationError:

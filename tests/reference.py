@@ -26,7 +26,7 @@ the drive table and every routed count of each, with the drive written out,
 where engine._drive_thresholds reads engine._drive, stops a cell at the first
 routed count whose drive is at most 0 and stops a row at its first 0 cell.
 Engine reads its ignition bounds off that table; the tests that check them
-write the drive out too. clamp_planes_reference is engine._clamp_planes as it
+write the drive out too. clamp_planes_reference is compare._clamp_planes as it
 was before it kept each layer's count as a thermometer: it rebuilds the count
 of other active units as one-hot planes for each unit it visits, lists a
 layer's visits before walking it, keeps applicability as a union per element
@@ -36,11 +36,15 @@ model._at_least ORs the planes first at depth 1. parse_network_file_reference
 and validate_network_reference are the network loaders as they were before
 they built a path or a message only to raise it: each value goes through its
 _require_* helper, and each pattern builds its "where" text.
+pattern_need_reference is model.pattern_need as it was before it took the
+ceiling in integers: ceil of Fraction(tau) * size.
 """
 from __future__ import annotations
 
 import csv
+from fractions import Fraction
 from io import StringIO
+from math import ceil
 
 from conceptsim import (
     DEFAULT_TAU,
@@ -133,6 +137,11 @@ def enumerate_reference(net, clamped, tau=DEFAULT_TAU):
     ]
     out.sort(key=lambda r: (-len(r.interpretation), tuple(sorted(r.interpretation))))
     return out
+
+
+def pattern_need_reference(size, tau=DEFAULT_TAU):
+    """The least present count k with Fraction(k, size) >= tau, as a Fraction."""
+    return ceil(Fraction(tau) * size)
 
 
 def applicable_reference(net, activation, tau):
@@ -427,7 +436,7 @@ def at_least_reference(planes, depth, ge):
 
 
 def clamp_planes_reference(net, params, planes):
-    """engine._clamp_planes as it was before it kept thermometer counts: the
+    """compare._clamp_planes as it was before it kept thermometer counts: the
     count of other active units as one-hot planes rebuilt for each visited
     unit and ORed over each threshold's k, the visited units listed before a
     layer is walked, each concept's applicability as a union per element, and

@@ -285,6 +285,16 @@ def test_unknown_active_wins_over_non_bottom(capsys, salt, command, active):
     assert err == "error: UnknownElement: no concept named 'umami'\n"
 
 
+@pytest.mark.parametrize("command", ["check", "enumerate"])
+@pytest.mark.parametrize("active", ["looking,,white", "looking,", ",looking", ",", "salt,"])
+def test_an_empty_active_name_exits_1(capsys, salt, command, active):
+    """Only --active "" is the empty clamp; an empty name beside others is
+    unknown, as no concept has the empty name."""
+    code, out, err = run_cli(capsys, command, salt, "--active", active)
+    assert (code, out) == (1, "")
+    assert err == "error: UnknownElement: no concept named ''\n"
+
+
 def test_enumerate_too_large_exits_1(capsys, tmp_path):
     concepts = [{"name": "e0", "layer": 0, "patterns": []},
                 {"name": "e1", "layer": 0, "patterns": []}]
@@ -396,11 +406,11 @@ def test_a_repeated_key_exits_2(capsys, salt, tmp_path, site, text, where):
 def test_compare_builds_only_its_disagreements(capsys, data_dir, monkeypatch):
     """compare reads its counts off the report's planes, and builds a
     CaseResult only for each of caramel's 4 DISAGREE cases."""
-    from conceptsim import engine
+    from conceptsim import compare
 
     built = []
-    real = engine.CaseResult
-    monkeypatch.setattr(engine, "CaseResult", lambda *fields: built.append(fields) or real(*fields))
+    real = compare.CaseResult
+    monkeypatch.setattr(compare, "CaseResult", lambda *fields: built.append(fields) or real(*fields))
     code, out, _ = run_cli(capsys, "compare", str(data_dir / "caramel.json"))
     assert code == 0 and out.startswith("32 cases: AGREE 25, TIE-SELECTED 3, DISAGREE 4\n")
     assert len(built) == 4

@@ -1,6 +1,5 @@
 """Exhaustive dynamics-vs-oracle comparison."""
 from collections import Counter
-from dataclasses import replace
 
 import pytest
 
@@ -18,7 +17,7 @@ from conceptsim import (
     run_scenario,
     validate_network,
 )
-from conceptsim import engine, oracle
+from conceptsim import compare, engine, oracle
 from conceptsim.errors import TooLarge
 from conceptsim.model import _PEEL_MAX, _bottom_planes, _ids
 
@@ -192,7 +191,7 @@ def test_too_many_concepts_to_enumerate_builds_no_planes(monkeypatch):
     def refuse(*args):
         raise AssertionError("planes built for a net the oracle refuses")
 
-    monkeypatch.setattr(engine, "_clamp_planes", refuse)
+    monkeypatch.setattr(compare, "_clamp_planes", refuse)
     monkeypatch.setattr(oracle, "_search", refuse)
     with pytest.raises(TooLarge) as refused:
         compare_with_oracle(net)
@@ -229,18 +228,18 @@ def test_compare_makes_no_per_clamp_oracle_call(monkeypatch, network):
 def test_plane_run_stops_when_the_planes_recur(monkeypatch, network):
     """With some clamps in a cycle, the plane run ends at the first
     recurring state of all planes, not at max_sweeps: it does the same work
-    under max_sweeps 64 and 128, counted in calls of engine._at_least, which
+    under max_sweeps 64 and 128, counted in calls of compare._at_least, which
     every plane sweep that changes an activation makes, so that count is
     above 0. The clamps still changing then are in a cycle, and compare
     labels them Cycle."""
     net = network()
     calls = []
-    real = engine._at_least
-    monkeypatch.setattr(engine, "_at_least", lambda *args: calls.append(1) or real(*args))
+    real = compare._at_least
+    monkeypatch.setattr(compare, "_at_least", lambda *args: calls.append(1) or real(*args))
     counts = []
     for max_sweeps in (64, 128):
         calls.clear()
-        _, cycle, limit = engine._clamp_planes(net, replace(CYCLING_PARAMS, max_sweeps=max_sweeps), _bottom_planes(net))
+        _, cycle, limit = compare._clamp_planes(net, CYCLING_PARAMS._replace(max_sweeps=max_sweeps), _bottom_planes(net))
         counts.append(len(calls))
     assert cycle not in (0, (1 << (1 << len(net.bottom))) - 1) and limit == 0
     assert counts[0] == counts[1] > 0
@@ -251,10 +250,10 @@ def test_plane_run_stops_when_the_planes_recur(monkeypatch, network):
 
 #: CYCLING_PARAMS cut at 5 sweeps: the clamps of shuffled 0 that cycle are
 #: still changing there, and neither their planes nor their own states recur
-LATE_CYCLE_PARAMS = replace(CYCLING_PARAMS, max_sweeps=5)
+LATE_CYCLE_PARAMS = CYCLING_PARAMS._replace(max_sweeps=5)
 #: CYCLING_PARAMS cut at 6 sweeps: the planes of netgen 0 do not recur by
 #: then, yet 7 of its 8 clamps have each returned to a state of their own
-CUT_CYCLE_PARAMS = replace(CYCLING_PARAMS, max_sweeps=6)
+CUT_CYCLE_PARAMS = CYCLING_PARAMS._replace(max_sweeps=6)
 CYCLE, LIMIT = Termination.CYCLE, Termination.SWEEP_LIMIT
 
 
@@ -304,7 +303,7 @@ def test_plane_run_tells_recurring_planes_from_planes_that_hash_equal():
         for snap in snaps
     ]
     assert states[0] != states[1] and hash(states[0]) == hash(states[1])
-    active, cycle, limit = engine._clamp_planes(net, EngineParams(), [M * (e in clamp) for e in net.bottom])
+    active, cycle, limit = compare._clamp_planes(net, EngineParams(), [M * (e in clamp) for e in net.bottom])
     assert cycle == limit == 0
     assert tuple(active) == states[-1][:net.n_concepts]
     assert names_of(net, _ids(snaps[-1].active & net.non_bottom_mask)) == ["sugar"]
@@ -441,14 +440,14 @@ def reach_calls(net, params):
 ])
 def test_plane_run_reuses_pattern_applicability(monkeypatch, network):
     """At default params the plane run computes a pattern's applicability,
-    counted in calls of engine._reach, once per change of its element layer
+    counted in calls of compare._reach, once per change of its element layer
     while its concept is active in some case, which is fewer times than
     there are error stages that read it."""
     net = network()
     calls = []
-    real = engine._reach
-    monkeypatch.setattr(engine, "_reach", lambda *args: calls.append(1) or real(*args))
-    engine._clamp_planes(net, EngineParams(), _bottom_planes(net))
+    real = compare._reach
+    monkeypatch.setattr(compare, "_reach", lambda *args: calls.append(1) or real(*args))
+    compare._clamp_planes(net, EngineParams(), _bottom_planes(net))
     want, every = reach_calls(net, EngineParams())
     assert len(calls) == want < every
 
@@ -507,7 +506,7 @@ def test_a_sweep_that_moves_only_the_top_layer_does_not_end_the_plane_run():
         for before, after in zip(states, states[1:])
     ]
     assert {2} in moves
-    active, cycle, limit = engine._clamp_planes(net, EngineParams(), _bottom_planes(net))
+    active, cycle, limit = compare._clamp_planes(net, EngineParams(), _bottom_planes(net))
     assert cycle == limit == 0
     for case, final in enumerate(states[-1]):
         assert [active[c] >> case & 1 for c in net.non_bottom] == [final.active >> c & 1 for c in net.non_bottom]
@@ -542,7 +541,7 @@ def test_disagreements_build_only_their_own_clamp_sets(monkeypatch):
     """Reading disagreements builds the clamp sets of the DISAGREE cases,
     not one for each of the 2^b clamps: on synth 12/5/3 (4096 clamps, a few
     of them DISAGREE) it makes far fewer unions of sets than there are
-    clamps, counted on a frozenset subclass that engine uses in place of
+    clamps, counted on a frozenset subclass that compare uses in place of
     frozenset while the report is read. The cases read afterwards hold
     their clamps in case order, and the disagreements are theirs."""
     unions = []
@@ -554,7 +553,7 @@ def test_disagreements_build_only_their_own_clamp_sets(monkeypatch):
 
     net = synth_network((12, 5, 3), 0)
     report = compare_with_oracle(net)
-    monkeypatch.setattr(engine, "frozenset", Counted, raising=False)
+    monkeypatch.setattr(compare, "frozenset", Counted, raising=False)
     disagreements = report.disagreements
     assert disagreements and len(unions) < (1 << len(net.bottom)) // 16
     monkeypatch.undo()

@@ -7,7 +7,6 @@ import functools
 import itertools
 import random
 import sys
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -40,7 +39,7 @@ from conceptsim import (
     validate_network,
     write_trace_csv,
 )
-from conceptsim import engine
+from conceptsim import compare
 from conceptsim.engine import _applicable, _drive_thresholds
 from conceptsim.errors import BadParams, UnknownConcept
 from conceptsim.model import _bit_bytes, _bits, _bottom_planes, _ids
@@ -649,11 +648,11 @@ ABOVE_BOUND_PARAMS = EngineParams(w_ff=1.6, w_self=-0.6, w_lat=2.0, w_err=3.2, t
 @pytest.mark.parametrize("routing", ErrorRouting)
 @pytest.mark.parametrize("params", [CYCLING_PARAMS, *PLANE_PARAMS, ABOVE_BOUND_PARAMS])
 def test_no_run_returns_to_its_zero_start(params, routing):
-    """engine._clamp_planes leaves the start state out of each case's
+    """compare._clamp_planes leaves the start state out of each case's
     recurrence test, by the argument in its docstring: unless the start is a
     fixed point, no run from the zero state meets the state apply_clamp left
     again, its error bits of 0 included."""
-    params = replace(params, error_routing=routing)
+    params = params._replace(error_routing=routing)
     for net in [*map(random_network, range(50)), *map(shuffled_network, range(20))]:
         scalar = Engine(net, params)
         for case in range(1 << len(net.bottom)):
@@ -681,7 +680,7 @@ def assert_kernel_equals_reference(net, params):
     reports one that shows only at max_sweeps as the sweep limit, so the
     kernel's cycle plane may hold more of the same unsettled cases."""
     planes = _bottom_planes(net)
-    active, cycle, limit = engine._clamp_planes(net, params, planes)
+    active, cycle, limit = compare._clamp_planes(net, params, planes)
     want_active, want_cycle, want_limit = clamp_planes_reference(net, params, planes)
     assert active == want_active
     assert cycle | limit == want_cycle | want_limit
@@ -689,10 +688,10 @@ def assert_kernel_equals_reference(net, params):
 
 
 @pytest.mark.parametrize(
-    "params", [*PLANE_PARAMS, CYCLING_PARAMS, replace(CYCLING_PARAMS, max_sweeps=1), replace(CYCLING_PARAMS, max_sweeps=2)]
+    "params", [*PLANE_PARAMS, CYCLING_PARAMS, CYCLING_PARAMS._replace(max_sweeps=1), CYCLING_PARAMS._replace(max_sweeps=2)]
 )
 def test_plane_kernel_equals_its_reference_on_seeded_nets(params):
-    """engine._clamp_planes returns the reference kernel's active planes and
+    """compare._clamp_planes returns the reference kernel's active planes and
     unsettled cases, run for run, and every cycle the reference finds."""
     for net in kernel_nets():
         assert_kernel_equals_reference(net, params)
@@ -758,7 +757,7 @@ def test_a_drive_rising_with_the_routed_count_is_refused_before_compare_runs(mon
     def unreachable(*args):
         raise AssertionError("a plane run started")
 
-    monkeypatch.setattr("conceptsim.engine._clamp_planes", unreachable)
+    monkeypatch.setattr("conceptsim.compare._clamp_planes", unreachable)
     monkeypatch.setattr("conceptsim.oracle._search", unreachable)
     with pytest.raises(BadParams, match=r"^w_err < 0$"):
         compare_with_oracle(shuffled_network(4), NEGATIVE_ERR_PARAMS)

@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from conceptsim import (
     ConceptSpec,
@@ -40,7 +40,7 @@ from conceptsim.errors import (
 from conceptsim.model import _PEEL_MAX, _at_least, _ids, _reach
 
 from netgen import random_network
-from reference import validate_network_reference
+from reference import pattern_need_reference, validate_network_reference
 
 
 def test_canonical_network_valid(net, ids):
@@ -239,10 +239,48 @@ def test_pattern_need_is_exact_at_every_threshold(size):
                 assert bit_status(size, present, tau) is state.status
 
 
-@pytest.mark.parametrize("tau", [float("nan"), float("inf")])
+def _steps_from(value: float, steps: int) -> float:
+    """value moved `steps` floats up, or down when steps is negative."""
+    for _ in range(abs(steps)):
+        value = math.nextafter(value, math.copysign(math.inf, steps))
+    return value
+
+
+@st.composite
+def need_cases(draw):
+    """A size and a tau of any finite kind: any float, subnormals and values
+    far above 1 included, a float a few steps from some k/size, an int or a
+    Fraction."""
+    size = draw(st.integers(0, 64))
+    near = st.builds(_steps_from, st.integers(-3, 3 * size + 3).map(lambda k: k / max(size, 1)), st.integers(-3, 3))
+    tau = draw(st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False), near, st.integers(-10**6, 10**6), st.fractions(),
+    ))
+    return size, tau
+
+
+@given(case=need_cases())
+@example(case=(3, 1 / 3))
+@example(case=(10, 0.1))
+@example(case=(7, 5e-324))
+@example(case=(7, -5e-324))
+@example(case=(5, -0.0))
+@example(case=(9, 1.7976931348623157e308))
+@example(case=(6, Fraction(-7, 3)))
+def test_pattern_need_is_the_fraction_ceiling(case):
+    size, tau = case
+    need = pattern_need(size, tau)
+    assert type(need) is int and need == pattern_need_reference(size, tau)
+
+
+@pytest.mark.parametrize("tau", [float("nan"), float("inf"), float("-inf")])
 def test_pattern_need_rejects_non_finite_tau(tau):
-    with pytest.raises((ValueError, OverflowError)):
-        pattern_need(3, tau)
+    raised = []
+    for need in (pattern_need, pattern_need_reference):
+        with pytest.raises((ValueError, OverflowError)) as error:
+            need(3, tau)
+        raised.append(type(error.value))
+    assert raised[0] is raised[1]
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -311,13 +349,13 @@ def _records(net, ids):
         "ScenarioPhase": phase, "ScenarioSpec": ScenarioSpec((phase,)),
         "TraceRow": TraceRow(0, 1, UnitKind.CONCEPT, "salt", 1),
         "ConceptCheck": report.per_concept[ids["salt"]], "ConsistencyReport": report,
-        "PhaseTrace": trace.phases[0], "Trace": trace,
+        "PhaseTrace": trace.phases[0], "Trace": trace, "EngineParams": EngineParams(w_lat=0.25),
     }
 
 
 def test_records_are_immutable_named_tuples(net, ids):
     records = _records(net, ids)
-    assert len(records) == 12
+    assert len(records) == 13
     for name, record in records.items():
         assert type(record).__name__ == name and record == tuple(record)
         assert list(record._asdict()) == list(record._fields)

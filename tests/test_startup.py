@@ -8,17 +8,17 @@ from pathlib import Path
 import pytest
 
 import conceptsim
-from conceptsim import engine, io, model, oracle
+from conceptsim import compare, engine, io, model, oracle
 
 SRC = Path(conceptsim.__file__).resolve().parents[1]
 REPO = SRC.parent
 
 #: the public names, by the submodule that defines them
 PUBLIC = {
+    compare: ("Agreement", "AgreementReport", "CaseResult", "compare_with_oracle"),
     engine: (
-        "Agreement", "AgreementReport", "CaseResult", "Engine", "EngineParams", "ErrorRouting",
-        "PhaseTrace", "Snapshot", "Termination", "Trace", "Verdict", "compare_with_oracle",
-        "dendrite_values", "error_flags", "read_verdicts", "route_errors", "run_scenario",
+        "Engine", "EngineParams", "ErrorRouting", "PhaseTrace", "Snapshot", "Termination", "Trace",
+        "Verdict", "dendrite_values", "error_flags", "read_verdicts", "route_errors", "run_scenario",
     ),
     io: (
         "ScenarioPhase", "ScenarioSpec", "TraceRow", "UnitKind", "parse_network_file",
@@ -36,9 +36,19 @@ PUBLIC = {
     ),
 }
 
-#: standard-library modules that cost milliseconds to import; only engine
-#: loads them, for its two dataclasses (EngineParams and CaseResult)
-HEAVY = ["dataclasses", "inspect"]
+#: the names compare.py took over from engine, which engine still resolves
+MOVED = (
+    "Agreement", "AgreementReport", "CaseResult", "COMPARE_BOTTOM_LIMIT", "_clamp_planes", "_refine",
+    "compare_with_oracle",
+)
+
+#: standard-library modules that cost a millisecond or more to import, each
+#: loaded only where it is used: dataclasses (and through it inspect) by
+#: compare, for CaseResult; fractions by model.pattern_state, which the oracle
+#: calls for each consistent interpretation it reports (caramel has none
+#: under {tasting, salty}); csv by io.read_trace_csv
+HEAVY = ["csv", "dataclasses", "fractions", "inspect"]
+DATACLASSES = ["dataclasses", "inspect"]
 
 #: runs cli.main on argv with stdout swallowed, then prints the exit code, the
 #: conceptsim submodules that were loaded and which of HEAVY were
@@ -54,27 +64,31 @@ print(json.dumps([code, loaded, [m for m in {HEAVY!r} if m in sys.modules]]))
 BASE = ["conceptsim.cli", "conceptsim.errors", "conceptsim.io", "conceptsim.model"]
 WITH_ORACLE = sorted(BASE + ["conceptsim.oracle"])
 WITH_ENGINE = sorted(BASE + ["conceptsim.engine"])
-EVERYTHING = sorted(BASE + ["conceptsim.engine", "conceptsim.oracle"])
+EVERYTHING = sorted(BASE + ["conceptsim.compare", "conceptsim.engine", "conceptsim.oracle"])
 
-#: the calls of perfbench's cli-small mix, and what each may load
+#: the calls of perfbench's cli-small mix, what each may load of the package
+#: and which of HEAVY it loads
 CALLS = [
-    pytest.param(("validate", "data/caramel.json"), 0, BASE, id="validate"),
+    pytest.param(("validate", "data/caramel.json"), 0, BASE, [], id="validate"),
     pytest.param(
         ("run", "data/salt.json", "data/scenarios/salt_rejection.json", "--render", "--trace",
-         "{tmp}/trace.csv"), 0, WITH_ENGINE, id="run-render-trace",
+         "{tmp}/trace.csv"), 0, WITH_ENGINE, [], id="run-render-trace",
     ),
     pytest.param(
         ("run", "data/salt.json", "data/scenarios/decoupling.json", "--format", "json"), 0,
-        WITH_ENGINE, id="run-json",
+        WITH_ENGINE, [], id="run-json",
     ),
-    pytest.param(("check", "data/salt.json", "--active", "looking,white,tasting"), 0, WITH_ORACLE, id="check"),
-    pytest.param(("enumerate", "data/caramel.json", "--active", "tasting,salty"), 0, WITH_ORACLE, id="enumerate"),
-    pytest.param(("compare", "data/salt.json", "--strict"), 0, EVERYTHING, id="compare"),
     pytest.param(
-        ("compare", "data/caramel.json", "--format", "json", "--strict"), 1, EVERYTHING,
+        ("check", "data/salt.json", "--active", "looking,white,tasting"), 0, WITH_ORACLE, ["fractions"],
+        id="check",
+    ),
+    pytest.param(("enumerate", "data/caramel.json", "--active", "tasting,salty"), 0, WITH_ORACLE, [], id="enumerate"),
+    pytest.param(("compare", "data/salt.json", "--strict"), 0, EVERYTHING, DATACLASSES, id="compare"),
+    pytest.param(
+        ("compare", "data/caramel.json", "--format", "json", "--strict"), 1, EVERYTHING, DATACLASSES,
         id="compare-json-disagree",
     ),
-    pytest.param(("render", "tests/golden/salt_rejection_trace.csv"), 0, BASE, id="render"),
+    pytest.param(("render", "tests/golden/salt_rejection_trace.csv"), 0, BASE, ["csv"], id="render"),
 ]
 
 
@@ -92,16 +106,32 @@ def run_child(code: str, *argv: str) -> str:
     return proc.stdout
 
 
-@pytest.mark.parametrize("argv, exit_code, loaded", CALLS)
-def test_each_command_loads_only_what_it_runs(tmp_path, argv, exit_code, loaded):
+@pytest.mark.parametrize("argv, exit_code, loaded, heavy", CALLS)
+def test_each_command_loads_only_what_it_runs(tmp_path, argv, exit_code, loaded, heavy):
     argv = [a.format(tmp=tmp_path) for a in argv]
-    heavy = HEAVY if "conceptsim.engine" in loaded else []
     assert json.loads(run_child(CHILD, *argv)) == [exit_code, loaded, heavy]
 
 
 def test_import_conceptsim_loads_no_submodule():
     code = "import sys, conceptsim; print(sorted(m for m in sys.modules if m.startswith('conceptsim')))"
     assert run_child(code) == "['conceptsim']\n"
+
+
+def test_import_engine_leaves_compare_unloaded():
+    code = f"import sys, conceptsim.engine; print([m for m in ['conceptsim.compare', *{DATACLASSES!r}] if m in sys.modules])"
+    assert run_child(code) == "[]\n"
+
+
+def test_engine_resolves_the_names_compare_took_over():
+    for name in MOVED:
+        assert getattr(engine, name) is getattr(compare, name), name
+        assert engine.__dict__[name] is getattr(compare, name), name  # cached on first use
+    namespace: dict = {}
+    exec("from conceptsim.engine import compare_with_oracle, _clamp_planes", namespace)
+    assert namespace["compare_with_oracle"] is compare.compare_with_oracle
+    assert namespace["_clamp_planes"] is compare._clamp_planes
+    with pytest.raises(AttributeError, match="module 'conceptsim.engine' has no attribute 'no_such_name'"):
+        engine.no_such_name
 
 
 def test_every_public_name_is_its_submodules_object():
