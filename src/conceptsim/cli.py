@@ -157,8 +157,8 @@ def cmd_check(args) -> int:
             "patterns": [
                 {
                     "elements": _sorted_names(net, pat.elements),
-                    "state": pattern_state(pat, active).status.value,
-                    "missing": _sorted_names(net, pat.elements - active),
+                    "state": (state := pattern_state(pat, active)).status.value,
+                    "missing": _sorted_names(net, state.missing),
                 }
                 for pat in net.patterns_of(c)
             ],

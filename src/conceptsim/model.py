@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from enum import Enum
 from functools import cached_property
-from typing import TYPE_CHECKING, AbstractSet, Iterable, Mapping, NamedTuple, Sequence
+from typing import AbstractSet, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import (
     BottomWithPatterns,
@@ -31,9 +31,6 @@ from .errors import (
     UnknownConcept,
     ValidationError,
 )
-
-if TYPE_CHECKING:
-    from fractions import Fraction
 
 ConceptId = int
 
@@ -132,10 +129,11 @@ class PatternStatus(Enum):
 
 
 class PatternState(NamedTuple):
-    """Evaluation of one pattern against an active set."""
+    """Evaluation of one pattern against an active set: its status and the
+    elements missing from the set; the present count is len(pattern) - len(missing)."""
 
     status: PatternStatus
-    present_fraction: Fraction
+    missing: frozenset[ConceptId]
 
     @property
     def applicable(self) -> bool:
@@ -222,7 +220,7 @@ class ValidatedNetwork(_NetworkFields):
         raise AttributeError(f"cannot assign to {name!r}: a ValidatedNetwork is immutable")
 
     @cached_property
-    def _needs(self) -> dict[float | Fraction, tuple[tuple[int, ...], ...]]:
+    def _needs(self) -> dict[float, tuple[tuple[int, ...], ...]]:
         return {}
 
     @cached_property
@@ -282,14 +280,14 @@ class ValidatedNetwork(_NetworkFields):
         self._check(cid)
         return self.patterns[cid]
 
-    def pattern_needs(self, tau: float | Fraction) -> tuple[tuple[int, ...], ...]:
+    def pattern_needs(self, tau: float) -> tuple[tuple[int, ...], ...]:
         """pattern_need of every pattern under tau, clamped to 0..size,
         parallel to masks. A tau outside (0, 1] gives a need outside 1..size,
         and the clamped one makes the same patterns applicable: every pattern
         at 0, only Complete ones at the size.
 
         Computed once per distinct pattern size on the first call with a given
-        tau and remembered, so hot loops never build a Fraction.
+        tau and remembered, so hot loops take no ceiling.
         """
         needs = self._needs.get(tau)
         if needs is None:
@@ -311,38 +309,37 @@ class ValidatedNetwork(_NetworkFields):
             raise NonBottomClamp(f"{self.names[cid]!r} is not a layer-0 concept")
 
 
-def pattern_state(
-    pattern: Pattern,
-    active: AbstractSet[ConceptId],
-    tau: float | Fraction = DEFAULT_TAU,
-) -> PatternState:
+def pattern_state(pattern: Pattern, active: AbstractSet[ConceptId], tau: float = DEFAULT_TAU) -> PatternState:
     """Evaluate a pattern against a set of active concept ids.
 
-    Pure function; tau must lie in (0, 1] and is compared inclusively, so with
-    the default 0.5 a pattern with one of two elements present is applicable.
+    Pure function: Complete when no element is missing, else applicable when
+    the present count reaches pattern_need(size, tau), so with the default 0.5
+    a pattern with one of two elements present is applicable. A non-finite tau
+    raises what pattern_need raises, and an empty pattern EmptyPattern.
     """
-    import fractions  # on first use; a from-import here would cost ~1 us a call
-
     size = len(pattern.elements)
-    present = len(pattern.elements & active)
-    fraction = fractions.Fraction(present, size)
-    if present == size:
+    need = pattern_need(size, tau)
+    if not size:
+        raise EmptyPattern("a pattern must have at least one element")
+    missing = pattern.elements.difference(active)
+    if not missing:
         status = PatternStatus.COMPLETE
-    elif fraction >= tau:
+    elif size - len(missing) >= need:
         status = PatternStatus.APPLICABLE_INCOMPLETE
     else:
         status = PatternStatus.OFF
-    return PatternState(status, fraction)
+    return PatternState(status, missing)
 
 
-def pattern_need(size: int, tau: float | Fraction = DEFAULT_TAU) -> int:
-    """Smallest present count k with Fraction(k, size) >= tau: ceil(tau * size), exactly.
+def pattern_need(size: int, tau: float = DEFAULT_TAU) -> int:
+    """Smallest present count k with k / size >= tau, exactly: ceil(tau * size)
+    in integers, through tau.as_integer_ratio(), so a float or rational tau is exact.
 
     A pattern with mask m is then Complete when m & active == m, and
-    applicable when it is Complete or (m & active).bit_count() >= the need;
-    this is pattern_state's comparison in integers. A tau <= 0 gives a need
-    <= 0 (always applicable), a tau > 1 a need above size (only Complete
-    counts). A non-finite tau raises ValueError or OverflowError.
+    applicable when it is Complete or (m & active).bit_count() >= the need,
+    as pattern_state decides. A tau <= 0 gives a need <= 0 (always
+    applicable), a tau > 1 a need above size (only Complete counts). A
+    non-finite tau raises ValueError or OverflowError.
     """
     num, den = tau.as_integer_ratio()
     return -(-num * size // den)

@@ -15,9 +15,9 @@ interpretations one layer at a time, bottom up, and never lists the 2^k
 candidates. _search, the one search, does so for many cases at once on
 planes, ints whose bit i is a value under case i (bit-slicing, as in Biham,
 FSE 1997): it decides every layer-L concept for all cases together, with each
-pattern's threshold the exact integer count model.pattern_need(size, tau), so
-the verdicts are those of the Fraction-based pattern_state, and searches the
-layer above once for all the surviving choices, each choice one case there.
+pattern's threshold the exact integer count model.pattern_need(size, tau), as
+in pattern_state, and searches the layer above once for all the surviving
+choices, each choice one case there.
 It returns each consistent interpretation with the plane of the cases it is
 consistent in. enumerate_interpretations runs it on one case, the clamp;
 compare runs it on all 2^b clamps. Only the survivors get a full
@@ -30,12 +30,13 @@ _order, for enumerate_interpretations and compare alike.
 """
 from __future__ import annotations
 
+import math
 from enum import Enum
 from functools import reduce
 from operator import or_
 from typing import AbstractSet, Mapping, NamedTuple
 
-from .errors import BottomConcept, TooLarge
+from .errors import BadParams, BottomConcept, TooLarge
 from .model import DEFAULT_TAU, ConceptId, ValidatedNetwork, _ids, _reach, pattern_state
 
 #: Refuse to enumerate beyond this many non-bottom concepts (up to 2^k choices).
@@ -87,11 +88,14 @@ def interpretation_consistent(
     top layer to explain it. Each pattern is evaluated once, and that one
     state feeds both tests.
 
-    Raises UnknownConcept for an inferred id that is not an int, then
-    UnknownConcept or BottomConcept for the first bad inferred id in
-    ascending order, then UnknownConcept for a bad clamped id, then
-    NonBottomClamp for the first clamped id above layer 0 in ascending order.
+    Raises BadParams for a tau that is nan or infinite, then UnknownConcept
+    for an inferred id that is not an int, then UnknownConcept or
+    BottomConcept for the first bad inferred id in ascending order, then
+    UnknownConcept for a bad clamped id, then NonBottomClamp for the first
+    clamped id above layer 0 in ascending order.
     """
+    if not -math.inf < tau < math.inf:
+        raise BadParams("tau is not finite")
     interp = frozenset(interpretation)
     active = frozenset(clamped) | interp
     per: dict[ConceptId, ConceptCheck] = {}
@@ -111,7 +115,7 @@ def interpretation_consistent(
                 if state.complete:
                     complete += 1
                 else:
-                    violated.append((k, frozenset(pat.elements - active)))
+                    violated.append((k, state.missing))
         per[c] = ConceptCheck(complete, tuple(violated))
     for e in active:  # the clamped ids, before layer_of is indexed by them
         net._check(e)
@@ -265,18 +269,20 @@ def enumerate_interpretations(
 ) -> list[ConsistencyReport]:
     """All consistent interpretations, largest first, maximal ones flagged.
 
-    Raises TooLarge beyond DEFAULT_ENUMERATION_LIMIT non-bottom concepts
-    rather than sampling silently, and NonBottomClamp for a clamped id above
-    layer 0. Order: descending size, then ascending id tuple.
+    Raises BadParams for a tau that is nan or infinite, then TooLarge beyond
+    DEFAULT_ENUMERATION_LIMIT non-bottom concepts rather than sampling
+    silently, and NonBottomClamp for a clamped id above layer 0. Order:
+    descending size, then ascending id tuple.
 
     Interpretations are built one layer at a time, bottom up, by _search,
     the search compare runs for every clamp at once, here on one case: the
     clamp as a plane of width 1. Every pattern of a layer-L concept lies on
     layer L-1, so each condition of the rule that involves a layer-L concept
     reads only layers L-1 and L. Survivors are reported through
-    interpretation_consistent, so the result is the one the Fraction-based
-    rule gives.
+    interpretation_consistent, so the result is the one the rule gives.
     """
+    if not -math.inf < tau < math.inf:
+        raise BadParams("tau is not finite")
     _check_enumerable(net)
     for e in clamped:
         net._check_clamped(e)
@@ -292,7 +298,8 @@ def oracle_verdicts(
     clamped: AbstractSet[ConceptId],
     tau: float = DEFAULT_TAU,
 ) -> dict[ConceptId, OracleVerdict]:
-    """Summarize the enumeration per concept: member of all, some, or none of the maximal sets."""
+    """Summarize the enumeration per concept: member of all, some, or none of
+    the maximal sets. Raises as enumerate_interpretations does, BadParams first."""
     reports = enumerate_interpretations(net, clamped, tau)
     maximal = [r.interpretation for r in reports if r.maximal]
     verdicts: dict[ConceptId, OracleVerdict] = {}

@@ -1,7 +1,7 @@
 """Slow references for the fast paths, kept only for differential tests.
 
 Each function states its rule directly on sets, through the Fraction-based
-model.pattern_state, and runs in the obvious order with no precomputation:
+pattern_state_reference, and runs in the obvious order with no precomputation:
 interpretation_consistent_reference is oracle.interpretation_consistent as it
 was before it evaluated each pattern once, three checks composed (and, like
 it, refusing a clamped id above layer 0 once every id is known), and
@@ -37,7 +37,10 @@ and validate_network_reference are the network loaders as they were before
 they built a path or a message only to raise it: each value goes through its
 _require_* helper, and each pattern builds its "where" text.
 pattern_need_reference is model.pattern_need as it was before it took the
-ceiling in integers: ceil of Fraction(tau) * size.
+ceiling in integers: ceil of Fraction(tau) * size. pattern_state_reference is
+model.pattern_state as it was before it read pattern_need: it compares
+Fraction(present, size) with tau, so the references above decide each
+pattern's state without pattern_need.
 """
 from __future__ import annotations
 
@@ -62,7 +65,6 @@ from conceptsim import (
     UnitKind,
     enumerate_interpretations,
     interpretation_consistent,
-    pattern_state,
 )
 from conceptsim.engine import _drive_thresholds
 from conceptsim.errors import (
@@ -80,7 +82,7 @@ from conceptsim.errors import (
     ValidationError,
 )
 from conceptsim.io import _HEADER_LINE, CSV_HEADER, _csv_field, _load_json, _require_list, _require_object, _require_str
-from conceptsim.model import ConceptId, ConceptSpec, NetworkSpec, Pattern, ValidatedNetwork, _ids
+from conceptsim.model import ConceptId, ConceptSpec, NetworkSpec, Pattern, PatternState, PatternStatus, ValidatedNetwork, _ids
 
 
 def interpretation_consistent_reference(net, interpretation, clamped, tau=DEFAULT_TAU):
@@ -97,7 +99,7 @@ def interpretation_consistent_reference(net, interpretation, clamped, tau=DEFAUL
             raise BottomConcept(f"{net.name(c)!r} is a layer-0 observation, not an inferable concept")
         complete, violated = 0, []
         for k, pat in enumerate(net.patterns_of(c)):
-            state = pattern_state(pat, active, tau)
+            state = pattern_state_reference(pat, active, tau)
             if state.complete:
                 complete += 1
             elif state.applicable:
@@ -106,7 +108,7 @@ def interpretation_consistent_reference(net, interpretation, clamped, tau=DEFAUL
     explained = set()
     for c in interp:
         for pat in net.patterns_of(c):
-            if pattern_state(pat, active, tau).applicable:
+            if pattern_state_reference(pat, active, tau).applicable:
                 explained.update(pat.elements)
     top = net.max_layer
     unexpected = frozenset(e for e in active if net.layer(e) < top and e not in explained)
@@ -144,6 +146,21 @@ def pattern_need_reference(size, tau=DEFAULT_TAU):
     return ceil(Fraction(tau) * size)
 
 
+def pattern_state_reference(pattern, active, tau=DEFAULT_TAU):
+    """The state by comparing the present fraction with tau: Complete when
+    every element is present, else applicable when Fraction(present, size) >= tau."""
+    size = len(pattern.elements)
+    present = len(pattern.elements & active)
+    fraction = Fraction(present, size)
+    if present == size:
+        status = PatternStatus.COMPLETE
+    elif fraction >= tau:
+        status = PatternStatus.APPLICABLE_INCOMPLETE
+    else:
+        status = PatternStatus.OFF
+    return PatternState(status, pattern.elements - active)
+
+
 def applicable_reference(net, activation, tau):
     """(owner, ordinal) of every applicable pattern of every active concept."""
     active = {i for i, a in enumerate(activation) if a}
@@ -152,7 +169,7 @@ def applicable_reference(net, activation, tau):
         for c in net.non_bottom
         if activation[c]
         for k, pat in enumerate(net.patterns_of(c))
-        if pattern_state(pat, active, tau).applicable
+        if pattern_state_reference(pat, active, tau).applicable
     }
 
 

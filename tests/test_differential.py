@@ -533,13 +533,24 @@ def test_compare_matches_reference_on_shipped_networks(data_dir, name, routing):
 
 # --- error units: the oracle's clauses on bits ---
 
-@pytest.mark.parametrize("routing", ErrorRouting)
-def test_error_units_are_the_oracles_clauses_at_every_snapshot(routing):
+def assert_error_units_are_clauses(net, snap, tau):
     """Read a snapshot's active set as a clamp (its layer-0 part) and an
     interpretation (the rest): its omission bits are the missing elements of
     the interpretation's violated patterns, and its commission bits are the
-    unexpected concepts. Every clamp run to convergence, then a seeded
-    scenario of 3-sweep holds, which starts phases from unsettled states."""
+    unexpected concepts."""
+    inferred = frozenset(_ids(snap.active & net.non_bottom_mask))
+    clamped = frozenset(_ids(snap.active)) - inferred
+    report = interpretation_consistent(net, inferred, clamped, tau)
+    missing = [m for check in report.per_concept.values() for _, m in check.violated_patterns]
+    assert frozenset(_ids(snap.omitted)) == frozenset().union(*missing)
+    assert frozenset(_ids(snap.committed)) == report.unexpected
+
+
+@pytest.mark.parametrize("routing", ErrorRouting)
+def test_error_units_are_the_oracles_clauses_at_every_snapshot(routing):
+    """assert_error_units_are_clauses on every clamp run to convergence, then
+    on a seeded scenario of 3-sweep holds, which starts phases from unsettled
+    states."""
     nets = [random_network(seed) for seed in range(50)] + [shuffled_network(seed) for seed in range(20)]
     seen = collections.Counter()
     for seed, net in enumerate(nets):
@@ -550,12 +561,7 @@ def test_error_units_are_the_oracles_clauses_at_every_snapshot(routing):
             for phases in runs:
                 for phase in run_scenario(net, params, phases).phases:
                     for snap in phase.snapshots:
-                        inferred = frozenset(_ids(snap.active & net.non_bottom_mask))
-                        clamped = frozenset(_ids(snap.active)) - inferred
-                        report = interpretation_consistent(net, inferred, clamped, tau)
-                        missing = [m for check in report.per_concept.values() for _, m in check.violated_patterns]
-                        assert frozenset(_ids(snap.omitted)) == frozenset().union(*missing)
-                        assert frozenset(_ids(snap.committed)) == report.unexpected
+                        assert_error_units_are_clauses(net, snap, tau)
                         seen.update(snapshots=1, omitted=snap.omitted > 0, committed=snap.committed > 0)
     assert seen["snapshots"] > 5000 and seen["omitted"] and seen["committed"]
 
@@ -596,6 +602,17 @@ def valid_params(draw):
         max_sweeps=draw(st.sampled_from((1, 2, 3, 64))),
         error_routing=draw(st.sampled_from(ErrorRouting)),
     )
+
+
+@given(net=compare_nets, params=valid_params(), data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_error_units_are_the_oracles_clauses_on_drawn_params(net, params, data):
+    """assert_error_units_are_clauses at every snapshot of a drawn clamp's
+    run, converged or not, under weights on either side of the error bound."""
+    case = data.draw(st.integers(0, (1 << len(net.bottom)) - 1), label="case")
+    clamp = {e: 1 for j, e in enumerate(net.bottom) if case >> j & 1}
+    for snap in run_scenario(net, params, [(clamp, None)]).phases[0].snapshots:
+        assert_error_units_are_clauses(net, snap, params.tau)
 
 
 #: a drive that is exactly 0 in decimals is positive in floats at

@@ -40,7 +40,7 @@ from conceptsim.errors import (
 from conceptsim.model import _PEEL_MAX, _at_least, _ids, _reach
 
 from netgen import random_network
-from reference import pattern_need_reference, validate_network_reference
+from reference import pattern_need_reference, pattern_state_reference, validate_network_reference
 
 
 def test_canonical_network_valid(net, ids):
@@ -161,14 +161,14 @@ def test_pattern_state_examples(net, ids):
     tasting_salty = net.patterns_of(ids["salt"])[0]
     st_half = pattern_state(tasting_salty, {ids["tasting"]}, 0.5)
     assert st_half.status is PatternStatus.APPLICABLE_INCOMPLETE
-    assert st_half.present_fraction == Fraction(1, 2)
+    assert st_half.missing == {ids["salty"]} and type(st_half.missing) is frozenset
 
     assert pattern_state(tasting_salty, set()).status is PatternStatus.OFF
 
     p3 = Pattern(frozenset({0, 1, 2}))
     st_two_of_three = pattern_state(p3, {0, 1}, 0.5)
     assert st_two_of_three.status is PatternStatus.APPLICABLE_INCOMPLETE
-    assert st_two_of_three.present_fraction == Fraction(2, 3)
+    assert st_two_of_three.missing == {2}
     assert pattern_state(p3, {0, 1, 2}, 0.5).status is PatternStatus.COMPLETE
 
 
@@ -185,8 +185,8 @@ def test_pattern_state_partitions_unit_interval(size, present, tau_num):
     tau = Fraction(tau_num, 8)
     pat = Pattern(frozenset(range(size)))
     state = pattern_state(pat, set(range(present)), tau)
-    fraction = Fraction(present, size)
-    assert state.present_fraction == fraction
+    assert state.missing == frozenset(range(present, size))
+    fraction = Fraction(size - len(state.missing), size)
     if fraction == 1:
         assert state.status is PatternStatus.COMPLETE
     elif fraction >= tau:
@@ -216,11 +216,28 @@ def bit_status(size, present, tau):
 
 @given(size=st.integers(1, 8), present=st.integers(0, 8), tau=TAUS)
 def test_pattern_need_bit_test_matches_pattern_state(size, present, tau):
-    """Same status as pattern_state for every present count and any finite
-    tau, including tau <= 0 and tau > 1."""
+    """Same status as the Fraction rule of pattern_state_reference for every
+    present count and any finite tau, including tau <= 0 and tau > 1."""
     present = min(present, size)
     pat = Pattern(frozenset(range(size)))
-    assert bit_status(size, present, tau) is pattern_state(pat, set(range(present)), tau).status
+    assert bit_status(size, present, tau) is pattern_state_reference(pat, set(range(present)), tau).status
+
+
+@given(
+    size=st.integers(1, 8),
+    chosen=st.lists(st.booleans(), min_size=8, max_size=8),
+    others=st.sets(st.integers(8, 20)),
+    tau=TAUS,
+)
+def test_pattern_state_matches_the_fraction_rule(size, chosen, others, tau):
+    """pattern_state, through pattern_need, gives the status and the missing
+    elements of the Fraction rule, for any subset of the elements present
+    beside concepts that are not elements."""
+    pat = Pattern(range(size))
+    active = {e for e in range(size) if chosen[e]} | others
+    state = pattern_state(pat, active, tau)
+    want = pattern_state_reference(pat, active, tau)
+    assert state.status is want.status and state.missing == want.missing
 
 
 @pytest.mark.parametrize("size", range(1, 9))
@@ -235,7 +252,7 @@ def test_pattern_need_is_exact_at_every_threshold(size):
             exact, exact + tiny, exact - tiny,
         ):
             for present in range(size + 1):
-                state = pattern_state(pat, set(range(present)), tau)
+                state = pattern_state_reference(pat, set(range(present)), tau)
                 assert bit_status(size, present, tau) is state.status
 
 
@@ -281,6 +298,25 @@ def test_pattern_need_rejects_non_finite_tau(tau):
             need(3, tau)
         raised.append(type(error.value))
     assert raised[0] is raised[1]
+
+
+@pytest.mark.parametrize("tau", [float("nan"), float("inf"), float("-inf")])
+def test_pattern_state_raises_what_pattern_need_raises(tau):
+    """On a Complete pattern too, whose status needs no threshold."""
+    with pytest.raises((ValueError, OverflowError)) as error:
+        pattern_need(3, tau)
+    pat = Pattern([0, 1, 2])
+    for active in ({0, 1, 2}, {0}):
+        with pytest.raises((ValueError, OverflowError)) as raised:
+            pattern_state(pat, active, tau)
+        assert raised.type is error.type
+
+
+def test_pattern_state_refuses_an_empty_pattern():
+    """Nothing is missing from an empty pattern, which must not read as Complete."""
+    for active in (set(), {0}):
+        with pytest.raises(EmptyPattern):
+            pattern_state(Pattern(()), active)
 
 
 @pytest.mark.parametrize("seed", range(10))

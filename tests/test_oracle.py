@@ -17,7 +17,7 @@ from conceptsim import (
     pattern_state,
     validate_network,
 )
-from conceptsim.errors import BottomConcept, NonBottomClamp, TooLarge, UnknownConcept
+from conceptsim.errors import BadParams, BottomConcept, NonBottomClamp, TooLarge, UnknownConcept
 
 from netgen import random_network
 from reference import interpretation_consistent_reference
@@ -132,12 +132,16 @@ def test_enumerate_no_consistent_interpretation(net, ids):
     assert enumerate_interpretations(net, {ids["looking"]}) == []
 
 
-def test_enumerate_too_large():
+def too_large_net():
+    """21 non-bottom concepts, one beyond the enumeration limit."""
     concepts = [ConceptSpec("e0", 0), ConceptSpec("e1", 0)]
     concepts += [ConceptSpec(f"c{i}", 1, (("e0", "e1"),)) for i in range(21)]
-    net = validate_network(NetworkSpec(tuple(concepts)))
+    return validate_network(NetworkSpec(tuple(concepts)))
+
+
+def test_enumerate_too_large():
     with pytest.raises(TooLarge):
-        enumerate_interpretations(net, frozenset())
+        enumerate_interpretations(too_large_net(), frozenset())
 
 
 @pytest.mark.parametrize("query", [enumerate_interpretations, oracle_verdicts])
@@ -145,6 +149,34 @@ def test_non_bottom_clamp_is_refused(net, ids, query):
     # the engine's apply_clamp refuses the same clamp with the same message
     with pytest.raises(NonBottomClamp, match="'salt' is not a layer-0 concept"):
         query(net, {ids["looking"], ids["salt"]})
+
+
+NON_FINITE = [float("nan"), float("inf"), float("-inf")]
+
+
+@pytest.mark.parametrize("tau", NON_FINITE)
+@pytest.mark.parametrize("names", [(), ("salt",)])
+def test_interpretation_consistent_refuses_a_non_finite_tau(net, ids, names, tau):
+    """Also where no pattern is evaluated, the empty interpretation, and
+    before any other check: an unknown inferred id, a clamp above layer 0."""
+    inferred = {ids[n] for n in names}
+    clamped = {ids["looking"], ids["white"], ids["tasting"]}
+    for args in ((inferred, clamped), (inferred | {99}, clamped), (inferred, clamped | {ids["sugar"]})):
+        with pytest.raises(BadParams, match="^tau is not finite$"):
+            interpretation_consistent(net, *args, tau)
+
+
+@pytest.mark.parametrize("tau", NON_FINITE)
+@pytest.mark.parametrize("names", [(), ("tasting", "salty")])
+@pytest.mark.parametrize("query", [enumerate_interpretations, oracle_verdicts])
+def test_enumeration_refuses_a_non_finite_tau(net, ids, query, names, tau):
+    """The empty clamp, whose one consistent interpretation, the empty one,
+    evaluates no pattern, and a nonempty one; and before any other check: a
+    clamp above layer 0, a net too large to enumerate."""
+    clamped = {ids[n] for n in names}
+    for args in ((net, clamped), (net, clamped | {ids["salt"]}), (too_large_net(), frozenset())):
+        with pytest.raises(BadParams, match="^tau is not finite$"):
+            query(*args, tau)
 
 
 def test_oracle_verdicts_examples(net, ids):
