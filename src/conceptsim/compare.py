@@ -95,15 +95,10 @@ def _clamp_planes(net: ValidatedNetwork, params: EngineParams, planes: list[int]
     on, or latched. That holds only for the zero start: a run from a given
     start state must keep it, with its error planes, among the earlier ones.
 
-    A sweep does only the work that can change a plane, by three exact rules:
-      - A unit is visited only if it is active in some case, or unlatched in
-        a case where it can ignite: with a Complete pattern where the table
-        has a threshold above 0 at dendrite 1, prev 0 and k = 0, and without
-        one where it has at dendrite 0. That cell is the highest drive an
-        idle unit can have (see _drive), so elsewhere the unit stays 0 in
-        every case, does not latch and adds nothing to the layer's count.
-        Only a unit's own visit changes its planes, so the test is made as
-        the layer walk reaches it.
+    Every unit is walked, and reads only the rows of the table that have a
+    threshold above 0: a unit idle in every case reads at most the rows
+    (d, prev 0), and where none of them lets it ignite it stays 0. A sweep
+    does only the work that can change a plane, by two exact rules:
       - A pattern's applicability reads only its element layer, so each
         concept keeps it, per pattern, with the last sweep in which that
         layer changed and recomputes it only after a newer change; patterns
@@ -130,9 +125,6 @@ def _clamp_planes(net: ValidatedNetwork, params: EngineParams, planes: list[int]
         for (dendrite, prev), row in table.items()
         if any(row)
     ]
-    # whether an idle unit can ignite without, and with, a Complete pattern;
-    # rows fall with k, so a row with a threshold above 0 has one at k = 0
-    idle0, idle1 = any(table[0, 0]), any(table[1, 0])
     elements = net.element_ids
     needs = net.pattern_needs(params.tau)
     below = _ids(net.below_top)  # no pattern predicts the top layer, and it has no commission unit
@@ -172,9 +164,6 @@ def _clamp_planes(net: ValidatedNetwork, params: EngineParams, planes: list[int]
             width = len(ids)
             for c in ids:
                 prev, d, held = active[c], dend[c], latched[c]
-                # skip a unit idle in every case that can ignite in none
-                if not prev and not ((ones ^ d if idle0 else 0) | (d if idle1 else 0)) & ~held:
-                    continue
                 ge = routed[c]
                 now = 0
                 for has_dend, has_prev, reads in cells:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 import numbers
+from bisect import bisect_left
 from enum import Enum
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Sequence
@@ -260,34 +261,34 @@ def _drive(p: EngineParams, dendrite: int, prev: int, k: int, r: int) -> float:
     prev are its Complete-pattern and previous values, k the count of other
     active units in its layer and r its routed error count.
 
-    It is written only here, so every caller rounds it alike. Each float
-    operation rounds monotonically, w_lat and w_err are >= 0 and so are k and
-    r, so the drive never rises with k or with r.
+    It is written only here and read only by _drive_thresholds, so both
+    engines decide by one rounding of it. Each float operation rounds
+    monotonically, w_lat and w_err are >= 0 and so are k and r, so the drive
+    never rises with k or with r.
     """
     return p.w_ff * dendrite + p.w_self * prev - p.w_lat * k - p.w_err * r - p.theta
 
 
 def _drive_thresholds(params: EngineParams, widest: int, most: int) -> dict[tuple[int, int], list[int]]:
-    """The drive test as a table of thresholds on the routed count.
+    """The drive test as a table of thresholds on the routed count, the only
+    reader of _drive: both the sweep and the plane run read the weights
+    through this table alone.
 
     For each (dendrite, prev) and each count k < widest of other active units
     in the layer, the least routed count r <= most at which _drive is at most
     0, and most + 1 if there is none. The drive falls with r (see _drive), so
-    it is > 0 exactly for r below the threshold, and the scan of a cell stops
-    at the first r where it is at most 0. It falls with k too, so a row's
-    cells fall: from its first 0 cell on a row is 0, and those cells are not
-    scanned; with w_lat 0 the drive does not depend on k, and a row is its
-    first cell throughout. With most = 0 a cell is 1 exactly where the drive
-    at routed 0 is above 0.
+    it is > 0 exactly for r below the threshold, and a cell's threshold is
+    found by bisection over r. It falls with k too, so a row's cells fall:
+    from its first 0 cell on a row is 0, and those cells are not computed;
+    with w_lat 0 the drive does not depend on k, and a row is its first cell
+    throughout.
     """
     table: dict[tuple[int, int], list[int]] = {}
     for dendrite in (0, 1):
         for prev in (0, 1):
             row = table[dendrite, prev] = []
             for k in range(widest):
-                r = 0
-                while r <= most and _drive(params, dendrite, prev, k, r) > 0:
-                    r += 1
+                r = bisect_left(range(most + 1), True, key=lambda r: _drive(params, dendrite, prev, k, r) <= 0)
                 row.append(r)
                 if not r or not params.w_lat:
                     row += [r] * (widest - 1 - k)
@@ -301,8 +302,9 @@ class Engine:
     The state is four bitmasks over concept ids, as in Snapshot: active,
     omitted, committed and latched, plus routed, the error count that
     inhibits each concept on the next sweep. Writes to them between sweeps
-    take effect in the next sweep. activation, omission, commission and
-    rejected are read-only views of the bitmasks.
+    take effect in the next sweep; a routed count must stay at most n, the
+    most a sweep routes and the most the drive table covers. activation,
+    omission, commission and rejected are read-only views of the bitmasks.
     """
 
     def __init__(self, net: ValidatedNetwork, params: EngineParams | None = None):
@@ -316,12 +318,13 @@ class Engine:
         #: writes between sweeps leave it valid; no pattern is empty, so an
         #: empty layer below completes none
         self._dendrite_memo = [(0, 0)] * (net.max_layer + 1)
-        #: per dendrite value d, the layer count k from which an idle unit
-        #: cannot ignite: the 1s that lead row (d, prev 0) of the table at
-        #: most 0
+        #: the drive test over every routed count a sweep can route: each of
+        #: the at most n error units charges a concept at most once
         widest = max((mask.bit_count() for mask in net.layer_mask[1:]), default=0)
-        table = _drive_thresholds(params, widest, 0)
-        self._k_on = sum(table[0, 0]), sum(table[1, 0])
+        self._table = table = _drive_thresholds(params, widest, net.n_concepts)
+        #: per dendrite value d, the layer count k from which an idle unit
+        #: cannot ignite: the cells above 0 that lead row (d, prev 0)
+        self._k_on = sum(map(bool, table[0, 0])), sum(map(bool, table[1, 0]))
         self.reset()
 
     def reset(self) -> None:
@@ -400,20 +403,22 @@ class Engine:
         """One full pass; returns whether the observable state changed.
 
         Layer 0 takes the clamp in one mask operation. Each layer is updated
-        in id order, each unit by the sign of _drive, visiting every active
-        unit, latched or not, and an idle, unlatched unit with dendrite value
-        d only while the layer's running count of active units is below
-        k_on[d], the least count k at which _drive at prev 0 and routed 0 is
-        at most 0. The bound is exact: an idle unit's drive does not rise with
-        the count or its routed count (see _drive), so from k_on[d] on it
-        stays off, and it cannot latch, which needs it on. The walk jumps over
-        the other units and recomputes what is left only when the count
-        crosses a bound. With theta >= 0, k_on[0] is 0: only active units and
-        units with a Complete pattern are ever visited. The active bitmask is
-        kept current through the sequential update, so applicability,
-        predictions, errors and routing are then computed once, on bits.
+        in id order, a unit turning on where its routed count is below its
+        cell of the drive table (see _drive_thresholds), so a sweep evaluates
+        no float drive. It visits every active unit, latched or not, and an
+        idle, unlatched unit with dendrite value d only while the layer's
+        running count of active units is below k_on[d], the least count k
+        whose cell at prev 0 is 0. The bound is exact: an idle unit's drive
+        does not rise with the count or its routed count (see _drive), so
+        from k_on[d] on it stays off, and it cannot latch, which needs it on.
+        The walk jumps over the other units and recomputes what is left only
+        when the count crosses a bound. With theta >= 0, k_on[0] is 0: only
+        active units and units with a Complete pattern are ever visited. The
+        active bitmask is kept current through the sequential update, so
+        applicability, predictions, errors and routing are then computed
+        once, on bits.
         """
-        net, p = self.net, self.params
+        net, p, table = self.net, self.params, self._table
         routed, latched = self.routed, self.latched
         layer_mask = net.layer_mask
         k_on0, k_on1 = self._k_on
@@ -439,7 +444,7 @@ class Engine:
                     now = 0
                 else:
                     dendrite = 1 if dend & bit else 0
-                    now = 1 if _drive(p, dendrite, prev, layer_active - prev, routed[c]) > 0 else 0
+                    now = 1 if routed[c] < table[dendrite, prev][layer_active - prev] else 0
                     if prev == 1 and now == 0 and routed[c] > 0:
                         newly_latched |= bit
                 if now != prev:

@@ -298,7 +298,8 @@ class ValidatedNetwork(_NetworkFields):
         return needs
 
     def _check(self, cid: ConceptId) -> None:
-        if not isinstance(cid, int) or not 0 <= cid < self.n_concepts:
+        # a bool is an int to isinstance, but not a concept id
+        if isinstance(cid, bool) or not isinstance(cid, int) or not 0 <= cid < self.n_concepts:
             raise UnknownConcept(f"no concept with id {cid!r}")
 
     def _check_clamped(self, cid: ConceptId) -> None:

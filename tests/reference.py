@@ -23,19 +23,20 @@ snapshots: a dict entry per cell of the sorted rows. bottom_planes_reference
 builds compare's clamp planes by long division, as model._bottom_planes did
 before it doubled a block, and drive_thresholds_reference scans every cell of
 the drive table and every routed count of each, with the drive written out,
-where engine._drive_thresholds reads engine._drive, stops a cell at the first
-routed count whose drive is at most 0 and stops a row at its first 0 cell.
-Engine reads its ignition bounds off that table; the tests that check them
-write the drive out too. clamp_planes_reference is compare._clamp_planes as it
-was before it kept each layer's count as a thermometer: it rebuilds the count
-of other active units as one-hot planes for each unit it visits, lists a
-layer's visits before walking it, keeps applicability as a union per element
-and computes error units on every layer, and it counts through
-at_least_reference, one pass per plane and per level at every depth, where
-model._at_least ORs the planes first at depth 1. parse_network_file_reference
-and validate_network_reference are the network loaders as they were before
-they built a path or a message only to raise it: each value goes through its
-_require_* helper, and each pattern builds its "where" text.
+where engine._drive_thresholds reads engine._drive, finds each cell's
+threshold by bisection over the routed counts and stops a row at its first 0
+cell. Engine's sweep and its ignition bounds read that table; the tests that
+check them write the drive out too. clamp_planes_reference is
+compare._clamp_planes as it was before it kept each layer's count as a
+thermometer: it rebuilds the count of other active units as one-hot planes
+for each unit it visits, lists a layer's visits before walking it, keeps
+applicability as a union per element and computes error units on every
+layer, and it counts through at_least_reference, one pass per plane and per
+level at every depth, where model._at_least ORs the planes first at depth 1.
+parse_network_file_reference and validate_network_reference are the network
+loaders as they were before they built a path or a message only to raise it:
+each value goes through its _require_* helper, and each pattern builds its
+"where" text.
 pattern_need_reference is model.pattern_need as it was before it took the
 ceiling in integers: ceil of Fraction(tau) * size. pattern_state_reference is
 model.pattern_state as it was before it read pattern_need: it compares

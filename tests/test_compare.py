@@ -354,45 +354,11 @@ def plane_states(net, params):
     return [[run[min(s, len(run) - 1)] for run in runs] for s in range(max(map(len, runs)))]
 
 
-def skipped_units(net, params):
-    """The (sweep, unit) pairs the plane run passes without a visit: idle in
-    every case before the sweep, and in each case latched or without a
-    Complete pattern on the layer below as the sweep leaves it, which at
-    theta > 0 is the only way an idle unit ignites."""
-    assert params.theta > 0
-    states = plane_states(net, params)
-    return {
-        (sweep, c)
-        for sweep, (before, after) in enumerate(zip(states, states[1:]))
-        for c in net.non_bottom
-        if all(
-            not s.active >> c & 1 and (s.latched >> c & 1 or not any(m & a.active == m for m in net.masks[c]))
-            for s, a in zip(before, after)
-        )
-    }
-
-
-def test_plane_run_skips_units_and_layers_no_clamp_can_move():
-    """On seeded synth 7/5/3 nets at default params, the plane run passes
-    units that no case can move in some sweep, and in some sweeps every unit
-    of a layer, so the differential tests of the plane run reach both skips."""
-    units = layers = 0
-    for seed in range(4):
-        net = synth_network((7, 5, 3), seed)
-        skipped = skipped_units(net, EngineParams())
-        units += len(skipped)
-        layers += sum(
-            all((sweep, c) in skipped for c in net.layers[layer])
-            for sweep in {sweep for sweep, _ in skipped}
-            for layer in range(1, net.max_layer + 1)
-        )
-    assert units > 0 and layers > 0
-
-
 def test_plane_run_visits_units_that_ignite_without_a_complete_pattern():
     """Below theta 0 an idle unit ignites with no Complete pattern: on
     netgen 23 some sweep ignites a unit that is idle in every case before it
-    and has a Complete pattern in none, which the visit rule must not skip."""
+    and has a Complete pattern in none, which the plane run decides from the
+    table's row (dendrite 0, prev 0) as the scalar sweep does."""
     net, params = random_network(23), EngineParams(theta=-0.3, w_lat=1.5)
     states = plane_states(net, params)
     assert any(

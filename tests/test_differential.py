@@ -40,7 +40,7 @@ from conceptsim import (
     write_trace_csv,
 )
 from conceptsim import compare
-from conceptsim.engine import _applicable, _drive_thresholds
+from conceptsim.engine import _applicable, _drive, _drive_thresholds
 from conceptsim.errors import BadParams, UnknownConcept
 from conceptsim.model import _bit_bytes, _bits, _bottom_planes, _ids
 from conceptsim.oracle import _search
@@ -307,6 +307,30 @@ def test_sweep_matches_reference_on_shipped_scenarios(data_dir, name, scenario):
     assert_sweeps_agree(
         net, parse_scenario_file((data_dir / "scenarios" / scenario).read_text(), net).resolve(net)
     )
+
+
+@pytest.mark.parametrize("name", ["salt.json", "caramel.json"])
+@pytest.mark.parametrize("scenario", ["salt_rejection.json", "unexpected_sweet.json", "decoupling.json"])
+def test_a_sweep_reads_no_float_drive(data_dir, monkeypatch, name, scenario):
+    """Once an Engine is built, its sweeps decide by the drive table alone:
+    with _drive patched to raise, the shipped scenarios under every one of
+    SWEEP_PARAMS still run as run_scenario does on the reference, which
+    writes the drive out."""
+    def unreachable(*args):
+        raise AssertionError("a sweep evaluated the float drive")
+
+    net = validate_network(parse_network_file((data_dir / name).read_text()))
+    phases = parse_scenario_file((data_dir / "scenarios" / scenario).read_text(), net).resolve(net)
+    for params in SWEEP_PARAMS:
+        engine = Engine(net, params)
+        out = []
+        with monkeypatch.context() as patch:
+            patch.setattr("conceptsim.engine._drive", unreachable)
+            for clamp, hold in phases:
+                engine.apply_clamp(clamp)
+                run = engine.run_to_fixed_point() if hold is None else engine.run_fixed_sweeps(hold)
+                out.append(PhaseTrace(dict(clamp), *run))
+        assert tuple(out) == run_scenario_reference(net, params, phases).phases, params
 
 
 @pytest.mark.parametrize("seed", range(50))
@@ -624,6 +648,10 @@ ROUNDING_PARAMS = EngineParams(w_ff=0.4, w_self=0.2, w_lat=0.1, w_err=0.3, theta
 RISING_PARAMS = EngineParams(w_ff=0.5, w_self=-0.5, w_err=0.0, theta=-1.0)
 #: RISING_PARAMS with w_err < 0, its only fault: a routed error would excite
 NEGATIVE_ERR_PARAMS = EngineParams(w_ff=0.5, w_self=-0.5, w_err=-0.2, theta=-1.0)
+#: a valid corner where routed and lateral inputs barely inhibit: in rows
+#: (0, 0), (1, 0) and (1, 1) the drive stays above 0 up to a routed count of
+#: 2000 or more, so a table over a large net's counts holds most + 1 there
+CORNER_PARAMS = EngineParams(w_ff=3.0, w_self=-1.9, w_lat=0.001, w_err=0.001, theta=-2.0)
 
 
 @given(net=compare_nets, params=valid_params())
@@ -783,16 +811,38 @@ def test_a_drive_rising_with_the_routed_count_is_refused_before_compare_runs(mon
 @given(params=valid_params(), widest=st.integers(0, 8), most=st.integers(0, 24))
 @example(params=ROUNDING_PARAMS, widest=6, most=20)
 @example(params=RISING_PARAMS, widest=4, most=8)
+@example(params=CORNER_PARAMS, widest=8, most=300)
+@example(params=CORNER_PARAMS._replace(w_err=0.01), widest=8, most=400)
 @settings(max_examples=200, deadline=None)
 def test_drive_table_equals_the_full_scan(params, widest, most):
-    """Each cell's scan stops at the first routed count whose drive is at
-    most 0; the table is the one of the scan over every routed count. Every
-    row falls with k, so the plane run reads the k at or above a threshold
-    as a prefix of the layer's count."""
+    """Each cell's threshold, found by bisection over the routed counts, is
+    the one of the scan over every routed count: with most in the hundreds,
+    most + 1 in three rows at the corner, and at a w_err of 0.01 thresholds
+    near 10, 200 and 310 in three rows. Every row falls with k, so the plane
+    run reads the k at or above a threshold as a prefix of the layer's
+    count."""
     table = _drive_thresholds(params, widest, most)
     assert table == drive_thresholds_reference(params, widest, most)
     for row in table.values():
         assert all(a >= b for a, b in zip(row, row[1:])), row
+
+
+def test_a_drive_table_bisects_each_cell(monkeypatch):
+    """At the corner three rows of a 300-wide table over 1400 routed counts
+    have the drive above 0 at every count, so they neither stop early nor
+    stop a cell before its last count; bisection takes at most 12 drives a
+    cell where a scan r by r takes 1401."""
+    calls = 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return _drive(*args)
+
+    monkeypatch.setattr("conceptsim.engine._drive", counted)
+    table = _drive_thresholds(CORNER_PARAMS, 300, 1400)
+    assert table[0, 0] == table[1, 0] == table[1, 1] == [1401] * 300
+    assert calls <= 4 * 300 * 12
 
 
 @pytest.mark.parametrize("b", range(17))

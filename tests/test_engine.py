@@ -175,9 +175,10 @@ def test_assigned_clamp_sets_only_truthy_layer_zero_entries(make, seed):
 
 
 def first_clamp_error(net, clamp):
-    """The error a clamp is refused with, checked entry by entry as stated."""
+    """The error a clamp is refused with, checked entry by entry as stated;
+    a bool is not a concept id."""
     for key, value in clamp.items():
-        if not isinstance(key, int) or not 0 <= key < net.n_concepts:
+        if isinstance(key, bool) or not isinstance(key, int) or not 0 <= key < net.n_concepts:
             return UnknownConcept, f"no concept with id {key!r}"
         if net.layer_of[key] != 0:
             return NonBottomClamp, f"{net.names[key]!r} is not a layer-0 concept"

@@ -9,6 +9,7 @@ from hypothesis import example, given, strategies as st
 
 from conceptsim import (
     ConceptSpec,
+    Engine,
     EngineParams,
     NetworkSpec,
     Pattern,
@@ -18,7 +19,9 @@ from conceptsim import (
     TraceRow,
     UnitKind,
     element_parents,
+    enumerate_interpretations,
     interpretation_consistent,
+    oracle_verdicts,
     pattern_need,
     pattern_state,
     run_scenario,
@@ -346,9 +349,29 @@ def test_a_concept_id_that_is_not_an_int_is_unknown(net, call, cid):
         call(net, cid)
 
 
-def test_bool_concept_ids_read_as_ints(net):
-    assert (net.name(True), net.layer(False)) == (net.names[1], 0)
-    assert element_parents(net, True) == element_parents(net, 1)
+@pytest.mark.parametrize("call", [
+    lambda net, cid: net.name(cid),
+    lambda net, cid: net.layer(cid),
+    lambda net, cid: net.patterns_of(cid),
+    element_parents,
+    lambda net, cid: interpretation_consistent(net, {cid}, set()),
+    lambda net, cid: interpretation_consistent(net, set(), {cid}),
+    lambda net, cid: enumerate_interpretations(net, {cid}),
+    lambda net, cid: oracle_verdicts(net, {cid}),
+    lambda net, cid: setattr(Engine(net), "clamp", {cid: 1}),
+    lambda net, cid: Engine(net).apply_clamp({cid: 1}),
+    lambda net, cid: run_scenario(net, EngineParams(), [({cid: 1}, None)]),
+], ids=[
+    "name", "layer", "patterns_of", "element_parents", "inferred", "clamped", "enumerate", "oracle_verdicts",
+    "assigned_clamp", "apply_clamp", "run_scenario",
+])
+@pytest.mark.parametrize("cid", [True, False])
+def test_a_bool_concept_id_is_unknown(net, call, cid):
+    """A bool is an int to isinstance, but every entry point that takes a
+    concept id refuses it, as EngineParams.validate refuses a bool weight:
+    True does not read as id 1 (tasting, a layer-0 concept in salt)."""
+    with pytest.raises(UnknownConcept, match=rf"^no concept with id {cid!r}$"):
+        call(net, cid)
 
 
 @pytest.mark.parametrize("seed", range(10))
