@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, reduce
 from operator import or_, xor
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .engine import EngineParams, ErrorRouting, Termination, _drive_thresholds
 from .errors import TooLarge
@@ -31,35 +31,68 @@ class CaseResult:
     maximal: tuple[frozenset[ConceptId], ...]
 
 
-class AgreementReport:
-    """The cases of one compare, case i the clamp of bit j of i on net.bottom[j].
+def _clamp_table(concepts: Sequence[ConceptId]) -> list[frozenset[ConceptId]]:
+    """Entry i holds concepts[j] for each bit j of i."""
+    clamps: list[frozenset[ConceptId]] = [frozenset()]
+    for e in concepts:
+        one = frozenset((e,))
+        clamps += [clamped | one for clamped in clamps]  # the entries below 2^j, then each with e added
+    return clamps
 
-    Held per Agreement as a plane, an int whose bit i stands for case i, so
-    count is a popcount. build(plane) builds the CaseResults of a plane's
-    cases in case order, only when read: disagreements builds the DISAGREE
-    ones, and cases all, once. AgreementReport(cases) wraps built cases.
+
+class AgreementReport:
+    """The cases of one compare, case i the clamp of bit j of i on bottom[j].
+
+    groups maps each outcome (termination, inferred, classification,
+    maximal) to the plane of its cases, an int whose bit i stands for case
+    i; the planes are disjoint and never 0. count is a popcount, equality
+    compares planes, and disagreements and cases build CaseResults in case
+    order only when read. AgreementReport(cases) groups cases given in case
+    order, bottom[j] read off cases[1 << j].clamp, and raises ValueError
+    unless there are 2^b of them, case i clamping bottom[j] for each bit j.
     """
 
-    def __init__(self, cases: Sequence[CaseResult] = (), kinds: dict | None = None, build: Callable | None = None):
-        if build is None:
-            built = self.__dict__["cases"] = tuple(cases)
-            kinds = {kind: _bits([case.classification is kind for case in built]) for kind in Agreement}
-            build = lambda within: [built[i] for i in _ids(within)]
-        self._kinds, self._build = kinds, build
+    def __init__(self, cases: Sequence[CaseResult] = (), *, groups: dict | None = None, bottom: Sequence[ConceptId] = ()):
+        self.groups, self.bottom = groups, tuple(bottom)
+        if groups is None:
+            cases = tuple(cases)
+            outcomes = [(case.termination, case.inferred, case.classification, case.maximal) for case in cases]
+            self.groups = {outcome: _bits([o == outcome for o in outcomes]) for outcome in dict.fromkeys(outcomes)}
+            self.bottom = tuple(e for j in range(len(cases).bit_length() - 1) for e in cases[1 << j].clamp)
+            if self.cases != cases:
+                raise ValueError("cases must be 2^b in case order, case i clamping bottom[j] for each bit j of i")
+
+    def _kind(self, kind: Agreement) -> int:
+        if not isinstance(kind, Agreement):
+            raise KeyError(kind)
+        return sum(plane for (_, _, classification, _), plane in self.groups.items() if classification is kind)
+
+    def _build(self, within: int) -> tuple[CaseResult, ...]:
+        # case i clamps bottom[j] for each bit j of i: the union of an entry
+        # of the table of its low half of bits and one of its high half, so a
+        # read builds about 2^(b/2) sets per half and one per case it reads
+        half = len(self.bottom) // 2
+        low, high, mask = _clamp_table(self.bottom[:half]), _clamp_table(self.bottom[half:]), (1 << half) - 1
+        out: list[CaseResult | None] = [None] * (1 << len(self.bottom))
+        for outcome, plane in self.groups.items():
+            for case in _ids(plane & within):
+                out[case] = CaseResult(low[case & mask] | high[case >> half], *outcome)
+        return tuple(map(out.__getitem__, _ids(within)))
 
     def count(self, kind: Agreement) -> int:
-        return self._kinds[kind].bit_count()
+        return self._kind(kind).bit_count()
 
     @property
     def disagreements(self) -> tuple[CaseResult, ...]:
-        return tuple(self._build(self._kinds[Agreement.DISAGREE]))
+        return self._build(self._kind(Agreement.DISAGREE))
 
     @cached_property
     def cases(self) -> tuple[CaseResult, ...]:
-        return tuple(self._build(sum(self._kinds.values())))  # the planes are disjoint
+        return self._build((1 << (1 << len(self.bottom))) - 1)
 
     def __eq__(self, other: object) -> bool:
-        return self.cases == other.cases if isinstance(other, AgreementReport) else NotImplemented
+        ours = self.bottom, self.groups
+        return ours == (other.bottom, other.groups) if isinstance(other, AgreementReport) else NotImplemented
 
 
 #: Refuse to sweep clamp subsets beyond this many layer-0 concepts.
@@ -252,10 +285,7 @@ def _refine(groups: dict, part: dict) -> dict:
     }
 
 
-def compare_with_oracle(
-    net: ValidatedNetwork,
-    params: EngineParams | None = None,
-) -> AgreementReport:
+def compare_with_oracle(net: ValidatedNetwork, params: EngineParams | None = None) -> AgreementReport:
     """Exhaustively compare single-phase dynamics against the oracle.
 
     For every subset of layer-0 clamps, run the circuit from the zero state to
@@ -275,8 +305,9 @@ def compare_with_oracle(
     and above the cases where a strict superset of s is consistent: AGREE
     is P where s is consistent and not above, or where nothing is and s is
     empty, and TIE-SELECTED is P & above. A clamp still changing when the
-    plane run stops is a Cycle or SweepLimit as its own states tell. Nets
-    the oracle refuses are refused before either plane run.
+    plane run stops is a Cycle or SweepLimit as its own states tell. These
+    planes, split once more by the maximal sets (oracle._maximal), are the
+    report's groups. Nets the oracle refuses are refused before either run.
     """
     from . import oracle  # only compare needs it; a module, so patched attributes are seen
 
@@ -292,51 +323,23 @@ def compare_with_oracle(
     ones = (1 << (1 << len(bottom))) - 1
     found = oracle._search(net, dict(zip(bottom, planes)), 1 << len(bottom), params.tau)
     active, cycle, limit = _clamp_planes(net, params, planes)
-    unsettled = cycle | limit
-    sets = {0: ones ^ unsettled}  # the settled cases by inferred set, a bitmask over ids
+    sets = {0: ones ^ cycle ^ limit}  # the settled cases by inferred set, a bitmask over ids
     for c in net.non_bottom:
         if active[c]:
             sets = _refine(sets, {1 << c: active[c], 0: ones ^ active[c]})
-    agree = tie = 0
+    # the cases by termination, inferred set and Agreement
+    groups = {(Termination.CYCLE, None, Agreement.DISAGREE): cycle,
+              (Termination.SWEEP_LIMIT, None, Agreement.DISAGREE): limit}
     for s, plane in sets.items():
         above = oracle._above(found, s)
         # where no superset is consistent, s agrees if consistent; the empty
         # set always does, as the one consistent set or with none consistent
-        agree |= plane & ~above & (found.get(s, 0) if s else ones)
-        tie |= plane & above
-    kinds = {Agreement.AGREE: agree, Agreement.TIE_SELECTED: tie, Agreement.DISAGREE: ones ^ agree ^ tie}
-
-    def table(concepts: Sequence[ConceptId]) -> list[frozenset[ConceptId]]:
-        # entry i holds concepts[j] for each bit j of i: the entries below
-        # 2^j, then each of them with concepts[j] added
-        clamps: list[frozenset[ConceptId]] = [frozenset()]
-        for e in concepts:
-            one = frozenset((e,))
-            clamps += [clamped | one for clamped in clamps]
-        return clamps
-
-    def build(within: int) -> list[CaseResult]:
-        # clamp i sets bottom[j] for each bit j of i: the union of a table
-        # entry for its low half of bits and one for its high half, so a
-        # read builds about 2^(b/2) sets per half and one per case it reads,
-        # not all 2^b clamps
-        half = len(bottom) // 2
-        low, high, mask = table(bottom[:half]), table(bottom[half:]), (1 << half) - 1
-        # the cases by their maximal sets, in the oracle's order
-        maximal = {(): ones}
-        for bits, plane in oracle._maximal(found).items():
-            if plane:
-                maximal = _refine(maximal, {(frozenset(_ids(bits)),): plane, (): ones ^ plane})
-        # the cases of within by outcome: termination, inferred set, Agreement, maximal sets
-        terminations = dict(zip(Termination, (ones ^ unsettled, cycle, limit)))
-        inferred = {None: unsettled, **{frozenset(_ids(s)): plane for s, plane in sets.items()}}
-        groups = {(): within}
-        for part in (terminations, inferred, kinds, maximal):
-            groups = _refine(groups, {(value,): plane for value, plane in part.items()})
-        out: list[CaseResult | None] = [None] * (1 << len(bottom))
-        for outcome, cases in groups.items():
-            for case in _ids(cases):
-                out[case] = CaseResult(low[case & mask] | high[case >> half], *outcome)
-        return [case for case in out if case]
-
-    return AgreementReport(kinds=kinds, build=build)
+        agree = plane & ~above & (found.get(s, 0) if s else ones)
+        for kind, cases in zip(Agreement, (agree, plane & above, plane & ~above ^ agree)):
+            groups[Termination.FIXED_POINT, frozenset(_ids(s)), kind] = cases
+    # then by their maximal sets, in the oracle's order
+    maximal = {(): ones}
+    for bits, plane in oracle._maximal(found).items():
+        if plane:
+            maximal = _refine(maximal, {(frozenset(_ids(bits)),): plane, (): ones ^ plane})
+    return AgreementReport(groups=_refine(groups, {(m,): plane for m, plane in maximal.items()}), bottom=bottom)

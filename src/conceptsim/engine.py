@@ -586,10 +586,7 @@ def read_verdicts(trace: Trace, phase: int = -1) -> dict[ConceptId, Verdict]:
 
 #: names that moved to compare.py; engine resolves them on first use, so
 #: engine.compare_with_oracle still works and `run` never loads compare
-_COMPARE_NAMES = {
-    "Agreement", "CaseResult", "AgreementReport", "COMPARE_BOTTOM_LIMIT", "_clamp_planes", "_refine",
-    "compare_with_oracle",
-}
+_COMPARE_NAMES = {"Agreement", "CaseResult", "AgreementReport", "COMPARE_BOTTOM_LIMIT", "compare_with_oracle"}
 
 
 def __getattr__(name: str):

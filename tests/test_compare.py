@@ -1,10 +1,12 @@
 """Exhaustive dynamics-vs-oracle comparison."""
+import dataclasses
 from collections import Counter
 
 import pytest
 
 from conceptsim import (
     Agreement,
+    AgreementReport,
     ConceptSpec,
     Engine,
     EngineParams,
@@ -490,14 +492,17 @@ def test_each_distinct_inferred_set_is_classified_once(monkeypatch, network):
     """compare classifies by plane algebra, one step per distinct inferred
     set, not per case: oracle._above, the cases where a strict superset of a
     set is consistent, runs once for each set that some settled case infers,
-    and the cases share far fewer sets than there are cases."""
+    and the cases share far fewer sets than there are cases. compare then
+    finds the maximal sets through oracle._maximal, which calls _above too,
+    so only the calls made before _maximal is entered are counted."""
     net = network()
-    calls = []
-    real = oracle._above
-    monkeypatch.setattr(oracle, "_above", lambda found, bits: calls.append(bits) or real(found, bits))
+    reference = compare_reference(net, EngineParams())  # built before the patches: it enumerates per clamp
+    calls, classified = [], []
+    above, maximal = oracle._above, oracle._maximal
+    monkeypatch.setattr(oracle, "_above", lambda found, bits: calls.append(bits) or above(found, bits))
+    monkeypatch.setattr(oracle, "_maximal", lambda found: classified.extend(calls) or maximal(found))
     report = compare_with_oracle(net)
-    classified = calls.copy()  # reading the cases below finds the maximal sets through _above too
-    assert report.cases == compare_reference(net, EngineParams()).cases
+    assert report.cases == reference.cases
     sets = {mask_of(case.inferred) for case in report.cases}
     assert sorted(classified) == sorted(sets)
     assert len(sets) < len(report.cases)
@@ -542,3 +547,50 @@ def test_several_maximal_sets_keep_the_oracle_order():
 
 def test_report_is_deterministic(net):
     assert compare_with_oracle(net) == compare_with_oracle(net)
+
+
+@pytest.mark.parametrize("network", [
+    pytest.param(lambda: shipped("salt.json"), id="salt"),
+    pytest.param(lambda: shipped("caramel.json"), id="caramel"),
+    *[pytest.param(lambda seed=seed: random_network(seed), id=f"netgen-{seed}") for seed in range(10)],
+])
+def test_report_equality_builds_no_case_result(monkeypatch, network):
+    """Reports compare by their bottom and outcome planes: with CaseResult
+    refusing to be built, two compares of a net are equal, and equal to the
+    per-clamp reference built beforehand."""
+    net = network()
+    reference = compare_reference(net, EngineParams())
+
+    def refuse(*fields):
+        raise AssertionError("a CaseResult was built")
+
+    monkeypatch.setattr(compare, "CaseResult", refuse)
+    assert compare_with_oracle(net) == compare_with_oracle(net)
+    assert compare_with_oracle(net) == reference
+
+
+def test_a_report_with_one_case_changed_is_unequal():
+    net = shipped("caramel.json")
+    reference = compare_reference(net, EngineParams())
+    for i, case in enumerate(reference.cases):
+        flipped = Agreement.DISAGREE if case.classification is Agreement.AGREE else Agreement.AGREE
+        changed = list(reference.cases)
+        changed[i] = dataclasses.replace(case, classification=flipped)
+        assert AgreementReport(changed) != reference, i
+        assert AgreementReport(changed) != compare_with_oracle(net), i
+
+
+def test_built_cases_must_come_in_case_order():
+    """AgreementReport(cases) reads bottom[j] off the clamp of case 1 << j
+    and refuses cases out of case order, or not 2^b of them."""
+    cases = compare_reference(shipped("salt.json"), EngineParams()).cases
+    assert AgreementReport(cases).cases == cases
+    for bad in (cases[::-1], cases[:1] + cases[2:] + cases[1:2], cases[:-1], cases[:3], cases + cases[:1], ()):
+        with pytest.raises(ValueError, match="in case order"):
+            AgreementReport(bad)
+
+
+@pytest.mark.parametrize("kind", ["AGREE", None, 0, Termination.FIXED_POINT])
+def test_count_refuses_what_is_not_an_agreement(net, kind):
+    with pytest.raises(KeyError):
+        compare_with_oracle(net).count(kind)

@@ -1171,14 +1171,16 @@ def test_drawn_oracle_cases_are_not_vacuous(what):
 def test_report_counts_and_disagreements_match_its_cases(net, params):
     """count and disagreements, read off a fresh report's planes before any
     other CaseResult is built, equal those recomputed from its cases, and the
-    cases equal the per-clamp reference's."""
+    cases and the report itself equal the per-clamp reference's."""
     report = compare_with_oracle(net, params)
     counts = {kind: report.count(kind) for kind in Agreement}
     disagreements = report.disagreements
     cases = report.cases
     assert counts == {kind: sum(case.classification is kind for case in cases) for kind in Agreement}
     assert disagreements == tuple(case for case in cases if case.classification is Agreement.DISAGREE)
-    assert cases == compare_reference(net, params).cases
+    reference = compare_reference(net, params)
+    assert cases == reference.cases
+    assert report == reference
 
 
 # --- the timeline renderer against the one over sorted rows ---

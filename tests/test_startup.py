@@ -37,10 +37,7 @@ PUBLIC = {
 }
 
 #: the names compare.py took over from engine, which engine still resolves
-MOVED = (
-    "Agreement", "AgreementReport", "CaseResult", "COMPARE_BOTTOM_LIMIT", "_clamp_planes", "_refine",
-    "compare_with_oracle",
-)
+MOVED = ("Agreement", "AgreementReport", "CaseResult", "COMPARE_BOTTOM_LIMIT", "compare_with_oracle")
 
 #: standard-library modules that cost a millisecond or more to import, each
 #: loaded only where it is used: dataclasses (and through it inspect) by
@@ -137,9 +134,12 @@ def test_engine_resolves_the_names_compare_took_over():
         assert getattr(engine, name) is getattr(compare, name), name
         assert engine.__dict__[name] is getattr(compare, name), name  # cached on first use
     namespace: dict = {}
-    exec("from conceptsim.engine import compare_with_oracle, _clamp_planes", namespace)
+    exec("from conceptsim.engine import compare_with_oracle, AgreementReport", namespace)
     assert namespace["compare_with_oracle"] is compare.compare_with_oracle
-    assert namespace["_clamp_planes"] is compare._clamp_planes
+    assert namespace["AgreementReport"] is compare.AgreementReport
+    for private in ("_clamp_planes", "_refine"):  # compare's own helpers are read off compare
+        with pytest.raises(AttributeError):
+            getattr(engine, private)
     with pytest.raises(AttributeError, match="module 'conceptsim.engine' has no attribute 'no_such_name'"):
         engine.no_such_name
 
