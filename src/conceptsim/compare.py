@@ -327,19 +327,27 @@ def compare_with_oracle(net: ValidatedNetwork, params: EngineParams | None = Non
     for c in net.non_bottom:
         if active[c]:
             sets = _refine(sets, {1 << c: active[c], 0: ones ^ active[c]})
-    # the cases by termination, inferred set and Agreement
-    groups = {(Termination.CYCLE, None, Agreement.DISAGREE): cycle,
-              (Termination.SWEEP_LIMIT, None, Agreement.DISAGREE): limit}
+    # the cases by termination, inferred set and Agreement, keyed by ints, which
+    # hash at C speed where an Enum does not: an enum by its index, a set by its bits
+    terminations, kinds = tuple(Termination), tuple(Agreement)
+    fixed, disagree = terminations.index(Termination.FIXED_POINT), kinds.index(Agreement.DISAGREE)
+    groups = {(terminations.index(Termination.CYCLE), None, disagree): cycle,
+              (terminations.index(Termination.SWEEP_LIMIT), None, disagree): limit}
     for s, plane in sets.items():
         above = oracle._above(found, s)
         # where no superset is consistent, s agrees if consistent; the empty
         # set always does, as the one consistent set or with none consistent
         agree = plane & ~above & (found.get(s, 0) if s else ones)
-        for kind, cases in zip(Agreement, (agree, plane & above, plane & ~above ^ agree)):
-            groups[Termination.FIXED_POINT, frozenset(_ids(s)), kind] = cases
+        for kind, cases in enumerate((agree, plane & above, plane & ~above ^ agree)):
+            groups[fixed, s, kind] = cases
     # then by their maximal sets, in the oracle's order
     maximal = {(): ones}
     for bits, plane in oracle._maximal(found).items():
         if plane:
-            maximal = _refine(maximal, {(frozenset(_ids(bits)),): plane, (): ones ^ plane})
-    return AgreementReport(groups=_refine(groups, {(m,): plane for m, plane in maximal.items()}), bottom=bottom)
+            maximal = _refine(maximal, {(bits,): plane, (): ones ^ plane})
+    # the public keys, with one frozenset per distinct bitmask
+    frozen = {None: None, **{bits: frozenset(_ids(bits)) for bits in {*sets, *(b for m in maximal for b in m)}}}
+    return AgreementReport(groups={
+        (terminations[t], frozen[s], kinds[kind], tuple(map(frozen.__getitem__, m))): plane
+        for (t, s, kind, m), plane in _refine(groups, {(m,): cases for m, cases in maximal.items()}).items()
+    }, bottom=bottom)

@@ -302,9 +302,11 @@ class Engine:
     The state is four bitmasks over concept ids, as in Snapshot: active,
     omitted, committed and latched, plus routed, the error count that
     inhibits each concept on the next sweep. Writes to them between sweeps
-    take effect in the next sweep; a routed count must stay at most n, the
-    most a sweep routes and the most the drive table covers. activation,
-    omission, commission and rejected are read-only views of the bitmasks.
+    take effect in the next sweep. A routed count must be an int in 0..n,
+    the counts a sweep routes and the drive table covers: a sweep refuses
+    any other, on a unit it decides (visits unlatched), with ValueError and
+    leaves the engine as it was. activation, omission, commission and
+    rejected are read-only views of the bitmasks.
     """
 
     def __init__(self, net: ValidatedNetwork, params: EngineParams | None = None):
@@ -419,7 +421,7 @@ class Engine:
         once, on bits.
         """
         net, p, table = self.net, self.params, self._table
-        routed, latched = self.routed, self.latched
+        routed, latched, n = self.routed, self.latched, net.n_concepts
         layer_mask = net.layer_mask
         k_on0, k_on1 = self._k_on
 
@@ -443,9 +445,11 @@ class Engine:
                 if latched & bit:
                     now = 0
                 else:
+                    if type(r := routed[c]) is not int or not 0 <= r <= n:
+                        raise ValueError(f"routed count {r!r} for {net.names[c]!r} is not an int in 0..{n}")
                     dendrite = 1 if dend & bit else 0
-                    now = 1 if routed[c] < table[dendrite, prev][layer_active - prev] else 0
-                    if prev == 1 and now == 0 and routed[c] > 0:
+                    now = 1 if r < table[dendrite, prev][layer_active - prev] else 0
+                    if prev == 1 and now == 0 and r > 0:
                         newly_latched |= bit
                 if now != prev:
                     active ^= bit

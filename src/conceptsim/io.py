@@ -10,7 +10,7 @@ import json
 import math
 from enum import Enum
 from io import StringIO
-from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Union
+from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence, Union
 
 from .errors import (
     EmptyScenario,
@@ -24,7 +24,7 @@ from .errors import (
 from .model import ConceptId, ConceptSpec, NetworkSpec, ValidatedNetwork, _bit_bytes, _ids
 
 if TYPE_CHECKING:
-    from .engine import EngineParams, Trace
+    from .engine import EngineParams, Snapshot, Trace
 
 
 def _reject_constant(name: str):
@@ -265,7 +265,8 @@ class UnitKind(Enum):
     COMMISSION = "commission"
 
 
-_KIND_ORDER = {UnitKind.CONCEPT: 0, UnitKind.OMISSION: 1, UnitKind.COMMISSION: 2}
+#: each kind's place in trace order, its declaration order above
+_KIND_ORDER = {kind: order for order, kind in enumerate(UnitKind)}
 
 CSV_HEADER = ("phase", "sweep", "kind", "name", "value")
 
@@ -310,31 +311,23 @@ def write_trace_csv(trace: Trace) -> str:
     order = sorted(range(net.n_concepts), key=net.names.__getitem__)
     error_units = [c for c in order if net.layer_of[c] < net.max_layer]
     cells = [(f"{field},0\n", f"{field},1\n") for field in map(_csv_field, net.names)]
-
-    def lines_of(ids: list[int]) -> tuple[list[str], dict[int, int]]:
-        """The 0 lines of ids after a leading "", and each id's position in them."""
-        return ["", *(cells[c][0] for c in ids)], {c: i for i, c in enumerate(ids, 1)}
-
-    # (kind, its lines, each unit's position in them, the units that have that
-    # kind); the concept lines and the error lines order different units
-    concept_lines, concept_at = lines_of(order)
-    error_lines, error_at = lines_of(error_units)
-    kinds = [
-        (UnitKind.CONCEPT, concept_lines, concept_at, (1 << net.n_concepts) - 1),
-        (UnitKind.OMISSION, error_lines, error_at, net.below_top),
-        (UnitKind.COMMISSION, error_lines.copy(), error_at, net.below_top),
-    ]
+    # in UnitKind's order, (kind, its lines, each unit's position in them, the
+    # units that have that kind), the lines at first the 0 lines after a ""
+    kinds = []
+    for kind in UnitKind:
+        ids, units = (order, (1 << net.n_concepts) - 1) if kind is UnitKind.CONCEPT else (error_units, net.below_top)
+        kinds.append((kind.value, ["", *(cells[c][0] for c in ids)], {c: i for i, c in enumerate(ids, 1)}, units))
     shown = [0] * len(kinds)  # the bits each kind's lines hold now
     out = [_HEADER_LINE]
     for pi, phase in enumerate(trace.phases):
         for si, snap in enumerate(phase.snapshots):
-            masks = (snap.active, snap.omitted, snap.committed)
+            masks = (snap.active, snap.omitted, snap.committed)  # in UnitKind's order
             for i, (kind, lines, at, units) in enumerate(kinds):
                 bits = masks[i] & units
                 for c in _ids(bits ^ shown[i]):
                     lines[at[c]] = cells[c][bits >> c & 1]
                 shown[i] = bits
-                out.append(f"{pi},{si},{kind.value},".join(lines))
+                out.append(f"{pi},{si},{kind},".join(lines))
     return "".join(out)
 
 
@@ -390,8 +383,8 @@ def _read_rows(reader) -> list[TraceRow]:
     return rows
 
 
-#: bits of a timeline cell's code, and the code of a phase separator
-_CELL_BIT = {UnitKind.CONCEPT: 1, UnitKind.OMISSION: 2, UnitKind.COMMISSION: 4}
+#: the code of a phase separator, above every cell's code: bit 1 << order
+#: for each kind of the cell's units that is on
 _SEPARATOR = 8
 #: bytes.translate table from a cell's code to its character: commission wins
 #: over omission, which wins over activity
@@ -405,68 +398,58 @@ def render_ascii_timeline(trace: Union[Trace, Iterable[TraceRow]]) -> str:
     'g' omission error (the unit is inactive), '.' inactive. The three unit
     kinds of one concept collapse into one row without loss: omission implies
     inactive and commission implies active.
+
+    A Trace draws a row for every concept of its net, and no error bit of a
+    top-layer concept, which has no error units. Rows, in any order, draw a
+    row for each name they hold and a column for each (phase, sweep) they
+    hold: a cell no row gives reads as 0, and of two rows for one cell the
+    later one counts. An empty trace raises ValueError.
+
+    Both become the unit names and per phase its columns, one code byte per
+    unit. A separator column goes between nonempty phases, and all are joined
+    and translated once: a unit's line is then every n-th character.
     """
-    codes = _snapshot_codes(trace) if hasattr(trace, "phases") else _row_codes(trace)
-    if not codes:
-        raise ValueError("cannot render an empty trace")
-    width = max(map(len, codes))
-    return "\n".join(
-        f"{name:<{width}} " + codes[name].translate(_CELL_CHARS).decode("ascii")
-        for name in sorted(codes)
-    )
-
-
-def _snapshot_codes(trace: Trace) -> dict[str, bytes]:
-    """Each concept's line of cell codes, read straight from the snapshots.
-
-    A snapshot's column is built at C speed: _bit_bytes spreads each bitmask
-    to one 0/1 byte per concept, so as little-endian ints the three kinds
-    combine with shifts into one code byte per concept. The columns are
-    joined, and a concept's line is then every n-th byte.
-    """
-    net = trace.net
-    n = net.n_concepts
-    # top-layer concepts have no error units: keep only their concept bit
-    keep = int.from_bytes(
-        bytes(7 if layer < net.max_layer else 1 for layer in net.layer_of), "little"
-    )
+    names, phases = _trace_columns(trace) if hasattr(trace, "phases") else _row_columns(trace)
+    n = len(names)
     columns: list[bytes] = []
-    for phase in trace.phases:
-        if columns and phase.snapshots:
+    for phase in phases:
+        if columns and phase:
             columns.append(bytes([_SEPARATOR]) * n)
-        for snap in phase.snapshots:
-            code = (
-                int.from_bytes(_bit_bytes(snap.active, n), "little")
-                | int.from_bytes(_bit_bytes(snap.omitted, n), "little") << 1
-                | int.from_bytes(_bit_bytes(snap.committed, n), "little") << 2
-            ) & keep
-            columns.append(code.to_bytes(n, "little"))
-    if not columns:
-        return {}
-    joined = b"".join(columns)
-    return {name: joined[c::n] for c, name in enumerate(net.names)}
+        columns += phase
+    if not columns or not n:
+        raise ValueError("cannot render an empty trace")
+    joined = b"".join(columns).translate(_CELL_CHARS).decode("ascii")
+    width = max(map(len, names))
+    return "\n".join(f"{names[c]:<{width}} " + joined[c::n] for c in sorted(range(n), key=names.__getitem__))
 
 
-def _row_codes(rows: Iterable[TraceRow]) -> dict[str, bytearray]:
-    """Each named unit's line of cell codes, from rows in any order.
+def _trace_columns(trace: Trace) -> tuple[Sequence[str], Iterable[list[bytes]]]:
+    """Every concept's name, and per phase a column per snapshot, built at C
+    speed: _bit_bytes spreads each kind's mask, the error masks cut to
+    net.below_top, to one 0/1 byte per concept, so as little-endian ints
+    they combine, shifted by the kind's order, into one code byte each."""
+    net = trace.net
+    n, below_top = net.n_concepts, net.below_top
 
-    A missing row reads as 0; of two rows for one cell, the later one counts.
-    """
+    def column(snap: Snapshot) -> bytes:
+        code = 0
+        # the masks in UnitKind's order
+        for order, mask in enumerate((snap.active, snap.omitted & below_top, snap.committed & below_top)):
+            code |= int.from_bytes(_bit_bytes(mask, n), "little") << order
+        return code.to_bytes(n, "little")
+
+    return net.names, ([column(snap) for snap in phase.snapshots] for phase in trace.phases)
+
+
+def _row_columns(rows: Iterable[TraceRow]) -> tuple[list[str], list[list[bytearray]]]:
+    """The names rows hold, and per phase a column per sweep they hold, each
+    row written into its byte of its column."""
     rows = list(rows)
-    position: dict[tuple[int, int], int] = {}
-    template = bytearray()
-    previous = None
+    at = {name: i for i, name in enumerate(dict.fromkeys(r.name for r in rows))}
+    phases: dict[int, dict[int, bytearray]] = {}
     for phase, sweep in sorted({(r.phase, r.sweep) for r in rows}):
-        if template and phase != previous:
-            template.append(_SEPARATOR)
-        previous = phase
-        position[(phase, sweep)] = len(template)
-        template.append(0)
-    codes: dict[str, bytearray] = {}
-    for r in rows:
-        line = codes.get(r.name)
-        if line is None:
-            line = codes[r.name] = bytearray(template)
-        at, bit = position[(r.phase, r.sweep)], _CELL_BIT[r.kind]
-        line[at] = line[at] | bit if r.value else line[at] & ~bit
-    return codes
+        phases.setdefault(phase, {})[sweep] = bytearray(len(at))
+    for phase, sweep, kind, name, value in rows:
+        column, i, bit = phases[phase][sweep], at[name], 1 << _KIND_ORDER[kind]
+        column[i] = column[i] | bit if value else column[i] & ~bit
+    return list(at), [list(sweeps.values()) for sweeps in phases.values()]

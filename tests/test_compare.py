@@ -97,6 +97,16 @@ def test_no_lateral_inhibition_pinned(net):
     assert report.count(Agreement.DISAGREE) == 0
 
 
+@pytest.mark.parametrize("name", ["salt.json", "caramel.json"])
+def test_all_global_routing_pinned(data_dir, name):
+    """Under ALL_GLOBAL every error inhibits every active non-bottom concept,
+    so on caramel the four clamps that disagree under SPLIT agree too: both
+    shipped nets come out 29/3/0."""
+    net = validate_network(parse_network_file((data_dir / name).read_text()))
+    report = compare_with_oracle(net, EngineParams(error_routing=ErrorRouting.ALL_GLOBAL))
+    assert [report.count(kind) for kind in Agreement] == [29, 3, 0]
+
+
 def test_three_layer_divergence_is_detected(data_dir):
     """On deeper hierarchies the harness finds real divergences: a concept
     whose taste pattern is complete stays active even though nothing above

@@ -935,6 +935,46 @@ def test_a_routed_count_cannot_ignite_an_idle_unit():
     assert not fast.active >> z & 1
 
 
+def corner_engines(net, ids):
+    """An Engine and a ReferenceEngine on the corner params, clamped to
+    {looking, white}, where salt's drive stays above 0 far beyond n routed
+    errors."""
+    clamp = {ids["looking"]: 1, ids["white"]: 1}
+    engines = Engine(net, CORNER_PARAMS), ReferenceEngine(net, CORNER_PARAMS)
+    for engine in engines:
+        engine.apply_clamp(clamp)
+    return engines
+
+
+@pytest.mark.parametrize("count", [100, -1, 1.0, True], ids=["above-n", "negative", "float", "bool"])
+def test_a_sweep_refuses_a_routed_count_the_table_cannot_decide(net, ids, count):
+    """The drive table covers routed counts 0..n. At 100 it would leave salt
+    off, where the reference's float drive, 3 - 0.001 * 100 + 2 = 4.9, turns
+    it on; a count outside 0..n or not an int is refused on the unit the
+    sweep decides, and the engine is left as it was."""
+    fast, reference = corner_engines(net, ids)
+    if count == 100:
+        reference.routed[ids["salt"]] = count
+        reference.sweep()
+        assert reference.activation[ids["salt"]] == 1
+    fast.routed[ids["salt"]] = count
+    before = engine_state(fast), dict(fast.clamp)
+    with pytest.raises(ValueError, match=rf"^routed count {count!r} for 'salt' is not an int in 0\.\.7$"):
+        fast.sweep()
+    assert (engine_state(fast), dict(fast.clamp)) == before
+
+
+def test_a_routed_count_of_n_is_decided_as_the_reference_decides_it(net, ids):
+    """n, the most a sweep routes, is the last count the table covers: a
+    sweep with salt's count at n runs as the reference's does."""
+    fast, reference = corner_engines(net, ids)
+    for engine in (fast, reference):
+        engine.routed[ids["salt"]] = net.n_concepts
+        engine.sweep()
+    assert engine_state(fast) == engine_state(reference)
+    assert fast.active >> ids["salt"] & 1
+
+
 @given(seed=st.integers(0, 999), net=compare_nets, params=valid_params())
 @example(seed=3, net=random_network(3), params=ROUNDING_PARAMS)
 @example(seed=4, net=shuffled_network(4), params=RISING_PARAMS)

@@ -19,6 +19,7 @@ from conceptsim import (
     Snapshot,
     Termination,
     Trace,
+    TraceRow,
     UnitKind,
     parse_network_file,
     parse_params,
@@ -636,6 +637,32 @@ def test_render_single_unit_single_sweep():
 def test_render_round_trips_through_csv(net, ids):
     trace = run_scenario(net, EngineParams(), [({ids["looking"]: 1, ids["white"]: 1}, None)])
     assert render_ascii_timeline(read_trace_csv(write_trace_csv(trace))) == render_ascii_timeline(trace)
+
+
+def test_render_draws_no_error_bit_of_a_top_layer_concept(net, ids):
+    """salt and sugar, the top layer, have no error units: the omission and
+    commission bits a hand-built trace gives them are not drawn, as their
+    CSV, which has no rows for them, does not draw them."""
+    everything, top = (1 << net.n_concepts) - 1, 1 << ids["salt"] | 1 << ids["sugar"]
+    trace = hand_built(net, [(0, everything, 0), (top, 0, everything)], [(everything,) * 3])
+    art = render_ascii_timeline(trace)
+    assert art == render_ascii_timeline(read_trace_csv(write_trace_csv(trace)))
+    by_name = {line.split()[0]: line.split()[-1] for line in art.split("\n")}
+    assert (by_name["salt"], by_name["sugar"], by_name["looking"]) == (".#|#", ".#|#", "go|o")
+
+
+def test_render_rows_of_one_cell_and_of_missing_cells():
+    """Of two rows for one cell the later one counts, and only for its own
+    kind; a cell no row gives reads as 0."""
+    def row(sweep, name, value, kind=UnitKind.CONCEPT):
+        return TraceRow(0, sweep, kind, name, value)
+
+    assert render_ascii_timeline([row(0, "a", 1), row(0, "a", 0)]) == "a ."
+    assert render_ascii_timeline([row(0, "a", 0), row(0, "a", 1)]) == "a #"
+    omission = UnitKind.OMISSION
+    assert render_ascii_timeline([row(0, "a", 1), row(0, "a", 1, omission), row(0, "a", 0, omission)]) == "a #"
+    # b has no row at sweep 1, nor a at sweep 0
+    assert render_ascii_timeline([row(0, "b", 1), row(1, "a", 1)]) == "a .#\nb #."
 
 
 # --- small error paths ---
