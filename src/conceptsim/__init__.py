@@ -32,17 +32,12 @@ _EXPORTS = {
     "io": (
         "ScenarioPhase",
         "ScenarioSpec",
-        "TraceRow",
-        "UnitKind",
         "parse_network_file",
         "parse_params",
         "parse_scenario_file",
-        "read_trace_csv",
-        "render_ascii_timeline",
         "serialize_network",
         "serialize_params",
         "serialize_scenario",
-        "write_trace_csv",
     ),
     "model": (
         "DEFAULT_TAU",
@@ -66,9 +61,16 @@ _EXPORTS = {
         "interpretation_consistent",
         "oracle_verdicts",
     ),
+    "trace": (
+        "TraceRow",
+        "UnitKind",
+        "read_trace_csv",
+        "render_ascii_timeline",
+        "write_trace_csv",
+    ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
-_SUBMODULES = frozenset({"compare", "engine", "errors", "io", "model", "oracle"})
+_SUBMODULES = frozenset({"compare", "engine", "errors", "io", "model", "oracle", "trace"})
 
 __all__ = list(_MODULE_OF)
 __version__ = "0.1.0"

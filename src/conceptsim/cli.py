@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .errors import ConceptNetError, ParseError, SchemaMismatch, UnknownElement
@@ -105,7 +104,8 @@ def _run_text(result):
 
 def cmd_run(args) -> int:
     from .engine import read_verdicts, run_scenario
-    from .io import parse_scenario_file, render_ascii_timeline, write_trace_csv
+    from .io import parse_scenario_file
+    from .trace import render_ascii_timeline, write_trace_csv
 
     net = _load_network(args.network)
     scenario = parse_scenario_file(_read(args.scenario), net)
@@ -127,7 +127,8 @@ def cmd_run(args) -> int:
         result["timeline"] = render_ascii_timeline(trace).split("\n") if net.n_concepts else []
     _print_result(args, result, _run_text)
     if args.trace:
-        Path(args.trace).write_text(write_trace_csv(trace), encoding="utf-8", newline="")
+        with open(args.trace, "w", encoding="utf-8", newline="") as f:
+            f.write(write_trace_csv(trace))
     if args.render and args.format == "text":
         for line in result["timeline"]:
             print(line)
@@ -224,7 +225,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_render(args) -> int:
-    from .io import read_trace_csv, render_ascii_timeline
+    from .trace import read_trace_csv, render_ascii_timeline
 
     # newline="" keeps a \r inside a quoted name, as csv.reader needs
     rows = read_trace_csv(_read(args.trace, newline=""))

@@ -82,8 +82,9 @@ from conceptsim.errors import (
     TypeMismatch,
     ValidationError,
 )
-from conceptsim.io import _HEADER_LINE, CSV_HEADER, _csv_field, _load_json, _require_list, _require_object, _require_str
+from conceptsim.io import _load_json, _require_list, _require_object, _require_str
 from conceptsim.model import ConceptId, ConceptSpec, NetworkSpec, Pattern, PatternState, PatternStatus, ValidatedNetwork, _ids
+from conceptsim.trace import _HEADER_LINE, CSV_HEADER, _csv_field
 
 
 def interpretation_consistent_reference(net, interpretation, clamped, tau=DEFAULT_TAU):

@@ -103,6 +103,19 @@ def test_run_writes_golden_trace(capsys, salt, data_dir, golden_dir, tmp_path):
     assert out_path.read_bytes() == (golden_dir / "salt_rejection_trace.csv").read_bytes()
 
 
+def test_run_trace_into_a_missing_directory_exits_2(capsys, salt, data_dir, tmp_path):
+    """The verdicts are printed before the trace file is opened; the OSError
+    opening it raises is the error line."""
+    out_path = tmp_path / "no_such_dir" / "trace.csv"
+    code, out, err = run_cli(
+        capsys, "run", salt, str(data_dir / "scenarios" / "salt_rejection.json"), "--trace", str(out_path),
+    )
+    assert code == 2
+    assert out.startswith("phase 1: salt: Inferred")
+    assert err == f"error: [Errno 2] No such file or directory: {str(out_path)!r}\n"
+    assert not out_path.parent.exists()
+
+
 def test_run_render_flag(capsys, salt, data_dir):
     code, out, _ = run_cli(
         capsys, "run", salt, str(data_dir / "scenarios" / "decoupling.json"), "--render"

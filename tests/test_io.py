@@ -1,4 +1,5 @@
 """Strict parsers, canonical serializers, trace CSV, ASCII rendering."""
+import copy
 import json
 import random
 import re
@@ -173,12 +174,18 @@ SPEC_FAULTS = {
 
 def _put_fault(data, obj: dict, fault: str, values) -> None:
     """Put a fault into a drawn place of a network's JSON object, in place;
-    a fault that finds no place of the shape it needs does nothing."""
+    a fault that finds no place of the shape it needs does nothing. Drawn
+    values are copies: a second fault may edit a list or dict in place, and
+    the values come from the shared fault tables."""
+
+    def draw_value(choices):
+        return copy.deepcopy(data.draw(st.sampled_from(choices)))
+
     concepts = obj.get("concepts") if isinstance(obj, dict) else None
     if not isinstance(concepts, list) or not concepts:
         return
     if fault == "retype concepts":
-        obj[data.draw(st.sampled_from(["concepts", "extra"]))] = data.draw(st.sampled_from(values))
+        obj[data.draw(st.sampled_from(["concepts", "extra"]))] = draw_value(values)
         return
     concept = data.draw(st.sampled_from(concepts), label="concept")
     if not isinstance(concept, dict):
@@ -192,13 +199,13 @@ def _put_fault(data, obj: dict, fault: str, values) -> None:
     elif fault == "add field":
         concept["extra"] = 1
     elif fault == "retype field":
-        concept[data.draw(st.sampled_from(fields))] = data.draw(st.sampled_from(values))
+        concept[data.draw(st.sampled_from(fields))] = draw_value(values)
     elif fault == "repeated name":
         concept["name"] = data.draw(st.sampled_from(names))
     elif fault.endswith("name"):
-        concept["name"] = data.draw(st.sampled_from(values))
+        concept["name"] = draw_value(values)
     elif fault.endswith("layer"):
-        concept["layer"] = data.draw(st.sampled_from(values))
+        concept["layer"] = draw_value(values)
     elif fault == "no patterns":
         concept["patterns"] = []
     elif fault == "new pattern" and isinstance(patterns, list):
@@ -206,7 +213,7 @@ def _put_fault(data, obj: dict, fault: str, values) -> None:
     elif not isinstance(pattern, list):
         return  # the faults below change a pattern
     elif fault == "retype pattern":
-        patterns[patterns.index(pattern)] = data.draw(st.sampled_from(values))
+        patterns[patterns.index(pattern)] = draw_value(values)
     elif fault == "duplicate pattern":
         patterns.append(list(pattern))
     elif fault == "empty pattern":
@@ -217,8 +224,37 @@ def _put_fault(data, obj: dict, fault: str, values) -> None:
         pattern.append(data.draw(st.sampled_from(pattern)))
     else:
         # an element, or another concept's name, which may be on the wrong layer
-        element = data.draw(st.sampled_from(values or names))
+        element = draw_value(values or names)
         pattern[data.draw(st.integers(0, len(pattern) - 1))] = element
+
+
+class _Draws:
+    """Stands in for st.data() with fixed draws: from sampled_from, the first
+    of its choices that equals one of prefer, else its first choice; from any
+    other strategy (lists, integers), 0."""
+
+    def __init__(self, *prefer):
+        self.prefer = prefer
+
+    def draw(self, strategy, label=None):
+        choices = getattr(strategy, "elements", (0,))
+        preferred = (c for c in choices if any(type(c) is type(p) and c == p for p in self.prefer))
+        return next(preferred, choices[0])
+
+
+def test_faults_leave_the_fault_table_as_it_was():
+    """Each mutable value of JSON_FAULTS, put in place by its fault (as a
+    concept's patterns, where the fault sets a field), then each fault that
+    _put_fault makes, which may edit that value in place: the table stays
+    as it was, so no later example draws an edited value."""
+    before = copy.deepcopy(JSON_FAULTS)
+    for fault, values in JSON_FAULTS.items():
+        for value in (v for v in values or () if isinstance(v, (list, dict))):
+            for second in JSON_FAULTS.keys() - {"repeated key"}:
+                obj = {"concepts": [{"name": "a", "layer": 0, "patterns": []}, {"name": "b", "layer": 1, "patterns": [["a"]]}]}
+                _put_fault(_Draws("patterns", value), obj, fault, values)
+                _put_fault(_Draws(), obj, second, JSON_FAULTS[second])
+    assert JSON_FAULTS == before
 
 
 def _outcome(load):
@@ -515,7 +551,7 @@ def test_trace_writer_reads_snapshots_not_rows(monkeypatch, data_dir, golden_dir
     def refuse(*args, **kwargs):
         raise AssertionError("write_trace_csv(trace) fell back to TraceRows")
 
-    monkeypatch.setattr(io, "TraceRow", refuse)
+    monkeypatch.setattr("conceptsim.trace.TraceRow", refuse)
     assert write_trace_csv(trace) == (golden_dir / "salt_rejection_trace.csv").read_text()
 
 

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import conceptsim
-from conceptsim import compare, engine, io, model, oracle
+from conceptsim import compare, engine, io, model, oracle, trace
 
 SRC = Path(conceptsim.__file__).resolve().parents[1]
 REPO = SRC.parent
@@ -21,9 +21,8 @@ PUBLIC = {
         "Verdict", "dendrite_values", "error_flags", "read_verdicts", "route_errors", "run_scenario",
     ),
     io: (
-        "ScenarioPhase", "ScenarioSpec", "TraceRow", "UnitKind", "parse_network_file",
-        "parse_params", "parse_scenario_file", "read_trace_csv", "render_ascii_timeline",
-        "serialize_network", "serialize_params", "serialize_scenario", "write_trace_csv",
+        "ScenarioPhase", "ScenarioSpec", "parse_network_file", "parse_params", "parse_scenario_file",
+        "serialize_network", "serialize_params", "serialize_scenario",
     ),
     model: (
         "DEFAULT_TAU", "ConceptId", "ConceptSpec", "NetworkSpec", "Pattern", "PatternState",
@@ -34,16 +33,22 @@ PUBLIC = {
         "ConceptCheck", "ConsistencyReport", "OracleVerdict", "enumerate_interpretations",
         "interpretation_consistent", "oracle_verdicts",
     ),
+    trace: ("TraceRow", "UnitKind", "read_trace_csv", "render_ascii_timeline", "write_trace_csv"),
 }
 
 #: the names compare.py took over from engine, which engine still resolves
 MOVED = ("Agreement", "AgreementReport", "CaseResult", "COMPARE_BOTTOM_LIMIT", "compare_with_oracle")
 
+#: the names trace.py took over from io, which io still resolves
+MOVED_TO_TRACE = ("UnitKind", "TraceRow", "CSV_HEADER", "write_trace_csv", "read_trace_csv", "render_ascii_timeline")
+
 #: standard-library modules that cost a millisecond or more to import, each
 #: loaded only where it is used: dataclasses (and through it inspect) by
-#: compare, for CaseResult; csv by io.read_trace_csv. fractions is loaded by
-#: no command: pattern_state decides in integers, through pattern_need
-HEAVY = ["csv", "dataclasses", "fractions", "inspect"]
+#: compare, for CaseResult; csv by trace.read_trace_csv. fractions is loaded
+#: by no command: pattern_state decides in integers, through pattern_need.
+#: Nor is pathlib: run opens its trace file with open(). Children run under
+#: -S, since a site .pth file may import pathlib before any command runs
+HEAVY = ["csv", "dataclasses", "fractions", "inspect", "pathlib"]
 DATACLASSES = ["dataclasses", "inspect"]
 
 #: runs cli.main on argv with stdout swallowed, then prints the exit code, the
@@ -57,10 +62,12 @@ loaded = sorted(m for m in sys.modules if m.startswith("conceptsim."))
 print(json.dumps([code, loaded, [m for m in {HEAVY!r} if m in sys.modules]]))
 """
 
-BASE = ["conceptsim.cli", "conceptsim.errors", "conceptsim.io", "conceptsim.model"]
+CLI = ["conceptsim.cli", "conceptsim.errors"]
+BASE = sorted(CLI + ["conceptsim.io", "conceptsim.model"])
 WITH_ORACLE = sorted(BASE + ["conceptsim.oracle"])
-WITH_ENGINE = sorted(BASE + ["conceptsim.engine"])
+WITH_ENGINE = sorted(BASE + ["conceptsim.engine", "conceptsim.trace"])
 EVERYTHING = sorted(BASE + ["conceptsim.compare", "conceptsim.engine", "conceptsim.oracle"])
+TRACE_ONLY = sorted(CLI + ["conceptsim.trace"])
 
 #: the calls of perfbench's cli-small mix, what each may load of the package
 #: and which of HEAVY it loads
@@ -83,7 +90,7 @@ CALLS = [
         ("compare", "data/caramel.json", "--format", "json", "--strict"), 1, EVERYTHING, DATACLASSES,
         id="compare-json-disagree",
     ),
-    pytest.param(("render", "tests/golden/salt_rejection_trace.csv"), 0, BASE, ["csv"], id="render"),
+    pytest.param(("render", "tests/golden/salt_rejection_trace.csv"), 0, TRACE_ONLY, ["csv"], id="render"),
 ]
 
 
@@ -95,7 +102,7 @@ def child_env() -> dict[str, str]:
 
 def run_child(code: str, *argv: str) -> str:
     proc = subprocess.run(
-        [sys.executable, "-c", code, *argv], cwd=REPO, env=child_env(),
+        [sys.executable, "-S", "-c", code, *argv], cwd=REPO, env=child_env(),
         capture_output=True, text=True, timeout=60, check=True,
     )
     return proc.stdout
@@ -142,6 +149,28 @@ def test_engine_resolves_the_names_compare_took_over():
             getattr(engine, private)
     with pytest.raises(AttributeError, match="module 'conceptsim.engine' has no attribute 'no_such_name'"):
         engine.no_such_name
+
+
+def test_import_io_and_trace_each_leave_the_other_unloaded():
+    code = "import sys, conceptsim.io; print('conceptsim.trace' in sys.modules)"
+    assert run_child(code) == "False\n"
+    code = "import sys, conceptsim.trace; print([m for m in ['conceptsim.io', 'conceptsim.model'] if m in sys.modules])"
+    assert run_child(code) == "[]\n"
+
+
+def test_io_resolves_the_names_trace_took_over():
+    for name in MOVED_TO_TRACE:
+        assert getattr(io, name) is getattr(trace, name), name
+        assert io.__dict__[name] is getattr(trace, name), name  # cached on first use
+    namespace: dict = {}
+    exec("from conceptsim.io import write_trace_csv, TraceRow", namespace)
+    assert namespace["write_trace_csv"] is trace.write_trace_csv
+    assert namespace["TraceRow"] is trace.TraceRow
+    for private in ("_csv_field", "_read_rows"):  # trace's own helpers are read off trace
+        with pytest.raises(AttributeError):
+            getattr(io, private)
+    with pytest.raises(AttributeError, match="module 'conceptsim.io' has no attribute 'no_such_name'"):
+        io.no_such_name
 
 
 def test_every_public_name_is_its_submodules_object():
