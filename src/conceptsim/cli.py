@@ -7,9 +7,9 @@ parse error.
 """
 from __future__ import annotations
 
-import argparse
-import json
+import re
 import sys
+from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
 from .errors import ConceptNetError, ParseError, SchemaMismatch, UnknownElement
@@ -69,6 +69,8 @@ def _print_result(args, payload, text) -> None:
     """Print a command's result once built: the payload itself under
     --format json, else the lines text(payload) derives from it."""
     if args.format == "json":
+        import json
+
         print(json.dumps(payload, sort_keys=True, indent=2))
     else:
         for line in text(payload):
@@ -235,55 +237,130 @@ def cmd_render(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="conceptsim",
-        description="Simulate and query concept networks built from conditional bistable patterns.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+_FORMAT = {"--format": (("text", "json"), "text", "print text lines or one JSON document")}
+_ACTIVE = {"--active": (None, "", "comma-separated layer-0 names"), **_FORMAT}
+_PARAMS = {"--params": (None, None, "an engine params JSON file, else the default params")}
 
-    p = sub.add_parser("validate", help="check a network file and print its shape")
-    p.add_argument("network")
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(func=cmd_validate)
+#: each command: its handler, its help, its positional arguments and its
+#: options as {name: (choices, default, help)}; choices None takes any value,
+#: and an option whose default is False is a flag
+COMMANDS = {
+    "validate": (cmd_validate, "check a network file and print its shape", ("network",), _FORMAT),
+    "run": (cmd_run, "run a clamp scenario and print per-phase verdicts", ("network", "scenario"), {
+        **_PARAMS, "--trace": (None, None, "write the trace CSV to this path"),
+        "--render": (None, False, "print an ASCII timeline"), **_FORMAT,
+    }),
+    "check": (cmd_check, "oracle verdicts plus per-pattern detail for one active set", ("network",), _ACTIVE),
+    "enumerate": (cmd_enumerate, "list all consistent interpretations (maximal starred)", ("network",), _ACTIVE),
+    "compare": (cmd_compare, "exhaustively compare dynamics against the oracle", ("network",), {
+        **_PARAMS, "--strict": (None, False, "exit 1 on any DISAGREE"), **_FORMAT,
+    }),
+    "render": (cmd_render, "render a trace CSV as an ASCII timeline", ("trace",), {}),
+}
 
-    p = sub.add_parser("run", help="run a clamp scenario and print per-phase verdicts")
-    p.add_argument("network")
-    p.add_argument("scenario")
-    p.add_argument("--params", default=None)
-    p.add_argument("--trace", default=None, help="write the trace CSV to this path")
-    p.add_argument("--render", action="store_true", help="print an ASCII timeline")
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(func=cmd_run)
 
-    p = sub.add_parser("check", help="oracle verdicts plus per-pattern detail for one active set")
-    p.add_argument("network")
-    p.add_argument("--active", default="", help="comma-separated layer-0 names")
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(func=cmd_check)
+def _shown(name: str, choices, default) -> str:
+    return name if default is False else f"{name} {'{' + ','.join(choices) + '}' if choices else name[2:].upper()}"
 
-    p = sub.add_parser("enumerate", help="list all consistent interpretations (maximal starred)")
-    p.add_argument("network")
-    p.add_argument("--active", default="", help="comma-separated layer-0 names")
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(func=cmd_enumerate)
 
-    p = sub.add_parser("compare", help="exhaustively compare dynamics against the oracle")
-    p.add_argument("network")
-    p.add_argument("--params", default=None)
-    p.add_argument("--strict", action="store_true", help="exit 1 on any DISAGREE")
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(func=cmd_compare)
+def _usage(command: str | None) -> str:
+    if command is None:
+        return f"usage: conceptsim [-h] {{{','.join(COMMANDS)}}} ..."
+    _, _, positionals, options = COMMANDS[command]
+    shown = (f"[{_shown(name, choices, default)}]" for name, (choices, default, _) in options.items())
+    return " ".join(["usage: conceptsim", command, "[-h]", *shown, *positionals])
 
-    p = sub.add_parser("render", help="render a trace CSV as an ASCII timeline")
-    p.add_argument("trace")
-    p.set_defaults(func=cmd_render)
 
-    return parser
+def _help(command: str | None) -> str:
+    if command is None:
+        about = "Simulate and query concept networks built from conditional bistable patterns."
+        heading, rows = "commands:", [(name, spec[1]) for name, spec in COMMANDS.items()]
+    else:
+        _, about, _, options = COMMANDS[command]
+        heading, rows = "options:", [("-h, --help", "show this help message and exit")] + [
+            (_shown(name, choices, default), text + (f" (default: {default})" if default else ""))
+            for name, (choices, default, text) in options.items()
+        ]
+    return "\n".join([_usage(command), "", about, "", heading, *(f"  {a:<22}{b}" for a, b in rows)])
+
+
+def _option(token: str, names: list[str]) -> tuple[list[str], str | None] | None:
+    """None if argparse takes the token for a positional, else the options of
+    names it may abbreviate and the value it gives after "=". -h followed by
+    nothing but h's is --help."""
+    if token[:1] != "-" or token == "-":
+        return None
+    if token.startswith("-h"):
+        return ["--help"], None if token.rstrip("h") == "-" else token[2:]
+    key, eq, value = token.partition("=")
+    matches = [name for name in names if name.startswith(key)] if token[1] == "-" else []
+    # an unknown option that reads as a negative number or holds a space is a positional
+    if matches or not (" " in token or re.match(r"^-\d+$|^-\d*\.\d+$", token)):
+        return matches, value if eq else None
+    return None
+
+
+def parse_args(argv) -> SimpleNamespace:
+    """The command argv names, with its handler as func and a field per
+    argument, parsed in one walk as argparse parsed them: options may come
+    anywhere among the positionals, as --opt value, --opt=value or a unique
+    prefix of either, and the first "--" ends them. -h or --help prints help
+    and raises SystemExit(0); a usage error prints the usage line and the
+    error to stderr and raises SystemExit(2). Each acts in argv order."""
+    command, options, positionals, values, words, extra = None, {}, (), {}, [], []
+    ended = after_option = False
+
+    def fail(message: str):
+        prog = f"conceptsim {command or ''}".rstrip()
+        print(_usage(command), f"{prog}: error: {message}", sep="\n", file=sys.stderr)
+        raise SystemExit(2)
+
+    tokens = iter(argv)
+    for token in tokens:
+        option = None if ended or token == "--" else _option(token, [*options, "--help"])
+        follows_option, after_option = after_option, option is not None
+        if option is None and command is None:
+            if token not in COMMANDS:
+                fail(f"invalid choice: {token!r} (choose from {', '.join(COMMANDS)})")
+            command = token
+            func, _, positionals, options = COMMANDS[command]
+            values = {name[2:]: default for name, (_, default, _) in options.items()}
+        elif option is None and token == "--" and not ended:
+            ended = True
+            # argparse keeps a "--" that follows an option when no positional is left to take it
+            if follows_option and len(words) >= len(positionals):
+                extra.append(token)
+        elif option is None:
+            words.append(token)
+        elif len(option[0]) != 1:
+            if option[0]:
+                fail(f"ambiguous option: {token} could match {', '.join(option[0])}")
+            extra.append(token)
+        else:
+            [name], value = option
+            choices, default, _ = options.get(name, (None, False, None))
+            if default is False and value is not None:
+                fail(f"argument {name}: ignored explicit argument {value!r}")
+            if name == "--help":
+                print(_help(command))
+                raise SystemExit(0)
+            if default is not False and value is None:
+                value = next(tokens, "--")
+                if value == "--" or _option(value, [*options, "--help"]) is not None:
+                    fail(f"argument {name}: expected one argument")
+            if choices and value not in choices:
+                fail(f"argument {name}: invalid choice: {value!r} (choose from {', '.join(choices)})")
+            values[name[2:]] = True if default is False else value
+    if command is None or len(words) < len(positionals):
+        fail(f"the following arguments are required: {', '.join(positionals[len(words):]) or 'command'}")
+    extra += words[len(positionals):]
+    if extra:
+        fail(f"unrecognized arguments: {' '.join(extra)}")
+    return SimpleNamespace(command=command, func=func, **dict(zip(positionals, words)), **values)
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else argv)
     try:
         return args.func(args)
     except ParseError as e:

@@ -42,9 +42,13 @@ ceiling in integers: ceil of Fraction(tau) * size. pattern_state_reference is
 model.pattern_state as it was before it read pattern_need: it compares
 Fraction(present, size) with tau, so the references above decide each
 pattern's state without pattern_need.
+build_parser_reference is cli.build_parser as it was before cli parsed argv
+from its COMMANDS table: the argparse parser whose parse_args the table's
+parse_args must agree with.
 """
 from __future__ import annotations
 
+import argparse
 import csv
 from fractions import Fraction
 from io import StringIO
@@ -67,6 +71,7 @@ from conceptsim import (
     enumerate_interpretations,
     interpretation_consistent,
 )
+from conceptsim.cli import cmd_check, cmd_compare, cmd_enumerate, cmd_render, cmd_run, cmd_validate
 from conceptsim.engine import _drive_thresholds
 from conceptsim.errors import (
     BottomConcept,
@@ -760,3 +765,50 @@ def validate_network_reference(spec: NetworkSpec) -> ValidatedNetwork:
         warnings=tuple(warnings),
         masks=tuple(masks),
     )
+
+
+def build_parser_reference() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="conceptsim",
+        description="Simulate and query concept networks built from conditional bistable patterns.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("validate", help="check a network file and print its shape")
+    p.add_argument("network")
+    p.add_argument("--format", choices=("text", "json"), default="text")
+    p.set_defaults(func=cmd_validate)
+
+    p = sub.add_parser("run", help="run a clamp scenario and print per-phase verdicts")
+    p.add_argument("network")
+    p.add_argument("scenario")
+    p.add_argument("--params", default=None)
+    p.add_argument("--trace", default=None, help="write the trace CSV to this path")
+    p.add_argument("--render", action="store_true", help="print an ASCII timeline")
+    p.add_argument("--format", choices=("text", "json"), default="text")
+    p.set_defaults(func=cmd_run)
+
+    p = sub.add_parser("check", help="oracle verdicts plus per-pattern detail for one active set")
+    p.add_argument("network")
+    p.add_argument("--active", default="", help="comma-separated layer-0 names")
+    p.add_argument("--format", choices=("text", "json"), default="text")
+    p.set_defaults(func=cmd_check)
+
+    p = sub.add_parser("enumerate", help="list all consistent interpretations (maximal starred)")
+    p.add_argument("network")
+    p.add_argument("--active", default="", help="comma-separated layer-0 names")
+    p.add_argument("--format", choices=("text", "json"), default="text")
+    p.set_defaults(func=cmd_enumerate)
+
+    p = sub.add_parser("compare", help="exhaustively compare dynamics against the oracle")
+    p.add_argument("network")
+    p.add_argument("--params", default=None)
+    p.add_argument("--strict", action="store_true", help="exit 1 on any DISAGREE")
+    p.add_argument("--format", choices=("text", "json"), default="text")
+    p.set_defaults(func=cmd_compare)
+
+    p = sub.add_parser("render", help="render a trace CSV as an ASCII timeline")
+    p.add_argument("trace")
+    p.set_defaults(func=cmd_render)
+
+    return parser

@@ -1,10 +1,14 @@
 """CLI subcommands, exit codes, and output determinism."""
+import contextlib
 import json
+from io import StringIO
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from conceptsim import read_trace_csv, serialize_network
-from conceptsim.cli import main
+from conceptsim.cli import COMMANDS, main, parse_args
+from reference import build_parser_reference
 
 
 def run_cli(capsys, *argv):
@@ -80,6 +84,93 @@ def test_every_subcommand_has_help():
         with pytest.raises(SystemExit) as exc:
             main([command, "--help"])
         assert exc.value.code == 0
+
+
+#: the argv alphabet: the commands and one that is none, every option name, a
+#: unique prefix of each, their "=value" forms, the values, "--", an unknown
+#: option and positionals, among them one with a space and a negative number
+OPTION_NAMES = ["-h", "--help", "--format", "--params", "--trace", "--render", "--active", "--strict"]
+PREFIXES = ["--he", "--form", "--par", "--tr", "--ren", "--act", "--str"]
+VALUES = ["", "text", "json", "xml", "-"]
+COMMAND_NAMES = [*COMMANDS, "bogus"]
+TOKENS = [
+    *COMMAND_NAMES, *OPTION_NAMES, *PREFIXES, *(f"{o}={v}" for o in OPTION_NAMES + PREFIXES for v in VALUES),
+    *VALUES, "--", "-hh", "--bogus", "data/salt.json", "out.csv", "a b", "-1",
+]
+#: runs of tokens that commands accept, drawn as often as single tokens so
+#: that more argv parse; tuples, so no example can edit another's
+ACCEPTED = [
+    ("data/salt.json",), ("out.csv",), ("--",), ("--format", "json"), ("--form=text",), ("--render",),
+    ("--strict",), ("--act", "a b"), ("--params", "-"), ("--tr", "out.csv"),
+]
+#: a token or none, a command, then the command's arguments
+ARGV = st.tuples(
+    st.lists(st.sampled_from(TOKENS), max_size=1),
+    st.sampled_from(COMMAND_NAMES),
+    st.lists(st.sampled_from(TOKENS).map(lambda token: (token,)) | st.sampled_from(ACCEPTED), max_size=6),
+).map(lambda parts: [*parts[0], parts[1], *(token for run in parts[2] for token in run)])
+
+
+def parsed(parse, argv):
+    """The fields parse makes of a copy of argv or, if it exits, the exit code
+    and whether it wrote to stdout and to stderr."""
+    out, err = StringIO(), StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            return vars(parse(list(argv)))
+    except SystemExit as e:
+        return e.code, out.getvalue() != "", err.getvalue() != ""
+
+
+def argparse_versions_agree(argv, expected) -> bool:
+    """Whether argparse releases parse argv alike. They differ on a "--"
+    before the command, which newer ones skip (3.13.13 does, 3.13.0 does
+    not) and parse_args refuses, and on a "--" after the first, given to a
+    positional, which older ones make an empty list and parse_args keeps."""
+    before = argv[:next((i for i, token in enumerate(argv) if token in COMMANDS), len(argv))]
+    return "--" not in before and not (isinstance(expected, dict) and [] in expected.values())
+
+
+@settings(deadline=None, max_examples=600)
+@given(argv=ARGV)
+def test_parse_args_agrees_with_argparse(argv):
+    expected = parsed(build_parser_reference().parse_args, argv)
+    assume(argparse_versions_agree(argv, expected))
+    assert parsed(parse_args, argv) == expected
+
+
+def accepted(command, **given):
+    """The fields of an accepted call of command: the defaults, then given."""
+    func, _, _, options = COMMANDS[command]
+    return {"command": command, "func": func, **{name[2:]: spec[1] for name, spec in options.items()}, **given}
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["validate", "x", "--bogus", "-h"], (0, True, False)),
+    (["validate", "--format", "xml", "-h"], (2, False, True)),
+    (["validate", "x", "--form", "json"], accepted("validate", network="x", format="json")),
+    (["check", "--act=a,b", "x"], accepted("check", network="x", active="a,b")),
+    (
+        ["run", "--render", "x", "--tr", "t.csv", "y"],
+        accepted("run", network="x", scenario="y", render=True, trace="t.csv"),
+    ),
+    (["validate", "--", "--format"], accepted("validate", network="--format")),
+    (["validate", "x", "--format", "json", "--"], (2, False, True)),
+    (["render", "--help=x"], (2, False, True)),
+    (["-h", "bogus"], (0, True, False)),
+    ([], (2, False, True)),
+])
+def test_parse_args_examples(argv, expected):
+    assert parsed(parse_args, argv) == expected
+    assert parsed(build_parser_reference().parse_args, argv) == expected
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["--", "validate", "x"], (2, False, True)),
+    (["run", "x", "--", "--"], accepted("run", network="x", scenario="--")),
+])
+def test_parse_args_where_argparse_versions_differ(argv, expected):
+    assert parsed(parse_args, argv) == expected
 
 
 def test_run_salt_rejection(capsys, salt, data_dir):

@@ -44,22 +44,28 @@ MOVED_TO_TRACE = ("UnitKind", "TraceRow", "CSV_HEADER", "write_trace_csv", "read
 
 #: standard-library modules that cost a millisecond or more to import, each
 #: loaded only where it is used: dataclasses (and through it inspect) by
-#: compare, for CaseResult; csv by trace.read_trace_csv. fractions is loaded
-#: by no command: pattern_state decides in integers, through pattern_need.
-#: Nor is pathlib: run opens its trace file with open(). Children run under
-#: -S, since a site .pth file may import pathlib before any command runs
-HEAVY = ["csv", "dataclasses", "fractions", "inspect", "pathlib"]
+#: compare, for CaseResult; csv by trace.read_trace_csv; json by the loaders
+#: of io and by --format json, so render, which reads a CSV, loads none.
+#: fractions is loaded by no command: pattern_state decides in integers,
+#: through pattern_need. Nor is pathlib: run opens its trace file with open().
+#: Nor are argparse and the gettext and locale it loads: cli parses argv from
+#: its COMMANDS table. Children run under -S, since a site .pth file may
+#: import pathlib before any command runs
+HEAVY = ["argparse", "csv", "dataclasses", "fractions", "gettext", "inspect", "json", "locale", "pathlib"]
 DATACLASSES = ["dataclasses", "inspect"]
 
 #: runs cli.main on argv with stdout swallowed, then prints the exit code, the
-#: conceptsim submodules that were loaded and which of HEAVY were
+#: conceptsim submodules that were loaded and which of HEAVY were; it imports
+#: json only after looking
 CHILD = f"""
-import contextlib, io, json, sys
+import contextlib, io, sys
 from conceptsim.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     code = main(sys.argv[1:])
 loaded = sorted(m for m in sys.modules if m.startswith("conceptsim."))
-print(json.dumps([code, loaded, [m for m in {HEAVY!r} if m in sys.modules]]))
+heavy = [m for m in {HEAVY!r} if m in sys.modules]
+import json
+print(json.dumps([code, loaded, heavy]))
 """
 
 CLI = ["conceptsim.cli", "conceptsim.errors"]
@@ -72,22 +78,24 @@ TRACE_ONLY = sorted(CLI + ["conceptsim.trace"])
 #: the calls of perfbench's cli-small mix, what each may load of the package
 #: and which of HEAVY it loads
 CALLS = [
-    pytest.param(("validate", "data/caramel.json"), 0, BASE, [], id="validate"),
+    pytest.param(("validate", "data/caramel.json"), 0, BASE, ["json"], id="validate"),
     pytest.param(
         ("run", "data/salt.json", "data/scenarios/salt_rejection.json", "--render", "--trace",
-         "{tmp}/trace.csv"), 0, WITH_ENGINE, [], id="run-render-trace",
+         "{tmp}/trace.csv"), 0, WITH_ENGINE, ["json"], id="run-render-trace",
     ),
     pytest.param(
         ("run", "data/salt.json", "data/scenarios/decoupling.json", "--format", "json"), 0,
-        WITH_ENGINE, [], id="run-json",
+        WITH_ENGINE, ["json"], id="run-json",
     ),
     pytest.param(
-        ("check", "data/salt.json", "--active", "looking,white,tasting"), 0, WITH_ORACLE, [], id="check",
+        ("check", "data/salt.json", "--active", "looking,white,tasting"), 0, WITH_ORACLE, ["json"], id="check",
     ),
-    pytest.param(("enumerate", "data/caramel.json", "--active", "tasting,salty"), 0, WITH_ORACLE, [], id="enumerate"),
-    pytest.param(("compare", "data/salt.json", "--strict"), 0, EVERYTHING, DATACLASSES, id="compare"),
     pytest.param(
-        ("compare", "data/caramel.json", "--format", "json", "--strict"), 1, EVERYTHING, DATACLASSES,
+        ("enumerate", "data/caramel.json", "--active", "tasting,salty"), 0, WITH_ORACLE, ["json"], id="enumerate",
+    ),
+    pytest.param(("compare", "data/salt.json", "--strict"), 0, EVERYTHING, [*DATACLASSES, "json"], id="compare"),
+    pytest.param(
+        ("compare", "data/caramel.json", "--format", "json", "--strict"), 1, EVERYTHING, [*DATACLASSES, "json"],
         id="compare-json-disagree",
     ),
     pytest.param(("render", "tests/golden/salt_rejection_trace.csv"), 0, TRACE_ONLY, ["csv"], id="render"),
@@ -116,9 +124,10 @@ def test_each_command_loads_only_what_it_runs(tmp_path, argv, exit_code, loaded,
 
 def test_enumerate_reporting_an_interpretation_loads_none_of_heavy():
     """Beyond the mix, whose enumerate finds nothing consistent: on salt under
-    {tasting, salty} it reports {salt} through interpretation_consistent."""
+    {tasting, salty} it reports {salt} through interpretation_consistent, and
+    loads none of HEAVY but the json its network loader needs."""
     argv = ("enumerate", "data/salt.json", "--active", "tasting,salty")
-    assert json.loads(run_child(CHILD, *argv)) == [0, WITH_ORACLE, []]
+    assert json.loads(run_child(CHILD, *argv)) == [0, WITH_ORACLE, ["json"]]
 
 
 def test_import_conceptsim_loads_no_submodule():
