@@ -107,7 +107,7 @@ def _run_text(result):
 def cmd_run(args) -> int:
     from .engine import read_verdicts, run_scenario
     from .io import parse_scenario_file
-    from .trace import render_ascii_timeline, write_trace_csv
+    from .trace import _timeline_rows, write_trace_csv
 
     net = _load_network(args.network)
     scenario = parse_scenario_file(_read(args.scenario), net)
@@ -125,8 +125,8 @@ def cmd_run(args) -> int:
         })
     result = {"phases": phases}
     if args.render:
-        # a network without concepts has no timeline to draw
-        result["timeline"] = render_ascii_timeline(trace).split("\n") if net.n_concepts else []
+        # one line per unit, whole where a name holds a line break; none without concepts
+        result["timeline"] = _timeline_rows(trace) if net.n_concepts else []
     _print_result(args, result, _run_text)
     if args.trace:
         with open(args.trace, "w", encoding="utf-8", newline="") as f:

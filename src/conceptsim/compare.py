@@ -99,13 +99,16 @@ class AgreementReport:
 COMPARE_BOTTOM_LIMIT = 16
 
 
-def _clamp_planes(net: ValidatedNetwork, params: EngineParams, planes: list[int]) -> tuple[list[int], int, int]:
+def _clamp_planes(
+    net: ValidatedNetwork, params: EngineParams, planes: dict[ConceptId, int], cases: int
+) -> tuple[list[int], int, int]:
     """Run the clamps of compare_with_oracle all at once, bit-sliced.
 
     Each unit value is one int, a plane, whose bit i is its value under case
-    i, the clamp of bit j of i on net.bottom[j], as planes[j] has it (see
-    model._bottom_planes); a sweep applies sweep()'s rules to whole planes,
-    so one int operation advances every case. Each layer keeps its count of
+    i of the `cases` cases. Case i clamps each layer-0 concept e whose plane
+    planes[e] has bit i set, and none missing from planes, as oracle._search
+    takes its cases; a sweep applies sweep()'s rules to whole planes, so one
+    int operation advances every case. Each layer keeps its count of
     active units as a thermometer, at[j] the cases where at least j of its
     units are active, current in id order and from sweep to sweep, and each
     unit its routed count as ge[t], the cases where it is at least t, up to
@@ -143,7 +146,6 @@ def _clamp_planes(net: ValidatedNetwork, params: EngineParams, planes: list[int]
     Returns the final active planes by concept id, then the cases in a
     cycle and those at the sweep limit; the others reached a fixed point.
     """
-    cases = 1 << len(net.bottom)
     ones = (1 << cases) - 1
     n = net.n_concepts
     layers = [_ids(mask) for mask in net.layer_mask]
@@ -164,7 +166,7 @@ def _clamp_planes(net: ValidatedNetwork, params: EngineParams, planes: list[int]
     zero = [ones] + [0] * (depth + 1)  # a count of 0 in every case
 
     active = [0] * n
-    for e, plane in zip(net.bottom, planes):
+    for e, plane in planes.items():
         active[e] = plane
     omitted, committed, latched, dend = [0] * n, [0] * n, [0] * n, [0] * n
     routed = [zero] * n
@@ -298,16 +300,17 @@ def compare_with_oracle(net: ValidatedNetwork, params: EngineParams | None = Non
                     or error-driven rejection emptied a tie)
       DISAGREE      anything else, including non-convergence
 
-    Both sides take all 2^b clamps at once, bit-sliced: the runs advance
-    together (_clamp_planes), and the oracle's search (oracle._search) gives
-    each consistent interpretation the plane of its clamps. Classifying is
-    plane algebra per distinct inferred set s, with P the plane of its cases
-    and above the cases where a strict superset of s is consistent: AGREE
-    is P where s is consistent and not above, or where nothing is and s is
-    empty, and TIE-SELECTED is P & above. A clamp still changing when the
-    plane run stops is a Cycle or SweepLimit as its own states tell. These
-    planes, split once more by the maximal sets (oracle._maximal), are the
-    report's groups. Nets the oracle refuses are refused before either run.
+    Both sides take all 2^b clamps at once, bit-sliced, from the same planes
+    and case count: the runs advance together (_clamp_planes), and the
+    oracle's search (oracle._search) gives each consistent interpretation
+    the plane of its clamps. Classifying is plane algebra per distinct
+    inferred set s, with P the plane of its cases and above the cases where
+    a strict superset of s is consistent: AGREE is P where s is consistent
+    and not above, or where nothing is and s is empty, and TIE-SELECTED is
+    P & above. A clamp still changing when the plane run stops is a Cycle or
+    SweepLimit as its own states tell. These planes, split once more by the
+    maximal sets (oracle._maximal), are the report's groups. Nets the oracle
+    refuses are refused before either run.
     """
     from . import oracle  # only compare needs it; a module, so patched attributes are seen
 
@@ -319,35 +322,29 @@ def compare_with_oracle(net: ValidatedNetwork, params: EngineParams | None = Non
         )
     params.validate()
     oracle._check_enumerable(net)
-    planes = _bottom_planes(net)
-    ones = (1 << (1 << len(bottom))) - 1
-    found = oracle._search(net, dict(zip(bottom, planes)), 1 << len(bottom), params.tau)
-    active, cycle, limit = _clamp_planes(net, params, planes)
+    planes, cases = dict(zip(bottom, _bottom_planes(net))), 1 << len(bottom)
+    ones = (1 << cases) - 1
+    found = oracle._search(net, planes, cases, params.tau)
+    active, cycle, limit = _clamp_planes(net, params, planes, cases)
     sets = {0: ones ^ cycle ^ limit}  # the settled cases by inferred set, a bitmask over ids
     for c in net.non_bottom:
         if active[c]:
             sets = _refine(sets, {1 << c: active[c], 0: ones ^ active[c]})
-    # the cases by termination, inferred set and Agreement, keyed by ints, which
-    # hash at C speed where an Enum does not: an enum by its index, a set by its bits
-    terminations, kinds = tuple(Termination), tuple(Agreement)
-    fixed, disagree = terminations.index(Termination.FIXED_POINT), kinds.index(Agreement.DISAGREE)
-    groups = {(terminations.index(Termination.CYCLE), None, disagree): cycle,
-              (terminations.index(Termination.SWEEP_LIMIT), None, disagree): limit}
+    # the cases by termination, inferred set and Agreement
+    groups = {(Termination.CYCLE, None, Agreement.DISAGREE): cycle,
+              (Termination.SWEEP_LIMIT, None, Agreement.DISAGREE): limit}
     for s, plane in sets.items():
         above = oracle._above(found, s)
         # where no superset is consistent, s agrees if consistent; the empty
         # set always does, as the one consistent set or with none consistent
         agree = plane & ~above & (found.get(s, 0) if s else ones)
-        for kind, cases in enumerate((agree, plane & above, plane & ~above ^ agree)):
-            groups[fixed, s, kind] = cases
+        inferred = frozenset(_ids(s))
+        # in Agreement's order: AGREE, TIE-SELECTED, DISAGREE
+        for kind, kept in zip(Agreement, (agree, plane & above, plane & ~above ^ agree)):
+            groups[Termination.FIXED_POINT, inferred, kind] = kept
     # then by their maximal sets, in the oracle's order
     maximal = {(): ones}
     for bits, plane in oracle._maximal(found).items():
         if plane:
-            maximal = _refine(maximal, {(bits,): plane, (): ones ^ plane})
-    # the public keys, with one frozenset per distinct bitmask
-    frozen = {None: None, **{bits: frozenset(_ids(bits)) for bits in {*sets, *(b for m in maximal for b in m)}}}
-    return AgreementReport(groups={
-        (terminations[t], frozen[s], kinds[kind], tuple(map(frozen.__getitem__, m))): plane
-        for (t, s, kind, m), plane in _refine(groups, {(m,): cases for m, cases in maximal.items()}).items()
-    }, bottom=bottom)
+            maximal = _refine(maximal, {(frozenset(_ids(bits)),): plane, (): ones ^ plane})
+    return AgreementReport(groups=_refine(groups, {(m,): plane for m, plane in maximal.items()}), bottom=bottom)

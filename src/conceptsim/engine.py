@@ -331,12 +331,8 @@ class Engine:
 
     def reset(self) -> None:
         """Return to exactly the state of a fresh Engine on the same net and params."""
-        self.active = self.omitted = self.committed = self.latched = 0
-        self.routed: list[int] = [0] * self.net.n_concepts
-        self.clamp = {}
-        #: the observable state as of the last sweep or clamp; sweep() reports
-        #: a change against it, so a write between sweeps is not a change itself
-        self.state = self.snapshot()
+        self.active = 0
+        self.apply_clamp({})
 
     activation = property(lambda self: self.snapshot().activation)
     omission = property(lambda self: self.snapshot().omission)
@@ -377,8 +373,10 @@ class Engine:
         net = self.net
         self.clamp = clamp
         self.omitted = self.committed = self.latched = 0
-        self.routed = [0] * net.n_concepts
+        self.routed: list[int] = [0] * net.n_concepts
         self.active = self.active & ~net.layer_mask[0] | self._clamp_bits
+        #: the observable state as of the last sweep or clamp; sweep() reports
+        #: a change against it, so a write between sweeps is not a change itself
         self.state = self.snapshot()
 
     def _dendrites(self, layer: int, below: int) -> int:
@@ -549,9 +547,10 @@ def run_scenario(
 def read_verdicts(trace: Trace, phase: int = -1) -> dict[ConceptId, Verdict]:
     """Verdict per non-bottom concept at the end of the given phase (default: last).
 
-    At a fixed point: active means Inferred, latched means Rejected, else
-    Inactive. Otherwise every non-latched concept that is active anywhere in
-    the cycle window is Unstable.
+    Active in the final snapshot of a fixed point means Inferred; otherwise
+    latched there means Rejected, active anywhere in the window Unstable,
+    and else Inactive. The window is a fixed point's last snapshot, a
+    cycle's snapshots from cycle_start on, and else the last two.
     """
     net = trace.net
     if not trace.phases:
@@ -560,31 +559,27 @@ def read_verdicts(trace: Trace, phase: int = -1) -> dict[ConceptId, Verdict]:
     if not ph.snapshots:
         raise ValueError("phase has no snapshots")
     final = ph.snapshots[-1]
-    verdicts: dict[ConceptId, Verdict] = {}
-    if ph.termination is Termination.FIXED_POINT:
-        for c in net.non_bottom:
-            if final.active >> c & 1:
-                verdicts[c] = Verdict.INFERRED
-            elif final.latched >> c & 1:
-                verdicts[c] = Verdict.REJECTED
-            else:
-                verdicts[c] = Verdict.INACTIVE
+    fixed = ph.termination is Termination.FIXED_POINT
+    if fixed:
+        window = ph.snapshots[-1:]
+    elif ph.termination is Termination.CYCLE and ph.cycle_start is not None:
+        window = ph.snapshots[ph.cycle_start :]
     else:
-        if ph.termination is Termination.CYCLE and ph.cycle_start is not None:
-            window = ph.snapshots[ph.cycle_start :]
+        window = ph.snapshots[-2:]
+    # the concepts active anywhere in the window
+    active = 0
+    for s in window:
+        active |= s.active
+    verdicts: dict[ConceptId, Verdict] = {}
+    for c in net.non_bottom:
+        if fixed and final.active >> c & 1:
+            verdicts[c] = Verdict.INFERRED
+        elif final.latched >> c & 1:
+            verdicts[c] = Verdict.REJECTED
+        elif active >> c & 1:
+            verdicts[c] = Verdict.UNSTABLE
         else:
-            window = ph.snapshots[-2:]
-        # the concepts active anywhere in the window
-        active = 0
-        for s in window:
-            active |= s.active
-        for c in net.non_bottom:
-            if final.latched >> c & 1:
-                verdicts[c] = Verdict.REJECTED
-            elif active >> c & 1:
-                verdicts[c] = Verdict.UNSTABLE
-            else:
-                verdicts[c] = Verdict.INACTIVE
+            verdicts[c] = Verdict.INACTIVE
     return verdicts
 
 

@@ -169,6 +169,12 @@ def render_ascii_timeline(trace: Union[Trace, Iterable[TraceRow]]) -> str:
     unit. A separator column goes between nonempty phases, and all are joined
     and translated once: a unit's line is then every n-th character.
     """
+    return "\n".join(_timeline_rows(trace))
+
+
+def _timeline_rows(trace: Union[Trace, Iterable[TraceRow]]) -> list[str]:
+    """render_ascii_timeline's lines, one per unit in name order, each whole
+    even where a name holds a line break."""
     names, phases = _trace_columns(trace) if hasattr(trace, "phases") else _row_columns(trace)
     n = len(names)
     columns: list[bytes] = []
@@ -180,7 +186,7 @@ def render_ascii_timeline(trace: Union[Trace, Iterable[TraceRow]]) -> str:
         raise ValueError("cannot render an empty trace")
     joined = b"".join(columns).translate(_CELL_CHARS).decode("ascii")
     width = max(map(len, names))
-    return "\n".join(f"{names[c]:<{width}} " + joined[c::n] for c in sorted(range(n), key=names.__getitem__))
+    return [f"{names[c]:<{width}} " + joined[c::n] for c in sorted(range(n), key=names.__getitem__)]
 
 
 def _trace_columns(trace: Trace) -> tuple[Sequence[str], Iterable[list[bytes]]]:

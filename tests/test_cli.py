@@ -6,7 +6,7 @@ from io import StringIO
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conceptsim import read_trace_csv, serialize_network
+from conceptsim import EngineParams, read_trace_csv, render_ascii_timeline, run_scenario, serialize_network
 from conceptsim.cli import COMMANDS, main, parse_args
 from reference import build_parser_reference
 
@@ -460,6 +460,22 @@ def test_run_trace_then_render_keeps_awkward_names(capsys, tmp_path, awkward_spe
     assert code == 0
     for name in net.names:
         assert name in out
+
+
+def test_run_json_timeline_has_one_entry_per_unit(capsys, tmp_path, awkward_spec, awkward_net):
+    """Under --format json, --render gives one timeline entry per unit, whole
+    where its name holds a line break, and the entries joined by line breaks
+    are the text timeline."""
+    net = awkward_net
+    net_path, scenario_path = tmp_path / "net.json", tmp_path / "sc.json"
+    net_path.write_text(serialize_network(awkward_spec), encoding="utf-8")
+    clamp = {e: 1 for e in net.bottom}
+    scenario_path.write_text(json.dumps({"phases": [{"clamp": {net.names[e]: 1 for e in clamp}, "hold": "converge"}]}))
+    code, out, _ = run_cli(capsys, "run", str(net_path), str(scenario_path), "--render", "--format", "json")
+    assert code == 0
+    timeline = json.loads(out)["timeline"]
+    assert len(timeline) == net.n_concepts
+    assert "\n".join(timeline) == render_ascii_timeline(run_scenario(net, EngineParams(), [(clamp, None)]))
 
 
 def test_stdout_is_deterministic(capsys, salt, data_dir):

@@ -251,7 +251,8 @@ def test_plane_run_stops_when_the_planes_recur(monkeypatch, network):
     counts = []
     for max_sweeps in (64, 128):
         calls.clear()
-        _, cycle, limit = compare._clamp_planes(net, CYCLING_PARAMS._replace(max_sweeps=max_sweeps), _bottom_planes(net))
+        params = CYCLING_PARAMS._replace(max_sweeps=max_sweeps)
+        _, cycle, limit = compare._clamp_planes(net, params, dict(zip(net.bottom, _bottom_planes(net))), 1 << len(net.bottom))
         counts.append(len(calls))
     assert cycle not in (0, (1 << (1 << len(net.bottom))) - 1) and limit == 0
     assert counts[0] == counts[1] > 0
@@ -315,7 +316,7 @@ def test_plane_run_tells_recurring_planes_from_planes_that_hash_equal():
         for snap in snaps
     ]
     assert states[0] != states[1] and hash(states[0]) == hash(states[1])
-    active, cycle, limit = compare._clamp_planes(net, EngineParams(), [M * (e in clamp) for e in net.bottom])
+    active, cycle, limit = compare._clamp_planes(net, EngineParams(), {e: M * (e in clamp) for e in net.bottom}, 64)
     assert cycle == limit == 0
     assert tuple(active) == states[-1][:net.n_concepts]
     assert names_of(net, _ids(snaps[-1].active & net.non_bottom_mask)) == ["sugar"]
@@ -425,7 +426,7 @@ def test_plane_run_reuses_pattern_applicability(monkeypatch, network):
     calls = []
     real = compare._reach
     monkeypatch.setattr(compare, "_reach", lambda *args: calls.append(1) or real(*args))
-    compare._clamp_planes(net, EngineParams(), _bottom_planes(net))
+    compare._clamp_planes(net, EngineParams(), dict(zip(net.bottom, _bottom_planes(net))), 1 << len(net.bottom))
     want, every = reach_calls(net, EngineParams())
     assert len(calls) == want < every
 
@@ -484,7 +485,8 @@ def test_a_sweep_that_moves_only_the_top_layer_does_not_end_the_plane_run():
         for before, after in zip(states, states[1:])
     ]
     assert {2} in moves
-    active, cycle, limit = compare._clamp_planes(net, EngineParams(), _bottom_planes(net))
+    planes = dict(zip(net.bottom, _bottom_planes(net)))
+    active, cycle, limit = compare._clamp_planes(net, EngineParams(), planes, 1 << len(net.bottom))
     assert cycle == limit == 0
     for case, final in enumerate(states[-1]):
         assert [active[c] >> case & 1 for c in net.non_bottom] == [final.active >> c & 1 for c in net.non_bottom]

@@ -725,7 +725,7 @@ def assert_kernel_equals_reference(net, params):
     reports one that shows only at max_sweeps as the sweep limit, so the
     kernel's cycle plane may hold more of the same unsettled cases."""
     planes = _bottom_planes(net)
-    active, cycle, limit = compare._clamp_planes(net, params, planes)
+    active, cycle, limit = compare._clamp_planes(net, params, dict(zip(net.bottom, planes)), 1 << len(net.bottom))
     want_active, want_cycle, want_limit = clamp_planes_reference(net, params, planes)
     assert active == want_active
     assert cycle | limit == want_cycle | want_limit
@@ -1073,6 +1073,59 @@ def test_drawn_compare_cases_are_not_vacuous(what):
     limits, latches and routed counts that need a threshold above 1."""
     find(
         st.tuples(compare_nets, valid_params()), REACHED[what],
+        settings=settings(max_examples=500, phases=[Phase.generate], database=None),
+        random=random.Random(0),
+    )
+
+
+def winner_take_all(net, params):
+    """Whether the drive table lets no idle unit ignite beside an active one
+    of its layer: the cell at k = 1 of rows (d, prev 0) is 0 for both d, so
+    k_on[d] <= 1."""
+    table = _drive_thresholds(params, 2, net.n_concepts)
+    return table[0, 0][1] == table[1, 0][1] == 0
+
+
+#: a net, params with a winner-take-all table, and a mixed scenario's seed
+winner_take_all_cases = st.tuples(compare_nets, valid_params(), st.integers(0, 9)).filter(lambda d: winner_take_all(*d[:2]))
+
+
+def at_most_one_per_layer(net, active):
+    return all((active & mask).bit_count() <= 1 for mask in net.layer_mask[1:])
+
+
+def mixed_snapshots(net, params, seed):
+    """Every snapshot of a mixed scenario's run, holds cut to max_sweeps."""
+    phases = [(clamp, hold and min(hold, params.max_sweeps)) for clamp, hold in mixed_scenario(net, seed)]
+    return [snap for phase in run_scenario(net, params, phases).phases for snap in phase.snapshots]
+
+
+@given(drawn=winner_take_all_cases)
+@settings(max_examples=100, deadline=None)
+def test_a_winner_take_all_table_holds_one_active_concept_per_layer(drawn):
+    """Under a winner-take-all table an idle unit ignites only while no other
+    unit of its layer is active, rows fall with k, and apply_clamp keeps the
+    layers above 0: so no snapshot of a multi-phase run from a fresh Engine,
+    and no inferred set of compare, holds two concepts of one layer above 0."""
+    net, params, seed = drawn
+    for snap in mixed_snapshots(net, params, seed):
+        assert at_most_one_per_layer(net, snap.active)
+    for _, inferred, _, _ in compare_with_oracle(net, params).groups:
+        assert at_most_one_per_layer(net, sum(1 << c for c in inferred or ()))
+
+
+def ignites_in_a_wide_layer(drawn):
+    """Whether the drawn run activates a unit of a layer of width 2 or more."""
+    net, params, seed = drawn
+    wide = sum(mask for mask in net.layer_mask[1:] if mask.bit_count() >= 2)
+    return any(snap.active & wide for snap in mixed_snapshots(net, params, seed))
+
+
+def test_drawn_winner_take_all_cases_are_not_vacuous():
+    """Some drawn winner-take-all case ignites a unit in a layer where it has
+    a peer, so the one-per-layer property above is tested."""
+    find(
+        winner_take_all_cases, ignites_in_a_wide_layer,
         settings=settings(max_examples=500, phases=[Phase.generate], database=None),
         random=random.Random(0),
     )

@@ -617,6 +617,30 @@ def test_read_verdicts_at_the_sweep_limit_reads_the_last_two_sweeps(net, ids):
     assert read_verdicts(trace) == {ids["salt"]: Verdict.INACTIVE, ids["sugar"]: Verdict.UNSTABLE}
 
 
+@pytest.mark.parametrize("termination, cycle_start, expected", [
+    (Termination.FIXED_POINT, None, Verdict.INFERRED),
+    (Termination.CYCLE, 0, Verdict.REJECTED),
+    (Termination.SWEEP_LIMIT, None, Verdict.REJECTED),
+])
+def test_read_verdicts_on_a_concept_both_active_and_latched(net, ids, termination, cycle_start, expected):
+    """Inferred comes first, and only at a fixed point; then Rejected, before
+    Unstable: salt, active and latched in the final snapshot of a hand-built
+    trace, reads Inferred at a fixed point and Rejected otherwise."""
+    salt = 1 << ids["salt"]
+    snapshots = (Snapshot(0, 0, 0, 0, net.n_concepts), Snapshot(salt, 0, 0, salt, net.n_concepts))
+    trace = Trace(net, (PhaseTrace({}, snapshots, termination, cycle_start),))
+    assert read_verdicts(trace) == {ids["salt"]: expected, ids["sugar"]: Verdict.INACTIVE}
+
+
+def test_read_verdicts_at_a_fixed_point_reads_its_last_snapshot(net, ids):
+    """A fixed point's window is its last snapshot: salt, active only before
+    it, is Inactive."""
+    n = net.n_concepts
+    snapshots = (Snapshot(1 << ids["salt"], 0, 0, 0, n), Snapshot(0, 0, 0, 0, n))
+    trace = Trace(net, (PhaseTrace({}, snapshots, Termination.FIXED_POINT),))
+    assert read_verdicts(trace) == {ids["salt"]: Verdict.INACTIVE, ids["sugar"]: Verdict.INACTIVE}
+
+
 def test_read_verdicts_requires_a_trace(net):
     with pytest.raises(ValueError):
         read_verdicts(Trace(net, ()))
