@@ -20,7 +20,7 @@ from .errors import (
     UnknownElement,
     UnknownField,
 )
-from .model import ConceptId, ConceptSpec, NetworkSpec, ValidatedNetwork
+from .model import _STR, ConceptId, ConceptSpec, NetworkSpec, ValidatedNetwork
 
 if TYPE_CHECKING:
     from .engine import EngineParams
@@ -108,7 +108,6 @@ def _require_number(value, path: str) -> float:
 
 _NETWORK_FIELDS = frozenset({"concepts"})
 _CONCEPT_FIELDS = frozenset({"name", "layer", "patterns"})
-_STR = frozenset({str})
 
 
 def parse_network_file(text: str) -> NetworkSpec:
@@ -132,8 +131,9 @@ def parse_network_file(text: str) -> NetworkSpec:
             for k, pat in enumerate(_require_list(patterns, path)):
                 for j, e in enumerate(_require_list(pat, f"{path}[{k}]")):
                     _require_str(e, f"{path}[{k}][{j}]")
-        concepts.append(ConceptSpec(name, layer, patterns))
-    return NetworkSpec(concepts)
+        # the values are checked, so the records skip their normalising __new__
+        concepts.append(tuple.__new__(ConceptSpec, (name, layer, tuple(map(tuple, patterns)))))
+    return tuple.__new__(NetworkSpec, (tuple(concepts),))
 
 
 def serialize_network(spec: NetworkSpec) -> str:
@@ -162,11 +162,13 @@ class ScenarioSpec(NamedTuple):
     phases: tuple[ScenarioPhase, ...]
 
     def resolve(self, net: ValidatedNetwork) -> list[tuple[dict[ConceptId, int], int | None]]:
-        """Name-resolved (clamp, hold) pairs ready for the engine."""
-        return [
-            ({net.name_to_id[name]: v for name, v in ph.clamp.items()}, ph.hold)
-            for ph in self.phases
-        ]
+        """Name-resolved (clamp, hold) pairs ready for the engine; a name net lacks is UnknownElement."""
+        try:
+            return [({net.name_to_id[name]: v for name, v in ph.clamp.items()}, ph.hold) for ph in self.phases]
+        except KeyError as missing:
+            # the first phase to clamp the missing name is the one that raised
+            i = next(i for i, ph in enumerate(self.phases) if missing.args[0] in ph.clamp)
+            raise UnknownElement(f"$.phases[{i}].clamp: no concept named {missing.args[0]!r}") from None
 
 
 def parse_scenario_file(text: str, net: ValidatedNetwork) -> ScenarioSpec:

@@ -37,6 +37,9 @@ ConceptId = int
 #: Default applicability threshold: half of a pattern's elements, inclusive.
 DEFAULT_TAU = 0.5
 
+_STR = frozenset({str})
+_INT = frozenset({int})
+
 
 # --- bitmasks over concept ids ---
 
@@ -346,7 +349,7 @@ def pattern_need(size: int, tau: float = DEFAULT_TAU) -> int:
     return -(-num * size // den)
 
 
-def _malformed(where: str, elems: Sequence, names: list[str]) -> ValidationError:
+def _malformed(where: str, elems: Sequence, names: Sequence[str]) -> ValidationError:
     """The first fault of a pattern that is a string, is empty, or lists an element twice or a non-name."""
     if type(elems) is str:
         return ValidationError(f"{where} is a string, not a list of names")
@@ -357,15 +360,10 @@ def _malformed(where: str, elems: Sequence, names: list[str]) -> ValidationError
     return DanglingReference(f"{where} references unknown concept {next(e for e in elems if e not in names)!r}")
 
 
-def validate_network(spec: NetworkSpec) -> ValidatedNetwork:
-    """Check every structural invariant and build the index structures.
-
-    Raises a ValidationError subclass naming the offending concept/pattern;
-    singleton patterns are legal but reported via ValidatedNetwork.warnings
-    (they can never be applicable-incomplete, so they cannot express a
-    bistability violation).
-    """
-    names: list[str] = []
+def _name_ids(spec: NetworkSpec) -> dict[str, ConceptId]:
+    """name_to_id, built one concept at a time: raises the first fault of a
+    name or layer, or accepts what validate_network's bulk test cannot
+    classify, such as a name of a str subclass."""
     name_to_id: dict[str, ConceptId] = {}
     for cid, c in enumerate(spec.concepts):
         if not isinstance(c.name, str) or not c.name:
@@ -379,12 +377,37 @@ def validate_network(spec: NetworkSpec) -> ValidatedNetwork:
         if type(c.layer) is not int or c.layer < 0:
             raise LayerViolation(f"concept {c.name!r}: layer must be a non-negative integer")
         name_to_id[c.name] = cid
-        names.append(c.name)
+    return name_to_id
 
+
+def validate_network(spec: NetworkSpec) -> ValidatedNetwork:
+    """Check every structural invariant and build the index structures.
+
+    Raises a ValidationError subclass naming the offending concept/pattern;
+    singleton patterns are legal but reported via ValidatedNetwork.warnings
+    (they can never be applicable-incomplete, so they cannot express a
+    bistability violation). Names and layers are checked in bulk, and
+    _name_ids runs only where that test fails, to name the first fault.
+    """
+    names = tuple(c.name for c in spec.concepts)
     layer_of = tuple(c.layer for c in spec.concepts)
+    n = len(names)
+    name_to_id = dict(zip(names, range(n))) if _STR.issuperset(map(type, names)) else {}
+    if not (
+        len(name_to_id) == n and "" not in name_to_id and "\0" not in "".join(names)
+        and _INT.issuperset(map(type, layer_of)) and min(layer_of, default=0) >= 0
+    ):
+        name_to_id = _name_ids(spec)
+
+    # keyed by layer, not indexed: a refused net may put a concept on any layer
+    layer_mask = dict.fromkeys(layer_of, 0)
+    for c, lay in enumerate(layer_of):
+        layer_mask[lay] |= 1 << c
     warnings: list[str] = []
     resolved: list[tuple[Pattern, ...]] = []
     masks: list[tuple[int, ...]] = []
+    # owners are met in (owner, ordinal) order, so each list is sorted as built
+    parents: list[list[tuple[ConceptId, int]]] = [[] for _ in range(n)]
     for cid, c in enumerate(spec.concepts):
         if c.layer == 0:
             if c.patterns:
@@ -395,6 +418,7 @@ def validate_network(spec: NetworkSpec) -> ValidatedNetwork:
         if not c.patterns:
             raise NonBottomWithoutPatterns(f"concept {c.name!r} on layer {c.layer} has no patterns")
         below = c.layer - 1
+        off_layer = ~layer_mask.get(below, 0)
         seen: set[frozenset[ConceptId]] = set()
         pats: list[Pattern] = []
         pat_masks: list[int] = []
@@ -407,14 +431,18 @@ def validate_network(spec: NetworkSpec) -> ValidatedNetwork:
             members = frozenset(ids)
             if not elems or len(members) != len(elems) or type(elems) is str:
                 raise _malformed(f"concept {c.name!r} pattern {k}", elems, names)
+            # a refused pattern raises, so what it adds to parents is never read
             mask = 0
+            owner = (cid, k)
             for eid in ids:
-                if layer_of[eid] != below:
-                    raise LayerViolation(
-                        f"concept {c.name!r} pattern {k}: element {names[eid]!r} is on layer "
-                        f"{layer_of[eid]}, expected layer {below}"
-                    )
                 mask |= 1 << eid
+                parents[eid].append(owner)
+            if mask & off_layer:
+                eid = next(eid for eid in ids if layer_of[eid] != below)
+                raise LayerViolation(
+                    f"concept {c.name!r} pattern {k}: element {names[eid]!r} is on layer "
+                    f"{layer_of[eid]}, expected layer {below}"
+                )
             if members in seen:
                 raise DuplicatePattern(f"concept {c.name!r} pattern {k} duplicates an earlier pattern of {c.name!r}")
             seen.add(members)
@@ -422,29 +450,19 @@ def validate_network(spec: NetworkSpec) -> ValidatedNetwork:
                 warnings.append(
                     f"concept {c.name!r} pattern {k} has a single element; it can never be applicable-incomplete"
                 )
-            pats.append(Pattern(members))
+            # members is a frozenset already, so Pattern's converting __new__ is skipped
+            pats.append(tuple.__new__(Pattern, (members,)))
             pat_masks.append(mask)
         resolved.append(tuple(pats))
         masks.append(tuple(pat_masks))
 
-    layers: dict[int, list[ConceptId]] = {}
-    for c, lay in enumerate(layer_of):
-        layers.setdefault(lay, []).append(c)
-
-    # owners are met in (owner, ordinal) order, so each list is sorted as built
-    inverse: dict[ConceptId, list[tuple[ConceptId, int]]] = {cid: [] for cid in range(len(names))}
-    for cid, pats in enumerate(resolved):
-        for k, pat in enumerate(pats):
-            for e in pat.elements:
-                inverse[e].append((cid, k))
-
     return ValidatedNetwork(
         spec=spec,
-        names=tuple(names),
+        names=names,
         layer_of=layer_of,
         patterns=tuple(resolved),
-        layers={lay: tuple(layers[lay]) for lay in sorted(layers)},
-        parent_index={e: tuple(owners) for e, owners in inverse.items()},
+        layers={lay: tuple(_ids(layer_mask[lay])) for lay in sorted(layer_mask)},
+        parent_index=dict(zip(range(n), map(tuple, parents))),
         name_to_id=name_to_id,
         warnings=tuple(warnings),
         masks=tuple(masks),

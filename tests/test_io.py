@@ -341,6 +341,20 @@ def test_scenario_errors(net):
         parse_scenario_file('{"phases":[{"clamp":{},"hold":1,"note":"x"}]}', net)
 
 
+def test_resolve_refuses_a_name_the_net_lacks(net):
+    """resolve names a clamped concept the net lacks as parse_scenario_file
+    does, in a spec built in code and in one parsed against another net."""
+    built = ScenarioSpec((ScenarioPhase({"nope": 1}),))
+    with pytest.raises(UnknownElement, match=r"^\$\.phases\[0\]\.clamp: no concept named 'nope'$"):
+        built.resolve(net)
+    other = validate_network(NetworkSpec([ConceptSpec("looking", 0), ConceptSpec("umami", 0)]))
+    text = '{"phases":[{"clamp":{"looking":1},"hold":"converge"},{"clamp":{"looking":0,"umami":1},"hold":3}]}'
+    parsed = parse_scenario_file(text, other)
+    assert parsed.resolve(other) == [({0: 1}, None), ({0: 0, 1: 1}, 3)]
+    with pytest.raises(UnknownElement, match=r"^\$\.phases\[1\]\.clamp: no concept named 'umami'$"):
+        parsed.resolve(net)
+
+
 # --- params files ---
 
 def test_absent_params_file_gives_defaults():

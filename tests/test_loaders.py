@@ -2,7 +2,8 @@
 tests/reference.py's parse_network_file_reference and
 validate_network_reference, on valid networks: the same NetworkSpec and the
 same ValidatedNetwork, field by field, mappings in the same order, and no
-cached property computed yet. Invalid input is compared in test_io.py.
+cached property computed yet; and valid input takes the bulk checks alone.
+Invalid input is compared in test_io.py.
 
 This module imports neither pytest nor Hypothesis, so it also runs as a plain
 script on a Python that lacks them, from the root of a checkout:
@@ -13,7 +14,7 @@ import importlib.util
 import sys
 from pathlib import Path
 
-from conceptsim import parse_network_file, validate_network
+from conceptsim import ConceptSpec, NetworkSpec, io, model, parse_network_file, validate_network
 from conceptsim.io import serialize_network
 from netgen import random_network, shuffled_network
 from reference import parse_network_file_reference, validate_network_reference
@@ -25,7 +26,8 @@ SYNTH = Path(__file__).resolve().parents[1] / "perfbench" / "synth.py"
 def valid_networks() -> list[tuple[str, str]]:
     """(name, network JSON text) of every valid network the check covers:
     the shipped ones, AWKWARD_SPEC, netgen 0-49, shuffled 0-19 and the
-    benchmark's synthetic 7/5/3 and 1000/300/100 nets at seed 0."""
+    benchmark's synthetic nets: 7/5/3 at seeds 0-7 and 1000/300/100 at seeds
+    0-3, the compare-synth and run-large instances of those seeds."""
     loader = importlib.util.spec_from_file_location("perfbench_synth", SYNTH)
     synth = importlib.util.module_from_spec(loader)
     loader.loader.exec_module(synth)
@@ -33,7 +35,8 @@ def valid_networks() -> list[tuple[str, str]]:
     nets.append(("awkward", serialize_network(AWKWARD_SPEC)))
     nets += [(f"netgen {seed}", serialize_network(random_network(seed).spec)) for seed in range(50)]
     nets += [(f"shuffled {seed}", serialize_network(shuffled_network(seed).spec)) for seed in range(20)]
-    nets += [(f"synth {sizes}", synth.network_json(sizes, 0)) for sizes in ((7, 5, 3), (1000, 300, 100))]
+    for sizes, seeds in (((7, 5, 3), 8), ((1000, 300, 100), 4)):
+        nets += [(f"synth {sizes} {seed}", synth.network_json(sizes, seed)) for seed in range(seeds)]
     return nets
 
 
@@ -44,7 +47,10 @@ def check_same_load(name: str, text: str) -> None:
     assert [type(p) for c in spec.concepts for p in (c, c.patterns, *c.patterns)] == [
         type(p) for c in reference_spec.concepts for p in (c, c.patterns, *c.patterns)
     ], name
-    net, reference = validate_network(spec), validate_network_reference(reference_spec)
+    check_same_network(name, validate_network(spec), validate_network_reference(reference_spec))
+
+
+def check_same_network(name: str, net, reference) -> None:
     for field in net._fields:
         got, want = getattr(net, field), getattr(reference, field)
         assert got == want, (name, field)
@@ -57,13 +63,47 @@ def check_same_load(name: str, text: str) -> None:
 
 def test_loaders_match_their_references_on_valid_networks():
     nets = valid_networks()
-    assert len(nets) == 2 + 1 + 50 + 20 + 2
+    assert len(nets) == 2 + 1 + 50 + 20 + 8 + 4
     for name, text in nets:
         check_same_load(name, text)
+
+
+class Name(str):
+    """A str subclass, which validate_network's bulk name test cannot classify."""
+
+
+def test_str_subclass_names_validate_as_the_reference_validates_them():
+    a, b, c = map(Name, "abc")
+    spec = NetworkSpec([ConceptSpec(a, 0), ConceptSpec(b, 0), ConceptSpec(c, 1, [[a, Name("b")], ["b"]])])
+    net = validate_network(spec)
+    check_same_network("str subclass", net, validate_network_reference(spec))
+    assert [type(n) for n in (*net.names, *net.name_to_id)] == [Name] * 6
+
+
+def refuse_entry(*args):
+    raise AssertionError("a valid network reached the code that names a fault")
+
+
+def check_bulk_path(nets: list[tuple[str, str]]) -> None:
+    """Load nets with refuse_entry in place of the per-value checks that name
+    a fault: those accept a valid net too, only slower, so nothing else shows
+    a valid net sent down them."""
+    saved = model._name_ids, io._require_str
+    model._name_ids = io._require_str = refuse_entry
+    try:
+        for name, text in nets:
+            validate_network(parse_network_file(text))
+    finally:
+        model._name_ids, io._require_str = saved
+
+
+def test_valid_networks_never_reach_the_per_value_checks():
+    check_bulk_path(valid_networks())
 
 
 if __name__ == "__main__":
     nets = valid_networks()
     for name, text in nets:
         check_same_load(name, text)
+    check_bulk_path(nets)
     print(f"{len(nets)} networks load the same on Python {sys.version.split()[0]}")

@@ -103,6 +103,9 @@ def test_empty_network_is_valid():
              ConceptSpec("c", 2, (("a", "b"),))),
             LayerViolation,  # 'a' is two layers below 'c'
         ),
+        # b's pattern is on the layer below b, so the fault is a's, found with
+        # nothing sized by a layer number
+        ((ConceptSpec("b", 10**18 + 1, (("a",),)), ConceptSpec("a", 10**18)), NonBottomWithoutPatterns),
     ],
 )
 def test_validation_errors(concepts, error):
