@@ -162,13 +162,40 @@ class ScenarioSpec(NamedTuple):
     phases: tuple[ScenarioPhase, ...]
 
     def resolve(self, net: ValidatedNetwork) -> list[tuple[dict[ConceptId, int], int | None]]:
-        """Name-resolved (clamp, hold) pairs ready for the engine; a name net lacks is UnknownElement."""
-        try:
-            return [({net.name_to_id[name]: v for name, v in ph.clamp.items()}, ph.hold) for ph in self.phases]
-        except KeyError as missing:
-            # the first phase to clamp the missing name is the one that raised
-            i = next(i for i, ph in enumerate(self.phases) if missing.args[0] in ph.clamp)
-            raise UnknownElement(f"$.phases[{i}].clamp: no concept named {missing.args[0]!r}") from None
+        """Name-resolved (clamp, hold) pairs ready for the engine.
+
+        A phase is refused as parse_scenario_file refuses it in a file, with
+        the same error and message and in the same order; a hold is None or
+        a positive int. Each phase is checked in bulk, and _check_phase runs
+        only to name its fault.
+        """
+        name_to_id, layer_of = net.name_to_id, net.layer_of
+        resolved = []
+        for i, (clamp, hold) in enumerate(self.phases):
+            hold_ok = hold is None or type(hold) is int and hold >= 1
+            values = clamp.values()
+            by_id = dict(zip(map(name_to_id.get, clamp), values))  # a name net lacks is None
+            if not (hold_ok and None not in by_id and {*map(type, values)} <= {int} and {*values} <= {0, 1}
+                    and not any(map(layer_of.__getitem__, by_id))):
+                _check_phase(net, f"$.phases[{i}]", clamp, hold_ok)
+            resolved.append((by_id, hold))
+        return resolved
+
+
+def _check_phase(net: ValidatedNetwork, path: str, clamp: Mapping[str, int], hold_ok: bool) -> None:
+    """Raise a phase's first fault: per clamp entry in order, a value that is
+    not the int 0 or 1, a name net lacks, then one above layer 0; then the
+    hold, which hold_ok says is valid."""
+    for name, value in clamp.items():
+        if type(value) is not int or value not in (0, 1):
+            raise TypeMismatch(f"{path}.clamp.{name}: expected 0 or 1")
+        cid = net.name_to_id.get(name)
+        if cid is None:
+            raise UnknownElement(f"{path}.clamp: no concept named {name!r}")
+        if net.layer_of[cid] != 0:
+            raise NonBottomClamp(f"{path}.clamp: {name!r} is not a layer-0 concept")
+    if not hold_ok:
+        raise TypeMismatch(f"{path}.hold: expected \"converge\" or a positive integer")
 
 
 def parse_scenario_file(text: str, net: ValidatedNetwork) -> ScenarioSpec:
@@ -185,24 +212,9 @@ def parse_scenario_file(text: str, net: ValidatedNetwork) -> ScenarioSpec:
         clamp_raw = raw["clamp"]
         if not isinstance(clamp_raw, dict):
             raise TypeMismatch(f"{path}.clamp: expected an object")
-        clamp: dict[str, int] = {}
-        for name, value in clamp_raw.items():
-            if type(value) is not int or value not in (0, 1):
-                raise TypeMismatch(f"{path}.clamp.{name}: expected 0 or 1")
-            cid = net.name_to_id.get(name)
-            if cid is None:
-                raise UnknownElement(f"{path}.clamp: no concept named {name!r}")
-            if net.layer_of[cid] != 0:
-                raise NonBottomClamp(f"{path}.clamp: {name!r} is not a layer-0 concept")
-            clamp[name] = value
-        hold_raw = raw["hold"]
-        if hold_raw == "converge":
-            hold = None
-        elif type(hold_raw) is int and hold_raw >= 1:
-            hold = hold_raw
-        else:
-            raise TypeMismatch(f"{path}.hold: expected \"converge\" or a positive integer")
-        phases.append(ScenarioPhase(clamp=clamp, hold=hold))
+        hold = raw["hold"]
+        _check_phase(net, path, clamp_raw, hold == "converge" or type(hold) is int and hold >= 1)
+        phases.append(ScenarioPhase(clamp=clamp_raw, hold=None if hold == "converge" else hold))
     return ScenarioSpec(tuple(phases))
 
 

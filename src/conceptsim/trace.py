@@ -64,6 +64,12 @@ def write_trace_csv(trace: Trace) -> str:
     each snapshot replaces only the lines of units whose bit changed since
     the last. A kind's lines start with "", so joining them with the prefix
     puts the prefix before every line, and a kind without units adds nothing.
+
+    Each block is appended to text, not kept for a final join: CPython grows
+    a str in place while one name alone refers to it, so the write holds its
+    text plus one block, not two full copies. A second reference to text
+    would copy it whole on every append; test_io.py's
+    test_trace_csv_peak_memory_stays_near_the_text_size then fails.
     """
     from .model import _ids
 
@@ -78,7 +84,7 @@ def write_trace_csv(trace: Trace) -> str:
         ids, units = (order, (1 << net.n_concepts) - 1) if kind is UnitKind.CONCEPT else (error_units, net.below_top)
         kinds.append((kind.value, ["", *(cells[c][0] for c in ids)], {c: i for i, c in enumerate(ids, 1)}, units))
     shown = [0] * len(kinds)  # the bits each kind's lines hold now
-    out = [_HEADER_LINE]
+    text = _HEADER_LINE
     for pi, phase in enumerate(trace.phases):
         for si, snap in enumerate(phase.snapshots):
             masks = (snap.active, snap.omitted, snap.committed)  # in UnitKind's order
@@ -87,8 +93,8 @@ def write_trace_csv(trace: Trace) -> str:
                 for c in _ids(bits ^ shown[i]):
                     lines[at[c]] = cells[c][bits >> c & 1]
                 shown[i] = bits
-                out.append(f"{pi},{si},{kind},".join(lines))
-    return "".join(out)
+                text += f"{pi},{si},{kind},".join(lines)
+    return text
 
 
 def read_trace_csv(text: str) -> list[TraceRow]:

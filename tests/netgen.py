@@ -6,9 +6,24 @@ hash-ordered sets), so two runs produce identical specs byte for byte.
 """
 from __future__ import annotations
 
+import importlib.util
 import random
+from pathlib import Path
 
-from conceptsim import ConceptSpec, NetworkSpec, ValidatedNetwork, validate_network
+from conceptsim import (
+    ConceptSpec,
+    EngineParams,
+    NetworkSpec,
+    ScenarioSpec,
+    Trace,
+    ValidatedNetwork,
+    parse_network_file,
+    parse_scenario_file,
+    run_scenario,
+    validate_network,
+)
+
+SYNTH = Path(__file__).resolve().parents[1] / "perfbench" / "synth.py"
 
 
 def random_network(seed: int) -> ValidatedNetwork:
@@ -97,3 +112,27 @@ def synth_network(sizes: tuple[int, ...], seed: int) -> ValidatedNetwork:
                     patterns.append(pat)
             concepts.append(ConceptSpec(f"u{layer}_{i}", layer, tuple(patterns)))
     return validate_network(NetworkSpec(tuple(concepts)))
+
+
+def benchmark_synth():
+    """perfbench/synth.py, the benchmark's generator of synthetic networks and
+    scenarios as JSON text, loaded from its path."""
+    loader = importlib.util.spec_from_file_location("perfbench_synth", SYNTH)
+    synth = importlib.util.module_from_spec(loader)
+    loader.loader.exec_module(synth)
+    return synth
+
+
+def run_large_inputs(seed: int = 8) -> tuple[ValidatedNetwork, ScenarioSpec]:
+    """The benchmark's run-large network and scenario at one seed: synth
+    1000/300/100 and synth.scenario_json(1000, seed, 40), parsed."""
+    synth = benchmark_synth()
+    net = validate_network(parse_network_file(synth.network_json((1000, 300, 100), seed)))
+    return net, parse_scenario_file(synth.scenario_json(1000, seed, 40), net)
+
+
+def run_large_trace(seed: int = 8) -> Trace:
+    """run_scenario of run_large_inputs(seed) at default params; at seed 8 it
+    has 318 CSV blocks (106 snapshots) and a 9.7 MB trace CSV."""
+    net, scenario = run_large_inputs(seed)
+    return run_scenario(net, EngineParams(), scenario.resolve(net))

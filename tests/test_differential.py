@@ -46,7 +46,7 @@ from conceptsim.model import _bit_bytes, _bits, _bottom_planes, _ids
 from conceptsim.oracle import _search
 
 from conftest import CYCLING_PARAMS
-from netgen import random_clamp, random_network, random_scenario, shuffled_network, synth_network
+from netgen import random_clamp, random_network, random_scenario, run_large_trace, shuffled_network, synth_network
 from reference import (
     ReferenceEngine,
     bottom_planes_reference,
@@ -246,6 +246,13 @@ def test_trace_writers_agree_on_reordered_and_awkward_names(request, net_fixture
     net = request.getfixturevalue(net_fixture)
     phases = [({e: 1 for e in net.bottom}, None)] + mixed_scenario(net, seed)
     assert_writers_agree(run_scenario(net, EngineParams(), phases))
+
+
+def test_trace_writers_agree_on_the_run_large_trace():
+    """The benchmark's run-large trace, 318 blocks and 9.7 MB, is written byte
+    for byte as the reference writes its sorted rows."""
+    trace = run_large_trace()
+    assert write_trace_csv(trace) == write_trace_csv_reference(trace_rows(trace))
 
 
 def test_seeded_traces_are_not_vacuous():

@@ -47,7 +47,7 @@ from conceptsim.errors import (
     ValidationError,
 )
 
-from netgen import random_network, shuffled_network, synth_network
+from netgen import random_network, run_large_inputs, run_large_trace, shuffled_network
 from reference import parse_network_file_reference, trace_rows, validate_network_reference, write_rows_csv
 from specs import AWKWARD_SPEC, DATA_DIR
 
@@ -355,6 +355,85 @@ def test_resolve_refuses_a_name_the_net_lacks(net):
         parsed.resolve(net)
 
 
+def _scenario_json(phases) -> str:
+    """The scenario file of code-built (clamp, hold) phases; a hold of None is "converge"."""
+    phases = [{"clamp": clamp, "hold": "converge" if hold is None else hold} for clamp, hold in phases]
+    return json.dumps({"phases": phases})
+
+
+#: code-built phases with faults, and the error resolve raises for the first
+RESOLVE_FAULTS = {
+    "clamp value 2": ([({"looking": 2}, None)], TypeMismatch),
+    "clamp value True": ([({"looking": True}, None)], TypeMismatch),
+    "clamp value 1.0": ([({"white": 1, "looking": 1.0}, None)], TypeMismatch),
+    "hold 0": ([({"looking": 1}, 0)], TypeMismatch),
+    "negative hold": ([({}, -3)], TypeMismatch),
+    "hold True": ([({}, True)], TypeMismatch),
+    "hold 2.0": ([({}, 2.0)], TypeMismatch),
+    "hold '3'": ([({}, "3")], TypeMismatch),
+    "name above layer 0": ([({"looking": 1, "salt": 1}, None)], NonBottomClamp),
+    "unknown name before a bad value": ([({"umami": 1, "looking": 2}, None)], UnknownElement),
+    "bad value before a name above layer 0": ([({"looking": 2, "salt": 1}, None)], TypeMismatch),
+    "clamp before hold": ([({"salt": 1}, 0)], NonBottomClamp),
+    "hold before the next phase": ([({"looking": 1}, 0), ({"looking": 2}, None)], TypeMismatch),
+    "second phase": ([({"looking": 1}, 5), ({"tasting": 1, "sugar": 0}, None)], NonBottomClamp),
+}
+
+
+@pytest.mark.parametrize("phases, error", RESOLVE_FAULTS.values(), ids=RESOLVE_FAULTS)
+def test_resolve_refuses_faults_as_parse_scenario_file_does(net, phases, error):
+    """A spec built in code is refused by resolve with the error type and
+    message parse_scenario_file gives for the same phases in a file."""
+    spec = ScenarioSpec(tuple(ScenarioPhase(clamp, hold) for clamp, hold in phases))
+    refused = _outcome(lambda: spec.resolve(net))
+    assert refused == _outcome(lambda: parse_scenario_file(_scenario_json(phases), net))
+    assert refused[0] is error
+
+
+_PHASES = st.lists(
+    st.tuples(
+        st.dictionaries(
+            st.sampled_from(["looking", "white", "tasting", "salt", "umami"]),
+            st.sampled_from([0, 1, 2, -1, True, False, 1.0, "1", None]),
+            max_size=3,
+        ),
+        st.sampled_from([None, 1, 7, 0, -2, True, 2.0, "3"]),
+    ),
+    min_size=1,
+    max_size=3,
+)
+
+
+@settings(deadline=None, max_examples=200)
+@given(phases=_PHASES)
+def test_resolve_agrees_with_parse_scenario_file(net, phases):
+    """On drawn phases, valid or with any number of faults, resolve of the
+    spec built in code gives what resolve of the parsed file gives, or the
+    same error and message as the parser."""
+    spec = ScenarioSpec(tuple(ScenarioPhase(clamp, hold) for clamp, hold in phases))
+    assert _outcome(lambda: spec.resolve(net)) == _outcome(
+        lambda: parse_scenario_file(_scenario_json(phases), net).resolve(net)
+    )
+
+
+def test_valid_scenarios_never_reach_the_per_value_checks(monkeypatch, data_dir):
+    """resolve checks a valid phase in bulk alone: the shipped scenarios and
+    run-large's resolve with _check_phase refusing every call."""
+    net = validate_network(parse_network_file((data_dir / "salt.json").read_text()))
+    paths = sorted((data_dir / "scenarios").glob("*.json"))
+    specs = [(net, parse_scenario_file(path.read_text(), net)) for path in paths]
+    specs.append(run_large_inputs())
+
+    def refuse(*args):
+        raise AssertionError("a valid phase reached the code that names a fault")
+
+    monkeypatch.setattr(io, "_check_phase", refuse)
+    for net, spec in specs:
+        assert [clamp for clamp, _ in spec.resolve(net)] == [
+            {net.name_to_id[name]: value for name, value in phase.clamp.items()} for phase in spec.phases
+        ]
+
+
 # --- params files ---
 
 def test_absent_params_file_gives_defaults():
@@ -634,24 +713,20 @@ def test_trace_csv_of_arbitrary_masks(request, net_fixture, seed):
 
 
 def test_trace_csv_peak_memory_stays_near_the_text_size():
-    """Writing holds the text and about one more copy of it at its peak, so
-    a writer that builds the whole output as bytes and decodes it (about 3x
-    the text) fails."""
-    net = synth_network((200, 60, 20), seed=1)
-    rng = random.Random(1)
-
-    def half():
-        return {e: 1 for e in rng.sample(net.bottom, len(net.bottom) // 2)}
-
-    trace = run_scenario(net, EngineParams(), [(half(), None), (half(), 40), ({}, None)])
+    """Writing the run-large CSV (318 blocks, 9.7 MB) holds its text and one
+    block at its peak, about 1.06x the text: each block is appended to the
+    text in place. A writer that keeps its blocks for a final join (about 2x),
+    or whose text gains a second reference, so that every append copies the
+    whole text, fails."""
+    trace = run_large_trace()
     tracemalloc.start()
     try:
         text = write_trace_csv(trace)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(text) > 1_000_000
-    assert peak < 2.5 * len(text)
+    assert len(text) > 9_000_000
+    assert peak < 1.5 * len(text)
 
 
 # --- ASCII rendering ---

@@ -10,17 +10,13 @@ script on a Python that lacks them, from the root of a checkout:
 
     PYTHONPATH=src python tests/test_loaders.py
 """
-import importlib.util
 import sys
-from pathlib import Path
 
 from conceptsim import ConceptSpec, NetworkSpec, io, model, parse_network_file, validate_network
 from conceptsim.io import serialize_network
-from netgen import random_network, shuffled_network
+from netgen import benchmark_synth, random_network, shuffled_network
 from reference import parse_network_file_reference, validate_network_reference
 from specs import AWKWARD_SPEC, DATA_DIR
-
-SYNTH = Path(__file__).resolve().parents[1] / "perfbench" / "synth.py"
 
 
 def valid_networks() -> list[tuple[str, str]]:
@@ -28,9 +24,7 @@ def valid_networks() -> list[tuple[str, str]]:
     the shipped ones, AWKWARD_SPEC, netgen 0-49, shuffled 0-19 and the
     benchmark's synthetic nets: 7/5/3 at seeds 0-7 and 1000/300/100 at seeds
     0-3, the compare-synth and run-large instances of those seeds."""
-    loader = importlib.util.spec_from_file_location("perfbench_synth", SYNTH)
-    synth = importlib.util.module_from_spec(loader)
-    loader.loader.exec_module(synth)
+    synth = benchmark_synth()
     nets = [(path.name, path.read_text(encoding="utf-8")) for path in sorted(DATA_DIR.glob("*.json"))]
     nets.append(("awkward", serialize_network(AWKWARD_SPEC)))
     nets += [(f"netgen {seed}", serialize_network(random_network(seed).spec)) for seed in range(50)]
