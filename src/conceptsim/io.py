@@ -166,26 +166,22 @@ class ScenarioSpec(NamedTuple):
 
         A phase is refused as parse_scenario_file refuses it in a file, with
         the same error and message and in the same order; a hold is None or
-        a positive int. Each phase is checked in bulk, and _check_phase runs
-        only to name its fault.
+        a positive int.
         """
-        name_to_id, layer_of = net.name_to_id, net.layer_of
+        name_to_id = net.name_to_id
         resolved = []
         for i, (clamp, hold) in enumerate(self.phases):
-            hold_ok = hold is None or type(hold) is int and hold >= 1
-            values = clamp.values()
-            by_id = dict(zip(map(name_to_id.get, clamp), values))  # a name net lacks is None
-            if not (hold_ok and None not in by_id and {*map(type, values)} <= {int} and {*values} <= {0, 1}
-                    and not any(map(layer_of.__getitem__, by_id))):
-                _check_phase(net, f"$.phases[{i}]", clamp, hold_ok)
-            resolved.append((by_id, hold))
+            _check_phase(net, f"$.phases[{i}]", clamp, hold is None or type(hold) is int and hold >= 1)
+            resolved.append(({name_to_id[name]: v for name, v in clamp.items()}, hold))
         return resolved
 
 
 def _check_phase(net: ValidatedNetwork, path: str, clamp: Mapping[str, int], hold_ok: bool) -> None:
-    """Raise a phase's first fault: per clamp entry in order, a value that is
-    not the int 0 or 1, a name net lacks, then one above layer 0; then the
-    hold, which hold_ok says is valid."""
+    """Raise a phase's first fault: a clamp that is not a mapping; per clamp
+    entry in order, a value that is not the int 0 or 1, a name net lacks,
+    then one above layer 0; then the hold, which hold_ok says is valid."""
+    if not isinstance(clamp, Mapping):
+        raise TypeMismatch(f"{path}.clamp: expected an object")
     for name, value in clamp.items():
         if type(value) is not int or value not in (0, 1):
             raise TypeMismatch(f"{path}.clamp.{name}: expected 0 or 1")
@@ -209,10 +205,7 @@ def parse_scenario_file(text: str, net: ValidatedNetwork) -> ScenarioSpec:
     for i, raw in enumerate(raw_phases):
         path = f"$.phases[{i}]"
         _require_object(raw, path, _PHASE_FIELDS, _PHASE_FIELDS)
-        clamp_raw = raw["clamp"]
-        if not isinstance(clamp_raw, dict):
-            raise TypeMismatch(f"{path}.clamp: expected an object")
-        hold = raw["hold"]
+        clamp_raw, hold = raw["clamp"], raw["hold"]
         _check_phase(net, path, clamp_raw, hold == "converge" or type(hold) is int and hold >= 1)
         phases.append(ScenarioPhase(clamp=clamp_raw, hold=None if hold == "converge" else hold))
     return ScenarioSpec(tuple(phases))

@@ -14,7 +14,6 @@ from conceptsim import (
     ConceptSpec,
     EngineParams,
     NetworkSpec,
-    ScenarioSpec,
     Trace,
     ValidatedNetwork,
     parse_network_file,
@@ -123,16 +122,12 @@ def benchmark_synth():
     return synth
 
 
-def run_large_inputs(seed: int = 8) -> tuple[ValidatedNetwork, ScenarioSpec]:
-    """The benchmark's run-large network and scenario at one seed: synth
-    1000/300/100 and synth.scenario_json(1000, seed, 40), parsed."""
+def run_large_trace(seed: int = 8) -> Trace:
+    """run_scenario at default params of the benchmark's run-large network and
+    scenario at one seed: synth 1000/300/100 and synth.scenario_json(1000,
+    seed, 40). At seed 8 it has 318 CSV blocks (106 snapshots) and a 9.7 MB
+    trace CSV."""
     synth = benchmark_synth()
     net = validate_network(parse_network_file(synth.network_json((1000, 300, 100), seed)))
-    return net, parse_scenario_file(synth.scenario_json(1000, seed, 40), net)
-
-
-def run_large_trace(seed: int = 8) -> Trace:
-    """run_scenario of run_large_inputs(seed) at default params; at seed 8 it
-    has 318 CSV blocks (106 snapshots) and a 9.7 MB trace CSV."""
-    net, scenario = run_large_inputs(seed)
+    scenario = parse_scenario_file(synth.scenario_json(1000, seed, 40), net)
     return run_scenario(net, EngineParams(), scenario.resolve(net))
