@@ -296,6 +296,11 @@ def _drive_thresholds(params: EngineParams, widest: int, most: int) -> dict[tupl
     return table
 
 
+def _whole_layer(changed: int, size: int) -> bool:
+    """Engine._dendrites' rule: recheck a layer of size concepts whole."""
+    return changed.bit_count() > size
+
+
 class Engine:
     """One deterministic simulation instance over a fixed network and parameters.
 
@@ -354,7 +359,8 @@ class Engine:
         # layer 0 as the clamp sets it; unclamped units are 0
         values = bytearray(net.n_concepts)
         for e, value in clamp.items():
-            net._check_clamped(e)
+            if type(e) is not int or not 0 <= e < len(values) or net.layer_of[e]:
+                net._check_clamped(e)
             if type(value) is not int or value not in (0, 1):
                 raise ValueError(f"clamp value for {net.names[e]!r} must be 0 or 1")
             values[e] = value
@@ -383,13 +389,20 @@ class Engine:
         """The concepts of a layer with a Complete pattern on below, the final
         mask of the layer under it, as a bitmask.
 
-        Each layer remembers the last below and its answer, and on a new below
-        rechecks only the owners of patterns that hold a changed element.
+        Each layer remembers the last below and its answer. A new below
+        rechecks none of the layer if it is empty, all of it in one pass if it
+        changed in more elements than the layer has concepts (_whole_layer), as
+        on a clamp swap, and else the owners of patterns with a changed element.
         """
         last, dend = self._dendrite_memo[layer]
         if below != last:
             net = self.net
-            for c in {c for e in _ids(below ^ last) for c, _ in net.parent_index[e]}:
+            owners = net.layers[layer]
+            if not below:
+                owners, dend = (), 0
+            elif not _whole_layer(below ^ last, len(owners)):
+                owners = {c for e in _ids(below ^ last) for c, _ in net.parent_index[e]}
+            for c in owners:
                 for mask in net.masks[c]:
                     if mask & below == mask:
                         dend |= 1 << c
@@ -548,10 +561,13 @@ def read_verdicts(trace: Trace, phase: int = -1) -> dict[ConceptId, Verdict]:
     """Verdict per non-bottom concept at the end of the given phase (default: last).
 
     Active in the final snapshot of a fixed point means Inferred; otherwise
-    latched there means Rejected, active anywhere in the window Unstable,
-    and else Inactive. The window is a fixed point's last snapshot, a
-    cycle's snapshots from cycle_start on, and else the last two.
+    latched there means Rejected, active anywhere in the window Unstable, and
+    else Inactive. The window is a fixed point's last snapshot, a cycle's
+    snapshots from cycle_start on, and else the last two. Verdicts are masks in
+    that order, keyed as net.non_bottom. A bool phase raises ValueError.
     """
+    if type(phase) is bool:
+        raise ValueError(f"phase {phase!r} is a bool, not an int")
     net = trace.net
     if not trace.phases:
         raise ValueError("trace has no phases")
@@ -570,16 +586,11 @@ def read_verdicts(trace: Trace, phase: int = -1) -> dict[ConceptId, Verdict]:
     active = 0
     for s in window:
         active |= s.active
-    verdicts: dict[ConceptId, Verdict] = {}
-    for c in net.non_bottom:
-        if fixed and final.active >> c & 1:
-            verdicts[c] = Verdict.INFERRED
-        elif final.latched >> c & 1:
-            verdicts[c] = Verdict.REJECTED
-        elif active >> c & 1:
-            verdicts[c] = Verdict.UNSTABLE
-        else:
-            verdicts[c] = Verdict.INACTIVE
+    left, inferred = net.non_bottom_mask, final.active if fixed else 0
+    verdicts = dict.fromkeys(net.non_bottom, Verdict.INACTIVE)
+    for verdict, mask in (Verdict.INFERRED, inferred), (Verdict.REJECTED, final.latched), (Verdict.UNSTABLE, active):
+        verdicts.update(dict.fromkeys(_ids(mask & left), verdict))
+        left &= ~mask
     return verdicts
 
 

@@ -76,13 +76,15 @@ def write_trace_csv(trace: Trace) -> str:
     net = trace.net
     order = sorted(range(net.n_concepts), key=net.names.__getitem__)
     error_units = [c for c in order if net.layer_of[c] < net.max_layer]
-    cells = [(f"{field},0\n", f"{field},1\n") for field in map(_csv_field, net.names)]
-    # in UnitKind's order, (kind, its lines, each unit's position in them, the
-    # units that have that kind), the lines at first the 0 lines after a ""
+    fields = [_csv_field(name) + "," for name in net.names]
+    zeros, ones = ([field + value for field in fields] for value in ("0\n", "1\n"))
+    # in UnitKind's order, (kind, its lines, each unit's position in them by
+    # id, the units that have that kind), the lines at first the 0 lines after a ""
     kinds = []
     for kind in UnitKind:
         ids, units = (order, (1 << net.n_concepts) - 1) if kind is UnitKind.CONCEPT else (error_units, net.below_top)
-        kinds.append((kind.value, ["", *(cells[c][0] for c in ids)], {c: i for i, c in enumerate(ids, 1)}, units))
+        at = list(map({c: i for i, c in enumerate(ids, 1)}.get, range(net.n_concepts)))
+        kinds.append((kind.value, ["", *(zeros[c] for c in ids)], at, units))
     shown = [0] * len(kinds)  # the bits each kind's lines hold now
     text = _HEADER_LINE
     for pi, phase in enumerate(trace.phases):
@@ -90,8 +92,10 @@ def write_trace_csv(trace: Trace) -> str:
             masks = (snap.active, snap.omitted, snap.committed)  # in UnitKind's order
             for i, (kind, lines, at, units) in enumerate(kinds):
                 bits = masks[i] & units
-                for c in _ids(bits ^ shown[i]):
-                    lines[at[c]] = cells[c][bits >> c & 1]
+                for c in _ids(bits & ~shown[i]):
+                    lines[at[c]] = ones[c]
+                for c in _ids(shown[i] & ~bits):
+                    lines[at[c]] = zeros[c]
                 shown[i] = bits
                 text += f"{pi},{si},{kind},".join(lines)
     return text

@@ -10,7 +10,8 @@ candidate interpretations, the flat rule that oracle.enumerate_interpretations
 applies one layer at a time. ReferenceEngine keeps its state in lists and a
 set where Engine keeps bitmasks, sweeps with the references below for
 predictions and routing, keeps the two run loops that Engine now shares, and
-emits the same Snapshots. compare_reference runs a fresh ReferenceEngine and
+emits the same Snapshots. read_verdicts_reference tests each concept
+in turn where read_verdicts takes each verdict as one mask. compare_reference runs a fresh ReferenceEngine and
 calls enumerate_interpretations for every clamp, one after another, where
 compare_with_oracle advances all clamps at once on bit-sliced planes and
 takes the oracle's answer for all clamps from one search that decides each
@@ -68,6 +69,7 @@ from conceptsim import (
     Trace,
     TraceRow,
     UnitKind,
+    Verdict,
     enumerate_interpretations,
     interpretation_consistent,
 )
@@ -385,6 +387,39 @@ def run_scenario_reference(net, params, phases):
             snaps, termination, cycle_start = engine.run_fixed_sweeps(hold)
         out.append(PhaseTrace(dict(clamp), snaps, termination, cycle_start))
     return Trace(net, tuple(out))
+
+
+def read_verdicts_reference(trace, phase=-1):
+    """read_verdicts as it was before it took each verdict as one mask: one
+    test per concept, in net.non_bottom order, with a shift of each mask."""
+    net = trace.net
+    if not trace.phases:
+        raise ValueError("trace has no phases")
+    ph = trace.phases[phase]
+    if not ph.snapshots:
+        raise ValueError("phase has no snapshots")
+    final = ph.snapshots[-1]
+    fixed = ph.termination is Termination.FIXED_POINT
+    if fixed:
+        window = ph.snapshots[-1:]
+    elif ph.termination is Termination.CYCLE and ph.cycle_start is not None:
+        window = ph.snapshots[ph.cycle_start :]
+    else:
+        window = ph.snapshots[-2:]
+    active = 0
+    for s in window:
+        active |= s.active
+    verdicts = {}
+    for c in net.non_bottom:
+        if fixed and final.active >> c & 1:
+            verdicts[c] = Verdict.INFERRED
+        elif final.latched >> c & 1:
+            verdicts[c] = Verdict.REJECTED
+        elif active >> c & 1:
+            verdicts[c] = Verdict.UNSTABLE
+        else:
+            verdicts[c] = Verdict.INACTIVE
+    return verdicts
 
 
 def compare_reference(net, params):

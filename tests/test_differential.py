@@ -21,6 +21,7 @@ from conceptsim import (
     NetworkSpec,
     PatternStatus,
     PhaseTrace,
+    Snapshot,
     Termination,
     Trace,
     TraceRow,
@@ -32,7 +33,9 @@ from conceptsim import (
     parse_network_file,
     parse_scenario_file,
     pattern_state,
+    Verdict,
     read_trace_csv,
+    read_verdicts,
     render_ascii_timeline,
     route_errors,
     run_scenario,
@@ -55,6 +58,7 @@ from reference import (
     drive_thresholds_reference,
     enumerate_reference,
     predictions_reference,
+    read_verdicts_reference,
     render_ascii_timeline_reference,
     route_errors_reference,
     run_scenario_reference,
@@ -300,11 +304,22 @@ SWEEP_PARAMS = [
 ]
 
 
+#: Engine._dendrites' rule as it stands, and forced to recheck every
+#: concept of a layer, or only the owners of changed elements, on each change
+DENDRITE_PATHS = {"rule": None, "whole": lambda changed, size: True, "owners": lambda changed, size: False}
+
+
 def assert_sweeps_agree(net, phases):
-    for params in SWEEP_PARAMS:
-        assert run_scenario(net, params, phases).phases == (
-            run_scenario_reference(net, params, phases).phases
-        ), params
+    """run_scenario equals the reference under every one of SWEEP_PARAMS,
+    with each of DENDRITE_PATHS."""
+    for path, rule in DENDRITE_PATHS.items():
+        with pytest.MonkeyPatch.context() as patch:
+            if rule:
+                patch.setattr("conceptsim.engine._whole_layer", rule)
+            for params in SWEEP_PARAMS:
+                assert run_scenario(net, params, phases).phases == (
+                    run_scenario_reference(net, params, phases).phases
+                ), (path, params)
 
 
 @pytest.mark.parametrize("name", ["salt.json", "caramel.json"])
@@ -349,6 +364,46 @@ def test_sweep_matches_reference_on_seeded_networks(seed):
 @pytest.mark.parametrize("seed", range(5))
 def test_sweep_matches_reference_on_awkward_names(awkward_net, seed):
     assert_sweeps_agree(awkward_net, [({e: 1 for e in awkward_net.bottom}, None)] + mixed_scenario(awkward_net, seed))
+
+
+def swap_scenario(net, seed):
+    """A seeded clamp to convergence, then its swap, which changes every
+    layer-0 element, held 3 sweeps and then to convergence, then an empty
+    clamp."""
+    clamp = random_clamp(net, random.Random(seed))
+    swapped = {e: 1 for e in net.bottom if e not in clamp}
+    return [(clamp, None), (swapped, 3), (swapped, None), ({}, None)]
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_sweep_matches_reference_across_a_clamp_swap(seed):
+    """On nets shaped like run-large's, a clamp swap changes more layer-0
+    elements than layer 1 has concepts, so the rule rechecks layer 1 whole,
+    while later sweeps recheck owners; both paths, and each forced, run as
+    the reference does."""
+    net = synth_network((24, 8, 4), seed)
+    assert_sweeps_agree(net, swap_scenario(net, seed))
+
+
+def test_clamp_swaps_take_both_dendrite_paths(monkeypatch):
+    """The rule takes both paths in the swap scenarios above, on layer 1 and
+    on layer 2, so neither forced run is the only one to check a path."""
+    from conceptsim import engine
+
+    taken = collections.Counter()
+    rule = engine._whole_layer
+
+    def recorded(changed, size):
+        whole = rule(changed, size)
+        taken[size, whole] += 1
+        return whole
+
+    monkeypatch.setattr(engine, "_whole_layer", recorded)
+    for seed in range(10):
+        net = synth_network((24, 8, 4), seed)
+        for params in SWEEP_PARAMS:
+            run_scenario(net, params, swap_scenario(net, seed))
+    assert {key for key, count in taken.items() if count} == {(8, True), (8, False), (4, True), (4, False)}
 
 
 def engine_state(engine):
@@ -490,6 +545,57 @@ def test_skip_rule_edges_are_not_vacuous():
             switched[params.theta < 0] += count
     assert switched[False] == 0
     assert switched[True] > 0
+
+
+# --- verdicts: one mask per verdict against one test per concept ---
+
+#: default params, ALL_GLOBAL routing and CYCLING_PARAMS, under which some
+#: seeded phases end in a cycle
+VERDICT_PARAMS = {"default": EngineParams(), "all_global": EngineParams(error_routing=ErrorRouting.ALL_GLOBAL),
+                  "cycling": CYCLING_PARAMS}
+
+
+def verdict_traces(params):
+    """Traces of netgen 0-49 under params, each with a converging scenario and
+    one with holds, some of which end at the sweep limit."""
+    for seed in range(50):
+        net = random_network(seed)
+        for phases in (random_scenario(net, seed), mixed_scenario(net, seed)):
+            yield run_scenario(net, params, phases)
+
+
+@pytest.mark.parametrize("params", VERDICT_PARAMS.values(), ids=VERDICT_PARAMS)
+def test_read_verdicts_matches_reference_on_seeded_traces(params):
+    """Every phase's verdicts, keys in order, are those of the per-concept
+    reference."""
+    for trace in verdict_traces(params):
+        for i in range(len(trace.phases)):
+            assert list(read_verdicts(trace, i).items()) == list(read_verdicts_reference(trace, i).items())
+
+
+def test_read_verdicts_matches_reference_on_hand_built_windows(net):
+    """Snapshots no run gives: a concept active and latched together, a
+    cycle's window from a later start, and one without cycle_start, which
+    reads the last two, under each termination."""
+    n, masks = net.n_concepts, [0, 1, 2, 3, (1 << net.n_concepts) - 1]
+    snaps = tuple(Snapshot(a, 0, 0, l, n) for a in masks for l in masks)
+    for termination in Termination:
+        for start in (None, 0, 7, len(snaps) - 1):
+            trace = Trace(net, (PhaseTrace({}, snaps, termination, start),))
+            assert list(read_verdicts(trace).items()) == list(read_verdicts_reference(trace).items())
+
+
+def test_seeded_verdicts_are_not_vacuous():
+    """The seeded traces above end phases at a fixed point, in a cycle and at
+    the sweep limit, and give all four verdicts."""
+    terminations, verdicts = set(), set()
+    for params in VERDICT_PARAMS.values():
+        for trace in verdict_traces(params):
+            for i, phase in enumerate(trace.phases):
+                terminations.add(phase.termination)
+                verdicts |= set(read_verdicts(trace, i).values())
+    assert terminations == set(Termination)
+    assert verdicts == set(Verdict)
 
 
 # --- compare: one reset Engine against a fresh ReferenceEngine per clamp ---

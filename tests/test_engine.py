@@ -1,5 +1,8 @@
 """Circuit dynamics: sweep order, error units, latching, termination."""
+import hashlib
+import json
 import random
+from collections import Counter
 
 import pytest
 
@@ -17,10 +20,11 @@ from conceptsim import (
     error_flags,
     read_verdicts,
     run_scenario,
+    write_trace_csv,
 )
 from conceptsim.errors import BadParams, NonBottomClamp, TooLarge, UnknownConcept
 
-from netgen import random_network, random_scenario, shuffled_network
+from netgen import SYNTH, random_network, random_scenario, run_large_trace, shuffled_network
 
 PARAMS = EngineParams()
 
@@ -641,6 +645,21 @@ def test_read_verdicts_at_a_fixed_point_reads_its_last_snapshot(net, ids):
     assert read_verdicts(trace) == {ids["salt"]: Verdict.INACTIVE, ids["sugar"]: Verdict.INACTIVE}
 
 
+@pytest.mark.parametrize("phase", [True, False])
+def test_read_verdicts_refuses_a_bool_phase(net, ids, phase):
+    """A bool is not a phase index, though Python takes True as 1: on a
+    two-phase trace, and on one with no phase at all, read_verdicts raises
+    ValueError before it reads the trace, as a bool hold does."""
+    clamp = {ids["looking"]: 1, ids["white"]: 1}
+    trace = run_scenario(net, PARAMS, [(clamp, None), ({**clamp, ids["tasting"]: 1}, None)])
+    for t in (trace, Trace(net, ())):
+        with pytest.raises(ValueError, match=f"^phase {phase} is a bool, not an int$"):
+            read_verdicts(t, phase)
+    assert read_verdicts(trace, 1) == read_verdicts(trace, -1)
+    with pytest.raises(IndexError):
+        read_verdicts(trace, 2)
+
+
 def test_read_verdicts_requires_a_trace(net):
     with pytest.raises(ValueError):
         read_verdicts(Trace(net, ()))
@@ -652,3 +671,31 @@ def test_read_verdicts_requires_a_phase_with_snapshots(net):
     trace = Trace(net, (PhaseTrace({}, (), Termination.SWEEP_LIMIT),))
     with pytest.raises(ValueError, match="^phase has no snapshots$"):
         read_verdicts(trace)
+
+
+# --- the engine at benchmark scale ---
+
+PINS = SYNTH.parent / "pins.json"
+
+
+@pytest.mark.parametrize("instance", [0, 8])
+def test_run_large_matches_the_benchmark_pins(instance):
+    """run-large's trace, at 1000/300/100 with two 500-element clamp swaps,
+    ends each phase with the termination, sweep count and verdicts that
+    perfbench/pins.json holds for the instance, and writes the pinned CSV.
+    Verdicts are pinned as the sha256 of their first letters in
+    net.non_bottom order."""
+    pinned = json.loads(PINS.read_text(encoding="utf-8"))["run-large"][str(instance)]
+    trace = run_large_trace(instance)
+    assert len(trace.phases) == len(pinned["phases"])
+    for i, (phase, want) in enumerate(zip(trace.phases, pinned["phases"])):
+        verdicts = read_verdicts(trace, i)
+        letters = "".join(verdicts[c].value[0] for c in trace.net.non_bottom)
+        assert {
+            "termination": phase.termination.value,
+            "sweeps": len(phase.snapshots),
+            "verdicts_sha256": hashlib.sha256(letters.encode()).hexdigest(),
+            "verdict_counts": dict(sorted(Counter(v.value for v in verdicts.values()).items())),
+        } == want, i
+    data = write_trace_csv(trace).encode("utf-8")
+    assert {"bytes": len(data), "sha256": hashlib.sha256(data).hexdigest()} == pinned["csv"]
