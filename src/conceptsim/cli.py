@@ -107,7 +107,6 @@ def _run_text(result):
 def cmd_run(args) -> int:
     from .engine import read_verdicts, run_scenario
     from .io import parse_scenario_file
-    from .trace import _timeline_rows, write_trace_csv
 
     net = _load_network(args.network)
     scenario = parse_scenario_file(_read(args.scenario), net)
@@ -125,10 +124,12 @@ def cmd_run(args) -> int:
         })
     result = {"phases": phases}
     if args.render:
+        from .trace import _timeline_rows
         # one line per unit, whole where a name holds a line break; none without concepts
         result["timeline"] = _timeline_rows(trace) if net.n_concepts else []
     _print_result(args, result, _run_text)
     if args.trace:
+        from .trace import write_trace_csv
         with open(args.trace, "w", encoding="utf-8", newline="") as f:
             f.write(write_trace_csv(trace))
     if args.render and args.format == "text":

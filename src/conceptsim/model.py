@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from enum import Enum
 from functools import cached_property
+from itertools import chain, compress
 from typing import AbstractSet, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import (
@@ -240,15 +241,16 @@ class ValidatedNetwork(_NetworkFields):
 
     @cached_property
     def non_bottom(self) -> tuple[ConceptId, ...]:
-        return tuple(c for c in range(self.n_concepts) if self.layer_of[c] > 0)
+        # layers are non-negative, so a true layer is one above 0
+        return tuple(compress(range(self.n_concepts), self.layer_of))
 
     @cached_property
     def layer_mask(self) -> tuple[int, ...]:
-        """Per layer 0..max_layer, the bitmask of its concepts."""
-        masks = [0] * (self.max_layer + 1)
+        """Per layer 0..max_layer, the bitmask of its concepts, by _bits over a 0/1 byte each."""
+        flags = [bytearray(self.n_concepts) for _ in range(self.max_layer + 1)]
         for c, layer in enumerate(self.layer_of):
-            masks[layer] |= 1 << c
-        return tuple(masks)
+            flags[layer][c] = 1
+        return tuple(map(_bits, flags))
 
     @cached_property
     def element_ids(self) -> tuple[tuple[tuple[ConceptId, ...], ...], ...]:
@@ -290,13 +292,14 @@ class ValidatedNetwork(_NetworkFields):
         at 0, only Complete ones at the size.
 
         Computed once per distinct pattern size on the first call with a given
-        tau and remembered, so hot loops take no ceiling.
+        tau and remembered, so hot loops take no ceiling. Sizes are read off
+        masks, which parallels patterns, and layer 0 keeps its empty tuples.
         """
         needs = self._needs.get(tau)
         if needs is None:
-            sizes = {len(p) for pats in self.patterns for p in pats}
+            sizes = set(map(int.bit_count, chain.from_iterable(self.masks)))
             by_size = {size: min(max(pattern_need(size, tau), 0), size) for size in sizes}
-            needs = tuple(tuple(by_size[len(p)] for p in pats) for pats in self.patterns)
+            needs = tuple([ms and tuple([by_size[m.bit_count()] for m in ms]) for ms in self.masks])
             self._needs[tau] = needs
         return needs
 

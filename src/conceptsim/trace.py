@@ -1,9 +1,10 @@
 """Trace files: the trace CSV and the ASCII timeline.
 
-They live apart from io.py because only `run` and `render` use them, and a
-call run without cached bytecode compiles every module it imports. Only
-errors is imported at module level, so `render` loads no other module of
-the package; the writers import model's mask helpers on use.
+They live apart from io.py because only `render`, and `run` under --render
+or --trace, use them, and a call run without cached bytecode compiles every
+module it imports. Only errors is imported at module level, so `render`
+loads no other module of the package; the writers import model's mask
+helpers on use.
 """
 from __future__ import annotations
 
@@ -65,26 +66,38 @@ def write_trace_csv(trace: Trace) -> str:
     the last. A kind's lines start with "", so joining them with the prefix
     puts the prefix before every line, and a kind without units adds nothing.
 
+    Its tables, by concept id: the 0 and 1 lines, quoted by _csv_field only
+    when one scan of the joined names finds a character it quotes; and each
+    unit's position in its kind's lines, an inverse permutation of the name
+    order, and one of the error units that omission and commission share.
+
     Each block is appended to text, not kept for a final join: CPython grows
     a str in place while one name alone refers to it, so the write holds its
     text plus one block, not two full copies. A second reference to text
     would copy it whole on every append; test_io.py's
     test_trace_csv_peak_memory_stays_near_the_text_size then fails.
     """
-    from .model import _ids
+    from .model import _bit_bytes, _ids
 
     net = trace.net
-    order = sorted(range(net.n_concepts), key=net.names.__getitem__)
-    error_units = [c for c in order if net.layer_of[c] < net.max_layer]
-    fields = [_csv_field(name) + "," for name in net.names]
-    zeros, ones = ([field + value for field in fields] for value in ("0\n", "1\n"))
+    n, fields = net.n_concepts, net.names
+    order = sorted(range(n), key=net.names.__getitem__)
+    if any(map("".join(fields).__contains__, ',"\n\r')):
+        fields = [*map(_csv_field, fields)]
+    zeros = [field + ",0\n" for field in fields]
+    ones = [field + ",1\n" for field in fields]
+    below_top = _bit_bytes(net.below_top, n)
+    error_units = [c for c in order if below_top[c]]
+    concept_at, error_at = [0] * n, [0] * n
+    for i, c in enumerate(order, 1):
+        concept_at[c] = i
+    for i, c in enumerate(error_units, 1):
+        error_at[c] = i
     # in UnitKind's order, (kind, its lines, each unit's position in them by
     # id, the units that have that kind), the lines at first the 0 lines after a ""
-    kinds = []
-    for kind in UnitKind:
-        ids, units = (order, (1 << net.n_concepts) - 1) if kind is UnitKind.CONCEPT else (error_units, net.below_top)
-        at = list(map({c: i for i, c in enumerate(ids, 1)}.get, range(net.n_concepts)))
-        kinds.append((kind.value, ["", *(zeros[c] for c in ids)], at, units))
+    kinds = [(UnitKind.CONCEPT.value, ["", *map(zeros.__getitem__, order)], concept_at, (1 << n) - 1)]
+    for kind in (UnitKind.OMISSION, UnitKind.COMMISSION):
+        kinds.append((kind.value, ["", *map(zeros.__getitem__, error_units)], error_at, net.below_top))
     shown = [0] * len(kinds)  # the bits each kind's lines hold now
     text = _HEADER_LINE
     for pi, phase in enumerate(trace.phases):

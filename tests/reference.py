@@ -46,6 +46,11 @@ pattern's state without pattern_need.
 build_parser_reference is cli.build_parser as it was before cli parsed argv
 from its COMMANDS table: the argparse parser whose parse_args the table's
 parse_args must agree with.
+pattern_needs_reference, layer_mask_reference and non_bottom_reference are
+ValidatedNetwork's pattern_needs, layer_mask and non_bottom as they were
+before they built their tables in bulk: each pattern's size by len(Pattern),
+each layer's mask ORed one concept at a time, and the concepts above layer 0
+picked by a generator.
 """
 from __future__ import annotations
 
@@ -72,6 +77,7 @@ from conceptsim import (
     Verdict,
     enumerate_interpretations,
     interpretation_consistent,
+    pattern_need,
 )
 from conceptsim.cli import cmd_check, cmd_compare, cmd_enumerate, cmd_render, cmd_run, cmd_validate
 from conceptsim.engine import _drive_thresholds
@@ -800,6 +806,26 @@ def validate_network_reference(spec: NetworkSpec) -> ValidatedNetwork:
         warnings=tuple(warnings),
         masks=tuple(masks),
     )
+
+
+def pattern_needs_reference(net: ValidatedNetwork, tau) -> tuple[tuple[int, ...], ...]:
+    """pattern_need of every pattern under tau, clamped to 0..size, parallel to masks."""
+    sizes = {len(p) for pats in net.patterns for p in pats}
+    by_size = {size: min(max(pattern_need(size, tau), 0), size) for size in sizes}
+    return tuple(tuple(by_size[len(p)] for p in pats) for pats in net.patterns)
+
+
+def layer_mask_reference(net: ValidatedNetwork) -> tuple[int, ...]:
+    """Per layer 0..max_layer, the bitmask of its concepts."""
+    masks = [0] * (net.max_layer + 1)
+    for c, layer in enumerate(net.layer_of):
+        masks[layer] |= 1 << c
+    return tuple(masks)
+
+
+def non_bottom_reference(net: ValidatedNetwork) -> tuple[ConceptId, ...]:
+    """The concepts above layer 0, ascending."""
+    return tuple(c for c in range(net.n_concepts) if net.layer_of[c] > 0)
 
 
 def build_parser_reference() -> argparse.ArgumentParser:

@@ -252,6 +252,30 @@ def test_trace_writers_agree_on_reordered_and_awkward_names(request, net_fixture
     assert_writers_agree(run_scenario(net, EngineParams(), phases))
 
 
+def one_quoted_name(char: str, layer: int):
+    """netgen-synth 6/5/5/3 with one name among its 19, the first of layer,
+    holding char, everywhere the name appears; no other name needs quoting."""
+    old, new = f"u{layer}_0", f"u{layer}{char}0"
+    rename = {old: new}.get
+    concepts = [
+        ConceptSpec(rename(c.name, c.name), c.layer, [[rename(e, e) for e in p] for p in c.patterns])
+        for c in synth_network((6, 5, 5, 3), 1).spec.concepts
+    ]
+    return validate_network(NetworkSpec(concepts))
+
+
+@pytest.mark.parametrize("char", [",", '"'])
+@pytest.mark.parametrize("layer", [0, 1, 3])
+def test_trace_writers_agree_when_one_name_needs_quoting(char, layer):
+    """One name that needs quoting among many sends every name through
+    _csv_field: the quoted one is written as csv.writer writes it, and the
+    others as they are."""
+    net = one_quoted_name(char, layer)
+    assert [name for name in net.names if char in name] == [f"u{layer}{char}0"]
+    phases = [({e: 1 for e in net.bottom}, None)] + mixed_scenario(net, layer)
+    assert_writers_agree(run_scenario(net, EngineParams(), phases))
+
+
 def test_trace_writers_agree_on_the_run_large_trace():
     """The benchmark's run-large trace, 318 blocks and 9.7 MB, is written byte
     for byte as the reference writes its sorted rows."""

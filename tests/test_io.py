@@ -1,5 +1,6 @@
 """Strict parsers, canonical serializers, trace CSV, ASCII rendering."""
 import copy
+import hashlib
 import json
 import random
 import re
@@ -8,7 +9,7 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conceptsim import io
+from conceptsim import io, trace as trace_module
 from conceptsim import (
     ConceptSpec,
     EngineParams,
@@ -47,7 +48,7 @@ from conceptsim.errors import (
     ValidationError,
 )
 
-from netgen import random_network, run_large_trace, shuffled_network
+from netgen import SYNTH, random_network, run_large_trace, shuffled_network
 from reference import parse_network_file_reference, trace_rows, validate_network_reference, write_rows_csv
 from specs import AWKWARD_SPEC, DATA_DIR
 
@@ -712,6 +713,20 @@ def test_trace_csv_peak_memory_stays_near_the_text_size():
         tracemalloc.stop()
     assert len(text) > 9_000_000
     assert peak < 1.5 * len(text)
+
+
+def test_run_large_csv_never_quotes_a_field(monkeypatch):
+    """No name of the run-large net holds , " \n or \r, so the one scan of
+    the joined names sends none through _csv_field: the write gives the
+    pinned CSV with _csv_field made to raise."""
+    def refuse(text):
+        raise AssertionError(f"{text!r} was sent to _csv_field")
+
+    pinned = json.loads((SYNTH.parent / "pins.json").read_text(encoding="utf-8"))["run-large"]["8"]["csv"]
+    trace = run_large_trace(8)
+    monkeypatch.setattr(trace_module, "_csv_field", refuse)
+    data = write_trace_csv(trace).encode("utf-8")
+    assert {"bytes": len(data), "sha256": hashlib.sha256(data).hexdigest()} == pinned
 
 
 # --- ASCII rendering ---

@@ -3,7 +3,9 @@ tests/reference.py's parse_network_file_reference and
 validate_network_reference, on valid networks: the same NetworkSpec and the
 same ValidatedNetwork, field by field, mappings in the same order, and no
 cached property computed yet; and valid input takes the bulk checks alone.
-Invalid input is compared in test_io.py.
+Invalid input is compared in test_io.py. On the same networks, the tables a
+fresh net builds on first use, pattern_needs, layer_mask and non_bottom,
+equal their references.
 
 This module imports neither pytest nor Hypothesis, so it also runs as a plain
 script on a Python that lacks them, from the root of a checkout:
@@ -11,11 +13,18 @@ script on a Python that lacks them, from the root of a checkout:
     PYTHONPATH=src python tests/test_loaders.py
 """
 import sys
+from fractions import Fraction
 
 from conceptsim import ConceptSpec, NetworkSpec, io, model, parse_network_file, validate_network
 from conceptsim.io import serialize_network
 from netgen import benchmark_synth, random_network, shuffled_network
-from reference import parse_network_file_reference, validate_network_reference
+from reference import (
+    layer_mask_reference,
+    non_bottom_reference,
+    parse_network_file_reference,
+    pattern_needs_reference,
+    validate_network_reference,
+)
 from specs import AWKWARD_SPEC, DATA_DIR
 
 
@@ -62,6 +71,36 @@ def test_loaders_match_their_references_on_valid_networks():
         check_same_load(name, text)
 
 
+#: taus inside (0, 1] and outside it, where needs are clamped to 0..size
+TAUS = (0.5, Fraction(2, 3), 1, -1.0, 1.5)
+
+
+def shape(value):
+    """A value's type, and its items' shapes where it is a tuple or a list."""
+    return (type(value), [shape(v) for v in value]) if type(value) in (tuple, list) else type(value)
+
+
+def check_same_tables(name: str, text: str) -> None:
+    """Each table, built first thing on a fresh net, equals its reference in
+    value and in type, item by item; pattern_needs remembers each tau's."""
+    spec = parse_network_file(text)
+    net = validate_network(spec)
+    needs = [net.pattern_needs(tau) for tau in TAUS]
+    want = [pattern_needs_reference(net, tau) for tau in TAUS]
+    assert needs == want and shape(needs) == shape(want), name
+    assert all(net.pattern_needs(tau) is got for tau, got in zip(TAUS, needs)), name
+    for table, reference in (("layer_mask", layer_mask_reference), ("non_bottom", non_bottom_reference)):
+        net = validate_network(spec)
+        got = getattr(net, table)
+        want = reference(net)
+        assert got == want and shape(got) == shape(want), (name, table)
+
+
+def test_first_use_tables_match_their_references_on_valid_networks():
+    for name, text in valid_networks():
+        check_same_tables(name, text)
+
+
 class Name(str):
     """A str subclass, which validate_network's bulk name test cannot classify."""
 
@@ -99,5 +138,6 @@ if __name__ == "__main__":
     nets = valid_networks()
     for name, text in nets:
         check_same_load(name, text)
+        check_same_tables(name, text)
     check_bulk_path(nets)
     print(f"{len(nets)} networks load the same on Python {sys.version.split()[0]}")

@@ -7,7 +7,7 @@ import sys
 from pathlib import Path
 
 import conceptsim
-from test_startup import CALLS
+from test_startup import CALLS, RUN_WITH_ONE_OPTION
 
 SRC = Path(conceptsim.__file__).resolve().parents[1]
 REPO = SRC.parent
@@ -36,20 +36,27 @@ def test_readme_library_example_prints_its_result_comments():
 
 
 def test_readme_start_up_table_lists_what_each_command_loads():
-    """Each row's modules are what the command's calls in CALLS load of the
-    package besides cli and errors, and its "also loads" the heavy standard
-    modules they load, but inspect, which the prose names."""
+    """Each call in CALLS and RUN_WITH_ONE_OPTION loads, of the package besides cli and errors, the
+    modules its command's row lists: those before a ";", and those after it
+    when the call gives one of the options named there. It loads the heavy
+    standard modules of the row's "also loads", but inspect, which the prose
+    names."""
     readme = (REPO / "README.md").read_text(encoding="utf-8")
     [rows] = re.findall(r"^\| command \| modules \| also loads \|\n\|[-|]+\|\n((?:\|.*\n)+)", readme, re.M)
     listed = {}
     for row in rows.splitlines():
-        commands, modules, heavy = (re.findall(r"`(\w+)`", cell) for cell in row.strip("|").split("|"))
-        for command in commands:
-            listed[command] = (sorted(modules), heavy)
-    pinned = {}
-    for call in CALLS:
+        commands, modules, heavy = row.strip("|").split("|")
+        always, _, optional = modules.partition(";")
+        for command in re.findall(r"`(\w+)`", commands):
+            listed[command] = (
+                re.findall(r"`(\w+)`", always), re.findall(r"`(--[\w-]+)`", optional),
+                re.findall(r"`(\w+)`", optional), re.findall(r"`(\w+)`", heavy),
+            )
+    for call in CALLS + RUN_WITH_ONE_OPTION:
         argv, _, loaded, heavy = call.values
+        always, options, optional, listed_heavy = listed[argv[0]]
         modules = sorted(m.split(".")[1] for m in loaded if m not in ("conceptsim.cli", "conceptsim.errors"))
-        got = (modules, [m for m in heavy if m != "inspect"])
-        assert pinned.setdefault(argv[0], got) == got, call.id  # a command's calls load alike
-    assert listed == pinned
+        want = always + optional if set(options) & set(argv) else always
+        assert modules == sorted(want), call.id
+        assert [m for m in heavy if m != "inspect"] == listed_heavy, call.id
+    assert set(listed) == {call.values[0][0] for call in CALLS}

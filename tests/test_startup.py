@@ -71,7 +71,8 @@ print(json.dumps([code, loaded, heavy]))
 CLI = ["conceptsim.cli", "conceptsim.errors"]
 BASE = sorted(CLI + ["conceptsim.io", "conceptsim.model"])
 WITH_ORACLE = sorted(BASE + ["conceptsim.oracle"])
-WITH_ENGINE = sorted(BASE + ["conceptsim.engine", "conceptsim.trace"])
+WITH_ENGINE = sorted(BASE + ["conceptsim.engine"])
+WITH_TRACE = sorted(WITH_ENGINE + ["conceptsim.trace"])
 EVERYTHING = sorted(BASE + ["conceptsim.compare", "conceptsim.engine", "conceptsim.oracle"])
 TRACE_ONLY = sorted(CLI + ["conceptsim.trace"])
 
@@ -81,7 +82,7 @@ CALLS = [
     pytest.param(("validate", "data/caramel.json"), 0, BASE, ["json"], id="validate"),
     pytest.param(
         ("run", "data/salt.json", "data/scenarios/salt_rejection.json", "--render", "--trace",
-         "{tmp}/trace.csv"), 0, WITH_ENGINE, ["json"], id="run-render-trace",
+         "{tmp}/trace.csv"), 0, WITH_TRACE, ["json"], id="run-render-trace",
     ),
     pytest.param(
         ("run", "data/salt.json", "data/scenarios/decoupling.json", "--format", "json"), 0,
@@ -101,6 +102,16 @@ CALLS = [
     pytest.param(("render", "tests/golden/salt_rejection_trace.csv"), 0, TRACE_ONLY, ["csv"], id="render"),
 ]
 
+#: beyond the mix, which gives run both --render and --trace or neither:
+#: either option alone loads trace
+RUN_WITH_ONE_OPTION = [
+    pytest.param(
+        ("run", "data/salt.json", "data/scenarios/decoupling.json", *option), 0, WITH_TRACE, ["json"],
+        id=f"run-{option[0][2:]}",
+    )
+    for option in (("--render",), ("--trace", "{tmp}/trace.csv"))
+]
+
 
 def child_env() -> dict[str, str]:
     env = dict(os.environ)
@@ -116,7 +127,7 @@ def run_child(code: str, *argv: str) -> str:
     return proc.stdout
 
 
-@pytest.mark.parametrize("argv, exit_code, loaded, heavy", CALLS)
+@pytest.mark.parametrize("argv, exit_code, loaded, heavy", CALLS + RUN_WITH_ONE_OPTION)
 def test_each_command_loads_only_what_it_runs(tmp_path, argv, exit_code, loaded, heavy):
     argv = [a.format(tmp=tmp_path) for a in argv]
     assert json.loads(run_child(CHILD, *argv)) == [exit_code, loaded, heavy]
