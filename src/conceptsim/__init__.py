@@ -48,7 +48,6 @@ _EXPORTS = {
         "PatternState",
         "PatternStatus",
         "ValidatedNetwork",
-        "element_parents",
         "pattern_need",
         "pattern_state",
         "validate_network",

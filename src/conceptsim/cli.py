@@ -307,7 +307,9 @@ def parse_args(argv) -> SimpleNamespace:
     anywhere among the positionals, as --opt value, --opt=value or a unique
     prefix of either, and the first "--" ends them. -h or --help prints help
     and raises SystemExit(0); a usage error prints the usage line and the
-    error to stderr and raises SystemExit(2). Each acts in argv order."""
+    error to stderr and raises SystemExit(2). Each acts in argv order, but an
+    ambiguous option after the command and before the first "--" fails first:
+    argparse sorts those tokens into options and positionals before acting."""
     command, options, positionals, values, words, extra = None, {}, (), {}, [], []
     ended = after_option = False
 
@@ -317,7 +319,7 @@ def parse_args(argv) -> SimpleNamespace:
         raise SystemExit(2)
 
     tokens = iter(argv)
-    for token in tokens:
+    while (token := next(tokens, None)) is not None:
         option = None if ended or token == "--" else _option(token, [*options, "--help"])
         follows_option, after_option = after_option, option is not None
         if option is None and command is None:
@@ -326,6 +328,11 @@ def parse_args(argv) -> SimpleNamespace:
             command = token
             func, _, positionals, options = COMMANDS[command]
             values = {name[2:]: default for name, (_, default, _) in options.items()}
+            tokens = iter(rest := list(tokens))
+            for later in rest[: rest.index("--")] if "--" in rest else rest:
+                matches = (_option(later, [*options, "--help"]) or ((),))[0]
+                if len(matches) > 1:
+                    fail(f"ambiguous option: {later} could match {', '.join(matches)}")
         elif option is None and token == "--" and not ended:
             ended = True
             # argparse keeps a "--" that follows an option when no positional is left to take it
@@ -333,9 +340,7 @@ def parse_args(argv) -> SimpleNamespace:
                 extra.append(token)
         elif option is None:
             words.append(token)
-        elif len(option[0]) != 1:
-            if option[0]:
-                fail(f"ambiguous option: {token} could match {', '.join(option[0])}")
+        elif not option[0]:
             extra.append(token)
         else:
             [name], value = option

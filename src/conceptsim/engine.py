@@ -310,8 +310,8 @@ class Engine:
     take effect in the next sweep. A routed count must be an int in 0..n,
     the counts a sweep routes and the drive table covers: a sweep refuses
     any other, on a unit it decides (visits unlatched), with ValueError and
-    leaves the engine as it was. activation, omission, commission and
-    rejected are read-only views of the bitmasks.
+    leaves the engine as it was. snapshot() returns them as a Snapshot, whose
+    views read them by id.
     """
 
     def __init__(self, net: ValidatedNetwork, params: EngineParams | None = None):
@@ -321,7 +321,7 @@ class Engine:
         self.net = net
         self.params = params
         #: per layer, the last layer-below mask seen and the dendrite mask it
-        #: gave, a pure function of the net and that mask, so reset() and
+        #: gave, a pure function of the net and that mask, so a new clamp and
         #: writes between sweeps leave it valid; no pattern is empty, so an
         #: empty layer below completes none
         self._dendrite_memo = [(0, 0)] * (net.max_layer + 1)
@@ -332,17 +332,8 @@ class Engine:
         #: per dendrite value d, the layer count k from which an idle unit
         #: cannot ignite: the cells above 0 that lead row (d, prev 0)
         self._k_on = sum(map(bool, table[0, 0])), sum(map(bool, table[1, 0]))
-        self.reset()
-
-    def reset(self) -> None:
-        """Return to exactly the state of a fresh Engine on the same net and params."""
         self.active = 0
         self.apply_clamp({})
-
-    activation = property(lambda self: self.snapshot().activation)
-    omission = property(lambda self: self.snapshot().omission)
-    commission = property(lambda self: self.snapshot().commission)
-    rejected = property(lambda self: self.snapshot().rejected)
 
     @property
     def clamp(self) -> Mapping[ConceptId, int]:
@@ -594,9 +585,9 @@ def read_verdicts(trace: Trace, phase: int = -1) -> dict[ConceptId, Verdict]:
     return verdicts
 
 
-#: names that moved to compare.py; engine resolves them on first use, so
-#: engine.compare_with_oracle still works and `run` never loads compare
-_COMPARE_NAMES = {"Agreement", "CaseResult", "AgreementReport", "COMPARE_BOTTOM_LIMIT", "compare_with_oracle"}
+#: the names of compare.py that perfbench reads from engine; engine resolves
+#: them on first use, so `run` never loads compare
+_COMPARE_NAMES = {"AgreementReport", "compare_with_oracle"}
 
 
 def __getattr__(name: str):

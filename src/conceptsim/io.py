@@ -263,9 +263,9 @@ def serialize_params(params: EngineParams) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-#: public names that moved to trace.py; io resolves them on first use, so
-#: io.write_trace_csv still works and importing io loads no trace code
-_TRACE_NAMES = {"UnitKind", "TraceRow", "CSV_HEADER", "write_trace_csv", "read_trace_csv", "render_ascii_timeline"}
+#: the name of trace.py that perfbench reads from io; io resolves it on first
+#: use, so importing io loads no trace code
+_TRACE_NAMES = {"write_trace_csv"}
 
 
 def __getattr__(name: str):

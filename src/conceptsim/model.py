@@ -470,9 +470,3 @@ def validate_network(spec: NetworkSpec) -> ValidatedNetwork:
         warnings=tuple(warnings),
         masks=tuple(masks),
     )
-
-
-def element_parents(net: ValidatedNetwork, cid: ConceptId) -> list[tuple[ConceptId, int]]:
-    """All (owner, pattern ordinal) pairs whose pattern contains cid, in owner/ordinal order."""
-    net._check(cid)
-    return list(net.parent_index.get(cid, ()))

@@ -75,7 +75,10 @@ def write_trace_csv(trace: Trace) -> str:
     a str in place while one name alone refers to it, so the write holds its
     text plus one block, not two full copies. A second reference to text
     would copy it whole on every append; test_io.py's
-    test_trace_csv_peak_memory_stays_near_the_text_size then fails.
+    test_trace_csv_peak_memory_stays_near_the_text_size then fails. On
+    CPython 3.10 and 3.11 a trace or profile function, as coverage.py,
+    cProfile and debuggers set, does the same: the write becomes quadratic in
+    its blocks. 3.12 and later grow text in place under such a hook too.
     """
     from .model import _bit_bytes, _ids
 

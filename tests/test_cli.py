@@ -88,14 +88,15 @@ def test_every_subcommand_has_help():
 
 #: the argv alphabet: the commands and one that is none, every option name, a
 #: unique prefix of each, their "=value" forms, the values, "--", an unknown
-#: option and positionals, among them one with a space and a negative number
+#: option, an "=value" form of the empty option name, which every option
+#: matches, and positionals, among them one with a space and a negative number
 OPTION_NAMES = ["-h", "--help", "--format", "--params", "--trace", "--render", "--active", "--strict"]
 PREFIXES = ["--he", "--form", "--par", "--tr", "--ren", "--act", "--str"]
 VALUES = ["", "text", "json", "xml", "-"]
 COMMAND_NAMES = [*COMMANDS, "bogus"]
 TOKENS = [
     *COMMAND_NAMES, *OPTION_NAMES, *PREFIXES, *(f"{o}={v}" for o in OPTION_NAMES + PREFIXES for v in VALUES),
-    *VALUES, "--", "-hh", "--bogus", "data/salt.json", "out.csv", "a b", "-1",
+    *VALUES, "--", "-hh", "--bogus", "--=x", "data/salt.json", "out.csv", "a b", "-1",
 ]
 #: runs of tokens that commands accept, drawn as often as single tokens so
 #: that more argv parse; tuples, so no example can edit another's
@@ -159,6 +160,8 @@ def accepted(command, **given):
     (["render", "--help=x"], (2, False, True)),
     (["-h", "bogus"], (0, True, False)),
     ([], (2, False, True)),
+    (["validate", "x", "--=x"], (2, False, True)),
+    (["validate", "-h", "--=x"], (2, False, True)),
 ])
 def test_parse_args_examples(argv, expected):
     assert parsed(parse_args, argv) == expected

@@ -355,10 +355,9 @@ def plane_states(net, params):
     clamp: entry s holds each case's Snapshot before sweep s, and a run that
     ended earlier keeps its last one. Every run must reach a fixed point, so
     the plane run makes one sweep fewer than there are entries."""
-    scalar = Engine(net, params)
     runs = []
     for case in range(1 << len(net.bottom)):
-        scalar.reset()
+        scalar = Engine(net, params)
         scalar.apply_clamp({e: 1 for j, e in enumerate(net.bottom) if case >> j & 1})
         start = scalar.state
         snaps, termination, _ = scalar.run_to_fixed_point()

@@ -450,9 +450,9 @@ def write(engine, rng):
             engine.activation[c] = value
         else:
             engine.active = engine.active & ~(1 << c) | value << c
-    elif kind == 1 and engine.rejected:
+    elif kind == 1 and (rejected := engine.snapshot().rejected):
         # lift a latch and switch the unit back on
-        c = rng.choice(sorted(engine.rejected))
+        c = rng.choice(sorted(rejected))
         if on_lists:
             engine.rejected.discard(c)
             engine.activation[c] = 1
@@ -622,7 +622,7 @@ def test_seeded_verdicts_are_not_vacuous():
     assert verdicts == set(Verdict)
 
 
-# --- compare: one reset Engine against a fresh ReferenceEngine per clamp ---
+# --- an engine written back to the zero state ---
 
 def reset_state(engine):
     return engine.state, engine.snapshot(), engine.routed, dict(engine.clamp)
@@ -642,12 +642,16 @@ def left_mid_run(net, params, seed):
 @pytest.mark.parametrize("routing", ErrorRouting)
 @pytest.mark.parametrize("seed", range(50))
 def test_reset_equals_a_fresh_engine(seed, routing):
-    """reset() on an engine left mid-run gives a fresh Engine's state, and
-    the next clamp's run gives a fresh Engine's snapshots."""
+    """Writing the zero state into an engine left mid-run, active 0 and then
+    apply_clamp({}), gives a fresh Engine's state, and the next clamp's run
+    gives a fresh Engine's snapshots: what an engine keeps across writes and
+    clamps, its dendrite memo and drive table, carries nothing of the run
+    before."""
     net = random_network(seed)
     params = EngineParams(error_routing=routing)
     for engine, clamp in left_mid_run(net, params, seed):
-        engine.reset()
+        engine.active = 0
+        engine.apply_clamp({})
         fresh = Engine(net, params)
         assert reset_state(engine) == reset_state(fresh)
         engine.apply_clamp(clamp)
@@ -675,6 +679,8 @@ def test_reset_is_not_vacuous():
                 }
     assert seen == {"omission", "commission", "latch", "routed", "active"}
 
+
+# --- compare: the plane run against a fresh ReferenceEngine per clamp ---
 
 @pytest.mark.parametrize("routing", ErrorRouting)
 @pytest.mark.parametrize("seed", range(50))
@@ -836,9 +842,8 @@ def test_no_run_returns_to_its_zero_start(params, routing):
     again, its error bits of 0 included."""
     params = params._replace(error_routing=routing)
     for net in [*map(random_network, range(50)), *map(shuffled_network, range(20))]:
-        scalar = Engine(net, params)
         for case in range(1 << len(net.bottom)):
-            scalar.reset()
+            scalar = Engine(net, params)
             scalar.apply_clamp({e: 1 for j, e in enumerate(net.bottom) if case >> j & 1})
             start = scalar.state
             snaps, _, _ = scalar.run_to_fixed_point()
@@ -1182,9 +1187,8 @@ def thermometer_depth(net, params):
 
 def latches(net, params):
     """Whether some clamp's run latches a concept."""
-    engine = Engine(net, params)
     for clamped in all_clamps(net):
-        engine.reset()
+        engine = Engine(net, params)
         engine.apply_clamp({e: 1 for e in clamped})
         if engine.run_to_fixed_point()[0][-1].latched:
             return True

@@ -105,19 +105,19 @@ def test_new_engine_is_in_zero_state(net):
 
 def test_views_read_the_bitmasks(net, ids):
     """activation, omission, commission and rejected are read-only views of
-    the bitmasks, on the engine as on a snapshot."""
+    the bitmasks on the snapshot an engine returns."""
     eng = Engine(net, PARAMS)
     eng.apply_clamp({ids["looking"]: 1, ids["white"]: 1, ids["tasting"]: 1})
     eng.run_fixed_sweeps(2)
-    for view in (eng, eng.snapshot()):
-        assert view.activation == tuple(eng.active >> c & 1 for c in range(7))
-        assert view.omission == tuple(eng.omitted >> c & 1 for c in range(7))
-        assert view.commission == tuple(eng.committed >> c & 1 for c in range(7))
-        assert view.rejected == frozenset(c for c in range(7) if eng.latched >> c & 1)
-    assert eng.omission[ids["sweet"]] == 1 and eng.rejected == {ids["salt"]}
+    view = eng.snapshot()
+    assert view.activation == tuple(eng.active >> c & 1 for c in range(7))
+    assert view.omission == tuple(eng.omitted >> c & 1 for c in range(7))
+    assert view.commission == tuple(eng.committed >> c & 1 for c in range(7))
+    assert view.rejected == frozenset(c for c in range(7) if eng.latched >> c & 1)
+    assert view.omission[ids["sweet"]] == 1 and view.rejected == {ids["salt"]}
     for name in ("activation", "omission", "commission", "rejected"):
         with pytest.raises(AttributeError):
-            setattr(eng, name, ())
+            setattr(view, name, ())
     with pytest.raises(TypeError):
         eng.clamp[ids["salty"]] = 1
 
@@ -134,7 +134,7 @@ def test_clamp_assigned_between_sweeps_is_read_by_the_next_sweep(net, ids):
     eng.sweep()
     assert eng.active & eng.net.layer_mask[0] == 1 << ids["tasting"] | 1 << ids["salty"]
     assert eng.latched == latched  # salt stays latched: no new phase
-    assert eng.activation[ids["salt"]] == 0
+    assert eng.snapshot().activation[ids["salt"]] == 0
 
 
 @pytest.mark.parametrize("make", [random_network, shuffled_network])
@@ -196,19 +196,19 @@ def first_clamp_error(net, clamp):
 def test_apply_clamp_activates_bottom_and_drops_the_rest(net, ids):
     eng = Engine(net, PARAMS)
     eng.apply_clamp({ids["looking"]: 1, ids["white"]: 1})
-    assert eng.activation[ids["looking"]] == 1 and eng.activation[ids["white"]] == 1
+    assert eng.snapshot().activation[ids["looking"]] == 1 and eng.snapshot().activation[ids["white"]] == 1
     eng.apply_clamp({ids["tasting"]: 1})
-    assert eng.activation[ids["looking"]] == 0
-    assert eng.activation[ids["tasting"]] == 1
+    assert eng.snapshot().activation[ids["looking"]] == 0
+    assert eng.snapshot().activation[ids["tasting"]] == 1
 
 
 def test_apply_clamp_keeps_higher_layers_until_sweeps_run(net, ids):
     eng = Engine(net, PARAMS)
     eng.apply_clamp({ids["looking"]: 1, ids["white"]: 1})
     eng.run_to_fixed_point()
-    assert eng.activation[ids["salt"]] == 1
+    assert eng.snapshot().activation[ids["salt"]] == 1
     eng.apply_clamp({})
-    assert eng.activation[ids["salt"]] == 1  # only sweeps move non-bottom units
+    assert eng.snapshot().activation[ids["salt"]] == 1  # only sweeps move non-bottom units
 
 
 def test_apply_clamp_clears_latches_and_errors(net, ids):
@@ -221,7 +221,7 @@ def test_apply_clamp_clears_latches_and_errors(net, ids):
     assert eng.omitted == eng.committed == 0
     _, term, _ = eng.run_to_fixed_point()
     assert term is Termination.FIXED_POINT
-    assert eng.activation[ids["salt"]] == 1  # hypothesis reopened after clamp change
+    assert eng.snapshot().activation[ids["salt"]] == 1  # hypothesis reopened after clamp change
 
 
 def test_apply_clamp_rejects_non_bottom_and_unknown(net, ids):
@@ -286,8 +286,8 @@ def test_first_sweep_winner_take_all(net, ids):
     eng.apply_clamp({ids["looking"]: 1, ids["white"]: 1})
     changed = eng.sweep()
     assert changed
-    assert eng.activation[ids["salt"]] == 1
-    assert eng.activation[ids["sugar"]] == 0
+    assert eng.snapshot().activation[ids["salt"]] == 1
+    assert eng.snapshot().activation[ids["sugar"]] == 0
     assert eng.omitted == eng.committed == 0
 
 
@@ -299,8 +299,8 @@ def test_latched_unit_stops_inhibiting_later_peers_within_the_sweep(net, ids):
     eng.active |= 1 << ids["salt"]
     eng.latched |= 1 << ids["salt"]
     eng.sweep()
-    assert eng.activation[ids["salt"]] == 0
-    assert eng.activation[ids["sugar"]] == 1
+    assert eng.snapshot().activation[ids["salt"]] == 0
+    assert eng.snapshot().activation[ids["sugar"]] == 1
 
 
 def test_omission_error_when_applicable_pattern_misses_element(net, ids):
@@ -309,15 +309,15 @@ def test_omission_error_when_applicable_pattern_misses_element(net, ids):
     eng.run_to_fixed_point()
     eng.apply_clamp({ids["looking"]: 1, ids["white"]: 1, ids["tasting"]: 1})
     eng.sweep()
-    assert eng.omission[ids["salty"]] == 1
-    assert eng.activation[ids["salt"]] == 1  # inhibition lands one sweep later
+    assert eng.snapshot().omission[ids["salty"]] == 1
+    assert eng.snapshot().activation[ids["salt"]] == 1  # inhibition lands one sweep later
 
 
 def test_no_errors_when_pattern_complete(net, ids):
     eng = Engine(net, PARAMS)
     eng.apply_clamp({ids["tasting"]: 1, ids["salty"]: 1})
     eng.sweep()
-    assert eng.activation[ids["salt"]] == 1
+    assert eng.snapshot().activation[ids["salt"]] == 1
     assert eng.omitted == eng.committed == 0
 
 
@@ -556,7 +556,7 @@ def test_decoupling_self_sustain(net, ids):
     eng.run_to_fixed_point()
     eng.apply_clamp({})
     eng.run_to_fixed_point()
-    assert eng.activation[ids["salt"]] == 1
+    assert eng.snapshot().activation[ids["salt"]] == 1
     assert PARAMS.w_self - PARAMS.theta > 0
 
 
@@ -571,7 +571,7 @@ def test_rejection_latch_holds_until_clamp_change(net, ids):
     # dendrite is still complete, yet the latch keeps the unit off
     for _ in range(3):
         eng.sweep()
-        assert eng.activation[ids["salt"]] == 0
+        assert eng.snapshot().activation[ids["salt"]] == 0
 
 
 @pytest.mark.parametrize("seed", range(12))

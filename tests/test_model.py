@@ -18,7 +18,6 @@ from conceptsim import (
     ScenarioSpec,
     TraceRow,
     UnitKind,
-    element_parents,
     enumerate_interpretations,
     interpretation_consistent,
     oracle_verdicts,
@@ -51,8 +50,8 @@ def test_canonical_network_valid(net, ids):
     assert net.max_layer == 1
     assert net.bottom == (0, 1, 2, 3, 4)
     assert net.non_bottom == (5, 6)
-    assert element_parents(net, ids["white"]) == [(ids["salt"], 1), (ids["sugar"], 1)]
-    assert element_parents(net, ids["salty"]) == [(ids["salt"], 0)]
+    assert net.parent_index[ids["white"]] == ((ids["salt"], 1), (ids["sugar"], 1))
+    assert net.parent_index[ids["salty"]] == ((ids["salt"], 0),)
     assert net.warnings == ()
 
 
@@ -75,7 +74,7 @@ def test_single_bottom_concept_network():
     net = validate_network(NetworkSpec((ConceptSpec("ping", 0),)))
     assert net.n_concepts == 1
     assert net.max_layer == 0
-    assert element_parents(net, 0) == []
+    assert net.parent_index[0] == ()
 
 
 def test_empty_network_is_valid():
@@ -337,16 +336,10 @@ def test_masks_and_needs_parallel_patterns(seed):
             assert needs[c] == tuple(min(max(pattern_need(len(p), tau), 0), len(p)) for p in net.patterns[c])
 
 
-def test_element_parents_unknown(net):
-    with pytest.raises(UnknownConcept):
-        element_parents(net, 99)
-
-
 @pytest.mark.parametrize("call, cid", [
-    (element_parents, "salty"),
     (lambda net, cid: net.layer(cid), "salt"),
     (lambda net, cid: net.name(cid), 1.5),
-], ids=["element_parents", "layer", "name"])
+], ids=["layer", "name"])
 def test_a_concept_id_that_is_not_an_int_is_unknown(net, call, cid):
     with pytest.raises(UnknownConcept, match=rf"^no concept with id {cid!r}$"):
         call(net, cid)
@@ -356,7 +349,6 @@ def test_a_concept_id_that_is_not_an_int_is_unknown(net, call, cid):
     lambda net, cid: net.name(cid),
     lambda net, cid: net.layer(cid),
     lambda net, cid: net.patterns_of(cid),
-    element_parents,
     lambda net, cid: interpretation_consistent(net, {cid}, set()),
     lambda net, cid: interpretation_consistent(net, set(), {cid}),
     lambda net, cid: enumerate_interpretations(net, {cid}),
@@ -365,7 +357,7 @@ def test_a_concept_id_that_is_not_an_int_is_unknown(net, call, cid):
     lambda net, cid: Engine(net).apply_clamp({cid: 1}),
     lambda net, cid: run_scenario(net, EngineParams(), [({cid: 1}, None)]),
 ], ids=[
-    "name", "layer", "patterns_of", "element_parents", "inferred", "clamped", "enumerate", "oracle_verdicts",
+    "name", "layer", "patterns_of", "inferred", "clamped", "enumerate", "oracle_verdicts",
     "assigned_clamp", "apply_clamp", "run_scenario",
 ])
 @pytest.mark.parametrize("cid", [True, False])
@@ -384,9 +376,9 @@ def test_parent_index_round_trip(seed):
     for c in range(net.n_concepts):
         for k, pat in enumerate(net.patterns_of(c)):
             for e in pat.elements:
-                assert (c, k) in element_parents(net, e)
+                assert (c, k) in net.parent_index[e]
     for e in range(net.n_concepts):
-        for c, k in element_parents(net, e):
+        for c, k in net.parent_index[e]:
             assert e in net.patterns_of(c)[k].elements
 
 

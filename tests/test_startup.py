@@ -26,8 +26,7 @@ PUBLIC = {
     ),
     model: (
         "DEFAULT_TAU", "ConceptId", "ConceptSpec", "NetworkSpec", "Pattern", "PatternState",
-        "PatternStatus", "ValidatedNetwork", "element_parents", "pattern_need", "pattern_state",
-        "validate_network",
+        "PatternStatus", "ValidatedNetwork", "pattern_need", "pattern_state", "validate_network",
     ),
     oracle: (
         "ConceptCheck", "ConsistencyReport", "OracleVerdict", "enumerate_interpretations",
@@ -36,11 +35,21 @@ PUBLIC = {
     trace: ("TraceRow", "UnitKind", "read_trace_csv", "render_ascii_timeline", "write_trace_csv"),
 }
 
-#: the names compare.py took over from engine, which engine still resolves
-MOVED = ("Agreement", "AgreementReport", "CaseResult", "COMPARE_BOTTOM_LIMIT", "compare_with_oracle")
+#: the names of compare.py that engine still resolves, the ones perfbench reads
+MOVED = ("AgreementReport", "compare_with_oracle")
 
-#: the names trace.py took over from io, which io still resolves
-MOVED_TO_TRACE = ("UnitKind", "TraceRow", "CSV_HEADER", "write_trace_csv", "read_trace_csv", "render_ascii_timeline")
+#: the name of trace.py that io still resolves, the one perfbench reads
+MOVED_TO_TRACE = ("write_trace_csv",)
+
+#: names that are read only where they are defined: each raises AttributeError
+#: on the object named
+GONE = [
+    (engine, "Agreement"), (engine, "CaseResult"), (engine, "COMPARE_BOTTOM_LIMIT"),
+    (io, "UnitKind"), (io, "TraceRow"), (io, "CSV_HEADER"), (io, "read_trace_csv"), (io, "render_ascii_timeline"),
+    (model, "element_parents"), (conceptsim, "element_parents"),
+    (engine.Engine, "reset"), (engine.Engine, "activation"), (engine.Engine, "omission"),
+    (engine.Engine, "commission"), (engine.Engine, "rejected"),
+]
 
 #: standard-library modules that cost a millisecond or more to import, each
 #: loaded only where it is used: dataclasses (and through it inspect) by
@@ -146,6 +155,16 @@ def test_import_conceptsim_loads_no_submodule():
     assert run_child(code) == "['conceptsim']\n"
 
 
+def test_a_submodule_read_off_the_package_loads_only_it():
+    """conceptsim.trace, before anything imported it, goes through the
+    package __getattr__, which imports the submodule and returns it."""
+    code = (
+        "import sys, conceptsim; t = conceptsim.trace; "
+        "print(t is sys.modules['conceptsim.trace'], sorted(m for m in sys.modules if m.startswith('conceptsim')))"
+    )
+    assert run_child(code) == "True ['conceptsim', 'conceptsim.errors', 'conceptsim.trace']\n"
+
+
 def test_import_oracle_leaves_fractions_unloaded():
     code = "import sys, conceptsim.oracle; print('fractions' in sys.modules)"
     assert run_child(code) == "False\n"
@@ -183,14 +202,19 @@ def test_io_resolves_the_names_trace_took_over():
         assert getattr(io, name) is getattr(trace, name), name
         assert io.__dict__[name] is getattr(trace, name), name  # cached on first use
     namespace: dict = {}
-    exec("from conceptsim.io import write_trace_csv, TraceRow", namespace)
+    exec("from conceptsim.io import write_trace_csv", namespace)
     assert namespace["write_trace_csv"] is trace.write_trace_csv
-    assert namespace["TraceRow"] is trace.TraceRow
     for private in ("_csv_field", "_read_rows"):  # trace's own helpers are read off trace
         with pytest.raises(AttributeError):
             getattr(io, private)
     with pytest.raises(AttributeError, match="module 'conceptsim.io' has no attribute 'no_such_name'"):
         io.no_such_name
+
+
+@pytest.mark.parametrize("owner, name", GONE, ids=[f"{getattr(o, '__name__', o)}.{n}" for o, n in GONE])
+def test_a_name_read_only_where_it_is_defined_raises_attribute_error(owner, name):
+    with pytest.raises(AttributeError, match=f"has no attribute '{name}'"):
+        getattr(owner, name)
 
 
 def test_every_public_name_is_its_submodules_object():
